@@ -7,7 +7,10 @@ package vbr
 
 import (
 	"context"
+	"errors"
+	"io"
 	"math/rand/v2"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -17,6 +20,7 @@ import (
 	"vbr/internal/lrd"
 	"vbr/internal/queue"
 	"vbr/internal/stats"
+	"vbr/internal/stream"
 	"vbr/internal/synth"
 )
 
@@ -488,6 +492,49 @@ func BenchmarkWarmGenerate(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// Paper-scale streaming through the chunked engines: a 171,000-frame
+// stream opened on a warm pool and drained, which is the work vbrd does
+// per default /v1/trace request (4,096-frame blocks, 5,120-frame
+// chunks). ns/frame and B/frame put the chunk draws' cost and their
+// allocation-free steady state on a per-frame scale.
+func BenchmarkStreamDaviesHarte171k(b *testing.B) { benchStream(b, BackendDaviesHarte) }
+
+func BenchmarkStreamPaxson171k(b *testing.B) { benchStream(b, BackendPaxson) }
+
+func benchStream(b *testing.B, engine Backend) {
+	ctx := context.Background()
+	const n = 171_000
+	cfg := stream.Config{Model: benchCacheModel, N: n, Backend: engine, Pool: NewGenPool(0)}
+	drain := func() {
+		st, err := stream.OpenCtx(ctx, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for {
+			if _, err := st.Next(ctx); errors.Is(err, io.EOF) {
+				return
+			} else if err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	drain() // fill the pool
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	allocated := ms.TotalAlloc
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cfg.Seed = uint64(i + 1)
+		drain()
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&ms)
+	frames := float64(b.N) * n
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/frames, "ns/frame")
+	b.ReportMetric(float64(ms.TotalAlloc-allocated)/frames, "B/frame")
 }
 
 // Eight independently seeded traces through the worker-pool batch

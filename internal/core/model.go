@@ -195,11 +195,12 @@ type GenOptions struct {
 	// fgn.HoskingCheckpointed for the exact semantics.
 	Snapshot fgn.SnapshotFunc
 	// Pool, when non-nil, serves the seed-independent precomputations —
-	// Hosking coefficient schedules, Davies–Harte eigenvalue vectors and
-	// Eq. 13 quantile tables — from a shared cross-request cache instead
-	// of recomputing them per call. The generated output is bitwise
-	// identical either way (the cached quantities do not depend on the
-	// seed); nil preserves the cold per-call behavior exactly.
+	// Hosking coefficient schedules, Davies–Harte eigenvalues and Paxson
+	// spectra with their FFT plans, and Eq. 13 quantile tables — from a
+	// shared cross-request cache instead of recomputing them per call.
+	// The generated output is bitwise identical either way (the cached
+	// quantities do not depend on the seed); nil preserves the cold
+	// per-call behavior exactly.
 	Pool *genpool.Pool
 }
 
@@ -290,9 +291,10 @@ func (m Model) GenerateIIDCtx(ctx context.Context, n int, opts GenOptions) ([]fl
 
 // gaussianCtx runs the selected LRD engine under a context and
 // optionally standardizes. With a pool in the options the
-// seed-independent half of the chosen engine (coefficient schedule or
-// eigenvalue vector) is served from cache; the seeded half draws from
-// rng in exactly the cold order, keeping the output bitwise identical.
+// seed-independent half of the chosen engine (coefficient schedule, or
+// eigenvalues or spectrum with its FFT plan) is served from cache; the
+// seeded half draws from rng in exactly the cold order, keeping the
+// output bitwise identical.
 func (m Model) gaussianCtx(ctx context.Context, n int, opts GenOptions) ([]float64, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("core: length must be ≥ 1, got %d", n)
@@ -314,16 +316,16 @@ func (m Model) gaussianCtx(ctx context.Context, n int, opts GenOptions) ([]float
 		}
 	case backend.DaviesHarte:
 		if opts.Pool != nil {
-			var lam []float64
-			if lam, err = opts.Pool.DaviesHarteEigen(ctx, m.Hurst, n); err == nil {
-				x, err = fgn.DaviesHarteFromEigenCtx(ctx, n, lam, rng)
+			var eig *fgn.DaviesHarteEigen
+			if eig, err = opts.Pool.DaviesHarteEigen(ctx, m.Hurst, n); err == nil {
+				x, err = fgn.DaviesHarteFromEigenCtx(ctx, n, eig, rng)
 			}
 		} else {
 			x, err = fgn.DaviesHarteCtx(ctx, n, m.Hurst, rng)
 		}
 	case backend.Paxson:
 		if opts.Pool != nil {
-			var p []float64
+			var p *fgn.PaxsonSpectrum
 			if p, err = opts.Pool.PaxsonSpectrum(ctx, m.Hurst, n); err == nil {
 				x, err = fgn.PaxsonFromSpectrumCtx(ctx, n, p, rng)
 			}

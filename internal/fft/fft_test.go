@@ -4,9 +4,240 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand/v2"
+	"sync"
 	"testing"
 	"testing/quick"
 )
+
+// transform, radix2 and bluestein are the unplanned FFT the package ran
+// before Plan existed, kept verbatim as the bitwise oracle: every
+// planned transform must reproduce their output bit for bit, which is
+// what keeps the seeded fGn goldens of the generators above stable.
+func transform(x []complex128, inverse bool) {
+	n := len(x)
+	if n <= 1 {
+		return
+	}
+	if n&(n-1) == 0 {
+		radix2(x, inverse)
+	} else {
+		bluestein(x, inverse)
+	}
+	if inverse {
+		inv := complex(1/float64(n), 0)
+		for i := range x {
+			x[i] *= inv
+		}
+	}
+}
+
+func radix2(x []complex128, inverse bool) {
+	n := len(x)
+	for i, j := 1, 0; i < n; i++ {
+		bit := n >> 1
+		for ; j&bit != 0; bit >>= 1 {
+			j ^= bit
+		}
+		j ^= bit
+		if i < j {
+			x[i], x[j] = x[j], x[i]
+		}
+	}
+	sign := -1.0
+	if inverse {
+		sign = 1.0
+	}
+	for length := 2; length <= n; length <<= 1 {
+		ang := sign * 2 * math.Pi / float64(length)
+		wl := cmplx.Exp(complex(0, ang))
+		for start := 0; start < n; start += length {
+			w := complex(1, 0)
+			half := length >> 1
+			for k := 0; k < half; k++ {
+				u := x[start+k]
+				v := x[start+k+half] * w
+				x[start+k] = u + v
+				x[start+k+half] = u - v
+				w *= wl
+			}
+		}
+	}
+}
+
+func bluestein(x []complex128, inverse bool) {
+	n := len(x)
+	sign := -1.0
+	if inverse {
+		sign = 1.0
+	}
+	w := make([]complex128, n)
+	for k := 0; k < n; k++ {
+		kk := int64(k) * int64(k) % int64(2*n)
+		w[k] = cmplx.Exp(complex(0, sign*math.Pi*float64(kk)/float64(n)))
+	}
+	m := 1
+	for m < 2*n-1 {
+		m <<= 1
+	}
+	a := make([]complex128, m)
+	b := make([]complex128, m)
+	for k := 0; k < n; k++ {
+		a[k] = x[k] * w[k]
+		b[k] = cmplx.Conj(w[k])
+	}
+	for k := 1; k < n; k++ {
+		b[m-k] = cmplx.Conj(w[k])
+	}
+	radix2(a, false)
+	radix2(b, false)
+	for i := range a {
+		a[i] *= b[i]
+	}
+	radix2(a, true)
+	invm := complex(1/float64(m), 0)
+	for k := 0; k < n; k++ {
+		x[k] = a[k] * invm * w[k]
+	}
+}
+
+// sameBits reports the first index at which a and b differ in either
+// component's float64 bit pattern, or -1.
+func sameBits(a, b []complex128) int {
+	for i := range a {
+		if math.Float64bits(real(a[i])) != math.Float64bits(real(b[i])) ||
+			math.Float64bits(imag(a[i])) != math.Float64bits(imag(b[i])) {
+			return i
+		}
+	}
+	return -1
+}
+
+// oracleLengths covers every length class a plan distinguishes: all
+// n ≤ 64, every power of two to 2^17, the chunk-engine lengths
+// (5,120 and 10,240 — Paxson and Davies–Harte at the default 4,096+1,024
+// chunk), the paper's 171,000-frame trace, and primes.
+func oracleLengths() []int {
+	var ns []int
+	for n := 1; n <= 64; n++ {
+		ns = append(ns, n)
+	}
+	for n := 128; n <= 1<<17; n <<= 1 {
+		ns = append(ns, n)
+	}
+	return append(ns, 97, 1000, 1009, 5120, 6000, 7919, 10240, 20000, 65537, 171000)
+}
+
+// TestPlanBitwiseOracle: a planned transform equals the unplanned
+// reference bit for bit, in both directions, at every oracle length.
+func TestPlanBitwiseOracle(t *testing.T) {
+	rng := rand.New(rand.NewPCG(40, 41))
+	for _, n := range oracleLengths() {
+		x := randComplex(n, rng)
+		for _, dir := range []Direction{DirForward, DirInverse} {
+			want := append([]complex128(nil), x...)
+			transform(want, dir == DirInverse)
+			got := append([]complex128(nil), x...)
+			p := NewPlan(n, dir)
+			p.Transform(got)
+			if i := sameBits(got, want); i >= 0 {
+				t.Fatalf("n=%d dir=%d: planned output differs from the reference at %d: %v vs %v", n, dir, i, got[i], want[i])
+			}
+			// A second use of the same plan (warm work buffer) too.
+			again := append([]complex128(nil), x...)
+			p.Transform(again)
+			if i := sameBits(again, want); i >= 0 {
+				t.Fatalf("n=%d dir=%d: reused plan differs at %d", n, dir, i)
+			}
+		}
+	}
+}
+
+// TestPlanConcurrent drives one shared plan per length class from 16
+// goroutines; every result must equal the serial one bit for bit.
+// Under -race this also pins the plan's work-buffer pool.
+func TestPlanConcurrent(t *testing.T) {
+	const workers = 16
+	rng := rand.New(rand.NewPCG(42, 43))
+	for _, n := range []int{4096, 5120, 10240} {
+		for _, dir := range []Direction{DirForward, DirInverse} {
+			p := NewPlan(n, dir)
+			inputs := make([][]complex128, workers)
+			want := make([][]complex128, workers)
+			for w := range inputs {
+				inputs[w] = randComplex(n, rng)
+				want[w] = append([]complex128(nil), inputs[w]...)
+				p.Transform(want[w])
+			}
+			got := make([][]complex128, workers)
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					out := append([]complex128(nil), inputs[w]...)
+					for rep := 0; rep < 3; rep++ {
+						copy(out, inputs[w])
+						p.Transform(out)
+					}
+					got[w] = out
+				}(w)
+			}
+			wg.Wait()
+			for w := range got {
+				if i := sameBits(got[w], want[w]); i >= 0 {
+					t.Fatalf("n=%d dir=%d worker %d: concurrent result differs from serial at %d", n, dir, w, i)
+				}
+			}
+		}
+	}
+}
+
+// TestPlanTransformZeroAlloc: once a plan's work buffer exists, a
+// transform allocates nothing, for radix-2 and Bluestein lengths.
+func TestPlanTransformZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	rng := rand.New(rand.NewPCG(44, 45))
+	for _, n := range []int{4096, 5120} {
+		p := NewPlan(n, DirInverse)
+		x := randComplex(n, rng)
+		p.Transform(x)
+		if allocs := testing.AllocsPerRun(20, func() { p.Transform(x) }); allocs != 0 {
+			t.Errorf("n=%d: Transform allocates %v per call, want 0", n, allocs)
+		}
+	}
+}
+
+// TestPlanBytes pins the resident size the generation cache charges for
+// a plan: n−1 twiddles for a power of two. For Bluestein: the chirp,
+// the filter spectrum and the m−1 inner twiddles (complex128), plus
+// the int32 bit reversal of k < n and the (i, rev i) pairs — one pair
+// per swap and per fixed point, m + 2^7 entries for m = 2^14.
+func TestPlanBytes(t *testing.T) {
+	if got, want := NewPlan(4096, DirForward).Bytes(), int64(16*4095); got != want {
+		t.Errorf("radix-2 plan: %d bytes, want %d", got, want)
+	}
+	const n, m = 5120, 16384
+	if got, want := NewPlan(n, DirInverse).Bytes(), int64(16*(n+m+m-1)+4*(n+m+128)); got != want {
+		t.Errorf("Bluestein plan: %d bytes, want %d", got, want)
+	}
+	if got := NewPlan(1, DirForward).Bytes(); got != 0 {
+		t.Errorf("identity plan: %d bytes, want 0", got)
+	}
+}
+
+// TestPlanLengthMismatchPanics: applying a plan to the wrong length is
+// a programming error, reported loudly rather than transforming a
+// prefix.
+func TestPlanLengthMismatchPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected a panic for a length mismatch")
+		}
+	}()
+	NewPlan(8, DirForward).Transform(make([]complex128, 7))
+}
 
 // naiveDFT is the O(n²) reference implementation.
 func naiveDFT(x []complex128, inverse bool) []complex128 {
@@ -291,5 +522,20 @@ func BenchmarkForwardBluestein(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Forward(x)
+	}
+}
+
+// BenchmarkPlanBluestein5120 is the Paxson chunk's inverse transform on
+// a warm plan: the per-chunk cost the streaming engines pay.
+func BenchmarkPlanBluestein5120(b *testing.B) {
+	rng := rand.New(rand.NewPCG(1, 1))
+	x0 := randComplex(5120, rng)
+	x := make([]complex128, len(x0))
+	p := NewPlan(5120, DirInverse)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(x, x0) // repeated inverse transforms would decay to subnormals
+		p.Transform(x)
 	}
 }

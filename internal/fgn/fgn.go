@@ -375,23 +375,50 @@ func DaviesHarte(n int, h float64, rng *rand.Rand) ([]float64, error) {
 func DaviesHarteCtx(ctx context.Context, n int, h float64, rng *rand.Rand) ([]float64, error) {
 	scope := obs.From(ctx)
 	defer scope.Span("fgn.daviesharte")()
-	lambda, err := DaviesHarteEigenCtx(ctx, n, h)
+	eig, err := DaviesHarteEigenCtx(ctx, n, h)
 	if err != nil {
 		return nil, err
 	}
-	return DaviesHarteFromEigenCtx(ctx, n, lambda, rng)
+	return DaviesHarteFromEigenCtx(ctx, n, eig, rng)
+}
+
+// DaviesHarteEigen is the seed-independent half of a Davies–Harte
+// sampler for (H, n): the eigenvalues of the 2n circulant matrix built
+// from the FGN autocovariance, and the FFT plan of the 2n-point
+// synthesis. It depends only on (H, n), so it is the natural unit of
+// cross-request caching — one value serves every seed — and it is
+// immutable and safe for concurrent use.
+type DaviesHarteEigen struct {
+	n      int
+	lambda []float64
+	plan   *fft.Plan // forward, 2n points; nil when n == 1
+}
+
+// Lambda returns the 2n circulant eigenvalues (empty for n == 1). The
+// slice is shared and read-only.
+func (e *DaviesHarteEigen) Lambda() []float64 { return e.lambda }
+
+// WorkLen is the length of the spectrum buffer DrawCtx needs: 2n, or 0
+// for n == 1.
+func (e *DaviesHarteEigen) WorkLen() int { return len(e.lambda) }
+
+// Bytes is the resident size of the eigenvalues and the plan.
+func (e *DaviesHarteEigen) Bytes() int64 {
+	b := 8 * int64(len(e.lambda))
+	if e.plan != nil {
+		b += e.plan.Bytes()
+	}
+	return b
 }
 
 // DaviesHarteEigenCtx computes the seed-independent half of the
 // circulant embedding for (H, n): the eigenvalues of the 2n circulant
-// matrix built from the FGN autocovariance (the FFT of its first row),
-// verified non-negative and clamped at numerical zero. The result
-// depends only on (H, n), so it is the natural unit of cross-request
-// caching: one vector serves every seed.
+// (the FFT of its first row, through the same plan the synthesis
+// uses), verified non-negative and clamped at numerical zero.
 //
-// For n == 1 the sampler needs no embedding; the returned slice is
-// empty and DaviesHarteFromEigenCtx ignores it.
-func DaviesHarteEigenCtx(ctx context.Context, n int, h float64) ([]float64, error) {
+// For n == 1 the sampler needs no embedding; the eigenvalues are empty
+// and DaviesHarteFromEigenCtx ignores them.
+func DaviesHarteEigenCtx(ctx context.Context, n int, h float64) (*DaviesHarteEigen, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("fgn: length must be ≥ 1, got %d", n)
 	}
@@ -399,7 +426,7 @@ func DaviesHarteEigenCtx(ctx context.Context, n int, h float64) ([]float64, erro
 		return nil, fmt.Errorf("fgn: Hurst parameter must be in (0,1), got %v", h)
 	}
 	if n == 1 {
-		return []float64{}, nil
+		return &DaviesHarteEigen{n: 1, lambda: []float64{}}, nil
 	}
 	if ctx.Err() != nil {
 		return nil, errs.Cancelled(ctx)
@@ -412,16 +439,8 @@ func DaviesHarteEigenCtx(ctx context.Context, n int, h float64) ([]float64, erro
 	m := 2 * n
 	row := make([]complex128, m)
 	for k := 0; k <= n; k++ {
-		if k < n {
-			row[k] = complex(rho[k], 0)
-		} else {
-			row[n] = complex(rho[n-1], 0) // γ_n ≈ γ_{n-1}; exact embedding uses γ_n
-		}
+		row[k] = complex(rho[k], 0)
 	}
-	// Use the exact γ_n value.
-	h2 := 2 * h
-	gn := 0.5 * (math.Pow(float64(n)+1, h2) - 2*math.Pow(float64(n), h2) + math.Pow(float64(n)-1, h2))
-	row[n] = complex(gn, 0)
 	for k := 1; k < n; k++ {
 		row[m-k] = complex(rho[k], 0)
 	}
@@ -429,13 +448,14 @@ func DaviesHarteEigenCtx(ctx context.Context, n int, h float64) ([]float64, erro
 	if ctx.Err() != nil {
 		return nil, errs.Cancelled(ctx)
 	}
-	fl := fft.Forward(row)
+	plan := fft.NewPlan(m, fft.DirForward)
+	plan.Transform(row)
 	// Eigenvalues must be (numerically) non-negative. Only the real
 	// parts matter downstream (the row is symmetric, so the spectrum is
 	// real up to round-off); keeping float64 halves the cache footprint.
 	lambda := make([]float64, m)
-	for i := range fl {
-		lambda[i] = real(fl[i])
+	for i := range row {
+		lambda[i] = real(row[i])
 		if lambda[i] < 0 {
 			if lambda[i] < -1e-8*float64(m) {
 				return nil, fmt.Errorf("fgn: circulant embedding not non-negative definite (λ=%v) at H=%v", lambda[i], h)
@@ -444,15 +464,15 @@ func DaviesHarteEigenCtx(ctx context.Context, n int, h float64) ([]float64, erro
 		}
 	}
 	obs.From(ctx).Count("fgn.daviesharte.eigen", 1)
-	return lambda, nil
+	return &DaviesHarteEigen{n: n, lambda: lambda, plan: plan}, nil
 }
 
 // DaviesHarteFromEigenCtx is the seed-dependent half of the Davies–Harte
 // sampler: it randomizes the spectrum with Hermitian symmetry and
-// inverse-transforms it into n points of FGN. lambda must come from
+// inverse-transforms it into n points of FGN. eig must come from
 // DaviesHarteEigenCtx for the same n; for the same rng state the output
 // is bitwise identical to DaviesHarteCtx.
-func DaviesHarteFromEigenCtx(ctx context.Context, n int, lambda []float64, rng *rand.Rand) ([]float64, error) {
+func DaviesHarteFromEigenCtx(ctx context.Context, n int, eig *DaviesHarteEigen, rng *rand.Rand) ([]float64, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("fgn: length must be ≥ 1, got %d", n)
 	}
@@ -462,17 +482,45 @@ func DaviesHarteFromEigenCtx(ctx context.Context, n int, lambda []float64, rng *
 	if n == 1 {
 		return []float64{rng.NormFloat64()}, nil
 	}
+	if eig == nil {
+		return nil, fmt.Errorf("fgn: no eigenvalues for n=%d", n)
+	}
+	out := make([]float64, n)
+	if err := eig.DrawCtx(ctx, out, make([]complex128, 2*n), rng); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// DrawCtx is the allocation-free form of DaviesHarteFromEigenCtx for
+// callers that draw repeatedly at one length: it writes len(dst)
+// points, which must equal the n the eigenvalues were computed for,
+// and uses work (WorkLen entries) as the spectrum buffer.
+//
+//vbrlint:hotpath
+func (e *DaviesHarteEigen) DrawCtx(ctx context.Context, dst []float64, work []complex128, rng *rand.Rand) error {
+	if rng == nil {
+		return fmt.Errorf("fgn: generation needs a random source")
+	}
+	n := len(dst)
+	if n == 1 {
+		dst[0] = rng.NormFloat64()
+		return nil
+	}
+	if n != e.n {
+		return fmt.Errorf("fgn: eigenvalues computed for n=%d, drawing %d points", e.n, n)
+	}
 	m := 2 * n
-	if len(lambda) != m {
-		return nil, fmt.Errorf("fgn: eigenvalue vector has %d entries, want %d for n=%d", len(lambda), m, n)
+	if len(work) < m {
+		return fmt.Errorf("fgn: spectrum buffer holds %d entries, want %d", len(work), m)
 	}
 	if ctx.Err() != nil {
-		return nil, errs.Cancelled(ctx)
+		return errs.Cancelled(ctx)
 	}
 
 	// Build the randomized spectrum with the Hermitian symmetry that makes
 	// the inverse FFT real-valued.
-	w := make([]complex128, m)
+	lambda, w := e.lambda, work[:m]
 	scale := 1 / math.Sqrt(float64(m))
 	w[0] = complex(math.Sqrt(lambda[0])*rng.NormFloat64()*scale, 0)
 	w[n] = complex(math.Sqrt(lambda[n])*rng.NormFloat64()*scale, 0)
@@ -485,15 +533,14 @@ func DaviesHarteFromEigenCtx(ctx context.Context, n int, lambda []float64, rng *
 	}
 
 	if ctx.Err() != nil {
-		return nil, errs.Cancelled(ctx)
+		return errs.Cancelled(ctx)
 	}
-	z := fft.Forward(w)
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = real(z[i])
+	e.plan.Transform(w)
+	for i := range dst {
+		dst[i] = real(w[i])
 	}
 	obs.From(ctx).Count("fgn.daviesharte.points", int64(n))
-	return out, nil
+	return nil
 }
 
 // Standardize rescales xs in place to zero mean and unit variance and

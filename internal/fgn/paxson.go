@@ -25,8 +25,10 @@ import (
 // is statistically invisible to the Ĥ estimators the repository uses.
 //
 // Like Davies–Harte, the sampler is split into a seed-independent half
-// (PaxsonSpectrumCtx — the (H, n)-keyed expected-power vector, the unit
-// genpool caches) and a seed-dependent half (PaxsonFromSpectrumCtx).
+// (PaxsonSpectrumCtx — the (H, n)-keyed expected-power vector and its
+// FFT plan, the unit genpool caches) and a seed-dependent half
+// (PaxsonFromSpectrumCtx, or DrawCtx for repeated allocation-free
+// draws).
 
 // paxsonB3 evaluates B̃(λ; H), the 3-term Taylor-plus-tail
 // approximation of Paxson §A to the infinite sum Σ_{j≥1} [(2πj+λ)^d +
@@ -74,23 +76,50 @@ func paxsonLen(n int) int {
 	return n + 1
 }
 
+// PaxsonSpectrum is the seed-independent half of a Paxson sampler for
+// (H, n): the expected power of each Fourier coefficient and the
+// inverse-FFT plan of the m-point synthesis (m = n, rounded up to even).
+// It depends only on (H, m), so it is the natural unit of cross-request
+// caching — one value serves every seed and both n = m−1 and n = m —
+// and it is immutable and safe for concurrent use.
+type PaxsonSpectrum struct {
+	power []float64 // m/2 entries; empty for n == 1
+	plan  *fft.Plan // inverse, m points; nil for n == 1
+}
+
+// Power returns the expected power E|Z_j|² of Fourier coefficients
+// j = 1..m/2 (entry j−1). The slice is shared and read-only.
+func (p *PaxsonSpectrum) Power() []float64 { return p.power }
+
+// WorkLen is the length of the spectrum buffer DrawCtx needs: the
+// synthesis FFT length m, or 0 for n == 1.
+func (p *PaxsonSpectrum) WorkLen() int { return 2 * len(p.power) }
+
+// Bytes is the resident size of the power vector and the plan.
+func (p *PaxsonSpectrum) Bytes() int64 {
+	b := 8 * int64(len(p.power))
+	if p.plan != nil {
+		b += p.plan.Bytes()
+	}
+	return b
+}
+
 // PaxsonSpectrumCtx computes the seed-independent half of the Paxson
 // sampler for (H, n): the expected power E|Z_j|² of each Fourier
-// coefficient j = 1..m/2 (m = paxsonLen(n); entry j−1 of the result),
-// i.e. the fGn spectral density sampled at λ_j = 2πj/m and scaled so
-// the synthesized series has unit variance in expectation:
+// coefficient j = 1..m/2 (m = paxsonLen(n)), i.e. the fGn spectral
+// density sampled at λ_j = 2πj/m and scaled so the synthesized series
+// has unit variance in expectation:
 //
-//	Var(x_t) = (2·Σ_{j<m/2} p_j + p_{m/2}) / m² = 1.
+//	Var(x_t) = (2·Σ_{j<m/2} p_j + p_{m/2}) / m² = 1,
 //
-// Normalizing the discrete spectrum directly — rather than trusting a
-// continuum constant — makes the unit-variance property exact for
-// every finite m, not just asymptotically. The vector depends only on
-// (H, n), so it is the natural unit of cross-request caching: one
-// vector serves every seed.
+// together with the plan of the m-point inverse FFT. Normalizing the
+// discrete spectrum directly — rather than trusting a continuum
+// constant — makes the unit-variance property exact for every finite
+// m, not just asymptotically.
 //
 // For n == 1 no spectrum is needed (the sampler degenerates to a
-// single Gaussian draw); the returned slice is empty.
-func PaxsonSpectrumCtx(ctx context.Context, n int, h float64) ([]float64, error) {
+// single Gaussian draw); the power vector is empty.
+func PaxsonSpectrumCtx(ctx context.Context, n int, h float64) (*PaxsonSpectrum, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("fgn: length must be ≥ 1, got %d", n)
 	}
@@ -98,7 +127,7 @@ func PaxsonSpectrumCtx(ctx context.Context, n int, h float64) ([]float64, error)
 		return nil, fmt.Errorf("fgn: Hurst parameter must be in (0,1), got %v", h)
 	}
 	if n == 1 {
-		return []float64{}, nil
+		return &PaxsonSpectrum{power: []float64{}}, nil
 	}
 	if ctx.Err() != nil {
 		return nil, errs.Cancelled(ctx)
@@ -125,20 +154,20 @@ func PaxsonSpectrumCtx(ctx context.Context, n int, h float64) ([]float64, error)
 		p[i] *= scale
 	}
 	obs.From(ctx).Count("fgn.paxson.spectrum", 1)
-	return p, nil
+	return &PaxsonSpectrum{power: p, plan: fft.NewPlan(m, fft.DirInverse)}, nil
 }
 
 // PaxsonFromSpectrumCtx is the seed-dependent half of the Paxson
-// sampler: it randomizes the expected-power vector from
-// PaxsonSpectrumCtx (for the same n) with independent Exp(1) power and
-// uniform phase draws, imposes Hermitian symmetry, and inverse-FFTs
-// into n points of approximate fGn.
+// sampler: it randomizes the expected power from PaxsonSpectrumCtx
+// (for the same n) with independent Exp(1) power and uniform phase
+// draws, imposes Hermitian symmetry, and inverse-FFTs into n points of
+// approximate fGn.
 //
 // The rng consumption order is part of the bitwise-determinism
 // contract (pinned by TestPaxsonGolden): for each interior frequency
 // j = 1..m/2−1 in order, one ExpFloat64 then one Float64 (phase); for
 // the Nyquist frequency one ExpFloat64 then one Float64 (sign).
-func PaxsonFromSpectrumCtx(ctx context.Context, n int, p []float64, rng *rand.Rand) ([]float64, error) {
+func PaxsonFromSpectrumCtx(ctx context.Context, n int, p *PaxsonSpectrum, rng *rand.Rand) ([]float64, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("fgn: length must be ≥ 1, got %d", n)
 	}
@@ -148,42 +177,70 @@ func PaxsonFromSpectrumCtx(ctx context.Context, n int, p []float64, rng *rand.Ra
 	if n == 1 {
 		return []float64{rng.NormFloat64()}, nil
 	}
+	if p == nil {
+		return nil, fmt.Errorf("fgn: no spectrum for n=%d", n)
+	}
+	out := make([]float64, n)
+	if err := p.DrawCtx(ctx, out, make([]complex128, paxsonLen(n)), rng); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// DrawCtx is the allocation-free form of PaxsonFromSpectrumCtx for
+// callers that draw repeatedly at one length: it writes len(dst)
+// points, where len(dst) rounded up to even must be the spectrum's
+// synthesis length, and uses work (WorkLen entries) as the spectrum
+// buffer.
+//
+//vbrlint:hotpath
+func (p *PaxsonSpectrum) DrawCtx(ctx context.Context, dst []float64, work []complex128, rng *rand.Rand) error {
+	if rng == nil {
+		return fmt.Errorf("fgn: generation needs a random source")
+	}
+	n := len(dst)
+	if n == 1 {
+		dst[0] = rng.NormFloat64()
+		return nil
+	}
 	m := paxsonLen(n)
-	half := m / 2
-	if len(p) != half {
-		return nil, fmt.Errorf("fgn: spectrum vector has %d entries, want %d for n=%d", len(p), half, n)
+	if m != p.WorkLen() {
+		return fmt.Errorf("fgn: spectrum synthesizes %d points, drawing %d", p.WorkLen(), n)
+	}
+	if len(work) < m {
+		return fmt.Errorf("fgn: spectrum buffer holds %d entries, want %d", len(work), m)
 	}
 	if ctx.Err() != nil {
-		return nil, errs.Cancelled(ctx)
+		return errs.Cancelled(ctx)
 	}
 
 	// Randomized Hermitian spectrum: Z_0 = 0 (zero mean), conjugate
 	// mirror for the upper half, real Nyquist with random sign.
-	z := make([]complex128, m)
+	half, z := m/2, work[:m]
+	z[0] = 0
 	for j := 1; j < half; j++ {
-		amp := math.Sqrt(p[j-1] * rng.ExpFloat64())
+		amp := math.Sqrt(p.power[j-1] * rng.ExpFloat64())
 		phase := 2 * math.Pi * rng.Float64()
 		s, c := math.Sincos(phase)
 		re, im := amp*c, amp*s
 		z[j] = complex(re, im)
 		z[m-j] = complex(re, -im)
 	}
-	nyq := math.Sqrt(p[half-1] * rng.ExpFloat64())
+	nyq := math.Sqrt(p.power[half-1] * rng.ExpFloat64())
 	if rng.Float64() < 0.5 {
 		nyq = -nyq
 	}
 	z[half] = complex(nyq, 0)
 
 	if ctx.Err() != nil {
-		return nil, errs.Cancelled(ctx)
+		return errs.Cancelled(ctx)
 	}
-	w := fft.Inverse(z)
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = real(w[i])
+	p.plan.Transform(z)
+	for i := range dst {
+		dst[i] = real(z[i])
 	}
 	obs.From(ctx).Count("fgn.paxson.points", int64(n))
-	return out, nil
+	return nil
 }
 
 // PaxsonCtx generates n points of approximate fractional Gaussian

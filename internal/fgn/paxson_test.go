@@ -160,8 +160,15 @@ func TestPaxsonErrors(t *testing.T) {
 	if _, err := PaxsonFromSpectrumCtx(ctx, 16, nil, nil); err == nil {
 		t.Error("nil rng: want error")
 	}
-	if _, err := PaxsonFromSpectrumCtx(ctx, 16, []float64{1, 2}, rng); err == nil {
+	short, err := PaxsonSpectrumCtx(ctx, 4, 0.8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := PaxsonFromSpectrumCtx(ctx, 16, short, rng); err == nil {
 		t.Error("short spectrum: want error")
+	}
+	if _, err := PaxsonFromSpectrumCtx(ctx, 16, nil, rng); err == nil {
+		t.Error("nil spectrum: want error")
 	}
 	cancelled, cancel := context.WithCancel(ctx)
 	cancel()

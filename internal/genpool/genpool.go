@@ -1,5 +1,5 @@
 // Package genpool is the cross-request generation cache: a
-// concurrency-safe, byte-bounded pool for the three parameter-keyed
+// concurrency-safe, byte-bounded pool for the four parameter-keyed
 // precomputations of the §4 generator, shared across requests, streams
 // and batch workers.
 //
@@ -9,11 +9,14 @@
 //     serves every shorter request with the same H, and longer
 //     requests extend the cached schedule incrementally instead of
 //     recomputing it.
-//   - Davies–Harte circulant eigenvalue vectors, keyed by (H, n).
+//   - Davies–Harte circulant eigenvalues with the plan of their 2n-point
+//     synthesis FFT (fgn.DaviesHarteEigen), keyed by (H, n).
+//   - Paxson expected-power vectors with the plan of their inverse FFT
+//     (fgn.PaxsonSpectrum), keyed by (H, even synthesis length).
 //   - Eq. 13 Gaussian→Gamma/Pareto quantile tables, keyed by
 //     (μ_Γ, σ_Γ, m_T, size).
 //
-// All three are seed-independent, so serving them from cache cannot
+// All four are seed-independent, so serving them from cache cannot
 // change generated output: the warm paths in internal/fgn and
 // internal/dist are bitwise-identical to their cold counterparts, an
 // invariant pinned by this package's tests (DESIGN §10).
@@ -42,11 +45,12 @@ import (
 
 // DefaultMaxBytes is the default resident-byte budget (256 MiB):
 // roomy enough for dozens of paper-scale Hosking schedules (~5.5 MiB
-// each at 171,000 points) next to the small eigenvalue vectors and
-// marginal tables.
+// each at 171,000 points) next to the chunk-engine setups (~1.4 MiB for
+// a Davies–Harte 5,120-frame chunk, ~0.7 MiB for Paxson) and marginal
+// tables.
 const DefaultMaxBytes = 256 << 20
 
-// kind discriminates the three cacheable precomputation families.
+// kind discriminates the four cacheable precomputation families.
 type kind uint8
 
 const (
@@ -318,10 +322,11 @@ func (p *Pool) resize(scope *obs.Scope, e *entry, bytes int64) {
 	p.publishGauges(scope)
 }
 
-// DaviesHarteEigen returns the circulant eigenvalue vector for (h, n)
-// — 2n entries — computing it at most once per key. The slice is
-// shared and read-only.
-func (p *Pool) DaviesHarteEigen(ctx context.Context, h float64, n int) ([]float64, error) {
+// DaviesHarteEigen returns the Davies–Harte setup for (h, n) — the 2n
+// circulant eigenvalues and the plan of the 2n-point synthesis FFT —
+// computing it at most once per key. The entry is charged for both.
+// The value is shared and read-only.
+func (p *Pool) DaviesHarteEigen(ctx context.Context, h float64, n int) (*fgn.DaviesHarteEigen, error) {
 	if p == nil {
 		return fgn.DaviesHarteEigenCtx(ctx, n, h)
 	}
@@ -333,23 +338,25 @@ func (p *Pool) DaviesHarteEigen(ctx context.Context, h float64, n int) ([]float6
 	}
 	if fill {
 		p.countMiss(scope)
-		lam, ferr := fgn.DaviesHarteEigenCtx(ctx, n, h)
-		p.finish(scope, e, lam, int64(len(lam))*8, ferr)
+		eig, ferr := fgn.DaviesHarteEigenCtx(ctx, n, h)
 		if ferr != nil {
+			p.finish(scope, e, nil, 0, ferr)
 			return nil, ferr
 		}
-		return lam, nil
+		p.finish(scope, e, eig, eig.Bytes(), nil)
+		return eig, nil
 	}
 	p.countHit(scope)
-	return e.val.([]float64), nil
+	return e.val.(*fgn.DaviesHarteEigen), nil
 }
 
-// PaxsonSpectrum returns the Paxson expected-power vector for (h, n)
-// — paxsonLen(n)/2 entries — computing it at most once per key. Keys
-// use the even FFT length backing the synthesis, so an odd request and
-// its even neighbour share one cached vector. The slice is shared and
-// read-only.
-func (p *Pool) PaxsonSpectrum(ctx context.Context, h float64, n int) ([]float64, error) {
+// PaxsonSpectrum returns the Paxson setup for (h, n) — the
+// paxsonLen(n)/2 expected powers and the plan of the synthesis inverse
+// FFT — computing it at most once per key. Keys use the even FFT
+// length backing the synthesis, so an odd request and its even
+// neighbour share one cached value. The entry is charged for both the
+// vector and the plan. The value is shared and read-only.
+func (p *Pool) PaxsonSpectrum(ctx context.Context, h float64, n int) (*fgn.PaxsonSpectrum, error) {
 	if p == nil {
 		return fgn.PaxsonSpectrumCtx(ctx, n, h)
 	}
@@ -368,14 +375,15 @@ func (p *Pool) PaxsonSpectrum(ctx context.Context, h float64, n int) ([]float64,
 	if fill {
 		p.countMiss(scope)
 		spec, ferr := fgn.PaxsonSpectrumCtx(ctx, n, h)
-		p.finish(scope, e, spec, int64(len(spec))*8, ferr)
 		if ferr != nil {
+			p.finish(scope, e, nil, 0, ferr)
 			return nil, ferr
 		}
+		p.finish(scope, e, spec, spec.Bytes(), nil)
 		return spec, nil
 	}
 	p.countHit(scope)
-	return e.val.([]float64), nil
+	return e.val.(*fgn.PaxsonSpectrum), nil
 }
 
 // QuantileTable returns the Eq. 13 marginal mapping table for the

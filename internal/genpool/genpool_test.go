@@ -188,7 +188,7 @@ func TestPaxsonSpectrumPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bitwiseEqual(t, "pooled spectrum", cold, warm)
+	bitwiseEqual(t, "pooled spectrum", cold.Power(), warm.Power())
 	if _, err := p.PaxsonSpectrum(ctx, 0.8, 4096); err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,9 @@ func TestPaxsonSpectrumPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bitwiseEqual(t, "odd-length spectrum", cold, odd)
+	if odd != warm {
+		t.Fatal("odd length got its own value instead of the even entry")
+	}
 	if st := p.Stats(); st.Hits != 2 || st.Entries != 1 {
 		t.Fatalf("odd length did not share the even entry: %+v", st)
 	}
@@ -216,7 +218,7 @@ func TestPaxsonSpectrumPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bitwiseEqual(t, "nil-pool spectrum", cold, direct)
+	bitwiseEqual(t, "nil-pool spectrum", cold.Power(), direct.Power())
 }
 
 // TestConcurrentHammer runs 32 goroutines against one pool mixing all
@@ -290,16 +292,18 @@ func TestConcurrentHammer(t *testing.T) {
 // evicted values were still served correctly.
 func TestEvictionBound(t *testing.T) {
 	ctx := context.Background()
-	const budget = 64 << 10 // 64 KiB: each 1024-point eigen vector is 16 KiB
+	// 64 KiB: each 1024-point entry is 48 KiB — 16 KiB of eigenvalues
+	// and 32 KiB of 2048-point FFT twiddles — so at most one is resident.
+	const budget = 64 << 10
 	p := genpool.New(budget)
 	for i := 0; i < 24; i++ {
 		h := 0.5 + float64(i+1)/50 // distinct keys
-		lam, err := p.DaviesHarteEigen(ctx, h, 1024)
+		eig, err := p.DaviesHarteEigen(ctx, h, 1024)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(lam) != 2048 {
-			t.Fatalf("eigen vector %d has %d entries, want 2048", i, len(lam))
+		if n := len(eig.Lambda()); n != 2048 {
+			t.Fatalf("eigen vector %d has %d entries, want 2048", i, n)
 		}
 		if st := p.Stats(); st.Bytes > st.MaxBytes {
 			t.Fatalf("resident bytes %d exceed budget %d", st.Bytes, st.MaxBytes)
@@ -314,17 +318,45 @@ func TestEvictionBound(t *testing.T) {
 	}
 }
 
+// TestEngineEntriesChargePlan: a Davies–Harte or Paxson entry is
+// charged for its FFT plan as well as its vector, and a second lookup
+// returns the same shared value.
+func TestEngineEntriesChargePlan(t *testing.T) {
+	ctx := context.Background()
+	p := genpool.New(0)
+	eig, err := p.DaviesHarteEigen(ctx, 0.8, 2560)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := p.PaxsonSpectrum(ctx, 0.8, 2560)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vectors := 8 * int64(len(eig.Lambda())+len(spec.Power()))
+	st := p.Stats()
+	if st.Bytes != eig.Bytes()+spec.Bytes() || st.Bytes <= vectors {
+		t.Fatalf("pool charges %d bytes; entries report %d + %d, vectors alone %d", st.Bytes, eig.Bytes(), spec.Bytes(), vectors)
+	}
+	again, err := p.DaviesHarteEigen(ctx, 0.8, 2560)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != eig {
+		t.Fatal("a hit returned a different value than the cached one")
+	}
+}
+
 // TestOversizedItemNotRetained: an item larger than the whole budget is
 // computed and returned, but must not take up residence.
 func TestOversizedItemNotRetained(t *testing.T) {
 	ctx := context.Background()
-	p := genpool.New(1024) // 1 KiB: a 1024-point eigen vector (16 KiB) cannot fit
-	lam, err := p.DaviesHarteEigen(ctx, 0.8, 1024)
+	p := genpool.New(1024) // 1 KiB: a 1024-point entry (48 KiB) cannot fit
+	eig, err := p.DaviesHarteEigen(ctx, 0.8, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(lam) != 2048 {
-		t.Fatalf("got %d entries, want 2048", len(lam))
+	if n := len(eig.Lambda()); n != 2048 {
+		t.Fatalf("got %d entries, want 2048", n)
 	}
 	if st := p.Stats(); st.Entries != 0 || st.Bytes != 0 {
 		t.Fatalf("oversized item was retained: %+v", st)

@@ -6,8 +6,6 @@ import (
 	"io"
 	"math"
 	"math/rand/v2"
-
-	"vbr/internal/fgn"
 )
 
 // stitch streams fractional Gaussian noise in O(block) memory by
@@ -33,68 +31,77 @@ type stitch struct {
 	block   int
 	overlap int
 	name    string // backend name for error messages
-	// chunk synthesizes independent chunk idx: block+overlap points of
-	// fGn drawn from the chunk's own rng stream, so any block is
-	// regenerable in isolation.
-	chunk func(ctx context.Context, idx int) ([]float64, error)
+	eng     chunkEngine
 
-	idx   int // next chunk index
-	pos   int // frames emitted
+	// Chunk idx draws from PCG stream (seed, salt+idx), so any block is
+	// regenerable in isolation. Reseeding the one per-stream source
+	// yields exactly the draws of a fresh rand.NewPCG(seed, salt+idx).
+	seed, salt uint64
+	src        *rand.PCG
+	rng        *rand.Rand
+
+	chunk []float64    // block+overlap points of the current chunk
+	work  []complex128 // the engine's spectrum buffer
 	carry []float64
+
+	idx int // next chunk index
+	pos int // frames emitted
+}
+
+// chunkEngine is the seed-independent half of a chunked backend — the
+// Davies–Harte eigenvalues or the Paxson spectrum, each with its FFT
+// plan — drawing one chunk into caller-owned buffers without
+// allocating.
+type chunkEngine interface {
+	DrawCtx(ctx context.Context, dst []float64, work []complex128, rng *rand.Rand) error
+	WorkLen() int
+}
+
+// newStitch allocates the stream's chunk buffers once, so drawing a
+// chunk allocates nothing.
+func newStitch(cfg Config, name string, salt uint64, eng chunkEngine) *stitch {
+	src := rand.NewPCG(cfg.Seed, salt)
+	return &stitch{
+		n: cfg.N, block: cfg.BlockSize, overlap: cfg.Overlap,
+		name: name, eng: eng,
+		seed: cfg.Seed, salt: salt, src: src, rng: rand.New(src),
+		chunk: make([]float64, cfg.BlockSize+cfg.Overlap),
+		work:  make([]complex128, eng.WorkLen()),
+		carry: make([]float64, 0, cfg.Overlap),
+	}
 }
 
 // newDHStitch builds the Davies–Harte chunked backend: exact circulant
-// embedding within chunks. With a pool, the chunk eigenvalue vector is
-// cached — every chunk has the same length block+overlap, so one cached
-// FFT serves all chunks of this stream and every other stream with the
-// same (H, chunk length).
-func newDHStitch(cfg Config) *stitch {
-	clen := cfg.BlockSize + cfg.Overlap
-	return &stitch{
-		n: cfg.N, block: cfg.BlockSize, overlap: cfg.Overlap,
-		name: "davies-harte",
-		chunk: func(ctx context.Context, idx int) ([]float64, error) {
-			rng := rand.New(rand.NewPCG(cfg.Seed, dhStreamSalt+uint64(idx)))
-			if cfg.Pool != nil {
-				lam, err := cfg.Pool.DaviesHarteEigen(ctx, cfg.Model.Hurst, clen)
-				if err != nil {
-					return nil, err
-				}
-				return fgn.DaviesHarteFromEigenCtx(ctx, clen, lam, rng)
-			}
-			return fgn.DaviesHarteCtx(ctx, clen, cfg.Model.Hurst, rng)
-		},
+// embedding within chunks. Every chunk has the same length
+// block+overlap, so one eigenvalue vector and FFT plan — looked up once
+// here, from the pool when there is one — serve all chunks of this
+// stream and every other stream with the same (H, chunk length).
+func newDHStitch(ctx context.Context, cfg Config) (*stitch, error) {
+	eig, err := cfg.Pool.DaviesHarteEigen(ctx, cfg.Model.Hurst, cfg.BlockSize+cfg.Overlap)
+	if err != nil {
+		return nil, err
 	}
+	return newStitch(cfg, "davies-harte", dhStreamSalt, eig), nil
 }
 
 // newPaxsonStitch builds the Paxson chunked backend: FFT-approximate
-// spectral synthesis within chunks, the fastest engine. With a pool,
-// the (H, chunk length)-keyed expected-power vector is cached the same
-// way the Davies–Harte eigenvalues are. Chunks draw from their own PCG
-// streams under paxsonStreamSalt, so a Paxson stream and a
+// spectral synthesis within chunks, the fastest engine. The
+// (H, chunk length)-keyed spectrum and plan are looked up once, the
+// same way the Davies–Harte eigenvalues are. Chunks draw from their own
+// PCG streams under paxsonStreamSalt, so a Paxson stream and a
 // Davies–Harte stream of the same seed stay independent.
-func newPaxsonStitch(cfg Config) *stitch {
-	clen := cfg.BlockSize + cfg.Overlap
-	return &stitch{
-		n: cfg.N, block: cfg.BlockSize, overlap: cfg.Overlap,
-		name: "paxson",
-		chunk: func(ctx context.Context, idx int) ([]float64, error) {
-			rng := rand.New(rand.NewPCG(cfg.Seed, paxsonStreamSalt+uint64(idx)))
-			if cfg.Pool != nil {
-				p, err := cfg.Pool.PaxsonSpectrum(ctx, cfg.Model.Hurst, clen)
-				if err != nil {
-					return nil, err
-				}
-				return fgn.PaxsonFromSpectrumCtx(ctx, clen, p, rng)
-			}
-			return fgn.PaxsonCtx(ctx, clen, cfg.Model.Hurst, rng)
-		},
+func newPaxsonStitch(ctx context.Context, cfg Config) (*stitch, error) {
+	spec, err := cfg.Pool.PaxsonSpectrum(ctx, cfg.Model.Hurst, cfg.BlockSize+cfg.Overlap)
+	if err != nil {
+		return nil, err
 	}
+	return newStitch(cfg, "paxson", paxsonStreamSalt, spec), nil
 }
 
 // Next implements the gaussian contract: it emits one stitched block per
 // call (the final block may be short), reusing dst as the only
 // caller-visible buffer.
+//
 //vbrlint:hotpath
 func (d *stitch) Next(ctx context.Context, dst []float64) (int, error) {
 	if d.pos >= d.n {
@@ -103,10 +110,11 @@ func (d *stitch) Next(ctx context.Context, dst []float64) (int, error) {
 	if len(dst) < d.block {
 		return 0, fmt.Errorf("stream: %s block buffer too small: %d < %d", d.name, len(dst), d.block)
 	}
-	chunk, err := d.chunk(ctx, d.idx)
-	if err != nil {
+	d.src.Seed(d.seed, d.salt+uint64(d.idx))
+	if err := d.eng.DrawCtx(ctx, d.chunk, d.work, d.rng); err != nil {
 		return 0, fmt.Errorf("stream: %s chunk %d: %w", d.name, d.idx, err)
 	}
+	chunk := d.chunk
 	emit := d.block
 	if rem := d.n - d.pos; emit > rem {
 		emit = rem

@@ -111,10 +111,12 @@ type Config struct {
 	// Backend selects the Gaussian engine.
 	Backend Backend
 	// Pool, when non-nil, serves the stream's seed-independent
-	// precomputations (Hosking coefficient schedule, per-chunk
-	// Davies–Harte eigenvalues, the Eq. 13 mapping table) from a shared
-	// cross-request cache. The emitted frames are bitwise identical with
-	// or without a pool; nil preserves the cold per-stream behavior.
+	// precomputations (Hosking coefficient schedule, the chunk engines'
+	// Davies–Harte eigenvalues or Paxson spectrum with its FFT plan,
+	// the Eq. 13 mapping table) from a shared cross-request cache; each
+	// is looked up once, at open. The emitted frames are bitwise
+	// identical with or without a pool; nil computes them cold for this
+	// stream alone.
 	Pool *genpool.Pool
 }
 
@@ -271,9 +273,13 @@ func OpenCtx(ctx context.Context, cfg Config) (*Stream, error) {
 		}
 		s.gauss = hs
 	case backend.DaviesHarte:
-		s.gauss = newDHStitch(cfg)
+		if s.gauss, err = newDHStitch(ctx, cfg); err != nil {
+			return nil, err
+		}
 	case backend.Paxson:
-		s.gauss = newPaxsonStitch(cfg)
+		if s.gauss, err = newPaxsonStitch(ctx, cfg); err != nil {
+			return nil, err
+		}
 	}
 	return s, nil
 }
@@ -295,6 +301,7 @@ func (s *Stream) Probe() Probe { return s.mon.Probe() }
 // Gamma/Pareto marginal in place and folded into the monitor. The obs
 // scope on ctx receives per-block counters, the validation gauges
 // (stream.mean, stream.std, stream.hhat) and drift warnings.
+//
 //vbrlint:hotpath
 func (s *Stream) Next(ctx context.Context) ([]float64, error) {
 	n, err := s.gauss.Next(ctx, s.gbuf)
