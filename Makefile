@@ -4,8 +4,10 @@ FUZZTIME ?= 10s
 # BENCH_<n>.json (BENCH_0.json is the committed pre-observability
 # baseline that overhead comparisons run against).
 BENCH_OUT ?=
+# Revision `make loc` reports the net change against; empty skips it.
+BASE ?=
 
-.PHONY: all build vet lint test race fuzz-smoke bench-json calibrate ci clean
+.PHONY: all build vet lint test race fuzz-smoke bench-json calibrate loc ci clean
 
 all: build vet lint test
 
@@ -77,6 +79,20 @@ bench-json:
 	if [ -z "$$out" ]; then i=0; while [ -e BENCH_$$i.json ]; do i=$$((i+1)); done; out=BENCH_$$i.json; fi; \
 	$(GO) run ./cmd/benchjson -o "$$out" bench.out && echo "wrote $$out"
 	@rm -f bench.out
+
+# Non-test Go line count of module vbr — the LoC figure every change
+# reports — without the separately built _perfbench module and testdata
+# fixtures; with BASE=<rev>, also the count at that revision and the net
+# change. The working tree is counted, untracked files included.
+LOC_FILES = -- '*.go' ':(exclude)*_test.go' ':(exclude)_perfbench' ':(exclude)*/testdata/*'
+loc:
+	@sum() { awk -F: '{s += $$NF} END {print s+0}'; }; \
+	c=$$(git grep --untracked -c '' $(LOC_FILES)) && now=$$(echo "$$c" | sum) && \
+	echo "non-test Go LoC: $$now" && \
+	if [ -n "$(BASE)" ]; then \
+		c=$$(git grep -c '' $(BASE) $(LOC_FILES)) && base=$$(echo "$$c" | sum) && \
+		echo "at $(BASE): $$base (net $$((now - base)))"; \
+	fi
 
 ci: build vet lint test race fuzz-smoke
 

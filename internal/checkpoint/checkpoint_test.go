@@ -30,7 +30,7 @@ func (c *interruptCtx) Err() error {
 func liveState(t *testing.T) *fgn.HoskingState {
 	t.Helper()
 	cctx := &interruptCtx{Context: context.Background(), limit: 400}
-	_, st, err := fgn.HoskingResumable(cctx, 1000, 0.8, rand.NewPCG(11, 13), nil)
+	_, st, err := fgn.HoskingCheckpointed(cctx, 1000, 0.8, rand.NewPCG(11, 13), nil, 0, nil)
 	if !errors.Is(err, errs.ErrCancelled) || st == nil {
 		t.Fatalf("interrupting generation: err=%v st=%v", err, st)
 	}
@@ -73,11 +73,11 @@ func TestHoskingRoundTrip(t *testing.T) {
 	}
 
 	// The reloaded state must actually resume and complete.
-	x, st2, err := fgn.HoskingResumable(context.Background(), st.N, st.H, rand.NewPCG(0, 0), got.State)
+	x, st2, err := fgn.HoskingCheckpointed(context.Background(), st.N, st.H, rand.NewPCG(0, 0), got.State, 0, nil)
 	if err != nil || st2 != nil {
 		t.Fatalf("resume from reloaded state: err=%v", err)
 	}
-	want, _, err := fgn.HoskingResumable(context.Background(), st.N, st.H, rand.NewPCG(11, 13), nil)
+	want, _, err := fgn.HoskingCheckpointed(context.Background(), st.N, st.H, rand.NewPCG(11, 13), nil, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package fgn
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand/v2"
 	"sync"
 
@@ -11,14 +10,15 @@ import (
 	"vbr/internal/obs"
 )
 
-// This file splits the Hosking recursion into its two halves: the
-// seed-independent coefficient schedule (the Levinson–Durbin solution of
-// Eqs. 6–10, a function of H alone) and the seed-dependent innovation
-// recursion (Eqs. 11–12). The split is what makes cross-request caching
+// This file holds the seed-independent half of the Hosking recursion:
+// the levinson step (the Levinson–Durbin solution of Eqs. 7–10 and 12, a
+// function of H alone) and the HoskingCoeffs schedule that records its
+// φ_kk and v_k. The seed-dependent innovation draws (Eqs. 11–12) are
+// HoskingStream.advance, which takes φ_kk and v_k from the step (cold) or
+// from a schedule (warm). The split is what makes cross-request caching
 // possible: a server handling many /v1/trace requests with the same H
 // pays the O(n²) coefficient recursion once and amortizes it over every
-// seed, while the warm innovation loop below reproduces the cold path's
-// output bit for bit.
+// seed, with output bit for bit equal to the cold path's.
 
 // HoskingCoeffs holds the seed-independent part of the Hosking recursion
 // for one Hurst parameter: the partial-correlation (reflection)
@@ -40,10 +40,7 @@ type HoskingCoeffs struct {
 	mu  sync.Mutex
 	kk  []float64 // kk[k] = φ_kk (kk[0] unused)
 	v   []float64 // v[k] = conditional variance after step k (v[0] = 1)
-	rho []float64 // ρ_0..ρ_{n-1}
-	phi []float64 // φ_{n-1,·}, the last full coefficient vector
-	// Scalar recursion state N_{n-1}, D_{n-1} (Eqs. 7–8).
-	nPrev, dPrev float64
+	lev levinson  // the recursion at the covered length: ρ and φ hold len(kk) entries
 }
 
 // NewHoskingCoeffs prepares an empty schedule for Hurst parameter h.
@@ -54,13 +51,10 @@ func NewHoskingCoeffs(h float64) (*HoskingCoeffs, error) {
 		return nil, fmt.Errorf("fgn: Hurst parameter must be in (0,1), got %v", h)
 	}
 	return &HoskingCoeffs{
-		h:     h,
-		kk:    []float64{0},
-		v:     []float64{1},
-		rho:   []float64{1},
-		phi:   []float64{0},
-		nPrev: 0,
-		dPrev: 1,
+		h:   h,
+		kk:  []float64{0},
+		v:   []float64{1},
+		lev: newLevinson([]float64{1}, []float64{0}),
 	}, nil
 }
 
@@ -79,15 +73,17 @@ func (c *HoskingCoeffs) Len() int {
 func (c *HoskingCoeffs) Bytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return int64(cap(c.kk)+cap(c.v)+cap(c.rho)+cap(c.phi)) * 8
+	return int64(cap(c.kk)+cap(c.v)+cap(c.lev.rho)+cap(c.lev.phi)) * 8
 }
 
 // EnsureCtx extends the schedule to cover at least n points, continuing
 // the Levinson–Durbin recursion from where it stopped: growing from n₁
-// to n₂ costs O(n₂²−n₁²), not O(n₂²). The arithmetic — expression by
-// expression, in evaluation order — matches hoskingRun, so the schedule
-// entries are bitwise identical to the values the cold path computes
-// inline. Cancellation is checked once per outer iteration.
+// to n₂ costs O(n₂²−n₁²), not O(n₂²). Each step is the levinson step the
+// cold generators run, so the schedule entries are bitwise identical to
+// the values they compute inline. Cancellation is checked once per outer
+// iteration; ρ, φ, kk and v grow together by one entry per completed
+// step, so an interrupted extension leaves a consistent schedule that a
+// retry of any length continues.
 func (c *HoskingCoeffs) EnsureCtx(ctx context.Context, n int) error {
 	if n < 1 {
 		return fmt.Errorf("fgn: length must be ≥ 1, got %d", n)
@@ -101,48 +97,16 @@ func (c *HoskingCoeffs) EnsureCtx(ctx context.Context, n int) error {
 	scope := obs.From(ctx)
 	defer scope.Span("fgn.hosking.coeffs")()
 
-	// Extend ρ by the stable FarimaACF recurrence (Eq. 6); each ρ_k is
-	// derived from ρ_{k-1} alone, so continuing the chain reproduces the
-	// exact values a fresh FarimaACF(h, n) call would produce.
 	d := c.h - 0.5
-	for k := len(c.rho); k < n; k++ {
-		kf := float64(k)
-		c.rho = append(c.rho, c.rho[k-1]*(kf-1+d)/(kf-d))
-	}
-	// φ needs room for indices 1..n-1. The growth guard matters when a
-	// past cancellation left the lookahead slices longer than the
-	// completed coverage: a shorter retry must not compute a negative
-	// append count.
-	if grow := n - len(c.phi); grow > 0 {
-		c.phi = append(c.phi, make([]float64, grow)...)
-	}
-
 	for k := cur; k < n; k++ {
 		if ctx.Err() != nil {
-			// Roll the lookahead slices back to the completed coverage so
-			// the schedule is left exactly as a successful EnsureCtx(k)
-			// would have left it (len(kk)==len(v)==len(rho)==len(phi)) and
-			// a retry of any length — shorter or longer — resumes cleanly.
-			c.rho = c.rho[:len(c.kk)]
-			c.phi = c.phi[:len(c.kk)]
-			return fmt.Errorf("fgn: coefficient schedule interrupted at point %d of %d: %w", k, n, errs.Cancelled(ctx))
+			return interruptedErr(ctx, "coefficient schedule", k, n)
 		}
-		// N_k and D_k (Eqs. 7–8), with c.phi holding φ_{k-1,·}.
-		nk := dotRevSub(c.rho[k], c.phi[1:k], c.rho[1:k])
-		dk := c.dPrev - c.nPrev*c.nPrev/c.dPrev
-
-		phikk := nk / dk
-		updatePhiInPlace(c.phi, k, phikk)
-
-		vk := c.v[k-1] * (1 - phikk*phikk)
-		if vk < 0 {
-			// Numerically impossible for valid ρ, but guard against
-			// catastrophic cancellation at extreme H — as hoskingRun does.
-			vk = 0
-		}
+		c.lev.rho = append(c.lev.rho, farimaNext(c.lev.rho[k-1], k, d))
+		c.lev.phi = append(c.lev.phi, 0)
+		phikk, vk := c.lev.step(k)
 		c.kk = append(c.kk, phikk)
 		c.v = append(c.v, vk)
-		c.nPrev, c.dPrev = nk, dk
 	}
 	scope.Count("fgn.hosking.coeffs.points", int64(n-cur))
 	return nil
@@ -168,10 +132,50 @@ func interruptedErr(ctx context.Context, what string, k, n int) error {
 	return fmt.Errorf("fgn: %s interrupted at point %d of %d: %w", what, k, n, errs.Cancelled(ctx))
 }
 
+// levinson is the running state of the Levinson–Durbin recursion
+// (Eqs. 7–10 and 12) over the fARIMA autocorrelation ρ: after step k,
+// phi[1..k] holds φ_{k,·} and nPrev, dPrev, v hold N_k, D_k, v_k. It is
+// the one implementation of the seed-independent half of Hosking's
+// method; the cold generators interleave its steps with the innovation
+// draws and HoskingCoeffs records them as a schedule.
+type levinson struct {
+	rho, phi        []float64
+	nPrev, dPrev, v float64
+}
+
+// newLevinson starts the recursion before step 1: N_0 = 0, D_0 = 1 and
+// v_0 = 1. rho and phi must hold at least k+1 entries when step(k) runs.
+func newLevinson(rho, phi []float64) levinson {
+	return levinson{rho: rho, phi: phi, dPrev: 1, v: 1}
+}
+
+// step advances the recursion from k-1 to k and returns φ_kk and v_k:
+//
+//	N_k = ρ_k − Σ_{j=1}^{k−1} φ_{k−1,j} ρ_{k−j},  D_k = D_{k−1} − N_{k−1}²/D_{k−1},
+//	φ_kk = N_k/D_k,  φ_kj = φ_{k−1,j} − φ_kk φ_{k−1,k−j},  v_k = (1 − φ_kk²) v_{k−1}.
+//
+//vbrlint:hotpath
+func (l *levinson) step(k int) (phikk, vk float64) {
+	// dotRevSub walks j = 1..k-1 in order.
+	nk := dotRevSub(l.rho[k], l.phi[1:k], l.rho[1:k])
+	dk := l.dPrev - l.nPrev*l.nPrev/l.dPrev
+	phikk = nk / dk
+	updatePhiInPlace(l.phi, k, phikk)
+	l.v *= 1 - phikk*phikk
+	if l.v < 0 {
+		// Numerically impossible for valid ρ, but guard against
+		// catastrophic cancellation at extreme H.
+		l.v = 0
+	}
+	l.nPrev, l.dPrev = nk, dk
+	return phikk, l.v
+}
+
 // updatePhiInPlace applies the Levinson step φ_{k,j} = φ_{k-1,j} −
 // c·φ_{k-1,k-j} for j = 1..k-1 in place and sets φ_{k,k} = c. The
-// symmetric pairs (j, k-j) are read before either is written, so the
-// results carry exactly the bits of the two-buffer form in hoskingRun.
+// symmetric pairs (j, k-j) are read before either is written, so every
+// φ_{k,j} is computed from φ_{k-1,·} alone.
+//
 //vbrlint:hotpath
 func updatePhiInPlace(phi []float64, k int, c float64) {
 	for i, j := 1, k-1; i < j; i, j = i+1, j-1 {
@@ -190,14 +194,13 @@ func updatePhiInPlace(phi []float64, k int, c float64) {
 // HoskingFromCoeffs generates n points of fractional ARIMA(0, d, 0)
 // noise like HoskingCtx, but drives the innovation recursion from a
 // precomputed coefficient schedule: the O(k) linear-prediction dot
-// product against ρ and the two-buffer φ copy disappear, leaving the
-// in-place φ update and the conditional-mean sum. For the same rng
-// state the output is bitwise identical to HoskingCtx — the schedule
-// holds exactly the φ_kk and v_k the cold recursion would compute.
+// product against ρ disappears, leaving the in-place φ update and the
+// conditional-mean sum. For the same rng state the output is bitwise
+// identical to HoskingCtx — the schedule holds exactly the φ_kk and v_k
+// the cold recursion would compute.
 //
 // The schedule is extended on demand (a cache hit for a longer trace is
 // still a hit for the coefficients already present).
-//vbrlint:hotpath
 func HoskingFromCoeffs(ctx context.Context, n int, c *HoskingCoeffs, rng *rand.Rand) ([]float64, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("fgn: length must be ≥ 1, got %d", n)
@@ -211,28 +214,18 @@ func HoskingFromCoeffs(ctx context.Context, n int, c *HoskingCoeffs, rng *rand.R
 	if err := c.EnsureCtx(ctx, n); err != nil {
 		return nil, err
 	}
-	kk, v, err := c.Schedule(n)
+	s, err := NewHoskingStreamWithCoeffs(n, c, rng)
 	if err != nil {
 		return nil, err
 	}
 	scope := obs.From(ctx)
 	defer scope.Span("fgn.hosking.warm")()
-
-	x := make([]float64, n)
-	phi := make([]float64, n)
-	x[0] = rng.NormFloat64() // X_0 ~ N(0, v_0), v_0 = 1
-	for k := 1; k < n; k++ {
-		if ctx.Err() != nil {
-			return nil, interruptedErr(ctx, "Hosking generation", k, n)
-		}
-		updatePhiInPlace(phi, k, kk[k])
-		// Conditional mean (Eq. 11), summed in the cold path's order.
-		m := dotRevAdd(0, phi[1:k+1], x[:k])
-		x[k] = m + math.Sqrt(v[k])*rng.NormFloat64()
+	if err := s.advance(ctx, n); err != nil {
+		return nil, err
 	}
 	scope.Count("fgn.hosking.points", int64(n))
 	scope.Progress("fgn.hosking", int64(n), int64(n))
-	return x, nil
+	return s.x, nil
 }
 
 // NewHoskingStreamWithCoeffs prepares an incremental Hosking generation
@@ -258,6 +251,6 @@ func NewHoskingStreamWithCoeffs(n int, c *HoskingCoeffs, rng *rand.Rand) (*Hoski
 		n: n, h: c.h, rng: rng,
 		kk: kk, vs: v,
 		x:   make([]float64, n),
-		phi: make([]float64, n),
+		lev: levinson{phi: make([]float64, n)},
 	}, nil
 }

@@ -47,10 +47,17 @@ func FarimaACF(h float64, maxLag int) ([]float64, error) {
 	rho := make([]float64, maxLag+1)
 	rho[0] = 1
 	for k := 1; k <= maxLag; k++ {
-		kf := float64(k)
-		rho[k] = rho[k-1] * (kf - 1 + d) / (kf - d)
+		rho[k] = farimaNext(rho[k-1], k, d)
 	}
 	return rho, nil
+}
+
+// farimaNext is one step of FarimaACF's recurrence: ρ_k from ρ_{k-1}.
+// HoskingCoeffs extends ρ with it, so a schedule grown in stages sees
+// exactly the values of a one-shot FarimaACF.
+func farimaNext(prev float64, k int, d float64) float64 {
+	kf := float64(k)
+	return prev * (kf - 1 + d) / (kf - d)
 }
 
 // FGNACF returns the autocovariance-derived autocorrelation of fractional
@@ -89,8 +96,7 @@ func FGNACF(h float64, maxLag int) ([]float64, error) {
 // of the Yule–Walker system, so the output has exactly the target
 // autocorrelation structure.
 func Hosking(n int, h float64, rng *rand.Rand) ([]float64, error) {
-	x, _, err := hoskingRun(context.Background(), n, h, rng, nil, nil, 0, nil)
-	return x, err
+	return HoskingCtx(context.Background(), n, h, rng)
 }
 
 // HoskingCtx is Hosking with cooperative cancellation: the O(n²)
@@ -130,29 +136,25 @@ type HoskingState struct {
 	RNG     []byte    // marshaled MarshalableSource state
 }
 
-// HoskingResumable generates like HoskingCtx but from a marshalable
-// random source, so an interrupted run can be checkpointed and resumed.
-// When resume is nil a fresh generation starts from src's current state;
-// otherwise src is restored from the snapshot and the recursion
-// continues at point resume.K. On cancellation it returns a non-nil
-// *HoskingState alongside an error matching errs.ErrCancelled; on
-// success the state is nil and x holds all n points.
-func HoskingResumable(ctx context.Context, n int, h float64, src MarshalableSource, resume *HoskingState) ([]float64, *HoskingState, error) {
-	return HoskingCheckpointed(ctx, n, h, src, resume, 0, nil)
-}
-
 // SnapshotFunc persists a periodic recursion snapshot. A non-nil error
 // aborts the generation: a run that believes it is checkpointed but
 // cannot actually write checkpoints should fail loudly, not complete
 // unprotected.
 type SnapshotFunc func(*HoskingState) error
 
-// HoskingCheckpointed is HoskingResumable with periodic checkpointing:
-// when save is non-nil and every is positive, a snapshot is taken and
-// handed to save after each block of every points, so a crashed (not
-// just signalled) run loses at most one block of work. Snapshots are
-// taken at the top of an outer iteration, before the iteration consumes
-// randomness, which keeps resumed output bitwise identical.
+// HoskingCheckpointed generates like HoskingCtx but from a marshalable
+// random source, so an interrupted run can be checkpointed and resumed.
+// When resume is nil a fresh generation starts from src's current state;
+// otherwise src is restored from the snapshot and the recursion
+// continues at point resume.K. On cancellation it returns a non-nil
+// *HoskingState alongside an error matching errs.ErrCancelled; on
+// success the state is nil and x holds all n points.
+//
+// When save is non-nil and every is positive, a snapshot is also taken
+// and handed to save after each block of every points, so a crashed
+// (not just signalled) run loses at most one block of work. Snapshots
+// are taken between points, before the next point consumes randomness,
+// which keeps resumed output bitwise identical.
 func HoskingCheckpointed(ctx context.Context, n int, h float64, src MarshalableSource, resume *HoskingState, every int, save SnapshotFunc) ([]float64, *HoskingState, error) {
 	if src == nil {
 		return nil, nil, fmt.Errorf("fgn: resumable generation needs a marshalable source")
@@ -164,169 +166,82 @@ func HoskingCheckpointed(ctx context.Context, n int, h float64, src MarshalableS
 // recursion reports progress and flushes its point counter.
 const progressEvery = 4096
 
-// hoskingRun is the shared recursion behind Hosking, HoskingCtx,
-// HoskingResumable and HoskingCheckpointed. src may be nil (no
+// hoskingRun is the loop behind Hosking, HoskingCtx and
+// HoskingCheckpointed: it advances a cold HoskingStream from mark to
+// mark — progress flushes every progressEvery points and, when save is
+// set and every is positive, snapshots every `every` points — so the
+// per-point loop carries no side work. src may be nil (no
 // checkpointing); resume may be nil (fresh start, requires src to be at
-// its initial position for reproducibility across save/restore cycles);
-// save with a positive every enables periodic snapshots.
+// its initial position for reproducibility across save/restore cycles).
 func hoskingRun(ctx context.Context, n int, h float64, rng *rand.Rand, src MarshalableSource, resume *HoskingState, every int, save SnapshotFunc) ([]float64, *HoskingState, error) {
-	if n < 1 {
-		return nil, nil, fmt.Errorf("fgn: length must be ≥ 1, got %d", n)
-	}
-	if !validHurst(h) {
-		return nil, nil, fmt.Errorf("fgn: Hurst parameter must be in (0,1), got %v", h)
-	}
-	rho, err := FarimaACF(h, n)
+	s, err := NewHoskingStream(n, h, rng)
 	if err != nil {
 		return nil, nil, err
 	}
 	scope := obs.From(ctx)
 	defer scope.Span("fgn.hosking")()
-
-	x := make([]float64, n)
-	phi := make([]float64, n)     // φ_{k,·}, reused in place
-	phiPrev := make([]float64, n) // φ_{k-1,·}
-	v := 1.0
-	nPrev, dPrev := 0.0, 1.0
-	k0 := 1
-
 	if resume != nil {
 		if err := validateState(resume, n, h, src); err != nil {
 			return nil, nil, err
 		}
-		copy(x, resume.X)
-		copy(phiPrev, resume.PhiPrev)
-		v, nPrev, dPrev = resume.V, resume.NPrev, resume.DPrev
-		k0 = resume.K
-	} else {
-		x[0] = rng.NormFloat64() // X_0 ~ N(0, v_0), v_0 = 1
+		copy(s.x, resume.X)
+		copy(s.lev.phi, resume.PhiPrev)
+		s.lev.v, s.lev.nPrev, s.lev.dPrev = resume.V, resume.NPrev, resume.DPrev
+		s.k = resume.K
 	}
 
-	// fresh is the point X_0 drawn outside the recursion on a fresh
-	// start.
-	fresh := 0
-	if resume == nil {
-		fresh = 1
+	// Marks count from the first conditioned point: point 1 on a fresh
+	// start (X_0 is drawn with it), point K on a resume. flushed is the
+	// position up to which fgn.hosking.points has been counted.
+	flushed, k0 := s.k, max(s.k, 1)
+	nextProg, nextSnap := k0+progressEvery, n
+	if save != nil && every > 0 {
+		nextSnap = k0 + every
 	}
-
-	// Progress flushes and periodic snapshots fire when k reaches a
-	// precomputed mark rather than via per-iteration modulo checks:
-	// inlining those checks into the loop body measurably slowed the
-	// inner recursion loops (~15% on n=10k), so the hot loop pays one
-	// integer compare and the side work lives in hoskingTicker.fire.
-	t := hoskingTicker{scope: scope, n: n, h: h, k0: k0, fresh: fresh, every: every, save: save, src: src}
-	next := t.firstMark()
-
-	for k := k0; k < n; k++ {
-		if ctx.Err() != nil {
-			scope.Count("fgn.hosking.points", int64(k-k0+fresh-t.counted))
+	for {
+		err := s.advance(ctx, min(nextProg, nextSnap, n))
+		k := s.k
+		if err != nil {
+			scope.Count("fgn.hosking.points", int64(k-flushed))
 			var st *HoskingState
 			if src != nil {
-				st = snapshotState(n, h, k, v, nPrev, dPrev, x, phiPrev, src)
+				st = s.snapshot(src)
 				scope.Count("checkpoint.snapshots", 1)
 			}
-			return nil, st, fmt.Errorf("fgn: Hosking generation interrupted at point %d of %d: %w", k, n, errs.Cancelled(ctx))
+			return nil, st, err
 		}
-		if k == next {
-			var st *HoskingState
-			next, st, err = t.fire(k, v, nPrev, dPrev, x, phiPrev)
-			if err != nil {
-				return nil, st, err
+		if k == n {
+			break
+		}
+		if k == nextProg {
+			scope.Count("fgn.hosking.points", int64(k-flushed))
+			flushed = k
+			scope.Progress("fgn.hosking", int64(k), int64(n))
+			nextProg += progressEvery
+		}
+		if k == nextSnap {
+			st := s.snapshot(src)
+			scope.Count("checkpoint.snapshots", 1)
+			if err := save(st); err != nil {
+				return nil, st, fmt.Errorf("fgn: saving periodic snapshot at point %d of %d: %w", k, n, err)
 			}
+			nextSnap += every
 		}
-
-		// N_k and D_k (Eqs. 7–8); dotRevSub walks j = 1..k-1 in order.
-		nk := dotRevSub(rho[k], phiPrev[1:k], rho[1:k])
-		dk := dPrev - nPrev*nPrev/dPrev
-
-		phikk := nk / dk
-		phi[k] = phikk
-		for j := 1; j < k; j++ {
-			phi[j] = phiPrev[j] - phikk*phiPrev[k-j]
-		}
-
-		// Conditional mean and variance (Eqs. 11–12).
-		m := dotRevAdd(0, phi[1:k+1], x[:k])
-		v *= 1 - phikk*phikk
-		if v < 0 {
-			// Numerically impossible for valid ρ, but guard against
-			// catastrophic cancellation at extreme H.
-			v = 0
-		}
-		x[k] = m + math.Sqrt(v)*rng.NormFloat64()
-
-		copy(phiPrev[1:k+1], phi[1:k+1])
-		nPrev, dPrev = nk, dk
 	}
-	scope.Count("fgn.hosking.points", int64(n-k0+fresh-t.counted))
+	scope.Count("fgn.hosking.points", int64(n-flushed))
 	scope.Progress("fgn.hosking", int64(n), int64(n))
-	return x, nil, nil
+	return s.x, nil, nil
 }
 
-// hoskingTicker schedules the recursion's periodic side work —
-// progress/counter flushes every progressEvery points and snapshots
-// every `every` points — as precomputed marks, so hoskingRun's hot
-// loop tests a single integer equality per iteration and the cold
-// paths stay out of its body.
-type hoskingTicker struct {
-	scope   *obs.Scope
-	n       int
-	h       float64
-	k0      int
-	fresh   int
-	counted int // points already flushed into fgn.hosking.points
-	every   int
-	save    SnapshotFunc
-	src     MarshalableSource
-
-	nextProg int
-	nextSnap int
-}
-
-// firstMark initialises the progress and snapshot marks and returns
-// the first point index at which fire must run. Marks at or beyond n
-// simply never fire.
-func (t *hoskingTicker) firstMark() int {
-	t.nextProg = t.k0 + progressEvery
-	t.nextSnap = t.n // snapshots disabled: mark is unreachable
-	if t.save != nil && t.every > 0 {
-		t.nextSnap = t.k0 + t.every
-	}
-	return min(t.nextProg, t.nextSnap)
-}
-
-// fire runs the side work due at point k — kept out of hoskingRun's
-// loop body deliberately — and returns the next mark. On a failed
-// snapshot save it returns the snapshot alongside the error so the
-// caller can hand both to its caller.
-//
-//go:noinline
-func (t *hoskingTicker) fire(k int, v, nPrev, dPrev float64, x, phiPrev []float64) (int, *HoskingState, error) {
-	if k == t.nextProg {
-		done := k - t.k0 + t.fresh
-		t.scope.Count("fgn.hosking.points", int64(done-t.counted))
-		t.counted = done
-		t.scope.Progress("fgn.hosking", int64(k), int64(t.n))
-		t.nextProg += progressEvery
-	}
-	if k == t.nextSnap {
-		st := snapshotState(t.n, t.h, k, v, nPrev, dPrev, x, phiPrev, t.src)
-		t.scope.Count("checkpoint.snapshots", 1)
-		if err := t.save(st); err != nil {
-			return 0, st, fmt.Errorf("fgn: saving periodic snapshot at point %d of %d: %w", k, t.n, err)
-		}
-		t.nextSnap += t.every
-	}
-	return min(t.nextProg, t.nextSnap), nil, nil
-}
-
-// snapshotState copies the live recursion state into an owned snapshot.
-func snapshotState(n int, h float64, k int, v, nPrev, dPrev float64, x, phiPrev []float64, src MarshalableSource) *HoskingState {
+// snapshot copies the live recursion state at Pos() into an owned
+// snapshot.
+func (s *HoskingStream) snapshot(src MarshalableSource) *HoskingState {
+	k := s.k
 	st := &HoskingState{
-		N: n, H: h, K: k,
-		V: v, NPrev: nPrev, DPrev: dPrev,
-		X:       append([]float64(nil), x[:k]...),
-		PhiPrev: append([]float64(nil), phiPrev[:k]...),
+		N: s.n, H: s.h, K: k,
+		V: s.lev.v, NPrev: s.lev.nPrev, DPrev: s.lev.dPrev,
+		X:       append([]float64(nil), s.x[:k]...),
+		PhiPrev: append([]float64(nil), s.lev.phi[:k]...),
 	}
 	if b, err := src.MarshalBinary(); err == nil {
 		st.RNG = b
@@ -335,7 +250,10 @@ func snapshotState(n int, h float64, k int, v, nPrev, dPrev float64, x, phiPrev 
 }
 
 // validateState checks a resume snapshot against the requested run and
-// restores the random source from it.
+// restores the random source from it. Besides the shapes, it rejects
+// values no recursion produces — non-finite numbers anywhere, v outside
+// [0, 1] (the recursion clamps it there), a non-positive D — which would
+// otherwise resume into NaNs or a silently wrong series.
 func validateState(st *HoskingState, n int, h float64, src MarshalableSource) error {
 	//vbrlint:ignore floateq resuming a checkpoint requires bitwise-identical H, not approximate equality
 	if st.N != n || st.H != h {
@@ -346,16 +264,28 @@ func validateState(st *HoskingState, n int, h float64, src MarshalableSource) er
 		return fmt.Errorf("fgn: snapshot state inconsistent (K=%d, |X|=%d, |φ|=%d): %w",
 			st.K, len(st.X), len(st.PhiPrev), errs.ErrCheckpointCorrupt)
 	}
+	if !finite(st.V, st.NPrev, st.DPrev) || !finite(st.X...) || !finite(st.PhiPrev...) ||
+		st.V < 0 || st.V > 1 || st.DPrev <= 0 {
+		return fmt.Errorf("fgn: snapshot state out of range (v=%v, N=%v, D=%v, or a non-finite X or φ): %w",
+			st.V, st.NPrev, st.DPrev, errs.ErrCheckpointCorrupt)
+	}
 	if len(st.RNG) == 0 {
 		return fmt.Errorf("fgn: snapshot carries no random-source state: %w", errs.ErrCheckpointCorrupt)
-	}
-	if src == nil {
-		return fmt.Errorf("fgn: resuming needs a marshalable source")
 	}
 	if err := src.UnmarshalBinary(st.RNG); err != nil {
 		return fmt.Errorf("fgn: restoring random source: %w: %w", errs.ErrCheckpointCorrupt, err)
 	}
 	return nil
+}
+
+// finite reports whether no value is NaN or ±Inf.
+func finite(xs ...float64) bool {
+	for _, x := range xs {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // DaviesHarte generates n points of zero-mean, unit-variance fractional

@@ -78,14 +78,15 @@ func TestHoskingWarmPreTilingGolden(t *testing.T) {
 
 // TestHoskingStreamPreTilingGolden pins the streaming path — cold and
 // warm, across uneven block boundaries that exercise the kernels' tail
-// loops — against the same golden.
+// loops, one-point blocks and a single whole-series block — against the
+// same golden.
 func TestHoskingStreamPreTilingGolden(t *testing.T) {
 	const n = 1024
 	const want = uint64(0xa34e1597d93029f3)
-	collect := func(s *HoskingStream) []float64 {
+	collect := func(s *HoskingStream, block int) []float64 {
 		t.Helper()
 		out := make([]float64, 0, n)
-		buf := make([]float64, 37) // deliberately not a multiple of 4
+		buf := make([]float64, block)
 		for {
 			got, err := s.Next(context.Background(), buf)
 			out = append(out, buf[:got]...)
@@ -99,14 +100,6 @@ func TestHoskingStreamPreTilingGolden(t *testing.T) {
 		return out
 	}
 
-	s, err := NewHoskingStream(n, 0.8, rand.New(rand.NewPCG(7, 9)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := fnvHash(collect(s)); got != want {
-		t.Errorf("cold stream hash = %#x, want %#x", got, want)
-	}
-
 	coeffs, err := NewHoskingCoeffs(0.8)
 	if err != nil {
 		t.Fatal(err)
@@ -114,12 +107,23 @@ func TestHoskingStreamPreTilingGolden(t *testing.T) {
 	if err := coeffs.EnsureCtx(context.Background(), n); err != nil {
 		t.Fatal(err)
 	}
-	ws, err := NewHoskingStreamWithCoeffs(n, coeffs, rand.New(rand.NewPCG(7, 9)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := fnvHash(collect(ws)); got != want {
-		t.Errorf("warm stream hash = %#x, want %#x", got, want)
+	// 37 is deliberately not a multiple of 4.
+	for _, block := range []int{37, 1, n} {
+		s, err := NewHoskingStream(n, 0.8, rand.New(rand.NewPCG(7, 9)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fnvHash(collect(s, block)); got != want {
+			t.Errorf("block %d: cold stream hash = %#x, want %#x", block, got, want)
+		}
+
+		ws, err := NewHoskingStreamWithCoeffs(n, coeffs, rand.New(rand.NewPCG(7, 9)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fnvHash(collect(ws, block)); got != want {
+			t.Errorf("block %d: warm stream hash = %#x, want %#x", block, got, want)
+		}
 	}
 }
 

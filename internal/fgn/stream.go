@@ -12,10 +12,10 @@ import (
 
 // HoskingStream is the pull-based form of the Hosking recursion: instead
 // of materializing all n points in one call, callers draw the series
-// block by block with Next. The arithmetic is identical to hoskingRun —
-// same recurrence, same order of random draws — so the concatenation of
-// all blocks is bitwise-identical to the output of Hosking(n, h, rng)
-// with an equally seeded generator.
+// block by block with Next. Every Hosking generator in the package —
+// batch, checkpointed, schedule-driven — is a HoskingStream advanced to
+// n, so the concatenation of all blocks is bitwise-identical to the
+// output of Hosking(n, h, rng) with an equally seeded generator.
 //
 // The recursion state (generated prefix, partial linear-prediction
 // coefficients, ρ sequence) grows with the position k; that O(n) state
@@ -28,18 +28,12 @@ type HoskingStream struct {
 	h   float64
 	rng *rand.Rand
 
-	rho     []float64
-	x       []float64
-	phi     []float64
-	phiPrev []float64
-	v       float64
-	nPrev   float64
-	dPrev   float64
-	k       int // next point to generate
+	x   []float64
+	lev levinson // lev.phi holds φ_{k-1,·}; cold mode runs the whole step
+	k   int      // next point to generate
 
 	// Warm mode (NewHoskingStreamWithCoeffs): precomputed φ_kk and v_k
-	// schedules replace the ρ dot product, the two-buffer φ copy and the
-	// variance recursion. nil in cold mode.
+	// schedules replace the rest of the Levinson step. nil in cold mode.
 	kk []float64
 	vs []float64
 }
@@ -64,13 +58,8 @@ func NewHoskingStream(n int, h float64, rng *rand.Rand) (*HoskingStream, error) 
 	}
 	return &HoskingStream{
 		n: n, h: h, rng: rng,
-		rho:     rho,
-		x:       make([]float64, n),
-		phi:     make([]float64, n),
-		phiPrev: make([]float64, n),
-		v:       1,
-		nPrev:   0,
-		dPrev:   1,
+		x:   make([]float64, n),
+		lev: newLevinson(rho, make([]float64, n)),
 	}, nil
 }
 
@@ -85,6 +74,7 @@ func (s *HoskingStream) Len() int { return s.n }
 // point it returns (0, io.EOF). Cancellation is checked once per
 // generated point (the late-recursion iterations are O(n) each) and
 // surfaces as an error matching errs.ErrCancelled.
+//
 //vbrlint:hotpath
 func (s *HoskingStream) Next(ctx context.Context, dst []float64) (int, error) {
 	if s.k >= s.n {
@@ -93,60 +83,47 @@ func (s *HoskingStream) Next(ctx context.Context, dst []float64) (int, error) {
 	if len(dst) == 0 {
 		return 0, fmt.Errorf("fgn: stream block must be non-empty")
 	}
-	want := len(dst)
-	if rem := s.n - s.k; want > rem {
-		want = rem
-	}
-	produced := 0
-	if s.k == 0 {
-		// X_0 ~ N(0, v_0), v_0 = 1, exactly as hoskingRun draws it.
-		s.x[0] = s.rng.NormFloat64()
-		dst[0] = s.x[0]
-		s.k = 1
-		produced = 1
-	}
-	for produced < want {
-		if ctx.Err() != nil {
-			return produced, interruptedErr(ctx, "Hosking stream", s.k, s.n)
-		}
-		k := s.k
-		if s.kk != nil {
-			// Warm mode: the schedule already holds φ_kk and v_k; only
-			// the in-place φ update and the conditional mean remain.
-			updatePhiInPlace(s.phi, k, s.kk[k])
-			m := dotRevAdd(0, s.phi[1:k+1], s.x[:k])
-			s.x[k] = m + math.Sqrt(s.vs[k])*s.rng.NormFloat64()
-			dst[produced] = s.x[k]
-			produced++
-			s.k = k + 1
-			continue
-		}
-		// N_k and D_k (Eqs. 7–8); dotRevSub walks j = 1..k-1 in order.
-		nk := dotRevSub(s.rho[k], s.phiPrev[1:k], s.rho[1:k])
-		dk := s.dPrev - s.nPrev*s.nPrev/s.dPrev
-
-		phikk := nk / dk
-		s.phi[k] = phikk
-		for j := 1; j < k; j++ {
-			s.phi[j] = s.phiPrev[j] - phikk*s.phiPrev[k-j]
-		}
-
-		// Conditional mean and variance (Eqs. 11–12).
-		m := dotRevAdd(0, s.phi[1:k+1], s.x[:k])
-		s.v *= 1 - phikk*phikk
-		if s.v < 0 {
-			// Numerically impossible for valid ρ, but guard against
-			// catastrophic cancellation at extreme H.
-			s.v = 0
-		}
-		s.x[k] = m + math.Sqrt(s.v)*s.rng.NormFloat64()
-		dst[produced] = s.x[k]
-		produced++
-
-		copy(s.phiPrev[1:k+1], s.phi[1:k+1])
-		s.nPrev, s.dPrev = nk, dk
-		s.k = k + 1
+	from := s.k
+	err := s.advance(ctx, from+min(len(dst), s.n-from))
+	produced := copy(dst, s.x[from:s.k])
+	if err != nil {
+		return produced, err
 	}
 	obs.From(ctx).Count("fgn.hosking.stream.points", int64(produced))
 	return produced, nil
+}
+
+// advance draws X_k ~ N(m_k, v_k) for k = Pos()..to-1 (Eqs. 11–12),
+// with X_0 ~ N(0, 1) drawn unconditionally when the stream is fresh.
+// φ_kk and v_k come from the Levinson step (cold) or the schedule
+// (warm); either way φ_{k,·} is updated in place before the conditional
+// mean is summed. Cancellation is checked before each conditioned point
+// and leaves the stream at the interrupted point, so a later call (or a
+// snapshot) continues exactly there.
+//
+//vbrlint:hotpath
+func (s *HoskingStream) advance(ctx context.Context, to int) error {
+	x, phi, rng := s.x, s.lev.phi, s.rng
+	k := s.k
+	if k == 0 {
+		x[0] = rng.NormFloat64()
+		k = 1
+	}
+	for ; k < to; k++ {
+		if ctx.Err() != nil {
+			s.k = k
+			return interruptedErr(ctx, "Hosking generation", k, s.n)
+		}
+		var v float64
+		if s.kk != nil {
+			updatePhiInPlace(phi, k, s.kk[k])
+			v = s.vs[k]
+		} else {
+			_, v = s.lev.step(k)
+		}
+		m := dotRevAdd(0, phi[1:k+1], x[:k])
+		x[k] = m + math.Sqrt(v)*rng.NormFloat64()
+	}
+	s.k = k
+	return nil
 }

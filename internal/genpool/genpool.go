@@ -285,10 +285,10 @@ func (p *Pool) HoskingCoeffs(ctx context.Context, h float64, n int) (*fgn.Hoskin
 	nb := c.Bytes()
 	e.mu.Unlock()
 
-	// Re-account even when the extension was cancelled: EnsureCtx rolls
-	// its slices back to the completed coverage, but their capacity may
-	// have grown, and the cached entry must stay correctly charged for
-	// whatever it keeps resident.
+	// Re-account even when the extension was cancelled: the steps that
+	// completed stay in the schedule and its capacity may have grown, and
+	// the cached entry must stay correctly charged for whatever it keeps
+	// resident.
 	p.resize(scope, e, nb)
 	if ensureErr != nil {
 		return nil, ensureErr
