@@ -36,7 +36,7 @@ test:
 # something.
 race:
 	$(GO) test -race -short ./...
-	$(GO) test -race -run 'TestAverageLoss|TestFig14|TestRun' ./internal/queue/ ./internal/experiments/ ./internal/runner/
+	$(GO) test -race -run 'TestAverageLoss|TestFig14|TestSuiteCtxCancelled|TestRun' ./internal/queue/ ./internal/experiments/ ./internal/runner/
 	$(GO) test -race ./internal/fleet/
 
 # Short fuzzing pass over the parser/decoder fuzz targets, the Ĥ

@@ -31,9 +31,10 @@ var (
 )
 
 func suite(b *testing.B) *experiments.Suite {
+	ctx := context.Background()
 	b.Helper()
 	benchOnce.Do(func() {
-		benchSuite, benchErr = experiments.NewSuite(experiments.QuickScale)
+		benchSuite, benchErr = experiments.NewSuite(ctx, experiments.QuickScale)
 	})
 	if benchErr != nil {
 		b.Fatal(benchErr)
@@ -42,13 +43,14 @@ func suite(b *testing.B) *experiments.Suite {
 }
 
 func BenchmarkTable1_TraceGeneration(b *testing.B) {
+	ctx := context.Background()
 	cfg := synth.DefaultConfig()
 	cfg.Frames = 30000
 	cfg.SlicesPerFrame = 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = uint64(i)
-		if _, err := synth.Generate(cfg); err != nil {
+		if _, err := synth.Generate(ctx, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -75,160 +77,176 @@ func BenchmarkTable3_HurstEstimates(b *testing.B) {
 }
 
 func BenchmarkFig1_TimeSeries(b *testing.B) {
+	ctx := context.Background()
 	s := suite(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Fig1(2000); err != nil {
+		if _, err := s.Fig1Ctx(ctx, 2000); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkFig2_MovingAverage(b *testing.B) {
+	ctx := context.Background()
 	s := suite(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Fig2(); err != nil {
+		if _, err := s.Fig2Ctx(ctx); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkFig3_SegmentHistograms(b *testing.B) {
+	ctx := context.Background()
 	s := suite(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Fig3(); err != nil {
+		if _, err := s.Fig3Ctx(ctx); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkFig4_CCDFRightTail(b *testing.B) {
+	ctx := context.Background()
 	s := suite(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Fig4(); err != nil {
+		if _, err := s.Fig4Ctx(ctx); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkFig5_CDFLeftTail(b *testing.B) {
+	ctx := context.Background()
 	s := suite(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Fig5(); err != nil {
+		if _, err := s.Fig5Ctx(ctx); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkFig6_DensityVsHybrid(b *testing.B) {
+	ctx := context.Background()
 	s := suite(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Fig6(); err != nil {
+		if _, err := s.Fig6Ctx(ctx); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkFig7_Autocorrelation(b *testing.B) {
+	ctx := context.Background()
 	s := suite(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Fig7(); err != nil {
+		if _, err := s.Fig7Ctx(ctx); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkFig8_Periodogram(b *testing.B) {
+	ctx := context.Background()
 	s := suite(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Fig8(); err != nil {
+		if _, err := s.Fig8Ctx(ctx); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkFig9_MeanConvergence(b *testing.B) {
+	ctx := context.Background()
 	s := suite(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Fig9(); err != nil {
+		if _, err := s.Fig9Ctx(ctx); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkFig10_Aggregation(b *testing.B) {
+	ctx := context.Background()
 	s := suite(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Fig10(); err != nil {
+		if _, err := s.Fig10Ctx(ctx); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkFig11_VarianceTime(b *testing.B) {
+	ctx := context.Background()
 	s := suite(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Fig11(); err != nil {
+		if _, err := s.Fig11Ctx(ctx); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkFig12_RSPox(b *testing.B) {
+	ctx := context.Background()
 	s := suite(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Fig12(); err != nil {
+		if _, err := s.Fig12Ctx(ctx); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkFig14_QCCurves(b *testing.B) {
+	ctx := context.Background()
 	s := suite(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Fig14(); err != nil {
+		if _, err := s.Fig14Ctx(ctx, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkFig15_SMG(b *testing.B) {
+	ctx := context.Background()
 	s := suite(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Fig15(); err != nil {
+		if _, err := s.Fig15Ctx(ctx); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkFig16_ModelComparison(b *testing.B) {
+	ctx := context.Background()
 	s := suite(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Fig16(); err != nil {
+		if _, err := s.Fig16Ctx(ctx); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkFig17_ErrorProcess(b *testing.B) {
+	ctx := context.Background()
 	s := suite(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Fig17(); err != nil {
+		if _, err := s.Fig17Ctx(ctx); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -239,20 +257,22 @@ func BenchmarkFig17_ErrorProcess(b *testing.B) {
 
 // Hosking's exact O(n²) generator vs the O(n log n) circulant embedding.
 func BenchmarkAblation_Hosking10k(b *testing.B) {
+	ctx := context.Background()
 	rng := rand.New(rand.NewPCG(1, 1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := fgn.Hosking(10000, 0.8, rng); err != nil {
+		if _, err := fgn.HoskingCtx(ctx, 10000, 0.8, rng); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkAblation_DaviesHarte10k(b *testing.B) {
+	ctx := context.Background()
 	rng := rand.New(rand.NewPCG(1, 1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := fgn.DaviesHarte(10000, 0.8, rng); err != nil {
+		if _, err := fgn.DaviesHarteCtx(ctx, 10000, 0.8, rng); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -262,10 +282,11 @@ func BenchmarkAblation_DaviesHarte10k(b *testing.B) {
 // exact engines above: one spectrum evaluation plus a single inverse
 // FFT per trace.
 func BenchmarkPaxson10k(b *testing.B) {
+	ctx := context.Background()
 	rng := rand.New(rand.NewPCG(1, 1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := fgn.Paxson(10000, 0.8, rng); err != nil {
+		if _, err := fgn.PaxsonCtx(ctx, 10000, 0.8, rng); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -277,12 +298,13 @@ func BenchmarkPaxson10k(b *testing.B) {
 // acceptance bar is under a second per trace — against the 10 hours
 // the paper reports for its 1994 Hosking run.
 func BenchmarkPaxson171k(b *testing.B) {
+	ctx := context.Background()
 	opts := DefaultGenOptions()
-	opts.Generator = BackendAuto
+	opts.Backend = BackendAuto
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		opts.Seed = uint64(i + 1)
-		if _, err := benchCacheModel.Generate(171_000, opts); err != nil {
+		if _, err := benchCacheModel.GenerateCtx(ctx, 171_000, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -370,6 +392,7 @@ func benchQuantileTable(b *testing.B, size int) {
 
 // Zero-loss capacity: bisection vs the exact convex-hull dual.
 func BenchmarkAblation_ZeroLossBisection(b *testing.B) {
+	ctx := context.Background()
 	w := benchWorkload(b)
 	lo, hi := w.MeanRate()*0.5, w.PeakRate()*1.05
 	b.ResetTimer()
@@ -381,7 +404,7 @@ func BenchmarkAblation_ZeroLossBisection(b *testing.B) {
 			}
 			return r.Pl, nil
 		}
-		if _, err := queue.MinCapacity(loss, lo, hi, queue.LossTarget{Pl: 0}); err != nil {
+		if _, err := queue.MinCapacityCtx(ctx, loss, lo, hi, queue.LossTarget{Pl: 0}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -401,67 +424,73 @@ func BenchmarkAblation_ZeroLossExact(b *testing.B) {
 // Extension benchmarks.
 
 func BenchmarkExt_TransportModes(b *testing.B) {
+	ctx := context.Background()
 	s := suite(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.ExtTransport(); err != nil {
+		if _, err := s.ExtTransport(ctx); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkExt_BufferlessAdmission(b *testing.B) {
+	ctx := context.Background()
 	s := suite(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.ExtAdmission(); err != nil {
+		if _, err := s.ExtAdmissionCtx(ctx); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkExt_SRDAugmentation(b *testing.B) {
+	ctx := context.Background()
 	s := suite(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.ExtSRD(); err != nil {
+		if _, err := s.ExtSRDCtx(ctx); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkExt_InterframeCoding(b *testing.B) {
+	ctx := context.Background()
 	s := suite(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.ExtInterframe(); err != nil {
+		if _, err := s.ExtInterframe(ctx); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkExt_TailFidelity(b *testing.B) {
+	ctx := context.Background()
 	s := suite(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.ExtTailFidelity(); err != nil {
+		if _, err := s.ExtTailFidelityCtx(ctx); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkExt_SceneDetection(b *testing.B) {
+	ctx := context.Background()
 	s := suite(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.ExtScenes(); err != nil {
+		if _, err := s.ExtScenesCtx(ctx); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // ---------------------------------------------------------------------
-// Generation-cache benchmarks (DESIGN.md §10): the same Model.Generate
+// Generation-cache benchmarks (DESIGN.md §10): the same Model.GenerateCtx
 // call cold (no pool: coefficient schedule and mapping table rebuilt
 // every time) and warm (pool pre-filled by one prior call). The warm
 // path must stay well ahead of cold — the CI baseline pins the ratio.
@@ -469,26 +498,28 @@ func BenchmarkExt_SceneDetection(b *testing.B) {
 var benchCacheModel = Model{MuGamma: 27791, SigmaGamma: 6254, TailSlope: 12, Hurst: 0.8}
 
 func BenchmarkColdGenerate(b *testing.B) {
+	ctx := context.Background()
 	opts := DefaultGenOptions()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		opts.Seed = uint64(i + 1)
-		if _, err := benchCacheModel.Generate(10000, opts); err != nil {
+		if _, err := benchCacheModel.GenerateCtx(ctx, 10000, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkWarmGenerate(b *testing.B) {
+	ctx := context.Background()
 	opts := DefaultGenOptions()
 	opts.Pool = NewGenPool(0)
-	if _, err := benchCacheModel.Generate(10000, opts); err != nil {
+	if _, err := benchCacheModel.GenerateCtx(ctx, 10000, opts); err != nil {
 		b.Fatal(err) // fill the pool
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		opts.Seed = uint64(i + 1)
-		if _, err := benchCacheModel.Generate(10000, opts); err != nil {
+		if _, err := benchCacheModel.GenerateCtx(ctx, 10000, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -538,7 +569,7 @@ func benchStream(b *testing.B, engine Backend) {
 }
 
 // Eight independently seeded traces through the worker-pool batch
-// engine sharing one pool, vs. what eight cold Generate calls would
+// engine sharing one pool, vs. what eight cold GenerateCtx calls would
 // cost (8× BenchmarkColdGenerate at n=4096).
 func BenchmarkBatchGenerate(b *testing.B) {
 	ctx := context.Background()
@@ -586,9 +617,10 @@ func BenchmarkAblation_CodecFrame(b *testing.B) {
 // calibrated error bars.
 
 func benchFGN(b *testing.B, n int) []float64 {
+	ctx := context.Background()
 	b.Helper()
 	rng := rand.New(rand.NewPCG(2, 2))
-	xs, err := fgn.DaviesHarte(n, 0.8, rng)
+	xs, err := fgn.DaviesHarteCtx(ctx, n, 0.8, rng)
 	if err != nil {
 		b.Fatal(err)
 	}

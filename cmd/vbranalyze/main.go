@@ -21,6 +21,7 @@ import (
 	"strconv"
 	"strings"
 
+	"vbr/internal/backend"
 	"vbr/internal/cli"
 	"vbr/internal/experiments"
 	"vbr/internal/lrd"
@@ -98,7 +99,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 		return runCalibrate(ctx, *seed, *calSeeds, *calHs, *calNs, *calJSON, *calGo)
 	}
 
-	suite, err := loadOrGenerate(*in, *frames, *seed)
+	suite, err := loadOrGenerate(ctx, *in, *frames, *seed)
 	if err != nil {
 		return err
 	}
@@ -154,7 +155,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 		return nil
 	})
 	run(*fig1, func() error {
-		r, err := suite.Fig1(2000)
+		r, err := suite.Fig1Ctx(ctx, 2000)
 		if err != nil {
 			return err
 		}
@@ -173,7 +174,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 		return nil
 	})
 	run(*fig2, func() error {
-		r, err := suite.Fig2()
+		r, err := suite.Fig2Ctx(ctx)
 		if err != nil {
 			return err
 		}
@@ -191,7 +192,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 		return nil
 	})
 	run(*fig3, func() error {
-		r, err := suite.Fig3()
+		r, err := suite.Fig3Ctx(ctx)
 		if err != nil {
 			return err
 		}
@@ -205,7 +206,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 		return nil
 	})
 	run(*fig4, func() error {
-		r, err := suite.Fig4()
+		r, err := suite.Fig4Ctx(ctx)
 		if err != nil {
 			return err
 		}
@@ -229,7 +230,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 		return nil
 	})
 	run(*fig5, func() error {
-		r, err := suite.Fig5()
+		r, err := suite.Fig5Ctx(ctx)
 		if err != nil {
 			return err
 		}
@@ -243,7 +244,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 		return nil
 	})
 	run(*fig6, func() error {
-		r, err := suite.Fig6()
+		r, err := suite.Fig6Ctx(ctx)
 		if err != nil {
 			return err
 		}
@@ -255,7 +256,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 		return nil
 	})
 	run(*fig7, func() error {
-		r, err := suite.Fig7()
+		r, err := suite.Fig7Ctx(ctx)
 		if err != nil {
 			return err
 		}
@@ -274,7 +275,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 		return nil
 	})
 	run(*fig8, func() error {
-		r, err := suite.Fig8()
+		r, err := suite.Fig8Ctx(ctx)
 		if err != nil {
 			return err
 		}
@@ -294,7 +295,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 		return nil
 	})
 	run(*fig9, func() error {
-		r, err := suite.Fig9()
+		r, err := suite.Fig9Ctx(ctx)
 		if err != nil {
 			return err
 		}
@@ -308,7 +309,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 		return nil
 	})
 	run(*fig10, func() error {
-		r, err := suite.Fig10()
+		r, err := suite.Fig10Ctx(ctx)
 		if err != nil {
 			return err
 		}
@@ -319,7 +320,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 		return nil
 	})
 	run(*fig11, func() error {
-		r, err := suite.Fig11()
+		r, err := suite.Fig11Ctx(ctx)
 		if err != nil {
 			return err
 		}
@@ -337,7 +338,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 		return nil
 	})
 	run(*fig12, func() error {
-		r, err := suite.Fig12()
+		r, err := suite.Fig12Ctx(ctx)
 		if err != nil {
 			return err
 		}
@@ -480,9 +481,9 @@ func runCalibrate(ctx context.Context, seed uint64, seeds int, hs, ns, jsonPath,
 
 // loadOrGenerate reads a binary trace when a path is given, otherwise
 // regenerates the synthetic movie.
-func loadOrGenerate(path string, frames int, seed uint64) (*experiments.Suite, error) {
+func loadOrGenerate(ctx context.Context, path string, frames int, seed uint64) (*experiments.Suite, error) {
 	if path == "" {
-		return experiments.GenerateSuite(frames, seed)
+		return experiments.GenerateSuiteBackend(ctx, frames, seed, backend.DaviesHarte)
 	}
 	f, err := os.Open(path)
 	if err != nil {

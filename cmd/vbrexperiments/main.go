@@ -57,7 +57,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 
 	//vbrlint:ignore determinism wall-clock is display-only here: elapsed-time banner, never fed into generation
 	start := time.Now()
-	suite, err := experiments.NewSuite(scale)
+	suite, err := experiments.NewSuite(ctx, scale)
 	if err != nil {
 		return err
 	}
@@ -251,7 +251,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 	if *extensions {
 		fmt.Fprintln(stdout, "=== extension studies (the paper's stated future work) ===")
 		fmt.Fprintln(stdout)
-		if err := step("Transport modes", func() (interface{ Format() string }, error) { return suite.ExtTransport() }); err != nil {
+		if err := step("Transport modes", func() (interface{ Format() string }, error) { return suite.ExtTransport(ctx) }); err != nil {
 			return err
 		}
 		if err := step("Bufferless admission", func() (interface{ Format() string }, error) { return suite.ExtAdmissionCtx(ctx) }); err != nil {
@@ -260,7 +260,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 		if err := step("SRD augmentations", func() (interface{ Format() string }, error) { return suite.ExtSRDCtx(ctx) }); err != nil {
 			return err
 		}
-		if err := step("Interframe coding", func() (interface{ Format() string }, error) { return suite.ExtInterframe() }); err != nil {
+		if err := step("Interframe coding", func() (interface{ Format() string }, error) { return suite.ExtInterframe(ctx) }); err != nil {
 			return err
 		}
 		if err := step("Scene detection", func() (interface{ Format() string }, error) { return suite.ExtScenesCtx(ctx) }); err != nil {

@@ -52,8 +52,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 		sigma    = fs.Float64("std", 6254, "σ_Γ: Gamma-body std (bytes/frame)")
 		tail     = fs.Float64("tail", 12, "m_T: Pareto tail slope")
 		hurst    = fs.Float64("hurst", 0.8, "H: Hurst parameter")
-		bk       = fs.String("backend", "", "Gaussian backend: hosking (the paper's exact O(n²) algorithm) | davies-harte | paxson (both O(n log n)) | auto (exact when short, paxson when long)")
-		gen      = fs.String("generator", "", "deprecated alias for -backend")
+		bk       = fs.String("backend", "davies-harte", "Gaussian backend: hosking (the paper's exact O(n²) algorithm) | davies-harte | paxson (both O(n log n)) | auto (exact when short, paxson when long)")
 		variant  = fs.String("variant", "full", "model variant: full | gaussian | iid")
 		tabSize  = fs.Int("table", 10000, "marginal mapping table size (paper: 10000)")
 		seed     = fs.Uint64("seed", 1, "random seed")
@@ -80,21 +79,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 		return err
 	}
 	opts := core.GenOptions{TableSize: *tabSize, Standardize: true, Seed: *seed}
-	spec := *bk
-	if *gen != "" {
-		if *bk != "" && *bk != *gen {
-			return cli.Usagef("-generator is a deprecated alias for -backend; they disagree (%q vs %q)", *gen, *bk)
-		}
-		spec = *gen
-	}
-	if spec == "" {
-		spec = "davies-harte"
-	}
-	b, err := backend.Parse(spec)
+	b, err := backend.Parse(*bk)
 	if err != nil {
 		return err
 	}
-	opts.Generator = b
+	opts.Backend = b
 	if b.Resolve(*n, false) == backend.Hosking && *n > 50000 {
 		fmt.Fprintf(stderr, "note: Hosking is O(n²); %d points will take a while (the paper: \"10 hours on a 1994 workstation\")\n", *n)
 	}

@@ -124,7 +124,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 
 	var suite *experiments.Suite
 	if *fig14 || *fig15 || *fig16 || *fig17 || (*point && zooSpec == "") {
-		suite, err = loadOrGenerate(*in, *frames, *seed, genBackend)
+		suite, err = loadOrGenerate(ctx, *in, *frames, *seed, genBackend)
 		if err != nil {
 			return err
 		}
@@ -314,9 +314,9 @@ func runFig14(ctx context.Context, suite *experiments.Suite, ckptPath string, re
 
 // loadOrGenerate reads a binary trace when a path is given, otherwise
 // regenerates the synthetic movie with the selected Gaussian backend.
-func loadOrGenerate(path string, frames int, seed uint64, b backend.Backend) (*experiments.Suite, error) {
+func loadOrGenerate(ctx context.Context, path string, frames int, seed uint64, b backend.Backend) (*experiments.Suite, error) {
 	if path == "" {
-		return experiments.GenerateSuiteBackend(frames, seed, b)
+		return experiments.GenerateSuiteBackend(ctx, frames, seed, b)
 	}
 	f, err := os.Open(path)
 	if err != nil {

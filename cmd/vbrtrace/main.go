@@ -86,7 +86,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 		return err
 	}
 	defer cli.FinishObs(finish, &retErr)
-	scope := obs.From(ctx) // synthesis runs in seconds even at paper scale, so ctx is otherwise unused
+	scope := obs.From(ctx)
 
 	cfg := synth.DefaultConfig()
 	cfg.Frames = *frames
@@ -103,7 +103,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 	var tr *trace.Trace
 	switch *mode {
 	case "activity":
-		tr, err = synth.Generate(cfg)
+		tr, err = synth.Generate(ctx, cfg)
 	case "codec":
 		ccfg := codec.DefaultCoderConfig()
 		ccfg.Width = *width
@@ -114,7 +114,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 		coder, err = codec.NewCoder(ccfg)
 		if err == nil {
 			cfg.SlicesPerFrame = 0 // the coder produces slice data itself
-			tr, err = coder.GenerateTrace(cfg, *train)
+			tr, err = coder.GenerateTrace(ctx, cfg, *train)
 		}
 	case "interframe":
 		icfg := codec.DefaultInterCoderConfig()
@@ -129,7 +129,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 		coder, err = codec.NewInterCoder(icfg)
 		if err == nil {
 			cfg.SlicesPerFrame = 0
-			tr, err = coder.GenerateTrace(cfg, *train)
+			tr, err = coder.GenerateTrace(ctx, cfg, *train)
 		}
 	default:
 		return cli.Usagef("unknown mode %q (want activity, codec or interframe)", *mode)

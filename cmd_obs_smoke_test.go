@@ -49,7 +49,7 @@ func TestCLIObsGenProgressAndMetrics(t *testing.T) {
 	dir := t.TempDir()
 	metrics := filepath.Join(dir, "m.json")
 	ckpt := filepath.Join(dir, "gen.ckpt")
-	out := runCmd(t, "vbrgen", "-n", "8000", "-generator", "hosking", "-seed", "42",
+	out := runCmd(t, "vbrgen", "-n", "8000", "-backend", "hosking", "-seed", "42",
 		"-checkpoint", ckpt, "-checkpoint-every", "2000",
 		"-progress", "-metrics-json", metrics)
 	// The final event always clears the rate limiter, so the 100% line is
@@ -187,7 +187,7 @@ func TestCLIObsDebugAddr(t *testing.T) {
 	dir := t.TempDir()
 	metrics := filepath.Join(dir, "m.json")
 	cmd := exec.Command(filepath.Join(binaries(t), "vbrgen"),
-		"-n", "60000", "-generator", "hosking", "-seed", "7",
+		"-n", "60000", "-backend", "hosking", "-seed", "7",
 		"-debug-addr", "127.0.0.1:0", "-metrics-json", metrics)
 	stderr, err := cmd.StderrPipe()
 	if err != nil {

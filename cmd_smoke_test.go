@@ -119,9 +119,8 @@ func TestCLIGenVariants(t *testing.T) {
 			t.Errorf("variant %s: trace not written", variant)
 		}
 	}
-	// The Hosking path (the paper's algorithm) on a short series, via
-	// the deprecated -generator spelling.
-	out := runCmd(t, "vbrgen", "-n", "2000", "-generator", "hosking")
+	// The Hosking path (the paper's algorithm) on a short series.
+	out := runCmd(t, "vbrgen", "-n", "2000", "-backend", "hosking")
 	if !strings.Contains(out, "variance-time H") {
 		t.Errorf("hosking run missing verification:\n%s", out)
 	}
@@ -188,9 +187,8 @@ func TestCLIExitCodes(t *testing.T) {
 		msg  string
 	}{
 		{"vbrgen", []string{"-no-such-flag"}, 2, "flag provided but not defined"},
-		{"vbrgen", []string{"-generator", "bogus"}, 2, "names no engine"},
 		{"vbrgen", []string{"-backend", "bogus"}, 2, "names no engine"},
-		{"vbrgen", []string{"-backend", "paxson", "-generator", "hosking"}, 2, "deprecated alias"},
+		{"vbrgen", []string{"-generator", "hosking"}, 2, "flag provided but not defined: -generator"},
 		{"vbrgen", []string{"-resume"}, 2, "-resume requires -checkpoint"},
 		{"vbrgen", []string{"-checkpoint", "x.ckpt"}, 2, "-checkpoint requires"},
 		{"vbrgen", []string{"-backend", "paxson", "-checkpoint", "x.ckpt"}, 2, "-checkpoint requires -backend hosking"},
@@ -366,7 +364,7 @@ func TestCLIInterruptResume(t *testing.T) {
 	resumed := filepath.Join(dir, "resumed.bin")
 	straight := filepath.Join(dir, "straight.bin")
 	gen := filepath.Join(binaries(t), "vbrgen")
-	args := []string{"-n", "60000", "-generator", "hosking", "-seed", "42", "-checkpoint", ckpt}
+	args := []string{"-n", "60000", "-backend", "hosking", "-seed", "42", "-checkpoint", ckpt}
 
 	// Start the long O(n²) run and interrupt it mid-recursion.
 	cmd := exec.Command(gen, append(args, "-o", resumed)...)
@@ -406,7 +404,7 @@ func TestCLIInterruptResume(t *testing.T) {
 	if _, err := os.Stat(ckpt); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("consumed checkpoint was not removed: %v", err)
 	}
-	runCmd(t, "vbrgen", "-n", "60000", "-generator", "hosking", "-seed", "42", "-o", straight)
+	runCmd(t, "vbrgen", "-n", "60000", "-backend", "hosking", "-seed", "42", "-o", straight)
 
 	got, err := os.ReadFile(resumed)
 	if err != nil {
@@ -418,6 +416,45 @@ func TestCLIInterruptResume(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("resumed output differs from uninterrupted run (%d vs %d bytes)", len(got), len(want))
+	}
+}
+
+// TestCLITraceInterrupt pins that vbrtrace's synthesis honours SIGINT:
+// an exact Hosking backbone at 120k frames runs for many seconds, so a
+// signal one second in must end the run with exit 130 well before it
+// would finish, and must leave no trace file behind.
+func TestCLITraceInterrupt(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI smoke tests skipped in -short mode")
+	}
+	out := filepath.Join(t.TempDir(), "trace.bin")
+	cmd := exec.Command(filepath.Join(binaries(t), "vbrtrace"), "-backend", "hosking", "-frames", "120000", "-o", out)
+	var buf strings.Builder
+	cmd.Stdout = &buf
+	cmd.Stderr = &buf
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(1 * time.Second)
+	if err := cmd.Process.Signal(os.Interrupt); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- cmd.Wait() }()
+	var err error
+	select {
+	case err = <-done:
+	case <-time.After(5 * time.Second):
+		cmd.Process.Kill()
+		<-done
+		t.Fatalf("vbrtrace still running 5 s after SIGINT\n%s", buf.String())
+	}
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 130 {
+		t.Fatalf("interrupted vbrtrace: %v, want exit 130\n%s", err, buf.String())
+	}
+	if _, err := os.Stat(out); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("interrupted run left an output file: %v", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package vbr_test
 
 import (
+	"context"
 	"fmt"
 
 	"vbr"
@@ -9,10 +10,11 @@ import (
 // ExampleGenerateMovie synthesizes a short empirical-substitute trace and
 // prints its headline statistics.
 func ExampleGenerateMovie() {
+	ctx := context.Background()
 	cfg := vbr.DefaultMovieConfig()
 	cfg.Frames = 2400 // 100 seconds
 	cfg.SlicesPerFrame = 0
-	tr, err := vbr.GenerateMovie(cfg)
+	tr, err := vbr.GenerateMovie(ctx, cfg)
 	if err != nil {
 		fmt.Println(err)
 		return
@@ -29,12 +31,13 @@ func ExampleGenerateMovie() {
 	// mean within 15% of paper: true
 }
 
-// ExampleModel_Generate runs the paper's four-parameter generator (the
+// ExampleModel_GenerateCtx runs the paper's four-parameter generator (the
 // exact Hosking algorithm on a short series) and checks the realization.
-func ExampleModel_Generate() {
+func ExampleModel_GenerateCtx() {
+	ctx := context.Background()
 	model := vbr.Model{MuGamma: 27791, SigmaGamma: 6254, TailSlope: 12, Hurst: 0.8}
-	opts := vbr.DefaultGenOptions() // HoskingExact, 10,000-point table
-	frames, err := model.Generate(2000, opts)
+	opts := vbr.DefaultGenOptions() // BackendHosking, 10,000-point table
+	frames, err := model.GenerateCtx(ctx, 2000, opts)
 	if err != nil {
 		fmt.Println(err)
 		return

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -17,10 +18,11 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	cfg := vbr.DefaultMovieConfig()
 	cfg.Frames = 20000
 	cfg.MeanSceneFrames = 120
-	tr, err := vbr.GenerateMovie(cfg)
+	tr, err := vbr.GenerateMovie(ctx, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -35,7 +37,7 @@ func main() {
 	target := vbr.LossTarget{Pl: 1e-4}
 	const tmax = 0.002
 
-	points, err := vbr.SMG(vbr.SMGConfig{
+	points, err := vbr.SMGCtx(ctx, vbr.SMGConfig{
 		NewMux: func(n int) (vbr.Aggregator, error) {
 			return vbr.NewMuxFromConfig(vbr.MuxConfig{Trace: tr, N: n, MinLagFrames: 800, Seed: 7})
 		},

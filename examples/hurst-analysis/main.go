@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -14,6 +15,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// Part 1: calibrate trust in the estimators on traffic with KNOWN H.
 	// The model's generator is exact, so discrepancies here are
 	// estimator error, not generator error.
@@ -21,9 +23,9 @@ func main() {
 	for _, h := range []float64{0.6, 0.8, 0.9} {
 		model := vbr.Model{MuGamma: 27791, SigmaGamma: 6254, TailSlope: 12, Hurst: h}
 		opts := vbr.DefaultGenOptions()
-		opts.Generator = vbr.DaviesHarteFast
+		opts.Backend = vbr.BackendDaviesHarte
 		opts.Seed = uint64(h * 1000)
-		frames, err := model.Generate(60000, opts)
+		frames, err := model.GenerateCtx(ctx, 60000, opts)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -40,7 +42,7 @@ func main() {
 	cfg := vbr.DefaultMovieConfig()
 	cfg.Frames = 60000
 	cfg.MeanSceneFrames = 120
-	tr, err := vbr.GenerateMovie(cfg)
+	tr, err := vbr.GenerateMovie(ctx, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

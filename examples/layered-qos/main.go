@@ -19,6 +19,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -26,10 +27,11 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	cfg := vbr.DefaultMovieConfig()
 	cfg.Frames = 20000
 	cfg.MeanSceneFrames = 120
-	tr, err := vbr.GenerateMovie(cfg)
+	tr, err := vbr.GenerateMovie(ctx, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -61,7 +63,7 @@ func main() {
 		}
 		return r.Pl, nil
 	}
-	vbrCap, err := vbr.MinCapacityFn(lossAt, mean*0.5, peak*1.05, vbr.LossTarget{Pl: 1e-3})
+	vbrCap, err := vbr.MinCapacityFnCtx(ctx, lossAt, mean*0.5, peak*1.05, vbr.LossTarget{Pl: 1e-3})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -17,14 +18,15 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	cfg := vbr.DefaultMovieConfig()
 	cfg.Frames = 20000
 	cfg.MeanSceneFrames = 120
-	tr, err := vbr.GenerateMovie(cfg)
+	tr, err := vbr.GenerateMovie(ctx, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	model, err := vbr.Fit(tr.Frames, vbr.DefaultFitOptions())
+	model, err := vbr.FitCtx(ctx, tr.Frames, vbr.DefaultFitOptions())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -32,18 +34,18 @@ func main() {
 		model.MuGamma, model.SigmaGamma, model.TailSlope, model.Hurst)
 
 	opts := vbr.DefaultGenOptions()
-	opts.Generator = vbr.DaviesHarteFast
+	opts.Backend = vbr.BackendDaviesHarte
 	n := len(tr.Frames)
 
-	full, err := model.Generate(n, opts)
+	full, err := model.GenerateCtx(ctx, n, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
-	gauss, err := model.GenerateGaussian(n, opts)
+	gauss, err := model.GenerateGaussianCtx(ctx, n, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
-	iid, err := model.GenerateIID(n, opts)
+	iid, err := model.GenerateIIDCtx(ctx, n, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -72,7 +74,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		points, err := vbr.QCCurve(vbr.QCCurveConfig{
+		points, err := vbr.QCCurveCtx(ctx, vbr.QCCurveConfig{
 			Mux:      mux,
 			Target:   vbr.LossTarget{Pl: 0},
 			TmaxGrid: grid,

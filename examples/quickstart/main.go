@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -12,11 +13,12 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// 1. Obtain an "empirical" trace: the synthetic 2-hour movie
 	//    calibrated to the paper's Table 2 (shortened here for speed).
 	cfg := vbr.DefaultMovieConfig()
 	cfg.Frames = 30000 // ~21 minutes; use 171000 for the full 2 hours
-	tr, err := vbr.GenerateMovie(cfg)
+	tr, err := vbr.GenerateMovie(ctx, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -28,7 +30,7 @@ func main() {
 		s.N, s.Mean, s.PeakMean)
 
 	// 2. Fit the paper's four-parameter source model (μ_Γ, σ_Γ, m_T, H).
-	model, err := vbr.Fit(tr.Frames, vbr.DefaultFitOptions())
+	model, err := vbr.FitCtx(ctx, tr.Frames, vbr.DefaultFitOptions())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -37,10 +39,10 @@ func main() {
 
 	// 3. Generate synthetic traffic from the model. The default engine is
 	//    Hosking's exact O(n²) algorithm (the paper's); switch to
-	//    DaviesHarteFast for long series.
+	//    BackendDaviesHarte for long series.
 	opts := vbr.DefaultGenOptions()
-	opts.Generator = vbr.DaviesHarteFast
-	frames, err := model.Generate(30000, opts)
+	opts.Backend = vbr.BackendDaviesHarte
+	frames, err := model.GenerateCtx(ctx, 30000, opts)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package vbr
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -17,7 +18,8 @@ func TestPaperScaleStatistics(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale regeneration skipped in -short mode")
 	}
-	suite, err := experiments.NewSuite(experiments.PaperScale)
+	ctx := context.Background()
+	suite, err := experiments.NewSuite(ctx, experiments.PaperScale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +108,7 @@ func TestPaperScaleStatistics(t *testing.T) {
 	}
 
 	// Marginal model: Fig. 4 ordering and Fig. 6 fit quality.
-	f4, err := suite.Fig4()
+	f4, err := suite.Fig4Ctx(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +119,7 @@ func TestPaperScaleStatistics(t *testing.T) {
 	if f4.ParetoSlope < 8 || f4.ParetoSlope > 18 {
 		t.Errorf("fitted m_T %v, configured 12", f4.ParetoSlope)
 	}
-	f6, err := suite.Fig6()
+	f6, err := suite.Fig6Ctx(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +128,7 @@ func TestPaperScaleStatistics(t *testing.T) {
 	}
 
 	// Fig. 9: the i.i.d. CI failure must be stark at full length.
-	f9, err := suite.Fig9()
+	f9, err := suite.Fig9Ctx(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +137,7 @@ func TestPaperScaleStatistics(t *testing.T) {
 	}
 
 	// Model fit on the full trace brackets the paper's H = 0.8 ± 0.088.
-	model, err := suite.Model()
+	model, err := suite.Model(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,11 @@
 // Package backend defines the single source of truth for selecting a
-// long-range-dependent Gaussian engine. Historically the batch generator
-// (core.Generator) and the streaming layer (stream.Backend) each carried
-// their own two-value enum with separate parsing and separate failure
-// paths; this package collapses them into one Backend shared by the
-// batch path, the streaming path, the HTTP API (?backend=), the CLI
-// front ends (-backend) and the fleet's shard-routing key.
+// long-range-dependent Gaussian engine. One Backend is shared by the
+// batch path (core.GenOptions.Backend), the streaming path
+// (stream.Config.Backend), the HTTP API (?backend=), the CLI front ends
+// (-backend) and the fleet's shard-routing key. The batch generator and
+// the streaming layer once carried two-value enums of their own, with
+// separate parsing and separate failure paths; this package replaced
+// both, and their aliases are gone.
 //
 // Four engines are selectable:
 //
@@ -19,9 +20,10 @@
 //     for short batch runs (exactness is free when n is small) and to
 //     Paxson for long or streamed traces (where O(n²) is unpayable).
 //
-// The integer values of Hosking and DaviesHarte deliberately equal the
-// historical core.Generator and stream.Backend constants, so existing
-// serialized configs and zero values keep their meaning.
+// The zero value is Hosking, so a zero GenOptions or stream Config
+// selects the exact recursion; the integer values of Hosking and
+// DaviesHarte equal those of the two enums this package replaced, so
+// serialized configs keep their meaning.
 package backend
 
 import (

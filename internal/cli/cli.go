@@ -61,8 +61,13 @@ func ExitCode(err error) int {
 // Main runs a command body under a context that cancels on SIGINT or
 // SIGTERM, prints a non-nil error to stderr with the command prefix, and
 // returns the exit code for os.Exit. The first signal cancels the
-// context so the body can checkpoint and unwind; a second signal kills
-// the process via the restored default handler.
+// context so the body can checkpoint and unwind. The handler stays
+// installed until Main returns, so later signals are absorbed instead
+// of killing the process: vbrfleet's workers share its process group,
+// so a terminal Ctrl-C reaches every worker before vbrfleet's drain
+// sends it SIGTERM, and a default handler restored after the first
+// signal would kill the worker mid-drain. A body must therefore watch
+// ctx in every long loop; SIGKILL stops one that does not.
 func Main(name string, body func(ctx context.Context, args []string, stdout, stderr io.Writer) error) int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

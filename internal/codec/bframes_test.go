@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"context"
 	"testing"
 
 	"vbr/internal/stats"
@@ -161,6 +162,7 @@ func TestCodeSequenceNoBFramesMatchesStreaming(t *testing.T) {
 }
 
 func TestBFramesGenerateTrace(t *testing.T) {
+	ctx := context.Background()
 	// End-to-end with B frames: trace generated, GOP-periodic, and B
 	// frames visible as the smallest frames.
 	scfg := synthSmall()
@@ -169,7 +171,7 @@ func TestBFramesGenerateTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := coder.GenerateTrace(scfg, 24)
+	tr, err := coder.GenerateTrace(ctx, scfg, 24)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,16 @@
 package codec
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
+
+	"vbr/internal/errs"
+	"vbr/internal/synth"
+	"vbr/internal/trace"
 )
 
 func TestDCTRoundTrip(t *testing.T) {
@@ -468,7 +474,53 @@ func TestCodeFrameSliceAccounting(t *testing.T) {
 	}
 }
 
+// cancelAfter is a context whose Err turns non-nil once it has been
+// called n times, so a test can cancel a run part-way without timing.
+type cancelAfter struct {
+	context.Context
+	n int
+}
+
+func (c *cancelAfter) Err() error {
+	if c.n--; c.n < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestGenerateTraceCancelledMidRun pins that both coders check the
+// context once per coded frame: a context that turns cancelled 50
+// checks after the activity process finished stops the frame loop with
+// an error matching errs.ErrCancelled.
+func TestGenerateTraceCancelledMidRun(t *testing.T) {
+	scfg := synthSmall()
+	probe := &cancelAfter{Context: context.Background(), n: math.MaxInt}
+	if _, _, err := synth.ActivityProcess(probe, scfg); err != nil {
+		t.Fatal(err)
+	}
+	activityChecks := math.MaxInt - probe.n
+	ccfg := CoderConfig{Width: 64, Height: 64, SlicesPerFrame: 4, QuantStep: 8}
+	intra, err := NewCoder(ccfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inter, err := NewInterCoder(InterCoderConfig{CoderConfig: ccfg, GOPSize: 12, SearchRange: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, gen := range map[string]func(context.Context) (*trace.Trace, error){
+		"intra": func(ctx context.Context) (*trace.Trace, error) { return intra.GenerateTrace(ctx, scfg, 8) },
+		"inter": func(ctx context.Context) (*trace.Trace, error) { return inter.GenerateTrace(ctx, scfg, 8) },
+	} {
+		ctx := &cancelAfter{Context: context.Background(), n: activityChecks + 50}
+		if _, err := gen(ctx); !errors.Is(err, errs.ErrCancelled) {
+			t.Errorf("%s: got %v, want ErrCancelled", name, err)
+		}
+	}
+}
+
 func TestGenerateTraceSmall(t *testing.T) {
+	ctx := context.Background()
 	// End-to-end: synthetic movie → real coder → trace.
 	codecCfg := CoderConfig{Width: 64, Height: 64, SlicesPerFrame: 4, QuantStep: 8}
 	coder, err := NewCoder(codecCfg)
@@ -476,7 +528,7 @@ func TestGenerateTraceSmall(t *testing.T) {
 		t.Fatal(err)
 	}
 	scfg := synthSmall()
-	tr, err := coder.GenerateTrace(scfg, 16)
+	tr, err := coder.GenerateTrace(ctx, scfg, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,7 +556,7 @@ func TestGenerateTraceSmall(t *testing.T) {
 	if ratio < 1.5 {
 		t.Errorf("compression ratio %v", ratio)
 	}
-	if _, err := coder.GenerateTrace(scfg, 0); err == nil {
+	if _, err := coder.GenerateTrace(ctx, scfg, 0); err == nil {
 		t.Error("0 training frames should fail")
 	}
 }

@@ -1,9 +1,11 @@
 package codec
 
 import (
+	"context"
 	"fmt"
 	"math"
 
+	"vbr/internal/errs"
 	"vbr/internal/specfn"
 	"vbr/internal/synth"
 	"vbr/internal/trace"
@@ -213,12 +215,12 @@ func (c *Coder) DecodeFrame(stream []byte) (*Frame, error) {
 // the VBR bandwidth trace. trainFrames frames spread across the movie are
 // used to fit the Huffman table first. This is the "real coder" path; it
 // is O(frames · pixels) and intended for cmd/vbrtrace and tests at
-// moderate resolutions.
-func (c *Coder) GenerateTrace(cfg synth.Config, trainFrames int) (*trace.Trace, error) {
+// moderate resolutions; cancellation is checked once per coded frame.
+func (c *Coder) GenerateTrace(ctx context.Context, cfg synth.Config, trainFrames int) (*trace.Trace, error) {
 	if trainFrames < 1 {
 		return nil, fmt.Errorf("codec: need ≥ 1 training frame, got %d", trainFrames)
 	}
-	z, scenes, err := synth.ActivityProcess(cfg)
+	z, scenes, err := synth.ActivityProcess(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -258,6 +260,9 @@ func (c *Coder) GenerateTrace(cfg synth.Config, trainFrames int) (*trace.Trace, 
 		Slices:         make([]float64, len(z)*c.cfg.SlicesPerFrame),
 	}
 	for t := range z {
+		if ctx.Err() != nil {
+			return nil, errs.Cancelled(ctx)
+		}
 		sc := scenes[sceneOf[t]]
 		if err := RenderFrame(frame, RenderParams{
 			Activity:     act[t],

@@ -1,8 +1,10 @@
 package codec
 
 import (
+	"context"
 	"fmt"
 
+	"vbr/internal/errs"
 	"vbr/internal/synth"
 	"vbr/internal/trace"
 )
@@ -305,11 +307,12 @@ func (c *InterCoder) bestMotion(ref []float64, cur *Frame, bx, by int) (dx, dy i
 // movie, as Coder.GenerateTrace does for intraframe coding. The returned
 // trace exhibits the MPEG signatures the paper describes: GOP-periodic
 // rate oscillation, higher burstiness, and stronger motion dependence.
-func (c *InterCoder) GenerateTrace(cfg synth.Config, trainFrames int) (*trace.Trace, error) {
+// Cancellation is checked once per coded frame.
+func (c *InterCoder) GenerateTrace(ctx context.Context, cfg synth.Config, trainFrames int) (*trace.Trace, error) {
 	if trainFrames < 1 {
 		return nil, fmt.Errorf("codec: need ≥ 1 training frame, got %d", trainFrames)
 	}
-	z, scenes, err := synth.ActivityProcess(cfg)
+	z, scenes, err := synth.ActivityProcess(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -363,6 +366,9 @@ func (c *InterCoder) GenerateTrace(cfg synth.Config, trainFrames int) (*trace.Tr
 		return nil
 	}}
 	for t := range z {
+		if ctx.Err() != nil {
+			return nil, errs.Cancelled(ctx)
+		}
 		// Each frame is handed to the sequence coder, which may retain
 		// B frames until their mini-GOP completes; allocate per frame
 		// (at most BFrames+1 are alive at once).

@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -171,6 +172,7 @@ func TestBestMotionFindsTranslation(t *testing.T) {
 }
 
 func TestInterframeTraceSignatures(t *testing.T) {
+	ctx := context.Background()
 	// End-to-end: the interframe trace must show (1) better compression
 	// than intraframe on the same material and (2) GOP-periodic rate
 	// oscillation (autocorrelation peak at the GOP lag).
@@ -181,7 +183,7 @@ func TestInterframeTraceSignatures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	intraTr, err := intra.GenerateTrace(scfg, 12)
+	intraTr, err := intra.GenerateTrace(ctx, scfg, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +193,7 @@ func TestInterframeTraceSignatures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	interTr, err := inter.GenerateTrace(scfg, 24)
+	interTr, err := inter.GenerateTrace(ctx, scfg, 24)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +228,7 @@ func TestInterframeTraceSignatures(t *testing.T) {
 		t.Errorf("interframe peak/mean %v not above intraframe %v", sp.PeakMean, si.PeakMean)
 	}
 
-	if _, err := inter.GenerateTrace(scfg, 0); err == nil {
+	if _, err := inter.GenerateTrace(ctx, scfg, 0); err == nil {
 		t.Error("0 training frames should fail")
 	}
 }
@@ -256,6 +258,7 @@ func TestTrainOnEmpty(t *testing.T) {
 }
 
 func TestInterframeDeterminism(t *testing.T) {
+	ctx := context.Background()
 	scfg := synthSmall()
 	scfg.Frames = 60
 	gen := func() []float64 {
@@ -263,7 +266,7 @@ func TestInterframeDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr, err := coder.GenerateTrace(scfg, 12)
+		tr, err := coder.GenerateTrace(ctx, scfg, 12)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -16,12 +16,12 @@ import (
 // traces are independently seeded by a deterministic derivation from
 // opts.Seed (splitmix64 over the trace index), so the result depends
 // only on (model, k, n, opts) — never on scheduling — and trace i of a
-// batch equals a solo Generate call with the derived seed.
+// batch equals a solo GenerateCtx call with the derived seed.
 //
 // The workers share one generation pool: the O(n²) Hosking coefficient
 // schedule (or the Davies–Harte eigenvalue vector) and the Eq. 13
 // mapping table are computed once and reused by every trace, which is
-// where the batch speedup over k sequential Generate calls comes from.
+// where the batch speedup over k sequential GenerateCtx calls comes from.
 // opts.Pool is used when set (sharing warmth with other callers);
 // otherwise a private pool spans just this batch.
 //
@@ -104,7 +104,7 @@ feed:
 // BatchSeed derives the seed of trace i in a batch from the batch seed:
 // the splitmix64 output function over base + (i+1)·golden-ratio
 // increments. The derivation is part of the API contract — trace i of
-// GenerateBatch(seed) is bitwise-identical to Generate with
+// GenerateBatch(seed) is bitwise-identical to GenerateCtx with
 // Seed = BatchSeed(seed, i) — so callers can regenerate any single
 // batch member without rerunning the batch.
 func BatchSeed(base uint64, i int) uint64 {

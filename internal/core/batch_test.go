@@ -12,8 +12,9 @@ import (
 
 // TestGenerateBatchDeterministic: a batch is a pure function of
 // (model, k, n, opts) — re-running it yields identical traces, and
-// trace i equals a solo Generate with the documented derived seed.
+// trace i equals a solo GenerateCtx with the documented derived seed.
 func TestGenerateBatchDeterministic(t *testing.T) {
+	ctx := context.Background()
 	m := Model{MuGamma: 27791, SigmaGamma: 6254, TailSlope: 12, Hurst: 0.8}
 	opts := DefaultGenOptions()
 	opts.Seed = 99
@@ -30,7 +31,7 @@ func TestGenerateBatchDeterministic(t *testing.T) {
 	for i := 0; i < k; i++ {
 		solo := opts
 		solo.Seed = BatchSeed(opts.Seed, i)
-		want, err := m.Generate(n, solo)
+		want, err := m.GenerateCtx(ctx, n, solo)
 		if err != nil {
 			t.Fatal(err)
 		}

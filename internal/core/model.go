@@ -78,17 +78,13 @@ func DefaultFitOptions() FitOptions {
 	return FitOptions{TailFrac: 0.03, AggM: 0}
 }
 
-// Fit estimates all four model parameters from a frame-size series:
+// FitCtx estimates all four model parameters from a frame-size series:
 // μ_Γ and σ_Γ as the sample moments (sufficient when the tail holds only
 // a few percent of the data, §4.2), m_T by least-squares regression on
 // the empirical log-log CCDF tail (the Fig. 4 straight line), and H by
-// the aggregated Whittle estimator of §3.2.3.
-func Fit(frames []float64, opts FitOptions) (Model, error) {
-	return FitCtx(context.Background(), frames, opts)
-}
-
-// FitCtx is Fit with cooperative cancellation, checked between the
-// estimation stages (the Whittle minimization dominates at paper scale).
+// the aggregated Whittle estimator of §3.2.3. Cancellation is checked
+// between the estimation stages (the Whittle minimization dominates at
+// paper scale).
 func FitCtx(ctx context.Context, frames []float64, opts FitOptions) (Model, error) {
 	if len(frames) < 1000 {
 		return Model{}, fmt.Errorf("core: need ≥ 1000 frames to fit, got %d", len(frames))
@@ -155,29 +151,11 @@ func FitCtx(ctx context.Context, frames []float64, opts FitOptions) (Model, erro
 	return m, m.Validate()
 }
 
-// Generator selects the Gaussian LRD engine.
-//
-// Deprecated: Generator is the unified backend.Backend under its
-// historical name. New code should use backend.Backend (re-exported as
-// vbr.Backend) and its constants; the aliases remain so existing
-// callers keep compiling.
-type Generator = backend.Backend
-
-const (
-	// HoskingExact is the paper's generator (Eqs. 6–12): exact but O(n²).
-	//
-	// Deprecated: use backend.Hosking (vbr.BackendHosking).
-	HoskingExact = backend.Hosking
-	// DaviesHarteFast is the O(n log n) circulant-embedding FGN
-	// generator, this repository's speed ablation.
-	//
-	// Deprecated: use backend.DaviesHarte (vbr.BackendDaviesHarte).
-	DaviesHarteFast = backend.DaviesHarte
-)
-
 // GenOptions controls synthetic traffic generation.
 type GenOptions struct {
-	Generator Generator
+	// Backend selects the Gaussian LRD engine (the zero value is the
+	// paper's exact Hosking recursion).
+	Backend backend.Backend
 	// TableSize is the resolution of the Gaussian→Gamma/Pareto mapping
 	// table (the paper uses 10,000 points).
 	TableSize int
@@ -206,16 +184,11 @@ type GenOptions struct {
 
 // DefaultGenOptions mirrors the paper's generation procedure.
 func DefaultGenOptions() GenOptions {
-	return GenOptions{Generator: HoskingExact, TableSize: 10000, Standardize: true, Seed: 1}
+	return GenOptions{Backend: backend.Hosking, TableSize: 10000, Standardize: true, Seed: 1}
 }
 
-// Generate produces n frames of synthetic VBR video traffic from the full
-// model: LRD Gaussian noise mapped through Eq. 13.
-func (m Model) Generate(n int, opts GenOptions) ([]float64, error) {
-	return m.GenerateCtx(context.Background(), n, opts)
-}
-
-// GenerateCtx is Generate with cooperative cancellation: the O(n²)
+// GenerateCtx produces n frames of synthetic VBR video traffic from the
+// full model: LRD Gaussian noise mapped through Eq. 13. The O(n²)
 // Hosking recursion checks the context each outer iteration and returns
 // an error matching errs.ErrCancelled promptly when it fires.
 func (m Model) GenerateCtx(ctx context.Context, n int, opts GenOptions) ([]float64, error) {
@@ -229,16 +202,11 @@ func (m Model) GenerateCtx(ctx context.Context, n int, opts GenOptions) ([]float
 	return m.transformCtx(ctx, x, opts)
 }
 
-// GenerateGaussian produces the Fig. 16 ablation with LRD but Gaussian
-// marginals N(μ, σ²) where μ, σ are the *overall* mean and standard
-// deviation of the full model's marginal, so the two variants carry the
-// same load. Negative values (possible for a Gaussian) are clamped to
-// zero, as a bandwidth process requires.
-func (m Model) GenerateGaussian(n int, opts GenOptions) ([]float64, error) {
-	return m.GenerateGaussianCtx(context.Background(), n, opts)
-}
-
-// GenerateGaussianCtx is GenerateGaussian with cooperative cancellation.
+// GenerateGaussianCtx produces the Fig. 16 ablation with LRD but
+// Gaussian marginals N(μ, σ²) where μ, σ are the *overall* mean and
+// standard deviation of the full model's marginal, so the two variants
+// carry the same load. Negative values (possible for a Gaussian) are
+// clamped to zero, as a bandwidth process requires.
 func (m Model) GenerateGaussianCtx(ctx context.Context, n int, opts GenOptions) ([]float64, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
@@ -262,14 +230,9 @@ func (m Model) GenerateGaussianCtx(ctx context.Context, n int, opts GenOptions) 
 	return out, nil
 }
 
-// GenerateIID produces the Fig. 16 ablation with the right heavy-tailed
-// marginal but no time correlation at all.
-func (m Model) GenerateIID(n int, opts GenOptions) ([]float64, error) {
-	return m.GenerateIIDCtx(context.Background(), n, opts)
-}
-
-// GenerateIIDCtx is GenerateIID with cooperative cancellation, checked
-// every few thousand draws.
+// GenerateIIDCtx produces the Fig. 16 ablation with the right
+// heavy-tailed marginal but no time correlation at all. Cancellation is
+// checked every few thousand draws.
 func (m Model) GenerateIIDCtx(ctx context.Context, n int, opts GenOptions) ([]float64, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
@@ -304,7 +267,7 @@ func (m Model) gaussianCtx(ctx context.Context, n int, opts GenOptions) ([]float
 	var err error
 	// Auto resolves per request: exact Hosking below the cutoff, Paxson
 	// above it. A resolved concrete backend passes through unchanged.
-	switch opts.Generator.Resolve(n, false) {
+	switch opts.Backend.Resolve(n, false) {
 	case backend.Hosking:
 		if opts.Pool != nil {
 			var c *fgn.HoskingCoeffs
@@ -333,7 +296,7 @@ func (m Model) gaussianCtx(ctx context.Context, n int, opts GenOptions) ([]float
 			x, err = fgn.PaxsonCtx(ctx, n, m.Hurst, rng)
 		}
 	default:
-		return nil, fmt.Errorf("core: generator %d: %w", int(opts.Generator), errs.ErrUnknownBackend)
+		return nil, fmt.Errorf("core: generator %d: %w", int(opts.Backend), errs.ErrUnknownBackend)
 	}
 	if err != nil {
 		return nil, err
@@ -344,8 +307,8 @@ func (m Model) gaussianCtx(ctx context.Context, n int, opts GenOptions) ([]float
 	return x, nil
 }
 
-// GenerateResumable is the checkpointable variant of Generate, restricted
-// to the HoskingExact engine (the O(n²) recursion is the run worth
+// GenerateResumable is the checkpointable variant of GenerateCtx,
+// restricted to the Hosking backend (the O(n²) recursion is the run worth
 // checkpointing; Davies–Harte finishes in seconds). On cancellation it
 // returns a nil series together with a snapshot of the recursion that,
 // passed back as resume in a later call with the same n and options,
@@ -358,14 +321,14 @@ func (m Model) GenerateResumable(ctx context.Context, n int, opts GenOptions, re
 	if err := m.Validate(); err != nil {
 		return nil, nil, err
 	}
-	if opts.Generator != HoskingExact {
+	if opts.Backend != backend.Hosking {
 		return nil, nil, fmt.Errorf("core: checkpoint/resume requires the Hosking generator")
 	}
 	if n < 1 {
 		return nil, nil, fmt.Errorf("core: length must be ≥ 1, got %d", n)
 	}
 	// Same derivation as gaussianCtx, so an uninterrupted resumable run
-	// matches Generate exactly. Periodic snapshots observe the recursion
+	// matches GenerateCtx exactly. Periodic snapshots observe the recursion
 	// without consuming randomness, so they cannot perturb the output.
 	src := rand.NewPCG(opts.Seed, 0x6a55)
 	x, st, err := fgn.HoskingCheckpointed(ctx, n, m.Hurst, src, resume, opts.SnapshotEvery, opts.Snapshot)
@@ -399,13 +362,9 @@ func (m Model) effectiveMoments() (mu, sd float64, err error) {
 	return mu, sd, nil
 }
 
-// GenerateTrace wraps Generate in a trace.Trace with slice-level data
-// derived by even division plus jitter, ready for the §5 simulations.
-func (m Model) GenerateTrace(n int, frameRate float64, slicesPerFrame int, sliceJitter float64, opts GenOptions) (*trace.Trace, error) {
-	return m.GenerateTraceCtx(context.Background(), n, frameRate, slicesPerFrame, sliceJitter, opts)
-}
-
-// GenerateTraceCtx is GenerateTrace with cooperative cancellation.
+// GenerateTraceCtx wraps GenerateCtx in a trace.Trace with slice-level
+// data derived by even division plus jitter, ready for the §5
+// simulations.
 func (m Model) GenerateTraceCtx(ctx context.Context, n int, frameRate float64, slicesPerFrame int, sliceJitter float64, opts GenOptions) (*trace.Trace, error) {
 	frames, err := m.GenerateCtx(ctx, n, opts)
 	if err != nil {

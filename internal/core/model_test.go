@@ -1,9 +1,11 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
+	"vbr/internal/backend"
 	"vbr/internal/stats"
 	"vbr/internal/synth"
 )
@@ -32,10 +34,11 @@ func TestValidate(t *testing.T) {
 }
 
 func TestGenerateFullModel(t *testing.T) {
+	ctx := context.Background()
 	m := paperModel()
 	opts := DefaultGenOptions()
-	opts.Generator = DaviesHarteFast // fast path for the big series
-	frames, err := m.Generate(50000, opts)
+	opts.Backend = backend.DaviesHarte // fast path for the big series
+	frames, err := m.GenerateCtx(ctx, 50000, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,10 +64,11 @@ func TestGenerateFullModel(t *testing.T) {
 }
 
 func TestGenerateHoskingMatchesPaperAlgorithm(t *testing.T) {
+	ctx := context.Background()
 	m := paperModel()
 	opts := DefaultGenOptions()
-	opts.Generator = HoskingExact
-	frames, err := m.Generate(8000, opts)
+	opts.Backend = backend.Hosking
+	frames, err := m.GenerateCtx(ctx, 8000, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,31 +88,33 @@ func TestGenerateHoskingMatchesPaperAlgorithm(t *testing.T) {
 }
 
 func TestGenerateErrors(t *testing.T) {
+	ctx := context.Background()
 	m := paperModel()
-	if _, err := m.Generate(0, DefaultGenOptions()); err == nil {
+	if _, err := m.GenerateCtx(ctx, 0, DefaultGenOptions()); err == nil {
 		t.Error("n=0 should fail")
 	}
 	opts := DefaultGenOptions()
 	opts.TableSize = 1
-	if _, err := m.Generate(100, opts); err == nil {
+	if _, err := m.GenerateCtx(ctx, 100, opts); err == nil {
 		t.Error("bad table size should fail")
 	}
 	opts = DefaultGenOptions()
-	opts.Generator = Generator(99)
-	if _, err := m.Generate(100, opts); err == nil {
+	opts.Backend = backend.Backend(99)
+	if _, err := m.GenerateCtx(ctx, 100, opts); err == nil {
 		t.Error("unknown generator should fail")
 	}
 	bad := Model{}
-	if _, err := bad.Generate(100, DefaultGenOptions()); err == nil {
+	if _, err := bad.GenerateCtx(ctx, 100, DefaultGenOptions()); err == nil {
 		t.Error("invalid model should fail")
 	}
 }
 
 func TestGenerateGaussianVariant(t *testing.T) {
+	ctx := context.Background()
 	m := paperModel()
 	opts := DefaultGenOptions()
-	opts.Generator = DaviesHarteFast
-	frames, err := m.GenerateGaussian(50000, opts)
+	opts.Backend = backend.DaviesHarte
+	frames, err := m.GenerateGaussianCtx(ctx, 50000, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,8 +139,9 @@ func TestGenerateGaussianVariant(t *testing.T) {
 }
 
 func TestGenerateIIDVariant(t *testing.T) {
+	ctx := context.Background()
 	m := paperModel()
-	frames, err := m.GenerateIID(50000, DefaultGenOptions())
+	frames, err := m.GenerateIIDCtx(ctx, 50000, DefaultGenOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,20 +163,21 @@ func TestGenerateIIDVariant(t *testing.T) {
 }
 
 func TestVariantsShareLoad(t *testing.T) {
+	ctx := context.Background()
 	// Fig. 16 compares the three variants at equal offered load: their
 	// means must agree within sampling error.
 	m := paperModel()
 	opts := DefaultGenOptions()
-	opts.Generator = DaviesHarteFast
-	full, err := m.Generate(30000, opts)
+	opts.Backend = backend.DaviesHarte
+	full, err := m.GenerateCtx(ctx, 30000, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gauss, err := m.GenerateGaussian(30000, opts)
+	gauss, err := m.GenerateGaussianCtx(ctx, 30000, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	iid, err := m.GenerateIID(30000, opts)
+	iid, err := m.GenerateIIDCtx(ctx, 30000, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,19 +188,20 @@ func TestVariantsShareLoad(t *testing.T) {
 }
 
 func TestFitRecoversSynthTraceParameters(t *testing.T) {
+	ctx := context.Background()
 	// Fit the model to the synthetic empirical trace and check the
 	// parameters come back near the generator's configuration — the §4.2
 	// "realizations were tested and found to agree" loop.
 	cfg := synth.DefaultConfig()
 	cfg.Frames = 60000
 	cfg.SlicesPerFrame = 0
-	tr, err := synth.Generate(cfg)
+	tr, err := synth.Generate(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := DefaultFitOptions()
 	opts.AggM = 0
-	m, err := Fit(tr.Frames, opts)
+	m, err := FitCtx(ctx, tr.Frames, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +220,8 @@ func TestFitRecoversSynthTraceParameters(t *testing.T) {
 }
 
 func TestFitErrors(t *testing.T) {
-	if _, err := Fit(make([]float64, 10), DefaultFitOptions()); err == nil {
+	ctx := context.Background()
+	if _, err := FitCtx(ctx, make([]float64, 10), DefaultFitOptions()); err == nil {
 		t.Error("short series should fail")
 	}
 	xs := make([]float64, 2000)
@@ -220,30 +230,31 @@ func TestFitErrors(t *testing.T) {
 	}
 	opts := DefaultFitOptions()
 	opts.TailFrac = 0
-	if _, err := Fit(xs, opts); err == nil {
+	if _, err := FitCtx(ctx, xs, opts); err == nil {
 		t.Error("bad tail fraction should fail")
 	}
 	opts = DefaultFitOptions()
 	opts.AggM = -1
-	if _, err := Fit(xs, opts); err == nil {
+	if _, err := FitCtx(ctx, xs, opts); err == nil {
 		t.Error("bad aggM should fail")
 	}
 }
 
 func TestRoundTripFitGenerate(t *testing.T) {
+	ctx := context.Background()
 	// Generate from known parameters, fit, and compare: the model's own
 	// consistency loop.
 	truth := paperModel()
 	opts := DefaultGenOptions()
-	opts.Generator = DaviesHarteFast
+	opts.Backend = backend.DaviesHarte
 	opts.Seed = 77
-	frames, err := truth.Generate(60000, opts)
+	frames, err := truth.GenerateCtx(ctx, 60000, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fitOpts := DefaultFitOptions()
 	fitOpts.AggM = 0
-	got, err := Fit(frames, fitOpts)
+	got, err := FitCtx(ctx, frames, fitOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,10 +270,11 @@ func TestRoundTripFitGenerate(t *testing.T) {
 }
 
 func TestGenerateTrace(t *testing.T) {
+	ctx := context.Background()
 	m := paperModel()
 	opts := DefaultGenOptions()
-	opts.Generator = DaviesHarteFast
-	tr, err := m.GenerateTrace(2000, 24, 30, 0.3, opts)
+	opts.Backend = backend.DaviesHarte
+	tr, err := m.GenerateTraceCtx(ctx, 2000, 24, 30, 0.3, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +285,7 @@ func TestGenerateTrace(t *testing.T) {
 		t.Fatalf("slices %d", len(tr.Slices))
 	}
 	// No slices requested.
-	tr2, err := m.GenerateTrace(100, 24, 0, 0, opts)
+	tr2, err := m.GenerateTraceCtx(ctx, 100, 24, 0, 0, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,18 +295,19 @@ func TestGenerateTrace(t *testing.T) {
 }
 
 func TestDeterministicBySeed(t *testing.T) {
+	ctx := context.Background()
 	m := paperModel()
 	opts := DefaultGenOptions()
-	opts.Generator = DaviesHarteFast
-	a, _ := m.Generate(500, opts)
-	b, _ := m.Generate(500, opts)
+	opts.Backend = backend.DaviesHarte
+	a, _ := m.GenerateCtx(ctx, 500, opts)
+	b, _ := m.GenerateCtx(ctx, 500, opts)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("same seed must reproduce")
 		}
 	}
 	opts.Seed = 2
-	c, _ := m.Generate(500, opts)
+	c, _ := m.GenerateCtx(ctx, 500, opts)
 	same := true
 	for i := range a {
 		if a[i] != c[i] {

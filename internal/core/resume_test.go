@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"vbr/internal/backend"
 	"vbr/internal/errs"
 )
 
@@ -27,12 +28,13 @@ func testModel() Model {
 }
 
 func TestGenerateResumableMatchesGenerate(t *testing.T) {
+	ctx := context.Background()
 	m := testModel()
 	opts := DefaultGenOptions()
 	opts.Seed = 7
 	const n = 2000
 
-	want, err := m.Generate(n, opts)
+	want, err := m.GenerateCtx(ctx, n, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +73,7 @@ func TestGenerateResumableMatchesGenerate(t *testing.T) {
 func TestGenerateResumableRejectsDaviesHarte(t *testing.T) {
 	m := testModel()
 	opts := DefaultGenOptions()
-	opts.Generator = DaviesHarteFast
+	opts.Backend = backend.DaviesHarte
 	if _, _, err := m.GenerateResumable(context.Background(), 100, opts, nil); err == nil {
 		t.Fatal("expected an error for the non-checkpointable generator")
 	}

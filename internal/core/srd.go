@@ -25,12 +25,6 @@ import (
 // modulation has geometrically decaying correlations, so neither alters
 // the hyperbolic tail of the autocorrelation.
 
-// GenerateWithARMA is equivalent to
-// GenerateWithARMACtx(context.Background(), ...).
-func (m Model) GenerateWithARMA(n int, srd arma.Model, opts GenOptions) ([]float64, error) {
-	return m.GenerateWithARMACtx(context.Background(), n, srd, opts)
-}
-
 // GenerateWithARMACtx generates n frames of the full model with extra
 // short-range structure: the fARIMA(0, d, 0) realization is passed
 // through the given (stationary) ARMA filter — yielding a fractional
@@ -56,16 +50,11 @@ func (m Model) GenerateWithARMACtx(ctx context.Context, n int, srd arma.Model, o
 	return m.transformCtx(ctx, x, opts)
 }
 
-// GenerateMarkovModulated generates n frames with the activity level
+// GenerateMarkovModulatedCtx generates n frames with the activity level
 // modulated by a Markov chain: Z = √(1-w²)·X + w·M where X is the LRD
 // Gaussian backbone and M the (standardized) chain level path. weight w
 // in [0, 1) sets the share of variance carried by the scene process.
-func (m Model) GenerateMarkovModulated(n int, chain *arma.MarkovChain, weight float64, opts GenOptions) ([]float64, error) {
-	return m.GenerateMarkovModulatedCtx(context.Background(), n, chain, weight, opts)
-}
-
-// GenerateMarkovModulatedCtx is GenerateMarkovModulated with
-// cooperative cancellation through the Gaussian backbone generation.
+// Cancellation propagates through the Gaussian backbone generation.
 func (m Model) GenerateMarkovModulatedCtx(ctx context.Context, n int, chain *arma.MarkovChain, weight float64, opts GenOptions) ([]float64, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err

@@ -1,25 +1,28 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"vbr/internal/arma"
+	"vbr/internal/backend"
 	"vbr/internal/lrd"
 	"vbr/internal/stats"
 )
 
 func fastOpts(seed uint64) GenOptions {
 	opts := DefaultGenOptions()
-	opts.Generator = DaviesHarteFast
+	opts.Backend = backend.DaviesHarte
 	opts.Seed = seed
 	return opts
 }
 
 func TestGenerateWithARMAPreservesMarginal(t *testing.T) {
+	ctx := context.Background()
 	m := paperModel()
 	srd := arma.Model{Phi: []float64{0.6}}
-	frames, err := m.GenerateWithARMA(50000, srd, fastOpts(1))
+	frames, err := m.GenerateWithARMACtx(ctx, 50000, srd, fastOpts(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,13 +43,14 @@ func TestGenerateWithARMAPreservesMarginal(t *testing.T) {
 }
 
 func TestGenerateWithARMABoostsShortRangeCorrelation(t *testing.T) {
+	ctx := context.Background()
 	m := paperModel()
-	plain, err := m.Generate(40000, fastOpts(2))
+	plain, err := m.GenerateCtx(ctx, 40000, fastOpts(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	srd := arma.Model{Phi: []float64{0.85}}
-	augmented, err := m.GenerateWithARMA(40000, srd, fastOpts(2))
+	augmented, err := m.GenerateWithARMACtx(ctx, 40000, srd, fastOpts(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,12 +69,13 @@ func TestGenerateWithARMABoostsShortRangeCorrelation(t *testing.T) {
 }
 
 func TestGenerateWithARMAPreservesH(t *testing.T) {
+	ctx := context.Background()
 	// "The SRD structure is by default self-similar to the long-term
 	// structure": an ARMA filter must not change H. Fit the
 	// variance-time slope beyond the ARMA correlation length.
 	m := paperModel()
 	srd := arma.Model{Phi: []float64{0.8}}
-	frames, err := m.GenerateWithARMA(80000, srd, fastOpts(3))
+	frames, err := m.GenerateWithARMACtx(ctx, 80000, srd, fastOpts(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,26 +89,28 @@ func TestGenerateWithARMAPreservesH(t *testing.T) {
 }
 
 func TestGenerateWithARMAErrors(t *testing.T) {
+	ctx := context.Background()
 	m := paperModel()
-	if _, err := m.GenerateWithARMA(100, arma.Model{Phi: []float64{1.1}}, fastOpts(1)); err == nil {
+	if _, err := m.GenerateWithARMACtx(ctx, 100, arma.Model{Phi: []float64{1.1}}, fastOpts(1)); err == nil {
 		t.Error("non-stationary filter should fail")
 	}
 	bad := Model{}
-	if _, err := bad.GenerateWithARMA(100, arma.Model{}, fastOpts(1)); err == nil {
+	if _, err := bad.GenerateWithARMACtx(ctx, 100, arma.Model{}, fastOpts(1)); err == nil {
 		t.Error("invalid model should fail")
 	}
-	if _, err := m.GenerateWithARMA(0, arma.Model{}, fastOpts(1)); err == nil {
+	if _, err := m.GenerateWithARMACtx(ctx, 0, arma.Model{}, fastOpts(1)); err == nil {
 		t.Error("n=0 should fail")
 	}
 }
 
 func TestGenerateMarkovModulated(t *testing.T) {
+	ctx := context.Background()
 	m := paperModel()
 	chain, err := arma.SceneChain(240, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	frames, err := m.GenerateMarkovModulated(50000, chain, 0.5, fastOpts(4))
+	frames, err := m.GenerateMarkovModulatedCtx(ctx, 50000, chain, 0.5, fastOpts(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,31 +132,33 @@ func TestGenerateMarkovModulated(t *testing.T) {
 }
 
 func TestGenerateMarkovModulatedErrors(t *testing.T) {
+	ctx := context.Background()
 	m := paperModel()
 	chain, _ := arma.SceneChain(100, 1)
-	if _, err := m.GenerateMarkovModulated(100, nil, 0.5, fastOpts(1)); err == nil {
+	if _, err := m.GenerateMarkovModulatedCtx(ctx, 100, nil, 0.5, fastOpts(1)); err == nil {
 		t.Error("nil chain should fail")
 	}
-	if _, err := m.GenerateMarkovModulated(100, chain, 1.0, fastOpts(1)); err == nil {
+	if _, err := m.GenerateMarkovModulatedCtx(ctx, 100, chain, 1.0, fastOpts(1)); err == nil {
 		t.Error("weight 1 should fail")
 	}
-	if _, err := m.GenerateMarkovModulated(100, chain, -0.1, fastOpts(1)); err == nil {
+	if _, err := m.GenerateMarkovModulatedCtx(ctx, 100, chain, -0.1, fastOpts(1)); err == nil {
 		t.Error("negative weight should fail")
 	}
 	bad := Model{}
-	if _, err := bad.GenerateMarkovModulated(100, chain, 0.5, fastOpts(1)); err == nil {
+	if _, err := bad.GenerateMarkovModulatedCtx(ctx, 100, chain, 0.5, fastOpts(1)); err == nil {
 		t.Error("invalid model should fail")
 	}
 }
 
 func TestMarkovModulationZeroWeightMatchesPlain(t *testing.T) {
+	ctx := context.Background()
 	m := paperModel()
 	chain, _ := arma.SceneChain(100, 1)
-	plain, err := m.Generate(5000, fastOpts(5))
+	plain, err := m.GenerateCtx(ctx, 5000, fastOpts(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	mod, err := m.GenerateMarkovModulated(5000, chain, 0, fastOpts(5))
+	mod, err := m.GenerateMarkovModulatedCtx(ctx, 5000, chain, 0, fastOpts(5))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,16 +30,11 @@ import (
 // exact marginal, tunable short-range correlation, no long-range
 // dependence.
 
-// GenerateTES produces n frames with the model's Gamma/Pareto marginal
-// driven by a TES⁺ background process with innovation spread alpha in
-// (0, 1]. Smaller alpha means stronger (but always short-range)
-// correlation.
-func (m Model) GenerateTES(n int, alpha float64, opts GenOptions) ([]float64, error) {
-	return m.GenerateTESCtx(context.Background(), n, alpha, opts)
-}
-
-// GenerateTESCtx is GenerateTES with cooperative cancellation, checked
-// every 4096 points of the modulo-1 walk.
+// GenerateTESCtx produces n frames with the model's Gamma/Pareto
+// marginal driven by a TES⁺ background process with innovation spread
+// alpha in (0, 1]. Smaller alpha means stronger (but always
+// short-range) correlation. Cancellation is checked every 4096 points
+// of the modulo-1 walk.
 func (m Model) GenerateTESCtx(ctx context.Context, n int, alpha float64, opts GenOptions) ([]float64, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err

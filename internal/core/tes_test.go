@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -9,8 +10,9 @@ import (
 )
 
 func TestGenerateTESMarginal(t *testing.T) {
+	ctx := context.Background()
 	m := paperModel()
-	frames, err := m.GenerateTES(60000, 0.3, fastOpts(1))
+	frames, err := m.GenerateTESCtx(ctx, 60000, 0.3, fastOpts(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,12 +37,13 @@ func TestGenerateTESMarginal(t *testing.T) {
 }
 
 func TestGenerateTESCorrelationTunable(t *testing.T) {
+	ctx := context.Background()
 	m := paperModel()
-	strong, err := m.GenerateTES(40000, 0.1, fastOpts(2))
+	strong, err := m.GenerateTESCtx(ctx, 40000, 0.1, fastOpts(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	weak, err := m.GenerateTES(40000, 1.0, fastOpts(2))
+	weak, err := m.GenerateTESCtx(ctx, 40000, 1.0, fastOpts(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,10 +64,11 @@ func TestGenerateTESCorrelationTunable(t *testing.T) {
 }
 
 func TestGenerateTESIsSRD(t *testing.T) {
+	ctx := context.Background()
 	// TES has geometric correlations: the variance-time slope beyond its
 	// correlation length must look like H ≈ 0.5, unlike the full model.
 	m := paperModel()
-	frames, err := m.GenerateTES(80000, 0.3, fastOpts(3))
+	frames, err := m.GenerateTESCtx(ctx, 80000, 0.3, fastOpts(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,31 +82,33 @@ func TestGenerateTESIsSRD(t *testing.T) {
 }
 
 func TestGenerateTESValidation(t *testing.T) {
+	ctx := context.Background()
 	m := paperModel()
-	if _, err := m.GenerateTES(0, 0.3, fastOpts(1)); err == nil {
+	if _, err := m.GenerateTESCtx(ctx, 0, 0.3, fastOpts(1)); err == nil {
 		t.Error("n=0 should fail")
 	}
-	if _, err := m.GenerateTES(100, 0, fastOpts(1)); err == nil {
+	if _, err := m.GenerateTESCtx(ctx, 100, 0, fastOpts(1)); err == nil {
 		t.Error("alpha=0 should fail")
 	}
-	if _, err := m.GenerateTES(100, 1.5, fastOpts(1)); err == nil {
+	if _, err := m.GenerateTESCtx(ctx, 100, 1.5, fastOpts(1)); err == nil {
 		t.Error("alpha>1 should fail")
 	}
 	bad := Model{}
-	if _, err := bad.GenerateTES(100, 0.3, fastOpts(1)); err == nil {
+	if _, err := bad.GenerateTESCtx(ctx, 100, 0.3, fastOpts(1)); err == nil {
 		t.Error("invalid model should fail")
 	}
 	opts := fastOpts(1)
 	opts.TableSize = 1
-	if _, err := m.GenerateTES(100, 0.3, opts); err == nil {
+	if _, err := m.GenerateTESCtx(ctx, 100, 0.3, opts); err == nil {
 		t.Error("bad table should fail")
 	}
 }
 
 func TestGenerateTESDeterminism(t *testing.T) {
+	ctx := context.Background()
 	m := paperModel()
-	a, _ := m.GenerateTES(500, 0.3, fastOpts(7))
-	b, _ := m.GenerateTES(500, 0.3, fastOpts(7))
+	a, _ := m.GenerateTESCtx(ctx, 500, 0.3, fastOpts(7))
+	b, _ := m.GenerateTESCtx(ctx, 500, 0.3, fastOpts(7))
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("same seed must reproduce")

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"strings"
 	"sync"
@@ -19,9 +20,10 @@ var (
 )
 
 func quickSuite(t *testing.T) *Suite {
+	ctx := context.Background()
 	t.Helper()
 	suiteOnce.Do(func() {
-		suiteVal, suiteErr = NewSuite(QuickScale)
+		suiteVal, suiteErr = NewSuite(ctx, QuickScale)
 	})
 	if suiteErr != nil {
 		t.Fatal(suiteErr)
@@ -107,8 +109,9 @@ func TestTable3AllEstimatorsNearTarget(t *testing.T) {
 }
 
 func TestFig1PeaksAndDecimation(t *testing.T) {
+	ctx := context.Background()
 	s := quickSuite(t)
-	r, err := s.Fig1(1000)
+	r, err := s.Fig1Ctx(ctx, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,14 +121,15 @@ func TestFig1PeaksAndDecimation(t *testing.T) {
 	if len(r.PeakFrames) != 5 {
 		t.Errorf("found %d peaks", len(r.PeakFrames))
 	}
-	if _, err := s.Fig1(1); err == nil {
+	if _, err := s.Fig1Ctx(ctx, 1); err == nil {
 		t.Error("maxPoints 1 should fail")
 	}
 }
 
 func TestFig2LowFrequencyContent(t *testing.T) {
+	ctx := context.Background()
 	s := quickSuite(t)
-	r, err := s.Fig2()
+	r, err := s.Fig2Ctx(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,8 +144,9 @@ func TestFig2LowFrequencyContent(t *testing.T) {
 }
 
 func TestFig3SegmentsDeviate(t *testing.T) {
+	ctx := context.Background()
 	s := quickSuite(t)
-	r, err := s.Fig3()
+	r, err := s.Fig3Ctx(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,8 +161,9 @@ func TestFig3SegmentsDeviate(t *testing.T) {
 }
 
 func TestFig4TailOrdering(t *testing.T) {
+	ctx := context.Background()
 	s := quickSuite(t)
-	r, err := s.Fig4()
+	r, err := s.Fig4Ctx(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,8 +185,9 @@ func TestFig4TailOrdering(t *testing.T) {
 }
 
 func TestFig5LeftTailGammaAdequate(t *testing.T) {
+	ctx := context.Background()
 	s := quickSuite(t)
-	r, err := s.Fig5()
+	r, err := s.Fig5Ctx(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,8 +202,9 @@ func TestFig5LeftTailGammaAdequate(t *testing.T) {
 }
 
 func TestFig6DensityFit(t *testing.T) {
+	ctx := context.Background()
 	s := quickSuite(t)
-	r, err := s.Fig6()
+	r, err := s.Fig6Ctx(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,8 +222,9 @@ func TestFig6DensityFit(t *testing.T) {
 }
 
 func TestFig7ACFBeyondExponential(t *testing.T) {
+	ctx := context.Background()
 	s := quickSuite(t)
-	r, err := s.Fig7()
+	r, err := s.Fig7Ctx(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,8 +242,9 @@ func TestFig7ACFBeyondExponential(t *testing.T) {
 }
 
 func TestFig8PowerLawAtLowFrequency(t *testing.T) {
+	ctx := context.Background()
 	s := quickSuite(t)
-	r, err := s.Fig8()
+	r, err := s.Fig8Ctx(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,8 +265,9 @@ func TestFig8PowerLawAtLowFrequency(t *testing.T) {
 }
 
 func TestFig9IIDCIsFail(t *testing.T) {
+	ctx := context.Background()
 	s := quickSuite(t)
-	r, err := s.Fig9()
+	r, err := s.Fig9Ctx(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,8 +285,9 @@ func TestFig9IIDCIsFail(t *testing.T) {
 }
 
 func TestFig10AggregationRetainsStructure(t *testing.T) {
+	ctx := context.Background()
 	s := quickSuite(t)
-	r, err := s.Fig10()
+	r, err := s.Fig10Ctx(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,8 +304,9 @@ func TestFig10AggregationRetainsStructure(t *testing.T) {
 }
 
 func TestFig11VarianceTime(t *testing.T) {
+	ctx := context.Background()
 	s := quickSuite(t)
-	r, err := s.Fig11()
+	r, err := s.Fig11Ctx(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,8 +322,9 @@ func TestFig11VarianceTime(t *testing.T) {
 }
 
 func TestFig12RSPox(t *testing.T) {
+	ctx := context.Background()
 	s := quickSuite(t)
-	r, err := s.Fig12()
+	r, err := s.Fig12Ctx(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,8 +337,9 @@ func TestFig12RSPox(t *testing.T) {
 }
 
 func TestFig14QCCurves(t *testing.T) {
+	ctx := context.Background()
 	s := quickSuite(t)
-	r, err := s.Fig14()
+	r, err := s.Fig14Ctx(ctx, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,8 +375,9 @@ func TestFig14QCCurves(t *testing.T) {
 }
 
 func TestFig14SMGAcrossN(t *testing.T) {
+	ctx := context.Background()
 	s := quickSuite(t)
-	r, err := s.Fig14()
+	r, err := s.Fig14Ctx(ctx, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,8 +395,9 @@ func TestFig14SMGAcrossN(t *testing.T) {
 }
 
 func TestFig15Gain(t *testing.T) {
+	ctx := context.Background()
 	s := quickSuite(t)
-	r, err := s.Fig15()
+	r, err := s.Fig15Ctx(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,8 +431,9 @@ func TestFig15Gain(t *testing.T) {
 }
 
 func TestFig16FullModelTracksTraceBest(t *testing.T) {
+	ctx := context.Background()
 	s := quickSuite(t)
-	r, err := s.Fig16()
+	r, err := s.Fig16Ctx(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,8 +455,9 @@ func TestFig16FullModelTracksTraceBest(t *testing.T) {
 }
 
 func TestFig17LossConcentration(t *testing.T) {
+	ctx := context.Background()
 	s := quickSuite(t)
-	r, err := s.Fig17()
+	r, err := s.Fig17Ctx(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,6 +474,7 @@ func TestFig17LossConcentration(t *testing.T) {
 }
 
 func TestSliceGranularityQueueing(t *testing.T) {
+	ctx := context.Background()
 	// The -slices path (the paper's simulation resolution) on a small
 	// dedicated suite: the Q-C tradeoff must keep its shape, and slice
 	// granularity must require at least as much capacity as frame
@@ -464,7 +484,7 @@ func TestSliceGranularityQueueing(t *testing.T) {
 	cfg.Frames = 4000
 	cfg.MeanSceneFrames = 96
 	cfg.SlicesPerFrame = 10
-	tr, err := synth.Generate(cfg)
+	tr, err := synth.Generate(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,7 +496,7 @@ func TestSliceGranularityQueueing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		points, err := queue.QCCurve(queue.QCCurveConfig{
+		points, err := queue.QCCurveCtx(ctx, queue.QCCurveConfig{
 			Mux:       mux,
 			Target:    queue.LossTarget{Pl: 1e-3},
 			TmaxGrid:  []float64{0.001, 0.008, 0.064},

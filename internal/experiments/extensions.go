@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"vbr/internal/arma"
+	"vbr/internal/backend"
 	"vbr/internal/codec"
 	"vbr/internal/core"
 	"vbr/internal/errs"
@@ -41,8 +42,9 @@ type ExtTransportResult struct {
 	Rows             []ExtTransportRow
 }
 
-// ExtTransport runs the transport-mode comparison.
-func (s *Suite) ExtTransport() (*ExtTransportResult, error) {
+// ExtTransport runs the transport-mode comparison; the context is
+// threaded through the capacity search.
+func (s *Suite) ExtTransport(ctx context.Context) (*ExtTransportResult, error) {
 	w := queue.Workload{Bytes: s.Trace.Frames, Interval: 1 / s.Trace.FrameRate}
 	res := &ExtTransportResult{MeanBps: w.MeanRate(), PeakBps: w.PeakRate()}
 	const tmax = 0.002
@@ -65,7 +67,7 @@ func (s *Suite) ExtTransport() (*ExtTransportResult, error) {
 		}
 		return r.Pl, nil
 	}
-	vbrCap, err := queue.MinCapacity(lossAt, w.MeanRate()*0.5, w.PeakRate()*1.05, queue.LossTarget{Pl: 1e-3})
+	vbrCap, err := queue.MinCapacityCtx(ctx, lossAt, w.MeanRate()*0.5, w.PeakRate()*1.05, queue.LossTarget{Pl: 1e-3})
 	if err != nil {
 		return nil, err
 	}
@@ -149,16 +151,11 @@ type ExtAdmissionResult struct {
 	MeanBps float64
 }
 
-// ExtAdmission runs the comparison at a per-interval overflow/loss budget
-// of eps.
-func (s *Suite) ExtAdmission() (*ExtAdmissionResult, error) {
-	return s.ExtAdmissionCtx(context.Background())
-}
-
-// ExtAdmissionCtx is ExtAdmission under a cancellable context, checked
-// per multiplexing level and threaded through the capacity search.
+// ExtAdmissionCtx runs the comparison at a per-interval overflow/loss
+// budget of eps. Cancellation is checked per multiplexing level and
+// threaded through the model fit and the capacity search.
 func (s *Suite) ExtAdmissionCtx(ctx context.Context) (*ExtAdmissionResult, error) {
-	model, err := s.Model()
+	model, err := s.Model(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -233,22 +230,18 @@ type ExtSRDResult struct {
 	HPlain, HARMA, HMarkov                float64
 }
 
-// ExtSRD generates the plain model, the ARMA-augmented model and the
+// ExtSRDCtx generates the plain model, the ARMA-augmented model and the
 // Markov-modulated model and compares short-lag correlation and H.
-func (s *Suite) ExtSRD() (*ExtSRDResult, error) {
-	return s.ExtSRDCtx(context.Background())
-}
-
-// ExtSRDCtx is ExtSRD under a cancellable context, threaded through the
-// three generator runs.
+// Cancellation is threaded through the model fit and the three
+// generator runs.
 func (s *Suite) ExtSRDCtx(ctx context.Context) (*ExtSRDResult, error) {
-	model, err := s.Model()
+	model, err := s.Model(ctx)
 	if err != nil {
 		return nil, err
 	}
 	n := min(len(s.Trace.Frames), 40000)
 	opts := core.DefaultGenOptions()
-	opts.Generator = core.DaviesHarteFast
+	opts.Backend = backend.DaviesHarte
 	opts.Seed = 99
 
 	plain, err := model.GenerateCtx(ctx, n, opts)
@@ -258,7 +251,7 @@ func (s *Suite) ExtSRDCtx(ctx context.Context) (*ExtSRDResult, error) {
 	if ctx.Err() != nil {
 		return nil, errs.Cancelled(ctx)
 	}
-	armaTraffic, err := model.GenerateWithARMA(n, arma.Model{Phi: []float64{0.85}}, opts)
+	armaTraffic, err := model.GenerateWithARMACtx(ctx, n, arma.Model{Phi: []float64{0.85}}, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -315,8 +308,9 @@ type ExtInterframeResult struct {
 	GOPSize                      int
 }
 
-// ExtInterframe runs both real coders over a short movie.
-func (s *Suite) ExtInterframe() (*ExtInterframeResult, error) {
+// ExtInterframe runs both real coders over a short movie, checking
+// the context once per coded frame.
+func (s *Suite) ExtInterframe(ctx context.Context) (*ExtInterframeResult, error) {
 	scfg := synth.DefaultConfig()
 	scfg.Frames = 600
 	scfg.SlicesPerFrame = 0
@@ -328,7 +322,7 @@ func (s *Suite) ExtInterframe() (*ExtInterframeResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	intraTr, err := intra.GenerateTrace(scfg, 16)
+	intraTr, err := intra.GenerateTrace(ctx, scfg, 16)
 	if err != nil {
 		return nil, err
 	}
@@ -338,7 +332,7 @@ func (s *Suite) ExtInterframe() (*ExtInterframeResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	interTr, err := inter.GenerateTrace(scfg, 36)
+	interTr, err := inter.GenerateTrace(ctx, scfg, 36)
 	if err != nil {
 		return nil, err
 	}
@@ -384,23 +378,15 @@ type ExtScenesResult struct {
 	Model                scenes.LevelModel
 }
 
-// ExtScenes runs the detector against the generator's ground truth on a
-// dialogue-free synthetic movie.
-func (s *Suite) ExtScenes() (*ExtScenesResult, error) {
-	return s.ExtScenesCtx(context.Background())
-}
-
-// ExtScenesCtx is ExtScenes under a cancellable context, checked
-// between the synthesis and detection stages.
+// ExtScenesCtx runs the detector against the generator's ground truth
+// on a dialogue-free synthetic movie. Cancellation is threaded through
+// the synthesis and checked again before detection.
 func (s *Suite) ExtScenesCtx(ctx context.Context) (*ExtScenesResult, error) {
-	if ctx.Err() != nil {
-		return nil, errs.Cancelled(ctx)
-	}
 	cfg := s.Cfg
 	cfg.Frames = min(cfg.Frames, 40000)
 	cfg.SlicesPerFrame = 0
 	cfg.DialogueProb = 0 // shot alternation is not in the ground-truth cut list
-	z, truth, err := synth.ActivityProcess(cfg)
+	z, truth, err := synth.ActivityProcess(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -1,13 +1,15 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
 
 func TestExtTransport(t *testing.T) {
+	ctx := context.Background()
 	s := quickSuite(t)
-	r, err := s.ExtTransport()
+	r, err := s.ExtTransport(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,8 +41,9 @@ func TestExtTransport(t *testing.T) {
 }
 
 func TestExtAdmission(t *testing.T) {
+	ctx := context.Background()
 	s := quickSuite(t)
-	r, err := s.ExtAdmission()
+	r, err := s.ExtAdmissionCtx(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,8 +75,9 @@ func TestExtAdmission(t *testing.T) {
 }
 
 func TestExtSRD(t *testing.T) {
+	ctx := context.Background()
 	s := quickSuite(t)
-	r, err := s.ExtSRD()
+	r, err := s.ExtSRDCtx(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,8 +102,9 @@ func TestExtSRD(t *testing.T) {
 }
 
 func TestExtInterframe(t *testing.T) {
+	ctx := context.Background()
 	s := quickSuite(t)
-	r, err := s.ExtInterframe()
+	r, err := s.ExtInterframe(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,8 +123,9 @@ func TestExtInterframe(t *testing.T) {
 }
 
 func TestExtScenes(t *testing.T) {
+	ctx := context.Background()
 	s := quickSuite(t)
-	r, err := s.ExtScenes()
+	r, err := s.ExtScenesCtx(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,8 +147,9 @@ func TestExtScenes(t *testing.T) {
 }
 
 func TestExtTailFidelity(t *testing.T) {
+	ctx := context.Background()
 	s := quickSuite(t)
-	r, err := s.ExtTailFidelity()
+	r, err := s.ExtTailFidelityCtx(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}

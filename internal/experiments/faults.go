@@ -52,13 +52,8 @@ func extFaultScenarios() []extFaultScenario {
 	}
 }
 
-// ExtFaults runs the fault-severity ladder on the suite's trace (single
-// source, frame granularity).
-func (s *Suite) ExtFaults() (*ExtFaultsResult, error) {
-	return s.ExtFaultsCtx(context.Background())
-}
-
-// ExtFaultsCtx is ExtFaults with cooperative cancellation.
+// ExtFaultsCtx runs the fault-severity ladder on the suite's trace
+// (single source, frame granularity).
 func (s *Suite) ExtFaultsCtx(ctx context.Context) (*ExtFaultsResult, error) {
 	w := queue.Workload{Bytes: s.Trace.Frames, Interval: 1 / s.Trace.FrameRate}
 	const tmax = 0.002

@@ -7,6 +7,7 @@ import (
 	"math/rand/v2"
 	"strings"
 
+	"vbr/internal/backend"
 	"vbr/internal/core"
 	"vbr/internal/queue"
 	"vbr/internal/trace"
@@ -69,14 +70,6 @@ type Fig14Result struct {
 	CurveErrors []error
 }
 
-// Fig14 sweeps buffer delay against required capacity for every (N,
-// target) combination of the paper. The curves run in parallel on a
-// panic-safe worker pool; see Fig14Ctx for cancellation and
-// checkpoint/resume.
-func (s *Suite) Fig14() (*Fig14Result, error) {
-	return s.Fig14Ctx(context.Background(), nil)
-}
-
 // Format renders all curves as aligned text.
 func (r *Fig14Result) Format() string {
 	var b strings.Builder
@@ -115,12 +108,8 @@ func (s *Suite) fig15Ns() []int {
 	return []int{1, 2, 3, 5, 7, 10, 14, 20}
 }
 
-// Fig15 computes required capacity per source against N at T_max = 2 ms.
-func (s *Suite) Fig15() (*Fig15Result, error) {
-	return s.Fig15Ctx(context.Background())
-}
-
-// Fig15Ctx is Fig15 with cooperative cancellation.
+// Fig15Ctx computes required capacity per source against N at
+// T_max = 2 ms.
 func (s *Suite) Fig15Ctx(ctx context.Context) (*Fig15Result, error) {
 	defer span(ctx, "fig15")()
 	targets := []queue.LossTarget{{Pl: 0}, {Pl: 1e-4}, {Pl: 1e-3}}
@@ -215,17 +204,13 @@ func (s *Suite) fig16Ns() []int {
 	return []int{1, 2, 5, 20}
 }
 
-// Fig16 fits the model to the trace, generates equal-length realizations
-// of the three model variants, and compares zero-loss Q–C curves.
-func (s *Suite) Fig16() (*Fig16Result, error) {
-	return s.Fig16Ctx(context.Background())
-}
-
-// Fig16Ctx is Fig16 with cooperative cancellation, checked in both the
-// model generation stage and every capacity search.
+// Fig16Ctx fits the model to the trace, generates equal-length
+// realizations of the three model variants, and compares zero-loss Q–C
+// curves. Cancellation is checked in the fit, the model generation
+// stage and every capacity search.
 func (s *Suite) Fig16Ctx(ctx context.Context) (*Fig16Result, error) {
 	defer span(ctx, "fig16")()
-	model, err := s.Model()
+	model, err := s.Model(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -237,11 +222,11 @@ func (s *Suite) Fig16Ctx(ctx context.Context) (*Fig16Result, error) {
 	// generator is exact for FGN and used at paper scale. Quick scale
 	// exercises the Hosking path.
 	if s.Scale == PaperScale {
-		genOpts.Generator = core.DaviesHarteFast
+		genOpts.Backend = backend.DaviesHarte
 	} else {
-		genOpts.Generator = core.HoskingExact
+		genOpts.Backend = backend.Hosking
 		if n > 20000 {
-			genOpts.Generator = core.DaviesHarteFast
+			genOpts.Backend = backend.DaviesHarte
 		}
 	}
 
@@ -366,13 +351,8 @@ type Fig17Result struct {
 	N1Conc, N20Conc float64
 }
 
-// Fig17 runs both configurations at capacities tuned to the same overall
-// loss rate and records the running loss process.
-func (s *Suite) Fig17() (*Fig17Result, error) {
-	return s.Fig17Ctx(context.Background())
-}
-
-// Fig17Ctx is Fig17 with cooperative cancellation.
+// Fig17Ctx runs both configurations at capacities tuned to the same
+// overall loss rate and records the running loss process.
 func (s *Suite) Fig17Ctx(ctx context.Context) (*Fig17Result, error) {
 	defer span(ctx, "fig17")()
 	const window = 1000 // frames

@@ -27,12 +27,8 @@ type Fig1Result struct {
 	PeakFrames []int
 }
 
-// Fig1 returns the (decimated) 2-hour time series and its major peaks.
-func (s *Suite) Fig1(maxPoints int) (*Fig1Result, error) {
-	return s.Fig1Ctx(context.Background(), maxPoints)
-}
-
-// Fig1Ctx is Fig1 under a cancellable context.
+// Fig1Ctx returns the (decimated) 2-hour time series and its major
+// peaks.
 func (s *Suite) Fig1Ctx(ctx context.Context, maxPoints int) (*Fig1Result, error) {
 	if ctx.Err() != nil {
 		return nil, errs.Cancelled(ctx)
@@ -91,13 +87,8 @@ func topPeaks(xs []float64, k, minSep int) []int {
 	return peaks
 }
 
-// Fig2 returns the low-frequency content: the moving average with the
+// Fig2Ctx returns the low-frequency content: the moving average with the
 // paper's 20,000-frame window (scaled to the trace length).
-func (s *Suite) Fig2() (*SeriesResult, error) {
-	return s.Fig2Ctx(context.Background())
-}
-
-// Fig2Ctx is Fig2 under a cancellable context.
 func (s *Suite) Fig2Ctx(ctx context.Context) (*SeriesResult, error) {
 	if ctx.Err() != nil {
 		return nil, errs.Cancelled(ctx)
@@ -134,13 +125,8 @@ type Fig3Result struct {
 	MaxKS float64
 }
 
-// Fig3 computes histograms for five two-minute segments and the whole
-// trace.
-func (s *Suite) Fig3() (*Fig3Result, error) {
-	return s.Fig3Ctx(context.Background())
-}
-
-// Fig3Ctx is Fig3 under a cancellable context, checked per segment.
+// Fig3Ctx computes histograms for five two-minute segments and the
+// whole trace. Cancellation is checked per segment.
 func (s *Suite) Fig3Ctx(ctx context.Context) (*Fig3Result, error) {
 	frames := s.Trace.Frames
 	segFrames := int(120 * s.Trace.FrameRate) // two minutes
@@ -237,15 +223,10 @@ func (s *Suite) candidateModels() (normal, lognormal, gamma dist.Distribution, h
 	return n, ln, g, gp, nil
 }
 
-// Fig4 reproduces the log-log complementary CDF comparison of the right
-// tail: empirical data against Normal, Gamma, Lognormal and the Pareto
-// tail of the hybrid model.
-func (s *Suite) Fig4() (*TailFitResult, error) {
-	return s.Fig4Ctx(context.Background())
-}
-
-// Fig4Ctx is Fig4 under a cancellable context, checked per candidate
-// model.
+// Fig4Ctx reproduces the log-log complementary CDF comparison of the
+// right tail: empirical data against Normal, Gamma, Lognormal and the
+// Pareto tail of the hybrid model. Cancellation is checked per
+// candidate model.
 func (s *Suite) Fig4Ctx(ctx context.Context) (*TailFitResult, error) {
 	if ctx.Err() != nil {
 		return nil, errs.Cancelled(ctx)
@@ -300,13 +281,8 @@ func (s *Suite) Fig4Ctx(ctx context.Context) (*TailFitResult, error) {
 	return res, nil
 }
 
-// Fig5 reproduces the log-log CDF comparison of the left tail, where the
-// Gamma body should fit well.
-func (s *Suite) Fig5() (*TailFitResult, error) {
-	return s.Fig5Ctx(context.Background())
-}
-
-// Fig5Ctx is Fig5 under a cancellable context, checked per candidate
+// Fig5Ctx reproduces the log-log CDF comparison of the left tail, where
+// the Gamma body should fit well. Cancellation is checked per candidate
 // model.
 func (s *Suite) Fig5Ctx(ctx context.Context) (*TailFitResult, error) {
 	if ctx.Err() != nil {
@@ -379,12 +355,7 @@ type Fig6Result struct {
 	A2Hybrid, A2Gamma float64
 }
 
-// Fig6 computes the density comparison.
-func (s *Suite) Fig6() (*Fig6Result, error) {
-	return s.Fig6Ctx(context.Background())
-}
-
-// Fig6Ctx is Fig6 under a cancellable context.
+// Fig6Ctx computes the density comparison.
 func (s *Suite) Fig6Ctx(ctx context.Context) (*Fig6Result, error) {
 	if ctx.Err() != nil {
 		return nil, errs.Cancelled(ctx)
@@ -445,13 +416,8 @@ type Fig7Result struct {
 	DepartLag int
 }
 
-// Fig7 computes the autocorrelation to lag 10,000 (scaled for shorter
-// traces).
-func (s *Suite) Fig7() (*Fig7Result, error) {
-	return s.Fig7Ctx(context.Background())
-}
-
-// Fig7Ctx is Fig7 under a cancellable context.
+// Fig7Ctx computes the autocorrelation to lag 10,000 (scaled for
+// shorter traces).
 func (s *Suite) Fig7Ctx(ctx context.Context) (*Fig7Result, error) {
 	if ctx.Err() != nil {
 		return nil, errs.Cancelled(ctx)
@@ -509,13 +475,8 @@ type Fig8Result struct {
 	H           float64
 }
 
-// Fig8 computes the periodogram of the frame series (log-binned for
+// Fig8Ctx computes the periodogram of the frame series (log-binned for
 // display) and the low-frequency power-law fit.
-func (s *Suite) Fig8() (*Fig8Result, error) {
-	return s.Fig8Ctx(context.Background())
-}
-
-// Fig8Ctx is Fig8 under a cancellable context.
 func (s *Suite) Fig8Ctx(ctx context.Context) (*Fig8Result, error) {
 	if ctx.Err() != nil {
 		return nil, errs.Cancelled(ctx)
@@ -572,12 +533,7 @@ type Fig9Result struct {
 	LRDMisses int
 }
 
-// Fig9 computes mean estimates with CIs on geometric prefixes.
-func (s *Suite) Fig9() (*Fig9Result, error) {
-	return s.Fig9Ctx(context.Background())
-}
-
-// Fig9Ctx is Fig9 under a cancellable context.
+// Fig9Ctx computes mean estimates with CIs on geometric prefixes.
 func (s *Suite) Fig9Ctx(ctx context.Context) (*Fig9Result, error) {
 	if ctx.Err() != nil {
 		return nil, errs.Cancelled(ctx)
@@ -622,13 +578,8 @@ type Fig10Result struct {
 	CoVs []float64
 }
 
-// Fig10 computes the aggregated processes X^(m) for m = 100, 500, 1000.
-func (s *Suite) Fig10() (*Fig10Result, error) {
-	return s.Fig10Ctx(context.Background())
-}
-
-// Fig10Ctx is Fig10 under a cancellable context, checked per
-// aggregation level.
+// Fig10Ctx computes the aggregated processes X^(m) for m = 100, 500,
+// 1000. Cancellation is checked per aggregation level.
 func (s *Suite) Fig10Ctx(ctx context.Context) (*Fig10Result, error) {
 	res := &Fig10Result{}
 	for _, m := range []int{100, 500, 1000} {
@@ -667,12 +618,7 @@ type Fig11Result struct {
 	H      float64
 }
 
-// Fig11 computes the variance-time plot and its H estimate.
-func (s *Suite) Fig11() (*Fig11Result, error) {
-	return s.Fig11Ctx(context.Background())
-}
-
-// Fig11Ctx is Fig11 under a cancellable context.
+// Fig11Ctx computes the variance-time plot and its H estimate.
 func (s *Suite) Fig11Ctx(ctx context.Context) (*Fig11Result, error) {
 	if ctx.Err() != nil {
 		return nil, errs.Cancelled(ctx)
@@ -696,12 +642,7 @@ type Fig12Result struct {
 	H      float64
 }
 
-// Fig12 computes the pox diagram of R/S and its H estimate.
-func (s *Suite) Fig12() (*Fig12Result, error) {
-	return s.Fig12Ctx(context.Background())
-}
-
-// Fig12Ctx is Fig12 under a cancellable context.
+// Fig12Ctx computes the pox diagram of R/S and its H estimate.
 func (s *Suite) Fig12Ctx(ctx context.Context) (*Fig12Result, error) {
 	if ctx.Err() != nil {
 		return nil, errs.Cancelled(ctx)

@@ -41,13 +41,8 @@ func (s *Suite) extMixSpecs() []string {
 	}
 }
 
-// ExtMix runs the heterogeneous-mix Q–C study.
-func (s *Suite) ExtMix() (*ExtMixResult, error) {
-	return s.ExtMixCtx(context.Background())
-}
-
-// ExtMixCtx is ExtMix with cooperative cancellation, threaded through
-// every capacity bisection of each curve.
+// ExtMixCtx runs the heterogeneous-mix Q–C study. Cancellation is
+// threaded through every capacity bisection of each curve.
 func (s *Suite) ExtMixCtx(ctx context.Context) (*ExtMixResult, error) {
 	defer span(ctx, "extmix")()
 	const frames = 8192

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -10,11 +11,12 @@ import (
 // knee curve per mix, each monotone non-increasing in the buffer
 // delay and bracketed by the population's realized rate envelope.
 func TestExtMix(t *testing.T) {
-	s, err := NewSuite(QuickScale)
+	ctx := context.Background()
+	s, err := NewSuite(ctx, QuickScale)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := s.ExtMix()
+	r, err := s.ExtMixCtx(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,11 +26,12 @@ func fig14Key(n int, target queue.LossTarget) string {
 	return fmt.Sprintf("N=%d/%s", n, target)
 }
 
-// Fig14Ctx is Fig14 with cancellation, parallelism and checkpointing.
-// progress may be nil (no checkpointing). On cancellation the error
-// matches errs.ErrCancelled and progress holds every finished — and
-// every partially finished — curve; passing the same state back resumes
-// them.
+// Fig14Ctx sweeps buffer delay against required capacity for every (N,
+// target) combination of the paper. The curves run in parallel on a
+// panic-safe worker pool. progress may be nil (no checkpointing). On
+// cancellation the error matches errs.ErrCancelled and progress holds
+// every finished — and every partially finished — curve; passing the
+// same state back resumes them.
 func (s *Suite) Fig14Ctx(ctx context.Context, progress *checkpoint.SearchState) (*Fig14Result, error) {
 	defer span(ctx, "fig14")()
 	type job struct {

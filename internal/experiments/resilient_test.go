@@ -13,8 +13,9 @@ func TestFig14CtxMatchesFig14AndCheckpoints(t *testing.T) {
 	if testing.Short() {
 		t.Skip("capacity searches are slow")
 	}
+	ctx := context.Background()
 	s := quickSuite(t)
-	plain, err := s.Fig14()
+	plain, err := s.Fig14Ctx(ctx, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,13 +70,54 @@ func TestFig14CtxMatchesFig14AndCheckpoints(t *testing.T) {
 	}
 }
 
-func TestFig14CtxCancelled(t *testing.T) {
-	s := quickSuite(t)
+// errOnly drops a result, keeping the error, so the cancellation table
+// can hold entry points with different result types.
+func errOnly[T any](_ T, err error) error { return err }
+
+// TestSuiteCtxCancelled pins that every Suite entry point taking a
+// context honours one that is already cancelled: each returns an error
+// matching errs.ErrCancelled instead of running. Each row gets its own
+// unfitted suite over the shared trace, so Model and the studies that
+// fit the model meet the cancelled context in the fit.
+func TestSuiteCtxCancelled(t *testing.T) {
+	shared := quickSuite(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := s.Fig14Ctx(ctx, nil)
-	if !errors.Is(err, errs.ErrCancelled) {
-		t.Fatalf("got %v, want ErrCancelled", err)
+	cases := []struct {
+		name string
+		run  func(s *Suite) error
+	}{
+		{"Model", func(s *Suite) error { return errOnly(s.Model(ctx)) }},
+		{"Fig1Ctx", func(s *Suite) error { return errOnly(s.Fig1Ctx(ctx, 100)) }},
+		{"Fig2Ctx", func(s *Suite) error { return errOnly(s.Fig2Ctx(ctx)) }},
+		{"Fig3Ctx", func(s *Suite) error { return errOnly(s.Fig3Ctx(ctx)) }},
+		{"Fig4Ctx", func(s *Suite) error { return errOnly(s.Fig4Ctx(ctx)) }},
+		{"Fig5Ctx", func(s *Suite) error { return errOnly(s.Fig5Ctx(ctx)) }},
+		{"Fig6Ctx", func(s *Suite) error { return errOnly(s.Fig6Ctx(ctx)) }},
+		{"Fig7Ctx", func(s *Suite) error { return errOnly(s.Fig7Ctx(ctx)) }},
+		{"Fig8Ctx", func(s *Suite) error { return errOnly(s.Fig8Ctx(ctx)) }},
+		{"Fig9Ctx", func(s *Suite) error { return errOnly(s.Fig9Ctx(ctx)) }},
+		{"Fig10Ctx", func(s *Suite) error { return errOnly(s.Fig10Ctx(ctx)) }},
+		{"Fig11Ctx", func(s *Suite) error { return errOnly(s.Fig11Ctx(ctx)) }},
+		{"Fig12Ctx", func(s *Suite) error { return errOnly(s.Fig12Ctx(ctx)) }},
+		{"Fig14Ctx", func(s *Suite) error { return errOnly(s.Fig14Ctx(ctx, nil)) }},
+		{"Fig15Ctx", func(s *Suite) error { return errOnly(s.Fig15Ctx(ctx)) }},
+		{"Fig16Ctx", func(s *Suite) error { return errOnly(s.Fig16Ctx(ctx)) }},
+		{"Fig17Ctx", func(s *Suite) error { return errOnly(s.Fig17Ctx(ctx)) }},
+		{"ExtTransport", func(s *Suite) error { return errOnly(s.ExtTransport(ctx)) }},
+		{"ExtAdmissionCtx", func(s *Suite) error { return errOnly(s.ExtAdmissionCtx(ctx)) }},
+		{"ExtSRDCtx", func(s *Suite) error { return errOnly(s.ExtSRDCtx(ctx)) }},
+		{"ExtInterframe", func(s *Suite) error { return errOnly(s.ExtInterframe(ctx)) }},
+		{"ExtScenesCtx", func(s *Suite) error { return errOnly(s.ExtScenesCtx(ctx)) }},
+		{"ExtFaultsCtx", func(s *Suite) error { return errOnly(s.ExtFaultsCtx(ctx)) }},
+		{"ExtTailFidelityCtx", func(s *Suite) error { return errOnly(s.ExtTailFidelityCtx(ctx)) }},
+		{"ExtMixCtx", func(s *Suite) error { return errOnly(s.ExtMixCtx(ctx)) }},
+	}
+	for _, c := range cases {
+		s := &Suite{Scale: shared.Scale, Cfg: shared.Cfg, Trace: shared.Trace, UseSlices: shared.UseSlices}
+		if err := c.run(s); !errors.Is(err, errs.ErrCancelled) {
+			t.Errorf("%s: got %v, want ErrCancelled", c.name, err)
+		}
 	}
 }
 
@@ -83,12 +125,13 @@ func TestExtFaultsDeterministicAndMonotone(t *testing.T) {
 	if testing.Short() {
 		t.Skip("capacity search is slow")
 	}
+	ctx := context.Background()
 	s := quickSuite(t)
-	a, err := s.ExtFaults()
+	a, err := s.ExtFaultsCtx(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.ExtFaults()
+	b, err := s.ExtFaultsCtx(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"strings"
 
+	"vbr/internal/backend"
 	"vbr/internal/core"
 	"vbr/internal/dist"
 	"vbr/internal/errs"
@@ -39,15 +40,11 @@ type ExtTailFidelityResult struct {
 	Rows        []TailFidelityRow
 }
 
-// ExtTailFidelity sweeps the mapping-table resolution.
-func (s *Suite) ExtTailFidelity() (*ExtTailFidelityResult, error) {
-	return s.ExtTailFidelityCtx(context.Background())
-}
-
-// ExtTailFidelityCtx is ExtTailFidelity under a cancellable context,
-// checked per table resolution and threaded through each generator run.
+// ExtTailFidelityCtx sweeps the mapping-table resolution. Cancellation
+// is checked per table resolution and threaded through the model fit
+// and each generator run.
 func (s *Suite) ExtTailFidelityCtx(ctx context.Context) (*ExtTailFidelityResult, error) {
-	model, err := s.Model()
+	model, err := s.Model(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -67,7 +64,7 @@ func (s *Suite) ExtTailFidelityCtx(ctx context.Context) (*ExtTailFidelityResult,
 			return nil, errs.Cancelled(ctx)
 		}
 		opts := core.DefaultGenOptions()
-		opts.Generator = core.DaviesHarteFast
+		opts.Backend = backend.DaviesHarte
 		opts.Seed = 777
 		opts.TableSize = size
 		frames, err := model.GenerateCtx(ctx, n, opts)

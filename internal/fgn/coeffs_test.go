@@ -11,8 +11,9 @@ import (
 // (schedule-driven) batch generator reproduces the cold recursion bit
 // for bit for the same seed.
 func TestHoskingFromCoeffsBitwise(t *testing.T) {
+	ctx := context.Background()
 	for _, h := range []float64{0.55, 0.8, 0.95} {
-		cold, err := Hosking(3000, h, rand.New(rand.NewPCG(7, 9)))
+		cold, err := HoskingCtx(ctx, 3000, h, rand.New(rand.NewPCG(7, 9)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,8 +145,9 @@ func TestHoskingCoeffsCancelledThenRetry(t *testing.T) {
 // TestHoskingStreamWithCoeffsBitwise: the warm stream's concatenated
 // blocks equal the cold batch output bit for bit.
 func TestHoskingStreamWithCoeffsBitwise(t *testing.T) {
+	ctx := context.Background()
 	const n = 2000
-	cold, err := Hosking(n, 0.8, rand.New(rand.NewPCG(3, 5)))
+	cold, err := HoskingCtx(ctx, n, 0.8, rand.New(rand.NewPCG(3, 5)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +183,7 @@ func TestHoskingStreamWithCoeffsBitwise(t *testing.T) {
 func TestDaviesHarteFromEigenBitwise(t *testing.T) {
 	ctx := context.Background()
 	for _, n := range []int{1, 2, 777, 4096} {
-		cold, err := DaviesHarte(n, 0.8, rand.New(rand.NewPCG(11, 13)))
+		cold, err := DaviesHarteCtx(ctx, n, 0.8, rand.New(rand.NewPCG(11, 13)))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -82,7 +82,7 @@ func FGNACF(h float64, maxLag int) ([]float64, error) {
 	return rho, nil
 }
 
-// Hosking generates n points of zero-mean, unit-variance fractional
+// HoskingCtx generates n points of zero-mean, unit-variance fractional
 // ARIMA(0, d, 0) noise with d = H - 1/2 using the exact conditional
 // recursion of Eqs. 7–12:
 //
@@ -94,14 +94,9 @@ func FGNACF(h float64, maxLag int) ([]float64, error) {
 //
 // with X_k ~ N(m_k, v_k). The recursion is the Levinson–Durbin solution
 // of the Yule–Walker system, so the output has exactly the target
-// autocorrelation structure.
-func Hosking(n int, h float64, rng *rand.Rand) ([]float64, error) {
-	return HoskingCtx(context.Background(), n, h, rng)
-}
-
-// HoskingCtx is Hosking with cooperative cancellation: the O(n²)
-// recursion checks ctx once per outer iteration and returns an error
-// matching errs.ErrCancelled as soon as the context is done.
+// autocorrelation structure. The O(n²) recursion checks ctx once per
+// outer iteration and returns an error matching errs.ErrCancelled as
+// soon as the context is done.
 func HoskingCtx(ctx context.Context, n int, h float64, rng *rand.Rand) ([]float64, error) {
 	x, _, err := hoskingRun(ctx, n, h, rng, nil, nil, 0, nil)
 	return x, err
@@ -288,20 +283,16 @@ func finite(xs ...float64) bool {
 	return true
 }
 
-// DaviesHarte generates n points of zero-mean, unit-variance fractional
-// Gaussian noise with Hurst parameter H by circulant embedding: the
-// autocovariance sequence is embedded in a circulant matrix of size 2n
-// whose eigenvalues (the FFT of the first row) are provably non-negative
-// for FGN, giving an exact O(n log n) sampler.
-func DaviesHarte(n int, h float64, rng *rand.Rand) ([]float64, error) {
-	return DaviesHarteCtx(context.Background(), n, h, rng)
-}
-
-// DaviesHarteCtx is DaviesHarte with cooperative cancellation, checked
-// between the pipeline stages (ACF build, eigenvalue FFT, spectrum
-// randomization, synthesis FFT). It is the composition of the two
-// halves below: the seed-independent eigenvalue setup (cacheable across
-// requests, keyed by (H, n)) and the seed-dependent synthesis.
+// DaviesHarteCtx generates n points of zero-mean, unit-variance
+// fractional Gaussian noise with Hurst parameter H by circulant
+// embedding: the autocovariance sequence is embedded in a circulant
+// matrix of size 2n whose eigenvalues (the FFT of the first row) are
+// provably non-negative for FGN, giving an exact O(n log n) sampler.
+// Cancellation is checked between the pipeline stages (ACF build,
+// eigenvalue FFT, spectrum randomization, synthesis FFT). It is the
+// composition of the two halves below: the seed-independent eigenvalue
+// setup (cacheable across requests, keyed by (H, n)) and the
+// seed-dependent synthesis.
 func DaviesHarteCtx(ctx context.Context, n int, h float64, rng *rand.Rand) ([]float64, error) {
 	scope := obs.From(ctx)
 	defer scope.Span("fgn.daviesharte")()

@@ -1,6 +1,7 @@
 package fgn
 
 import (
+	"context"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -86,6 +87,7 @@ func TestFGNACFProperties(t *testing.T) {
 }
 
 func TestACFValidation(t *testing.T) {
+	ctx := context.Background()
 	if _, err := FarimaACF(0, 5); err == nil {
 		t.Error("H=0 should fail")
 	}
@@ -98,24 +100,25 @@ func TestACFValidation(t *testing.T) {
 	if _, err := FGNACF(2, 5); err == nil {
 		t.Error("H=2 should fail")
 	}
-	if _, err := Hosking(0, 0.8, nil); err == nil {
+	if _, err := HoskingCtx(ctx, 0, 0.8, nil); err == nil {
 		t.Error("n=0 should fail")
 	}
-	if _, err := Hosking(10, 1.2, rand.New(rand.NewPCG(1, 1))); err == nil {
+	if _, err := HoskingCtx(ctx, 10, 1.2, rand.New(rand.NewPCG(1, 1))); err == nil {
 		t.Error("bad H should fail")
 	}
-	if _, err := DaviesHarte(0, 0.8, nil); err == nil {
+	if _, err := DaviesHarteCtx(ctx, 0, 0.8, nil); err == nil {
 		t.Error("n=0 should fail")
 	}
-	if _, err := DaviesHarte(10, -0.2, rand.New(rand.NewPCG(1, 1))); err == nil {
+	if _, err := DaviesHarteCtx(ctx, 10, -0.2, rand.New(rand.NewPCG(1, 1))); err == nil {
 		t.Error("bad H should fail")
 	}
 }
 
 func TestHoskingEmpiricalACFMatchesTarget(t *testing.T) {
+	ctx := context.Background()
 	rng := rand.New(rand.NewPCG(42, 1))
 	const n = 30000
-	x, err := Hosking(n, 0.8, rng)
+	x, err := HoskingCtx(ctx, n, 0.8, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,8 +135,9 @@ func TestHoskingEmpiricalACFMatchesTarget(t *testing.T) {
 }
 
 func TestHoskingMomentsStandard(t *testing.T) {
+	ctx := context.Background()
 	rng := rand.New(rand.NewPCG(7, 7))
-	x, err := Hosking(20000, 0.7, rng)
+	x, err := HoskingCtx(ctx, 20000, 0.7, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,9 +151,10 @@ func TestHoskingMomentsStandard(t *testing.T) {
 }
 
 func TestHoskingWhiteNoiseCase(t *testing.T) {
+	ctx := context.Background()
 	// H = 0.5 must produce i.i.d. N(0,1).
 	rng := rand.New(rand.NewPCG(9, 9))
-	x, err := Hosking(20000, 0.5, rng)
+	x, err := HoskingCtx(ctx, 20000, 0.5, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,9 +167,10 @@ func TestHoskingWhiteNoiseCase(t *testing.T) {
 }
 
 func TestDaviesHarteEmpiricalACFMatchesTarget(t *testing.T) {
+	ctx := context.Background()
 	rng := rand.New(rand.NewPCG(11, 3))
 	const n = 60000
-	x, err := DaviesHarte(n, 0.8, rng)
+	x, err := DaviesHarteCtx(ctx, n, 0.8, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,8 +196,9 @@ func TestDaviesHarteEmpiricalACFMatchesTarget(t *testing.T) {
 }
 
 func TestDaviesHarteLengthOne(t *testing.T) {
+	ctx := context.Background()
 	rng := rand.New(rand.NewPCG(1, 1))
-	x, err := DaviesHarte(1, 0.8, rng)
+	x, err := DaviesHarteCtx(ctx, 1, 0.8, rng)
 	if err != nil || len(x) != 1 {
 		t.Fatalf("n=1 failed: %v %v", x, err)
 	}
@@ -201,11 +208,11 @@ func TestGeneratorsAgreeOnVarianceTime(t *testing.T) {
 	// Both generators should show the LRD variance-time signature
 	// Var(X^(m)) ≈ m^{2H-2} — slope well above the i.i.d. m^{-1}.
 	rng := rand.New(rand.NewPCG(21, 22))
-	for name, gen := range map[string]func(int, float64, *rand.Rand) ([]float64, error){
-		"hosking":     Hosking,
-		"daviesharte": DaviesHarte,
+	for name, gen := range map[string]func(context.Context, int, float64, *rand.Rand) ([]float64, error){
+		"hosking":     HoskingCtx,
+		"daviesharte": DaviesHarteCtx,
 	} {
-		x, err := gen(40000, 0.85, rng)
+		x, err := gen(context.Background(), 40000, 0.85, rng)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -224,14 +231,15 @@ func TestGeneratorsAgreeOnVarianceTime(t *testing.T) {
 }
 
 func TestHoskingDeterministicForSeed(t *testing.T) {
-	a, _ := Hosking(100, 0.8, rand.New(rand.NewPCG(5, 6)))
-	b, _ := Hosking(100, 0.8, rand.New(rand.NewPCG(5, 6)))
+	ctx := context.Background()
+	a, _ := HoskingCtx(ctx, 100, 0.8, rand.New(rand.NewPCG(5, 6)))
+	b, _ := HoskingCtx(ctx, 100, 0.8, rand.New(rand.NewPCG(5, 6)))
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("same seed should reproduce the same series")
 		}
 	}
-	c, _ := Hosking(100, 0.8, rand.New(rand.NewPCG(5, 7)))
+	c, _ := HoskingCtx(ctx, 100, 0.8, rand.New(rand.NewPCG(5, 7)))
 	same := true
 	for i := range a {
 		if a[i] != c[i] {
@@ -262,20 +270,22 @@ func TestStandardize(t *testing.T) {
 }
 
 func BenchmarkHosking10k(b *testing.B) {
+	ctx := context.Background()
 	rng := rand.New(rand.NewPCG(1, 1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Hosking(10000, 0.8, rng); err != nil {
+		if _, err := HoskingCtx(ctx, 10000, 0.8, rng); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkDaviesHarte10k(b *testing.B) {
+	ctx := context.Background()
 	rng := rand.New(rand.NewPCG(1, 1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := DaviesHarte(10000, 0.8, rng); err != nil {
+		if _, err := DaviesHarteCtx(ctx, 10000, 0.8, rng); err != nil {
 			b.Fatal(err)
 		}
 	}

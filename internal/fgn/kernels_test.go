@@ -32,6 +32,7 @@ func fnvHash(xs []float64) uint64 {
 // is the repository's bitwise reference; any reassociation of its
 // floating-point sums — however statistically harmless — fails here.
 func TestHoskingPreTilingGolden(t *testing.T) {
+	ctx := context.Background()
 	const n = 1024
 	cases := []struct {
 		h        float64
@@ -44,9 +45,9 @@ func TestHoskingPreTilingGolden(t *testing.T) {
 	}
 	for _, c := range cases {
 		rng := rand.New(rand.NewPCG(7, 9))
-		x, err := Hosking(n, c.h, rng)
+		x, err := HoskingCtx(ctx, n, c.h, rng)
 		if err != nil {
-			t.Fatalf("Hosking(H=%v): %v", c.h, err)
+			t.Fatalf("HoskingCtx(H=%v): %v", c.h, err)
 		}
 		if got := math.Float64bits(x[n-1]); got != c.wantLast {
 			t.Errorf("H=%v: x[%d] bits = %#x, want %#x", c.h, n-1, got, c.wantLast)

@@ -257,9 +257,3 @@ func PaxsonCtx(ctx context.Context, n int, h float64, rng *rand.Rand) ([]float64
 	}
 	return PaxsonFromSpectrumCtx(ctx, n, p, rng)
 }
-
-// Paxson is PaxsonCtx without cancellation, for callers outside a
-// request context.
-func Paxson(n int, h float64, rng *rand.Rand) ([]float64, error) {
-	return PaxsonCtx(context.Background(), n, h, rng)
-}

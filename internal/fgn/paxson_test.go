@@ -22,6 +22,7 @@ import (
 // regression in the spectrum or the randomization moves a statistic
 // and fails a hard bound, not a flaky one.
 func TestPaxsonFidelity(t *testing.T) {
+	ctx := context.Background()
 	const n = 1 << 15
 	std, err := dist.NewNormal(0, 1)
 	if err != nil {
@@ -30,9 +31,9 @@ func TestPaxsonFidelity(t *testing.T) {
 	cal := lrd.DefaultCalibration()
 	for _, h := range []float64{0.6, 0.8, 0.9} {
 		rng := rand.New(rand.NewPCG(7, 9))
-		x, err := Paxson(n, h, rng)
+		x, err := PaxsonCtx(ctx, n, h, rng)
 		if err != nil {
-			t.Fatalf("Paxson(H=%v): %v", h, err)
+			t.Fatalf("PaxsonCtx(H=%v): %v", h, err)
 		}
 
 		// Unit variance by construction (the spectrum is normalized
@@ -98,8 +99,9 @@ func TestPaxsonFidelity(t *testing.T) {
 // (per frequency: power then phase; Nyquist: power then sign) is part
 // of the contract — reordering draws changes every output bit.
 func TestPaxsonGolden(t *testing.T) {
+	ctx := context.Background()
 	rng := rand.New(rand.NewPCG(7, 9))
-	x, err := Paxson(4096, 0.8, rng)
+	x, err := PaxsonCtx(ctx, 4096, 0.8, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,11 +151,11 @@ func TestPaxsonSplitMatchesComposed(t *testing.T) {
 func TestPaxsonErrors(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewPCG(1, 1))
-	if _, err := Paxson(0, 0.8, rng); err == nil {
+	if _, err := PaxsonCtx(ctx, 0, 0.8, rng); err == nil {
 		t.Error("n=0: want error")
 	}
 	for _, h := range []float64{0, 1, -0.5, math.NaN()} {
-		if _, err := Paxson(16, h, rng); err == nil {
+		if _, err := PaxsonCtx(ctx, 16, h, rng); err == nil {
 			t.Errorf("H=%v: want error", h)
 		}
 	}
@@ -180,13 +182,14 @@ func TestPaxsonErrors(t *testing.T) {
 // TestPaxsonSingleton pins the n=1 degenerate case: one plain Gaussian
 // draw, no FFT.
 func TestPaxsonSingleton(t *testing.T) {
-	x, err := Paxson(1, 0.8, rand.New(rand.NewPCG(5, 5)))
+	ctx := context.Background()
+	x, err := PaxsonCtx(ctx, 1, 0.8, rand.New(rand.NewPCG(5, 5)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := rand.New(rand.NewPCG(5, 5)).NormFloat64()
 	if len(x) != 1 || math.Float64bits(x[0]) != math.Float64bits(want) {
-		t.Errorf("Paxson(1) = %v, want [%v]", x, want)
+		t.Errorf("PaxsonCtx(1) = %v, want [%v]", x, want)
 	}
 }
 
@@ -194,6 +197,7 @@ func TestPaxsonSingleton(t *testing.T) {
 // inputs: every valid combination must synthesize without error,
 // produce exactly n finite values, and stay deterministic per seed.
 func FuzzPaxson(f *testing.F) {
+	ctx := context.Background()
 	f.Add(16, 0.8, uint64(1))
 	f.Add(1, 0.5, uint64(2))
 	f.Add(255, 0.99, uint64(3))
@@ -202,9 +206,9 @@ func FuzzPaxson(f *testing.F) {
 		if n < 1 || n > 1<<12 || !(h > 0 && h < 1) {
 			t.Skip()
 		}
-		x, err := Paxson(n, h, rand.New(rand.NewPCG(seed, 0)))
+		x, err := PaxsonCtx(ctx, n, h, rand.New(rand.NewPCG(seed, 0)))
 		if err != nil {
-			t.Fatalf("Paxson(%d, %v): %v", n, h, err)
+			t.Fatalf("PaxsonCtx(%d, %v): %v", n, h, err)
 		}
 		if len(x) != n {
 			t.Fatalf("got %d points, want %d", len(x), n)
@@ -214,7 +218,7 @@ func FuzzPaxson(f *testing.F) {
 				t.Fatalf("non-finite value %v at %d (n=%d h=%v)", v, i, n, h)
 			}
 		}
-		y, err := Paxson(n, h, rand.New(rand.NewPCG(seed, 0)))
+		y, err := PaxsonCtx(ctx, n, h, rand.New(rand.NewPCG(seed, 0)))
 		if err != nil {
 			t.Fatal(err)
 		}

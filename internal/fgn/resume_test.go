@@ -277,8 +277,9 @@ func TestHoskingCheckpointedSnapshots(t *testing.T) {
 // TestHoskingCtxMatchesPlain ensures the refactored shared recursion did
 // not change the legacy entry point's output.
 func TestHoskingCtxMatchesPlain(t *testing.T) {
+	ctx := context.Background()
 	const n, h = 800, 0.8
-	a, err := Hosking(n, h, rand.New(rand.NewPCG(9, 9)))
+	a, err := HoskingCtx(ctx, n, h, rand.New(rand.NewPCG(9, 9)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,25 +30,26 @@ func bitwiseEqual(t *testing.T, label string, cold, warm []float64) {
 }
 
 // TestGenerateBitwiseColdVsWarm pins the tentpole invariant end to end:
-// Model.Generate with a pool — cold pool, then fully warm pool — equals
+// Model.GenerateCtx with a pool — cold pool, then fully warm pool — equals
 // the pool-free path bit for bit, for all three Gaussian engines.
 func TestGenerateBitwiseColdVsWarm(t *testing.T) {
+	ctx := context.Background()
 	const n = 4096
-	for _, gen := range []core.Generator{core.HoskingExact, core.DaviesHarteFast, backend.Paxson} {
+	for _, gen := range []backend.Backend{backend.Hosking, backend.DaviesHarte, backend.Paxson} {
 		opts := core.DefaultGenOptions()
-		opts.Generator = gen
+		opts.Backend = gen
 		opts.Seed = 42
-		cold, err := testModel.Generate(n, opts)
+		cold, err := testModel.GenerateCtx(ctx, n, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		pooled := opts
 		pooled.Pool = genpool.New(0)
-		first, err := testModel.Generate(n, pooled) // fills the pool
+		first, err := testModel.GenerateCtx(ctx, n, pooled) // fills the pool
 		if err != nil {
 			t.Fatal(err)
 		}
-		warm, err := testModel.Generate(n, pooled) // pure cache hits
+		warm, err := testModel.GenerateCtx(ctx, n, pooled) // pure cache hits
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -18,14 +18,14 @@ var ctxScopePkgs = map[string]bool{
 }
 
 // CtxCheckAnalyzer enforces context plumbing: exported loop-bearing
-// functions in the scope packages must accept a context.Context (or be
-// a documented compatibility wrapper with a *Ctx sibling), and
-// context.Background() may appear only inside those wrappers and in
-// internal/cli, where the root signal context is created.
+// functions in the scope packages must accept a context.Context, and
+// context.Background() may appear only in internal/cli, where the
+// commands' root signal context is created, and in a main package's
+// func main, where a program without internal/cli makes its root.
 var CtxCheckAnalyzer = &Analyzer{
 	Name: "ctxcheck",
 	Doc: "exported loop-bearing functions in fgn/core/queue/experiments must take " +
-		"context.Context; context.Background() only in *Ctx compat wrappers and internal/cli; " +
+		"context.Context; context.Background() only in internal/cli and a main package's func main; " +
 		"internal/server handlers must thread r.Context() into context-taking calls",
 	Run: runCtxCheck,
 }
@@ -58,10 +58,8 @@ func runCtxCheck(pass *Pass) {
 			}
 		}
 		// Rule A: exported functions containing loops must be
-		// cancellable unless they are the plain half of a Foo/FooCtx
-		// compatibility pair (whose loops live in the Ctx variant's
-		// callees) or carry an ignore directive documenting why the
-		// loop is bounded. Functions without an error result are
+		// cancellable unless they carry an ignore directive documenting
+		// why the loop is bounded. Functions without an error result are
 		// skipped: they have no channel to surface ctx.Err(), and in
 		// this codebase they are uniformly cheap accessors/formatters.
 		if inScope {
@@ -76,17 +74,16 @@ func runCtxCheck(pass *Pass) {
 				if !returnsError(info, fd) {
 					continue
 				}
-				if hasCtxSibling(pass.Files(), fd) {
-					continue
-				}
 				pass.Reportf(fd.Name.Pos(), "exported %s contains a loop but takes no context.Context; plumb ctx (or annotate why the loop is bounded)", fd.Name.Name)
 			}
 		}
 		// Rule B: context.Background() severs cancellation, so it is
-		// only legitimate where a fresh root context is the point.
+		// only legitimate where a fresh root context is the point: the
+		// signal context of internal/cli and a program's func main.
 		if pass.Path() == "vbr/internal/cli" {
 			continue
 		}
+		inMainPkg := f.Name.Name == "main"
 		inspectWithStack(f, func(n ast.Node, stack []ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
@@ -95,10 +92,10 @@ func runCtxCheck(pass *Pass) {
 			if fn := calleeFunc(info, call); !isPkgFunc(fn, "context", "Background") {
 				return true
 			}
-			if fd := enclosingFuncDecl(stack); fd != nil && hasCtxSibling(pass.Files(), fd) {
+			if fd := enclosingFuncDecl(stack); inMainPkg && fd != nil && fd.Recv == nil && fd.Name.Name == "main" {
 				return true
 			}
-			pass.Reportf(call.Pos(), "context.Background() outside a *Ctx compatibility wrapper severs cancellation; accept and pass through a ctx instead")
+			pass.Reportf(call.Pos(), "context.Background() outside internal/cli and func main severs cancellation; accept and pass through a ctx instead")
 			return true
 		})
 	}

@@ -62,6 +62,8 @@ func TestGolden(t *testing.T) {
 		// ctxcheck's scope rules key off the package path, so the
 		// fixture impersonates a real scope package.
 		{"ctxcheck", "vbr/internal/queue", "ctxcheck"},
+		// Rule B's func main allowance keys off the package name.
+		{"ctxmain", "vbr/test/ctxmain", "ctxcheck"},
 		// Rule C keys off the server package path, so this fixture
 		// impersonates it.
 		{"serverctx", "vbr/internal/server", "ctxcheck"},

@@ -131,27 +131,6 @@ func receiverBaseName(decl *ast.FuncDecl) string {
 	}
 }
 
-// hasCtxSibling reports whether the package declares a Ctx-suffixed
-// counterpart of decl — the same name + "Ctx", with a matching receiver
-// base type for methods. Such pairs are the documented compatibility
-// wrappers where context.Background() is acceptable.
-func hasCtxSibling(files []*ast.File, decl *ast.FuncDecl) bool {
-	want := decl.Name.Name + "Ctx"
-	wantRecv := receiverBaseName(decl)
-	for _, f := range files {
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Name.Name != want {
-				continue
-			}
-			if receiverBaseName(fd) == wantRecv {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // enclosingFuncDecl returns the innermost FuncDecl in stack (a path of
 // nodes from the file root), or nil.
 func enclosingFuncDecl(stack []ast.Node) *ast.FuncDecl {

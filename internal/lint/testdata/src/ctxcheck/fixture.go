@@ -11,10 +11,10 @@ func Bad(xs []float64) error { // want "exported Bad contains a loop but takes n
 	return nil
 }
 
-// Good is the compatibility wrapper for GoodCtx; its loop lives in the
-// Ctx variant, and its context.Background() is the sanctioned bridge.
+// Good is a context-free wrapper for GoodCtx. It has no loop, so rule A
+// passes it, but a *Ctx sibling no longer sanctions its root context.
 func Good(xs []float64) error {
-	return GoodCtx(context.Background(), xs)
+	return GoodCtx(context.Background(), xs) // want "context.Background.. outside internal/cli and func main severs cancellation"
 }
 
 // GoodCtx accepts a context, so its loop is cancellable.
@@ -38,5 +38,5 @@ func Sum(xs []float64) float64 {
 }
 
 func severed() context.Context {
-	return context.Background() // want "context.Background.. outside a .Ctx compatibility wrapper severs cancellation"
+	return context.Background() // want "context.Background.. outside internal/cli and func main severs cancellation"
 }

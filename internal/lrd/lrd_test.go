@@ -1,6 +1,7 @@
 package lrd
 
 import (
+	"context"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -12,12 +13,13 @@ import (
 var seriesCache = map[float64][]float64{}
 
 func testSeries(t testing.TB, h float64, n int) []float64 {
+	ctx := context.Background()
 	t.Helper()
 	if s, ok := seriesCache[h]; ok && len(s) >= n {
 		return s[:n]
 	}
 	rng := rand.New(rand.NewPCG(uint64(h*1e6), 99))
-	s, err := fgn.DaviesHarte(n, h, rng)
+	s, err := fgn.DaviesHarteCtx(ctx, n, h, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,9 +192,10 @@ func TestPeriodogramHWhiteNoise(t *testing.T) {
 }
 
 func TestWhittleRecoversH(t *testing.T) {
+	ctx := context.Background()
 	// Whittle on fARIMA data (its own model) should be tight.
 	rng := rand.New(rand.NewPCG(31, 32))
-	xs, err := fgn.Hosking(20000, 0.8, rng)
+	xs, err := fgn.HoskingCtx(ctx, 20000, 0.8, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,11 +318,12 @@ func TestWhittleStabilizedOnPureFGN(t *testing.T) {
 }
 
 func TestWhittleStabilizedFiltersSRD(t *testing.T) {
+	ctx := context.Background()
 	// A strongly low-passed process (heavy AR(1) on top of LRD) saturates
 	// full-resolution Whittle; the stabilized ladder must land closer to
 	// the backbone H than the m=1 estimate does.
 	rng := rand.New(rand.NewPCG(51, 52))
-	base, err := fgn.DaviesHarte(80000, 0.8, rng)
+	base, err := fgn.DaviesHarteCtx(ctx, 80000, 0.8, rng)
 	if err != nil {
 		t.Fatal(err)
 	}

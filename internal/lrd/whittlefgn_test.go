@@ -1,6 +1,7 @@
 package lrd
 
 import (
+	"context"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -34,11 +35,12 @@ func TestFGNSpectrumShape(t *testing.T) {
 }
 
 func TestWhittleFGNRecoversH(t *testing.T) {
+	ctx := context.Background()
 	// On FGN input (its own model) the estimator should be tight and the
 	// CI should cover the truth.
 	for _, h := range []float64{0.6, 0.8} {
 		rng := rand.New(rand.NewPCG(uint64(h*100), 5))
-		xs, err := fgn.DaviesHarte(20000, h, rng)
+		xs, err := fgn.DaviesHarteCtx(ctx, 20000, h, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,8 +55,9 @@ func TestWhittleFGNRecoversH(t *testing.T) {
 }
 
 func TestWhittleFGNvsFarimaAgreeOnSelfSimilarInput(t *testing.T) {
+	ctx := context.Background()
 	rng := rand.New(rand.NewPCG(7, 8))
-	xs, err := fgn.DaviesHarte(20000, 0.8, rng)
+	xs, err := fgn.DaviesHarteCtx(ctx, 20000, 0.8, rng)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,20 +30,16 @@ func (t LossTarget) String() string {
 	return fmt.Sprintf("%s=%.0e", name, t.Pl)
 }
 
-// MinCapacity finds, by bisection, the minimum channel capacity (bits/s)
-// meeting the loss target when the buffer is sized for a fixed maximum
-// delay T_max = Q/(N·C) — the paper's normalized buffer measure, which
-// makes Q proportional to C during the search. loss(capacity) is supplied
-// by the caller (typically Mux.AverageLoss with Q = T_max·C/8 bytes).
+// MinCapacityCtx finds, by bisection, the minimum channel capacity
+// (bits/s) meeting the loss target when the buffer is sized for a fixed
+// maximum delay T_max = Q/(N·C) — the paper's normalized buffer
+// measure, which makes Q proportional to C during the search.
+// loss(capacity) is supplied by the caller (typically
+// Mux.AverageLossCtx with Q = T_max·C/8 bytes). The context is checked
+// before every simulation of the bisection.
 //
 // The search assumes loss is non-increasing in capacity, which holds for
 // a work-conserving FIFO queue when Q grows with C.
-func MinCapacity(loss func(capacityBps float64) (float64, error), loBps, hiBps float64, target LossTarget) (float64, error) {
-	return MinCapacityCtx(context.Background(), loss, loBps, hiBps, target)
-}
-
-// MinCapacityCtx is MinCapacity with cooperative cancellation: the
-// context is checked before every simulation of the bisection.
 func MinCapacityCtx(ctx context.Context, loss func(capacityBps float64) (float64, error), loBps, hiBps float64, target LossTarget) (float64, error) {
 	if !(loBps > 0) || !(hiBps > loBps) {
 		return 0, fmt.Errorf("queue: bad capacity bracket [%v, %v]", loBps, hiBps)
@@ -120,16 +116,11 @@ type QCCurveConfig struct {
 	Faults *FaultSchedule
 }
 
-// QCCurve computes a Fig. 14 curve: for each T_max, the minimum capacity
-// per source achieving the loss target.
-func QCCurve(cfg QCCurveConfig) ([]QCPoint, error) {
-	return QCCurveCtx(context.Background(), cfg)
-}
-
-// QCCurveCtx computes a Q–C curve with cancellation and resume: on a
-// cancelled context it returns the points completed so far together with
-// an error matching errs.ErrCancelled, so the caller can checkpoint the
-// partial curve and finish it in a later run via Resume.
+// QCCurveCtx computes a Fig. 14 curve: for each T_max, the minimum
+// capacity per source achieving the loss target. On a cancelled context
+// it returns the points completed so far together with an error
+// matching errs.ErrCancelled, so the caller can checkpoint the partial
+// curve and finish it in a later run via Resume.
 func QCCurveCtx(ctx context.Context, cfg QCCurveConfig) ([]QCPoint, error) {
 	if cfg.Mux == nil {
 		return nil, fmt.Errorf("queue: nil multiplexer")
@@ -226,15 +217,9 @@ type SMGConfig struct {
 	UseSlices bool
 }
 
-// SMG computes Fig. 15: the required per-source allocation against N at a
-// fixed buffer delay.
-func SMG(cfg SMGConfig) ([]SMGPoint, error) {
-	return SMGCtx(context.Background(), cfg)
-}
-
-// SMGCtx is SMG with cooperative cancellation; on a cancelled context it
-// returns the points completed so far with an error matching
-// errs.ErrCancelled.
+// SMGCtx computes Fig. 15: the required per-source allocation against N
+// at a fixed buffer delay. On a cancelled context it returns the points
+// completed so far with an error matching errs.ErrCancelled.
 func SMGCtx(ctx context.Context, cfg SMGConfig) ([]SMGPoint, error) {
 	if cfg.NewMux == nil {
 		return nil, fmt.Errorf("queue: nil multiplexer factory")

@@ -76,7 +76,7 @@ func CBRRate(w Workload, maxDelay float64) (float64, error) {
 // where S_k is the cumulative arrival process. The pairwise maximum is a
 // max-slope query from each point (j, S_j − Q) to the lower convex hull
 // of {(i, S_i)}, maintained incrementally — O(n log n) overall, and free
-// of the bisection tolerance that MinCapacity carries.
+// of the bisection tolerance that MinCapacityCtx carries.
 //
 //vbrlint:ignore ctxcheck exact max-burst dual: one bounded O(n) pass over the workload
 func ZeroLossCapacityExact(w Workload, bufferBytes float64) (float64, error) {

@@ -1,6 +1,7 @@
 package queue
 
 import (
+	"context"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -96,6 +97,7 @@ func TestZeroLossCapacityExactHandCase(t *testing.T) {
 }
 
 func TestZeroLossCapacityExactMatchesBisection(t *testing.T) {
+	ctx := context.Background()
 	rng := rand.New(rand.NewPCG(13, 14))
 	bytes := make([]float64, 20000)
 	for i := range bytes {
@@ -135,7 +137,7 @@ func TestZeroLossCapacityExactMatchesBisection(t *testing.T) {
 			}
 			return r.Pl, nil
 		}
-		bisect, err := MinCapacity(loss, w.MeanRate()*0.5, w.PeakRate()*1.05, LossTarget{Pl: 0})
+		bisect, err := MinCapacityCtx(ctx, loss, w.MeanRate()*0.5, w.PeakRate()*1.05, LossTarget{Pl: 0})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,6 +178,7 @@ func TestZeroLossCapacityExactHugeBufferIsZeroish(t *testing.T) {
 }
 
 func TestCBRvsVBRComparison(t *testing.T) {
+	ctx := context.Background()
 	// The paper's motivation: at equal (small) delay budget, CBR needs
 	// more bandwidth than a VBR allocation tolerating small loss.
 	w := layeredTestWorkload(20000, 16)
@@ -191,7 +194,7 @@ func TestCBRvsVBRComparison(t *testing.T) {
 		}
 		return r.Pl, nil
 	}
-	vbr, err := MinCapacity(loss, w.MeanRate()*0.5, w.PeakRate()*1.05, LossTarget{Pl: 1e-3})
+	vbr, err := MinCapacityCtx(ctx, loss, w.MeanRate()*0.5, w.PeakRate()*1.05, LossTarget{Pl: 1e-3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package queue
 
 import (
+	"context"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -129,13 +130,14 @@ func TestGoldenWorkloads(t *testing.T) {
 // six lag combinations drawn, simulated and averaged, at both
 // granularities, bit for bit.
 func TestGoldenAverageLoss(t *testing.T) {
+	ctx := context.Background()
 	m := goldenMux(t)
 	capacity := m.Trace.MeanRate() * 3 * 1.1
 	if bits := math.Float64bits(capacity); bits != goldenCapacityBits {
 		t.Fatalf("capacity bits = %#x, want %#x (trace generation changed?)", bits, uint64(goldenCapacityBits))
 	}
 
-	r, err := m.AverageLoss(capacity, 60000, false, Options{WindowIntervals: 500})
+	r, err := m.AverageLossCtx(ctx, capacity, 60000, false, Options{WindowIntervals: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +159,7 @@ func TestGoldenAverageLoss(t *testing.T) {
 		check("window loss", r.WindowLoss[i], want)
 	}
 
-	rs, err := m.AverageLoss(capacity, 60000, true, Options{})
+	rs, err := m.AverageLossCtx(ctx, capacity, 60000, true, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -241,18 +241,13 @@ func (m *Mux) workloads(useSlices bool) ([]Workload, error) {
 // panics; it is never set in production code.
 var comboFailHook func(combo int) error
 
-// AverageLoss runs the fluid simulation over Combos lag combinations and
-// returns the mean overall and worst-errored-second loss rates, plus the
-// per-window loss series of the first combination when requested.
-func (m *Mux) AverageLoss(capacityBps, bufferBytes float64, useSlices bool, opts Options) (*Result, error) {
-	return m.AverageLossCtx(context.Background(), capacityBps, bufferBytes, useSlices, opts)
-}
-
-// AverageLossCtx is AverageLoss with cancellation and panic-safe
-// parallelism: the lag combinations run concurrently across worker
-// goroutines, a combination that fails or panics is excluded, and the
-// averages are taken over the survivors (per-combo failures are reported
-// in Result.ComboErrors). It fails outright only when the context is
+// AverageLossCtx runs the fluid simulation over Combos lag combinations
+// and returns the mean overall and worst-errored-second loss rates, plus
+// the per-window loss series of the first combination when requested.
+// The lag combinations run concurrently across worker goroutines, a
+// combination that fails or panics is excluded, and the averages are
+// taken over the survivors (per-combo failures are reported in
+// Result.ComboErrors). It fails outright only when the context is
 // cancelled or every combination failed.
 func (m *Mux) AverageLossCtx(ctx context.Context, capacityBps, bufferBytes float64, useSlices bool, opts Options) (*Result, error) {
 	ws, err := m.workloads(useSlices)

@@ -1,6 +1,7 @@
 package queue
 
 import (
+	"context"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -11,12 +12,13 @@ import (
 
 // testTrace builds a small synthetic trace with slice data for mux tests.
 func testTrace(t testing.TB, frames int) *trace.Trace {
+	ctx := context.Background()
 	t.Helper()
 	cfg := synth.DefaultConfig()
 	cfg.Frames = frames
 	cfg.SlicesPerFrame = 6
 	cfg.MeanSceneFrames = 48
-	tr, err := synth.Generate(cfg)
+	tr, err := synth.Generate(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,13 +150,14 @@ func TestCombos(t *testing.T) {
 }
 
 func TestAverageLossSmoke(t *testing.T) {
+	ctx := context.Background()
 	tr := testTrace(t, 2000)
 	m, err := NewMuxFromConfig(MuxConfig{Trace: tr, N: 3, MinLagFrames: 100, Seed: 13})
 	if err != nil {
 		t.Fatal(err)
 	}
 	mean := tr.MeanRate() * 3
-	r, err := m.AverageLoss(mean*1.02, 50000, true, Options{WindowIntervals: 600})
+	r, err := m.AverageLossCtx(ctx, mean*1.02, 50000, true, Options{WindowIntervals: 600})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +168,7 @@ func TestAverageLossSmoke(t *testing.T) {
 		t.Error("window series missing")
 	}
 	// Higher capacity must not lose more.
-	r2, err := m.AverageLoss(mean*1.5, 50000, true, Options{})
+	r2, err := m.AverageLossCtx(ctx, mean*1.5, 50000, true, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,6 +178,7 @@ func TestAverageLossSmoke(t *testing.T) {
 }
 
 func TestStatisticalMultiplexingGainAppears(t *testing.T) {
+	ctx := context.Background()
 	// The paper's central result: per-source capacity needed at a loss
 	// target falls as N grows.
 	tr := testTrace(t, 4000)
@@ -189,13 +193,13 @@ func TestStatisticalMultiplexingGainAppears(t *testing.T) {
 		peak := tr.PeakRate() * float64(n) * 1.05
 		lossAt := func(c float64) (float64, error) {
 			q := 0.01 * c / 8 // T_max = 10 ms
-			r, err := m.AverageLoss(c, q, false, Options{})
+			r, err := m.AverageLossCtx(ctx, c, q, false, Options{})
 			if err != nil {
 				return 0, err
 			}
 			return r.Pl, nil
 		}
-		c, err := MinCapacity(lossAt, mean*0.6, peak, target)
+		c, err := MinCapacityCtx(ctx, lossAt, mean*0.6, peak, target)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,12 +216,13 @@ func TestStatisticalMultiplexingGainAppears(t *testing.T) {
 }
 
 func TestQCCurveShape(t *testing.T) {
+	ctx := context.Background()
 	tr := testTrace(t, 3000)
 	m, err := NewMuxFromConfig(MuxConfig{Trace: tr, N: 2, MinLagFrames: 300, Seed: 19})
 	if err != nil {
 		t.Fatal(err)
 	}
-	points, err := QCCurve(QCCurveConfig{
+	points, err := QCCurveCtx(ctx, QCCurveConfig{
 		Mux:      m,
 		Target:   LossTarget{Pl: 1e-3},
 		TmaxGrid: []float64{0.001, 0.004, 0.016, 0.064, 0.25},
@@ -234,17 +239,18 @@ func TestQCCurveShape(t *testing.T) {
 			t.Errorf("Q-C curve not decreasing at %v", points[i].TmaxSec)
 		}
 	}
-	if _, err := QCCurve(QCCurveConfig{Mux: m}); err == nil {
+	if _, err := QCCurveCtx(ctx, QCCurveConfig{Mux: m}); err == nil {
 		t.Error("empty grid should fail")
 	}
-	if _, err := QCCurve(QCCurveConfig{TmaxGrid: []float64{1}}); err == nil {
+	if _, err := QCCurveCtx(ctx, QCCurveConfig{TmaxGrid: []float64{1}}); err == nil {
 		t.Error("nil mux should fail")
 	}
 }
 
 func TestSMGAndRealizedGain(t *testing.T) {
+	ctx := context.Background()
 	tr := testTrace(t, 3000)
-	points, err := SMG(SMGConfig{
+	points, err := SMGCtx(ctx, SMGConfig{
 		NewMux: func(n int) (Aggregator, error) {
 			return NewMuxFromConfig(MuxConfig{Trace: tr, N: n, MinLagFrames: 300, Seed: 23})
 		},
@@ -270,7 +276,7 @@ func TestSMGAndRealizedGain(t *testing.T) {
 	if gain < 0.2 || gain > 1.05 {
 		t.Errorf("realized gain %v implausible", gain)
 	}
-	if _, err := SMG(SMGConfig{Ns: []int{1}}); err == nil {
+	if _, err := SMGCtx(ctx, SMGConfig{Ns: []int{1}}); err == nil {
 		t.Error("nil factory should fail")
 	}
 }

@@ -28,6 +28,7 @@ func scopedCtx(t *testing.T) (context.Context, *obs.Registry) {
 // making a completion-order bug — e.g. taking the series from whichever
 // result lands first — deterministic instead of a rare flake.
 func TestAverageLossWindowSeriesFromFirstCombo(t *testing.T) {
+	ctx := context.Background()
 	tr := testTrace(t, 2000)
 	m, err := NewMuxFromConfig(MuxConfig{Trace: tr, N: 3, MinLagFrames: 100, Seed: 13}) // N=3 → 6 combos
 	if err != nil {
@@ -55,7 +56,7 @@ func TestAverageLossWindowSeriesFromFirstCombo(t *testing.T) {
 
 	mean := tr.MeanRate() * 3
 	capBps, buf := mean*1.02, 50000.0
-	r, err := m.AverageLoss(capBps, buf, true, Options{WindowIntervals: 600})
+	r, err := m.AverageLossCtx(ctx, capBps, buf, true, Options{WindowIntervals: 600})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,7 +82,7 @@ type Result struct {
 	WindowLoss []float64
 	// CombosTotal/CombosUsed report graceful degradation of a
 	// multiplexer average: how many lag combinations were attempted and
-	// how many survived to be averaged. Zero outside AverageLoss runs.
+	// how many survived to be averaged. Zero outside AverageLossCtx runs.
 	CombosTotal int
 	CombosUsed  int
 	// ComboErrors lists the failures of excluded lag combinations.

@@ -1,6 +1,7 @@
 package queue
 
 import (
+	"context"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -364,11 +365,12 @@ func TestZeroLossExactMatchesSimulationProperty(t *testing.T) {
 }
 
 func TestMinCapacityBisection(t *testing.T) {
+	ctx := context.Background()
 	// Synthetic monotone loss curve: loss = max(0, 1 - c/1e6).
 	loss := func(c float64) (float64, error) {
 		return math.Max(0, 1-c/1e6), nil
 	}
-	c, err := MinCapacity(loss, 1e5, 2e6, LossTarget{Pl: 0.25})
+	c, err := MinCapacityCtx(ctx, loss, 1e5, 2e6, LossTarget{Pl: 0.25})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +378,7 @@ func TestMinCapacityBisection(t *testing.T) {
 		t.Errorf("capacity %v, want 750000", c)
 	}
 	// Zero-loss target.
-	c0, err := MinCapacity(loss, 1e5, 2e6, LossTarget{Pl: 0})
+	c0, err := MinCapacityCtx(ctx, loss, 1e5, 2e6, LossTarget{Pl: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,15 +386,15 @@ func TestMinCapacityBisection(t *testing.T) {
 		t.Errorf("zero-loss capacity %v, want 1e6", c0)
 	}
 	// Unreachable target.
-	if _, err := MinCapacity(loss, 1e5, 5e5, LossTarget{Pl: 0.1}); err == nil {
+	if _, err := MinCapacityCtx(ctx, loss, 1e5, 5e5, LossTarget{Pl: 0.1}); err == nil {
 		t.Error("unreachable target should fail")
 	}
 	// Already satisfied at lower bound.
-	cl, err := MinCapacity(loss, 1.5e6, 2e6, LossTarget{Pl: 0.5})
+	cl, err := MinCapacityCtx(ctx, loss, 1.5e6, 2e6, LossTarget{Pl: 0.5})
 	if err != nil || cl != 1.5e6 {
 		t.Errorf("lower-bound shortcut: %v %v", cl, err)
 	}
-	if _, err := MinCapacity(loss, -1, 1e6, LossTarget{}); err == nil {
+	if _, err := MinCapacityCtx(ctx, loss, -1, 1e6, LossTarget{}); err == nil {
 		t.Error("bad bracket should fail")
 	}
 }

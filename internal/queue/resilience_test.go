@@ -66,6 +66,7 @@ func TestNewMuxSpacingBoundary(t *testing.T) {
 // --- panic-safe combo averaging (graceful degradation) ---
 
 func TestAverageLossComboFailuresDegradeGracefully(t *testing.T) {
+	ctx := context.Background()
 	tr := testTrace(t, 2000)
 	m, err := NewMuxFromConfig(MuxConfig{Trace: tr, N: 3, MinLagFrames: 100, Seed: 13}) // N=3 → 6 combos
 	if err != nil {
@@ -84,7 +85,7 @@ func TestAverageLossComboFailuresDegradeGracefully(t *testing.T) {
 	}
 	defer func() { comboFailHook = nil }()
 
-	r, err := m.AverageLoss(mean*1.02, 50000, true, Options{})
+	r, err := m.AverageLossCtx(ctx, mean*1.02, 50000, true, Options{})
 	if err != nil {
 		t.Fatalf("average with 4 surviving combos failed outright: %v", err)
 	}
@@ -132,6 +133,7 @@ func TestAverageLossComboFailuresDegradeGracefully(t *testing.T) {
 }
 
 func TestAverageLossAllCombosFailed(t *testing.T) {
+	ctx := context.Background()
 	tr := testTrace(t, 2000)
 	m, err := NewMuxFromConfig(MuxConfig{Trace: tr, N: 3, MinLagFrames: 100, Seed: 13})
 	if err != nil {
@@ -140,7 +142,7 @@ func TestAverageLossAllCombosFailed(t *testing.T) {
 	comboFailHook = func(c int) error { return fmt.Errorf("combo %d down", c) }
 	defer func() { comboFailHook = nil }()
 
-	_, err = m.AverageLoss(tr.MeanRate()*3, 50000, true, Options{})
+	_, err = m.AverageLossCtx(ctx, tr.MeanRate()*3, 50000, true, Options{})
 	if !errors.Is(err, errs.ErrAllCombosFailed) {
 		t.Fatalf("got %v, want ErrAllCombosFailed", err)
 	}
@@ -330,14 +332,16 @@ func TestFaultValidation(t *testing.T) {
 // --- capacity search: resume, cancellation, unreachable targets ---
 
 func TestMinCapacityTargetUnreachable(t *testing.T) {
+	ctx := context.Background()
 	loss := func(c float64) (float64, error) { return 0.5, nil } // lossy at any capacity
-	_, err := MinCapacity(loss, 1e6, 1e7, LossTarget{Pl: 1e-3})
+	_, err := MinCapacityCtx(ctx, loss, 1e6, 1e7, LossTarget{Pl: 1e-3})
 	if !errors.Is(err, errs.ErrTargetUnreachable) {
 		t.Fatalf("got %v, want ErrTargetUnreachable", err)
 	}
 }
 
 func TestQCCurveResumeSkipsCompletedPoints(t *testing.T) {
+	ctx := context.Background()
 	tr := testTrace(t, 2000)
 	m, err := NewMuxFromConfig(MuxConfig{Trace: tr, N: 2, MinLagFrames: 100, Seed: 19})
 	if err != nil {
@@ -345,7 +349,7 @@ func TestQCCurveResumeSkipsCompletedPoints(t *testing.T) {
 	}
 	grid := []float64{0.002, 0.01, 0.05}
 	cfg := QCCurveConfig{Mux: m, Target: LossTarget{Pl: 1e-3}, TmaxGrid: grid}
-	full, err := QCCurve(cfg)
+	full, err := QCCurveCtx(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +357,7 @@ func TestQCCurveResumeSkipsCompletedPoints(t *testing.T) {
 	// sentinel value that a real search could never produce: if the value
 	// survives, the point was genuinely skipped rather than recomputed.
 	cfg.Resume = []QCPoint{{TmaxSec: 0.002, PerSourceBps: -1}, {TmaxSec: 0.01, PerSourceBps: full[1].PerSourceBps}}
-	resumed, err := QCCurve(cfg)
+	resumed, err := QCCurveCtx(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -167,11 +167,6 @@ func (m *SourceMux) RateEnvelope() (meanBps, peakBps float64, err error) {
 	return meanBps, peakBps, nil
 }
 
-// AverageLoss is AverageLossCtx without cancellation.
-func (m *SourceMux) AverageLoss(capacityBps, bufferBytes float64, opts Options) (*Result, error) {
-	return m.AverageLossCtx(context.Background(), capacityBps, bufferBytes, false, opts)
-}
-
 // AverageLossCtx implements Aggregator: the fluid simulation over the
 // replications' workloads, averaged over survivors. Zoo sources supply
 // frames, not slices, so useSlices must be false.

@@ -64,6 +64,7 @@ func TestSourceMuxValidation(t *testing.T) {
 // two muxes built from the same spec and seed must produce bitwise
 // identical loss results, and a different seed must not.
 func TestSourceMuxDeterminism(t *testing.T) {
+	ctx := context.Background()
 	build := func(seed uint64) *SourceMux {
 		t.Helper()
 		m, err := NewSourceMuxFromConfig(SourceMuxConfig{
@@ -85,11 +86,11 @@ func TestSourceMuxDeterminism(t *testing.T) {
 		t.Fatalf("degenerate envelope mean=%v peak=%v", mean, peak)
 	}
 	capacity := (mean + peak) / 2
-	r1, err := m1.AverageLoss(capacity, 20000, Options{})
+	r1, err := m1.AverageLossCtx(ctx, capacity, 20000, false, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := m2.AverageLoss(capacity, 20000, Options{})
+	r2, err := m2.AverageLossCtx(ctx, capacity, 20000, false, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestSourceMuxDeterminism(t *testing.T) {
 		math.Float64bits(r1.TotalBytes) != math.Float64bits(r2.TotalBytes) {
 		t.Errorf("same seed diverged: Pl %v vs %v, bytes %v vs %v", r1.Pl, r2.Pl, r1.TotalBytes, r2.TotalBytes)
 	}
-	r3, err := m3.AverageLoss(capacity, 20000, Options{})
+	r3, err := m3.AverageLossCtx(ctx, capacity, 20000, false, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,6 +140,7 @@ func TestSourceMuxCancellation(t *testing.T) {
 // per-source allocation must be finite, above the per-source mean and
 // non-increasing in the buffer delay.
 func TestQCCurveOverSourceMux(t *testing.T) {
+	ctx := context.Background()
 	m, err := NewSourceMuxFromConfig(SourceMuxConfig{
 		Sources: zooPopulation(t, "poisson:rate=2e6,fps=24*2+onoff:rate=1e6,peak=6e6,fps=24*2", uint64(1994)),
 		Frames:  4096,
@@ -148,7 +150,7 @@ func TestQCCurveOverSourceMux(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	points, err := QCCurve(QCCurveConfig{
+	points, err := QCCurveCtx(ctx, QCCurveConfig{
 		Mux:      m,
 		Target:   LossTarget{Pl: 1e-2},
 		TmaxGrid: []float64{0.002, 0.032, 0.512},

@@ -52,7 +52,7 @@ func TestRunPanicAndErrorSurvivors(t *testing.T) {
 		t.Fatalf("got %d survivors, %d failures; want 4 and 2", len(ok), len(failed))
 	}
 
-	// Average over the survivors, the Mux.AverageLoss degradation mode.
+	// Average over the survivors, the Mux.AverageLossCtx degradation mode.
 	var sum float64
 	for _, r := range ok {
 		sum += r.Value

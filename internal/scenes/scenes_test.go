@@ -1,6 +1,7 @@
 package scenes
 
 import (
+	"context"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -132,6 +133,7 @@ func TestMatchStats(t *testing.T) {
 }
 
 func TestDetectOnSyntheticMovie(t *testing.T) {
+	ctx := context.Background()
 	// End-to-end against the generator's ground truth: the synthetic
 	// movie has known scene boundaries; the detector should recover a
 	// solid fraction of the larger cuts without drowning in false
@@ -145,7 +147,7 @@ func TestDetectOnSyntheticMovie(t *testing.T) {
 	// level shifts the detector rightly reports but the ground-truth cut
 	// list does not contain; exclude them from the precision evaluation.
 	cfg.DialogueProb = 0
-	z, truth, err := synth.ActivityProcess(cfg)
+	z, truth, err := synth.ActivityProcess(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"vbr/internal/backend"
 	"vbr/internal/queue"
 	"vbr/internal/stream"
 )
@@ -34,8 +35,9 @@ func newTestServer(t *testing.T, cfg Config) *httptest.Server {
 // wantFrames regenerates the reference series a trace request should
 // have served.
 func wantFrames(t *testing.T, cfg stream.Config) []float64 {
+	ctx := context.Background()
 	t.Helper()
-	src, err := stream.Open(cfg)
+	src, err := stream.OpenCtx(ctx, cfg)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -63,7 +65,7 @@ func TestTraceNDJSON(t *testing.T) {
 		t.Errorf("X-Vbr-Frames %q", got)
 	}
 	want := wantFrames(t, stream.Config{
-		Model: PaperDefault, N: 2000, BlockSize: 256, Seed: 3, Backend: stream.Hosking,
+		Model: PaperDefault, N: 2000, BlockSize: 256, Seed: 3, Backend: backend.Hosking,
 	})
 	sc := bufio.NewScanner(resp.Body)
 	var got []float64
@@ -151,7 +153,7 @@ func TestTraceBinary(t *testing.T) {
 		t.Fatalf("body %d bytes, want %d", len(raw), 1500*8)
 	}
 	want := wantFrames(t, stream.Config{
-		Model: PaperDefault, N: 1500, Seed: 5, Backend: stream.DaviesHarte,
+		Model: PaperDefault, N: 1500, Seed: 5, Backend: backend.DaviesHarte,
 	})
 	for i := range want {
 		got := math.Float64frombits(binary.LittleEndian.Uint64(raw[i*8:]))
@@ -268,7 +270,7 @@ func TestSimulateGeneratedJob(t *testing.T) {
 
 	// The job must be the same simulation a direct caller would run.
 	frames := wantFrames(t, stream.Config{
-		Model: PaperDefault, N: 5000, Seed: 11, Backend: stream.DaviesHarte,
+		Model: PaperDefault, N: 5000, Seed: 11, Backend: backend.DaviesHarte,
 	})
 	want, err := queue.Simulate(
 		queue.Workload{Bytes: frames, Interval: 1.0 / 24},

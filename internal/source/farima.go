@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 
+	"vbr/internal/backend"
 	"vbr/internal/core"
 	"vbr/internal/stream"
 )
@@ -70,7 +71,7 @@ func newFarima(user Params, seed uint64) (Source, error) {
 		},
 		N:         n,
 		BlockSize: block,
-		Backend:   stream.DaviesHarte,
+		Backend:   backend.DaviesHarte,
 	}
 	if err := cfg.Model.Validate(); err != nil {
 		return nil, err

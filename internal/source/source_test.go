@@ -7,6 +7,7 @@ import (
 	"math"
 	"testing"
 
+	"vbr/internal/backend"
 	"vbr/internal/codec"
 	"vbr/internal/core"
 	"vbr/internal/errs"
@@ -352,6 +353,7 @@ func TestOnOffEnvelope(t *testing.T) {
 // path: the farima source must replay the stream package's
 // Davies–Harte output frame for frame.
 func TestFarimaMatchesStream(t *testing.T) {
+	ctx := context.Background()
 	const n = 8192
 	src, err := New("farima:n=8192,block=1024", 21)
 	if err != nil {
@@ -359,11 +361,11 @@ func TestFarimaMatchesStream(t *testing.T) {
 	}
 	got := collect(t, src, n)
 
-	st, err := stream.Open(stream.Config{
+	st, err := stream.OpenCtx(ctx, stream.Config{
 		Model:     core.Model{MuGamma: 27791, SigmaGamma: 6254, TailSlope: 12, Hurst: 0.8},
 		N:         n,
 		BlockSize: 1024,
-		Backend:   stream.DaviesHarte,
+		Backend:   backend.DaviesHarte,
 		Seed:      SubSeed(21, 0),
 	})
 	if err != nil {

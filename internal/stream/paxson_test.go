@@ -38,6 +38,7 @@ func TestPaxsonStreamMarginal(t *testing.T) {
 // intervals — the seams and the independent-chunk structure must not
 // move the estimate beyond sampling error.
 func TestPaxsonBlockAdapterVsBatch(t *testing.T) {
+	ctx := context.Background()
 	const n = 1 << 16
 	m := paperModel()
 	frames := collect(t, Config{Model: m, N: n, BlockSize: 4096, Overlap: 1024, Seed: 5, Backend: backend.Paxson})
@@ -45,8 +46,8 @@ func TestPaxsonBlockAdapterVsBatch(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Whittle(stream): %v", err)
 	}
-	batch, err := m.Generate(n, core.GenOptions{
-		Generator: backend.Paxson, TableSize: 10000, Standardize: true, Seed: 5,
+	batch, err := m.GenerateCtx(ctx, n, core.GenOptions{
+		Backend: backend.Paxson, TableSize: 10000, Standardize: true, Seed: 5,
 	})
 	if err != nil {
 		t.Fatalf("batch Generate: %v", err)
@@ -80,9 +81,10 @@ func TestPaxsonShortFinalBlock(t *testing.T) {
 // resolves to Paxson, and the resolution is visible via Backend() (the
 // value the HTTP layer echoes). Concrete backends pass through.
 func TestStreamAutoResolvesToPaxson(t *testing.T) {
+	ctx := context.Background()
 	cases := []struct {
-		in   Backend
-		want Backend
+		in   backend.Backend
+		want backend.Backend
 	}{
 		{backend.Auto, backend.Paxson},
 		{backend.Paxson, backend.Paxson},
@@ -90,12 +92,12 @@ func TestStreamAutoResolvesToPaxson(t *testing.T) {
 		{backend.Hosking, backend.Hosking},
 	}
 	for _, c := range cases {
-		s, err := Open(Config{Model: paperModel(), N: 64, Seed: 1, Backend: c.in})
+		s, err := OpenCtx(ctx, Config{Model: paperModel(), N: 64, Seed: 1, Backend: c.in})
 		if err != nil {
-			t.Fatalf("Open(%v): %v", c.in, err)
+			t.Fatalf("OpenCtx(%v): %v", c.in, err)
 		}
 		if got := s.Backend(); got != c.want {
-			t.Errorf("Open(%v).Backend() = %v, want %v", c.in, got, c.want)
+			t.Errorf("OpenCtx(%v).Backend() = %v, want %v", c.in, got, c.want)
 		}
 	}
 }
@@ -164,11 +166,11 @@ func TestPaxsonStreamIndependentOfDH(t *testing.T) {
 // TestPaxsonStreamBoundedMemory mirrors the Davies–Harte bound: the
 // stitched Paxson backend holds only chunk-sized state.
 func TestPaxsonStreamBoundedMemory(t *testing.T) {
-	s, err := Open(Config{Model: paperModel(), N: 200_000, BlockSize: 2048, Overlap: 512, Seed: 1, Backend: backend.Paxson})
+	ctx := context.Background()
+	s, err := OpenCtx(ctx, Config{Model: paperModel(), N: 200_000, BlockSize: 2048, Overlap: 512, Seed: 1, Backend: backend.Paxson})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
 	for {
 		if _, err := s.Next(ctx); err != nil {
 			break

@@ -20,10 +20,10 @@ func TestStreamPooledBitwise(t *testing.T) {
 		N:     6000, BlockSize: 512, Seed: 31,
 	}
 	ctx := context.Background()
-	for _, backend := range []Backend{Hosking, DaviesHarte} {
+	for _, bk := range []backend.Backend{backend.Hosking, backend.DaviesHarte} {
 		cfg := base
-		cfg.Backend = backend
-		cold, err := Open(cfg)
+		cfg.Backend = bk
+		cold, err := OpenCtx(ctx, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,16 +43,16 @@ func TestStreamPooledBitwise(t *testing.T) {
 				t.Fatal(err)
 			}
 			if len(got) != len(want) {
-				t.Fatalf("%v round %d: %d frames, want %d", backend, round, len(got), len(want))
+				t.Fatalf("%v round %d: %d frames, want %d", bk, round, len(got), len(want))
 			}
 			for i := range want {
 				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("%v round %d: frame %d differs", backend, round, i)
+					t.Fatalf("%v round %d: frame %d differs", bk, round, i)
 				}
 			}
 		}
 		if st := pool.Stats(); st.Hits == 0 {
-			t.Fatalf("%v: warm round never hit the pool: %+v", backend, st)
+			t.Fatalf("%v: warm round never hit the pool: %+v", bk, st)
 		}
 	}
 }

@@ -1,6 +1,6 @@
 // Package stream generates the paper's §4 source model incrementally:
 // instead of materializing a whole trace in memory (the batch
-// core.Model.Generate path), a BlockSource hands out frame-size blocks
+// core.Model.GenerateCtx path), a BlockSource hands out frame-size blocks
 // one at a time under bounded memory, which is what a long-running
 // serving daemon or an in-loop simulation consumer needs.
 //
@@ -45,38 +45,9 @@ import (
 	"vbr/internal/specfn"
 )
 
-// Backend selects the Gaussian engine behind a stream.
-//
-// Deprecated: Backend is the unified backend.Backend under its
-// historical name. New code should use backend.Backend (re-exported as
-// vbr.Backend) and its constants; the aliases remain so existing
-// callers keep compiling.
-type Backend = backend.Backend
-
-const (
-	// Hosking streams the paper's exact recursion; output is
-	// bitwise-identical to the batch generator (with Standardize off).
-	//
-	// Deprecated: use backend.Hosking (vbr.BackendHosking).
-	Hosking = backend.Hosking
-	// DaviesHarte streams independent circulant-embedding blocks with
-	// overlap stitching: O(block) memory, approximate seams.
-	//
-	// Deprecated: use backend.DaviesHarte (vbr.BackendDaviesHarte).
-	DaviesHarte = backend.DaviesHarte
-)
-
-// ParseBackend maps the CLI/API spelling to a Backend.
-//
-// Deprecated: use backend.Parse (vbr.ParseBackend), which this
-// forwards to.
-func ParseBackend(s string) (Backend, error) {
-	return backend.Parse(s)
-}
-
 // gaussStreamSalt is the PCG stream selector of the batch generator's
 // Gaussian stage (core.gaussianCtx); the Hosking backend must use the
-// same salt for its output to be bitwise-identical to Model.Generate.
+// same salt for its output to be bitwise-identical to Model.GenerateCtx.
 const gaussStreamSalt = 0x6a55
 
 // dhStreamSalt offsets the per-block PCG streams of the Davies–Harte
@@ -109,7 +80,7 @@ type Config struct {
 	// Seed drives all randomness; equal configs yield equal streams.
 	Seed uint64
 	// Backend selects the Gaussian engine.
-	Backend Backend
+	Backend backend.Backend
 	// Pool, when non-nil, serves the stream's seed-independent
 	// precomputations (Hosking coefficient schedule, the chunk engines'
 	// Davies–Harte eigenvalues or Paxson spectrum with its FFT plan,
@@ -213,11 +184,6 @@ const (
 	driftMinFrames  = 1 << 14
 	hurstDriftSigma = 5
 )
-
-// Open is equivalent to OpenCtx(context.Background(), cfg).
-func Open(cfg Config) (*Stream, error) {
-	return OpenCtx(context.Background(), cfg)
-}
 
 // OpenCtx builds a stream for cfg. The context bounds the setup work —
 // for a pooled Hosking stream that includes extending the shared

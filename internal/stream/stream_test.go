@@ -23,8 +23,9 @@ func paperModel() core.Model {
 }
 
 func collect(t *testing.T, cfg Config) []float64 {
+	ctx := context.Background()
 	t.Helper()
-	s, err := Open(cfg)
+	s, err := OpenCtx(ctx, cfg)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -47,15 +48,16 @@ func collect(t *testing.T, cfg Config) []float64 {
 // a whole-series operation by definition; the streamed pipeline is
 // otherwise the full Gaussian→Eq. 13 path.
 func TestHoskingStreamBitwiseMatchesBatch(t *testing.T) {
+	ctx := context.Background()
 	const n, seed = 3000, 7
 	m := paperModel()
-	batch, err := m.Generate(n, core.GenOptions{
-		Generator: core.HoskingExact, TableSize: 10000, Standardize: false, Seed: seed,
+	batch, err := m.GenerateCtx(ctx, n, core.GenOptions{
+		Backend: backend.Hosking, TableSize: 10000, Standardize: false, Seed: seed,
 	})
 	if err != nil {
 		t.Fatalf("batch Generate: %v", err)
 	}
-	streamed := collect(t, Config{Model: m, N: n, BlockSize: 256, Seed: seed, Backend: Hosking})
+	streamed := collect(t, Config{Model: m, N: n, BlockSize: 256, Seed: seed, Backend: backend.Hosking})
 	for i := range batch {
 		if math.Float64bits(batch[i]) != math.Float64bits(streamed[i]) {
 			t.Fatalf("frame %d differs: batch %v stream %v", i, batch[i], streamed[i])
@@ -68,9 +70,9 @@ func TestHoskingStreamBitwiseMatchesBatch(t *testing.T) {
 func TestHoskingStreamBlockSizeInvariance(t *testing.T) {
 	const n, seed = 1200, 3
 	m := paperModel()
-	ref := collect(t, Config{Model: m, N: n, BlockSize: n, Seed: seed, Backend: Hosking})
+	ref := collect(t, Config{Model: m, N: n, BlockSize: n, Seed: seed, Backend: backend.Hosking})
 	for _, bs := range []int{1, 97, 256, 5000} {
-		got := collect(t, Config{Model: m, N: n, BlockSize: bs, Seed: seed, Backend: Hosking})
+		got := collect(t, Config{Model: m, N: n, BlockSize: bs, Seed: seed, Backend: backend.Hosking})
 		for i := range ref {
 			if math.Float64bits(ref[i]) != math.Float64bits(got[i]) {
 				t.Fatalf("block size %d: frame %d differs (%v vs %v)", bs, i, got[i], ref[i])
@@ -84,7 +86,7 @@ func TestHoskingStreamBlockSizeInvariance(t *testing.T) {
 // because LRD correlation inflates the empirical-CDF deviation.
 func TestDaviesHarteStreamMarginal(t *testing.T) {
 	m := paperModel()
-	cfg := Config{Model: m, N: 1 << 16, BlockSize: 4096, Overlap: 1024, Seed: 11, Backend: DaviesHarte}
+	cfg := Config{Model: m, N: 1 << 16, BlockSize: 4096, Overlap: 1024, Seed: 11, Backend: backend.DaviesHarte}
 	frames := collect(t, cfg)
 	gp, err := m.Marginal()
 	if err != nil {
@@ -106,15 +108,16 @@ func TestDaviesHarteStreamMarginal(t *testing.T) {
 // against an equally long batch Davies–Harte run: stitching must not
 // move Ĥ beyond the combined confidence intervals.
 func TestDaviesHarteStreamHurst(t *testing.T) {
+	ctx := context.Background()
 	const n = 1 << 16
 	m := paperModel()
-	frames := collect(t, Config{Model: m, N: n, BlockSize: 4096, Overlap: 1024, Seed: 5, Backend: DaviesHarte})
+	frames := collect(t, Config{Model: m, N: n, BlockSize: 4096, Overlap: 1024, Seed: 5, Backend: backend.DaviesHarte})
 	ws, err := lrd.Whittle(frames)
 	if err != nil {
 		t.Fatalf("Whittle(stream): %v", err)
 	}
-	batch, err := m.Generate(n, core.GenOptions{
-		Generator: core.DaviesHarteFast, TableSize: 10000, Standardize: true, Seed: 5,
+	batch, err := m.GenerateCtx(ctx, n, core.GenOptions{
+		Backend: backend.DaviesHarte, TableSize: 10000, Standardize: true, Seed: 5,
 	})
 	if err != nil {
 		t.Fatalf("batch Generate: %v", err)
@@ -136,7 +139,7 @@ func TestDaviesHarteStreamHurst(t *testing.T) {
 // TestDaviesHarteShortFinalBlock: N not a multiple of the block size
 // must still drain exactly N frames.
 func TestDaviesHarteShortFinalBlock(t *testing.T) {
-	cfg := Config{Model: paperModel(), N: 10_000, BlockSize: 4096, Overlap: 512, Seed: 2, Backend: DaviesHarte}
+	cfg := Config{Model: paperModel(), N: 10_000, BlockSize: 4096, Overlap: 512, Seed: 2, Backend: backend.DaviesHarte}
 	frames := collect(t, cfg)
 	for i, f := range frames {
 		if math.IsNaN(f) || f < 0 {
@@ -153,12 +156,12 @@ func TestDaviesHarteBoundedMemory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("memory profile in -short mode")
 	}
+	ctx := context.Background()
 	const n, block = 400_000, 2048
-	s, err := Open(Config{Model: paperModel(), N: n, BlockSize: block, Overlap: 512, Seed: 9, Backend: DaviesHarte})
+	s, err := OpenCtx(ctx, Config{Model: paperModel(), N: n, BlockSize: block, Overlap: 512, Seed: 9, Backend: backend.DaviesHarte})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	ctx := context.Background()
 
 	var ms runtime.MemStats
 	runtime.GC()
@@ -207,8 +210,9 @@ func TestDaviesHarteBoundedMemory(t *testing.T) {
 // TestStreamCancellation: a cancelled context surfaces as
 // errs.ErrCancelled from both backends.
 func TestStreamCancellation(t *testing.T) {
-	for _, b := range []Backend{Hosking, DaviesHarte} {
-		s, err := Open(Config{Model: paperModel(), N: 50_000, BlockSize: 1024, Seed: 1, Backend: b})
+	ctx := context.Background()
+	for _, b := range []backend.Backend{backend.Hosking, backend.DaviesHarte} {
+		s, err := OpenCtx(ctx, Config{Model: paperModel(), N: 50_000, BlockSize: 1024, Seed: 1, Backend: b})
 		if err != nil {
 			t.Fatalf("%v: Open: %v", b, err)
 		}
@@ -227,8 +231,9 @@ func TestStreamCancellation(t *testing.T) {
 // TestStreamProbeTracksMoments: after a long Hosking stream the online
 // probe must sit near the model marginal and the configured H.
 func TestStreamProbeTracksMoments(t *testing.T) {
+	ctx := context.Background()
 	m := paperModel()
-	s, err := Open(Config{Model: m, N: 1 << 16, BlockSize: 4096, Seed: 13, Backend: DaviesHarte})
+	s, err := OpenCtx(ctx, Config{Model: m, N: 1 << 16, BlockSize: 4096, Seed: 13, Backend: backend.DaviesHarte})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -351,6 +356,7 @@ func TestMonitorZeroAlloc(t *testing.T) {
 }
 
 func TestConfigValidate(t *testing.T) {
+	ctx := context.Background()
 	base := Config{Model: paperModel(), N: 100}
 	cases := []struct {
 		name string
@@ -358,37 +364,37 @@ func TestConfigValidate(t *testing.T) {
 	}{
 		{"zero N", func(c *Config) { c.N = 0 }},
 		{"negative overlap", func(c *Config) { c.Overlap = -1 }},
-		{"overlap ≥ block (DH)", func(c *Config) { c.Backend = DaviesHarte; c.BlockSize = 64; c.Overlap = 64 }},
+		{"overlap ≥ block (DH)", func(c *Config) { c.Backend = backend.DaviesHarte; c.BlockSize = 64; c.Overlap = 64 }},
 		{"overlap ≥ block (Paxson)", func(c *Config) { c.Backend = backend.Paxson; c.BlockSize = 64; c.Overlap = 64 }},
 		{"overlap ≥ block (Auto)", func(c *Config) { c.Backend = backend.Auto; c.BlockSize = 64; c.Overlap = 64 }},
 		{"tiny table", func(c *Config) { c.TableSize = 1 }},
-		{"bad backend", func(c *Config) { c.Backend = Backend(99) }},
+		{"bad backend", func(c *Config) { c.Backend = backend.Backend(99) }},
 		{"bad model", func(c *Config) { c.Model.Hurst = 1.5 }},
 	}
 	for _, tc := range cases {
 		cfg := base
 		tc.mut(&cfg)
-		if _, err := Open(cfg); err == nil {
+		if _, err := OpenCtx(ctx, cfg); err == nil {
 			t.Errorf("%s: Open accepted invalid config", tc.name)
 		}
 	}
 	// An out-of-range backend must fail through the shared sentinel so
 	// CLI and HTTP classify it as a request error.
 	bad := base
-	bad.Backend = Backend(99)
-	if _, err := Open(bad); !errors.Is(err, errs.ErrUnknownBackend) {
+	bad.Backend = backend.Backend(99)
+	if _, err := OpenCtx(ctx, bad); !errors.Is(err, errs.ErrUnknownBackend) {
 		t.Errorf("Backend(99): got %v, want ErrUnknownBackend", err)
 	}
 }
 
 func TestBackendRoundTrip(t *testing.T) {
-	for _, b := range []Backend{Hosking, DaviesHarte, backend.Paxson, backend.Auto} {
-		got, err := ParseBackend(b.String())
+	for _, b := range []backend.Backend{backend.Hosking, backend.DaviesHarte, backend.Paxson, backend.Auto} {
+		got, err := backend.Parse(b.String())
 		if err != nil || got != b {
 			t.Errorf("round trip %v: got %v, %v", b, got, err)
 		}
 	}
-	if _, err := ParseBackend("fourier"); !errors.Is(err, errs.ErrUnknownBackend) {
-		t.Error("ParseBackend(junk) must fail with ErrUnknownBackend")
+	if _, err := backend.Parse("fourier"); !errors.Is(err, errs.ErrUnknownBackend) {
+		t.Error("backend.Parse(junk) must fail with ErrUnknownBackend")
 	}
 }

@@ -32,6 +32,7 @@
 package synth
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand/v2"
@@ -164,12 +165,13 @@ type Scene struct {
 	Dialogue bool
 }
 
-// Generate builds the synthetic VBR trace.
-func Generate(cfg Config) (*trace.Trace, error) {
+// Generate builds the synthetic VBR trace. The context reaches the fGn
+// backbone, so an exact Hosking run at paper scale stays cancellable.
+func Generate(ctx context.Context, cfg Config) (*trace.Trace, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	z, _, err := ActivityProcess(cfg)
+	z, _, err := ActivityProcess(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -195,8 +197,9 @@ func Generate(cfg Config) (*trace.Trace, error) {
 // ActivityProcess builds the standardized Gaussian activity series
 // (backbone + scene structure + story arc + effects) and the scene list.
 // It is exported separately so the codec package can drive procedural
-// frame rendering from the same process.
-func ActivityProcess(cfg Config) ([]float64, []Scene, error) {
+// frame rendering from the same process. Cancellation is checked by the
+// fGn backbone generator, the only stage that is not linear in n.
+func ActivityProcess(ctx context.Context, cfg Config) ([]float64, []Scene, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, nil, err
 	}
@@ -207,11 +210,11 @@ func ActivityProcess(cfg Config) ([]float64, []Scene, error) {
 	var err error
 	switch cfg.Backend.Resolve(n, false) {
 	case backend.Hosking:
-		backbone, err = fgn.Hosking(n, cfg.Hurst, rng)
+		backbone, err = fgn.HoskingCtx(ctx, n, cfg.Hurst, rng)
 	case backend.Paxson:
-		backbone, err = fgn.Paxson(n, cfg.Hurst, rng)
+		backbone, err = fgn.PaxsonCtx(ctx, n, cfg.Hurst, rng)
 	default:
-		backbone, err = fgn.DaviesHarte(n, cfg.Hurst, rng)
+		backbone, err = fgn.DaviesHarteCtx(ctx, n, cfg.Hurst, rng)
 	}
 	if err != nil {
 		return nil, nil, err
@@ -333,7 +336,7 @@ func storyArc(u float64) float64 {
 // the empirical tail in Fig. 4.
 //
 // The literal Φ-based transform of Eq. 13 lives in the model package
-// (core.Model.Generate), where its input really is Gaussian.
+// (core.Model.GenerateCtx), where its input really is Gaussian.
 func MarginalMap(z []float64, cfg Config) ([]float64, error) {
 	gp, err := dist.NewGammaParetoFromParams(dist.GammaParetoParams{MuGamma: cfg.MeanBytes, SigmaGamma: cfg.StdBytes, TailSlope: cfg.TailSlope})
 	if err != nil {

@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -45,8 +46,9 @@ func TestValidateConfig(t *testing.T) {
 }
 
 func TestGenerateShape(t *testing.T) {
+	ctx := context.Background()
 	cfg := smallConfig()
-	tr, err := Generate(cfg)
+	tr, err := Generate(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,11 +69,12 @@ func TestGenerateShape(t *testing.T) {
 }
 
 func TestGenerateCalibration(t *testing.T) {
+	ctx := context.Background()
 	// The headline check: the synthetic trace must land near Table 2.
 	cfg := DefaultConfig()
 	cfg.Frames = 60000 // ~42 min is enough to test calibration
 	cfg.SlicesPerFrame = 0
-	tr, err := Generate(cfg)
+	tr, err := Generate(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,9 +99,10 @@ func TestGenerateCalibration(t *testing.T) {
 }
 
 func TestGenerateIsLRD(t *testing.T) {
+	ctx := context.Background()
 	cfg := smallConfig()
 	cfg.SlicesPerFrame = 0
-	tr, err := Generate(cfg)
+	tr, err := Generate(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,9 +125,10 @@ func TestGenerateIsLRD(t *testing.T) {
 }
 
 func TestGenerateHeavyTail(t *testing.T) {
+	ctx := context.Background()
 	cfg := smallConfig()
 	cfg.SlicesPerFrame = 0
-	tr, err := Generate(cfg)
+	tr, err := Generate(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,9 +145,10 @@ func TestGenerateHeavyTail(t *testing.T) {
 }
 
 func TestEffectsCreateNamedPeaks(t *testing.T) {
+	ctx := context.Background()
 	cfg := smallConfig()
 	cfg.SlicesPerFrame = 0
-	tr, err := Generate(cfg)
+	tr, err := Generate(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,9 +171,10 @@ func TestEffectsCreateNamedPeaks(t *testing.T) {
 }
 
 func TestStoryArcVisibleInMovingAverage(t *testing.T) {
+	ctx := context.Background()
 	cfg := smallConfig()
 	cfg.SlicesPerFrame = 0
-	tr, err := Generate(cfg)
+	tr, err := Generate(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,13 +194,14 @@ func TestStoryArcVisibleInMovingAverage(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
+	ctx := context.Background()
 	cfg := smallConfig()
 	cfg.Frames = 5000
-	a, err := Generate(cfg)
+	a, err := Generate(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Generate(cfg)
+	b, err := Generate(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +211,7 @@ func TestDeterminism(t *testing.T) {
 		}
 	}
 	cfg.Seed++
-	c, err := Generate(cfg)
+	c, err := Generate(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,9 +228,10 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestScenesPartition(t *testing.T) {
+	ctx := context.Background()
 	cfg := smallConfig()
 	cfg.Frames = 20000
-	_, scenes, err := ActivityProcess(cfg)
+	_, scenes, err := ActivityProcess(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,9 +265,10 @@ func TestScenesPartition(t *testing.T) {
 }
 
 func TestActivityProcessStandardized(t *testing.T) {
+	ctx := context.Background()
 	cfg := smallConfig()
 	cfg.Frames = 20000
-	z, _, err := ActivityProcess(cfg)
+	z, _, err := ActivityProcess(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,18 +24,19 @@
 //
 // # Context-first convention
 //
-// Every operation that can run long takes a context in its primary,
-// ...Ctx-suffixed form (FitCtx, Model.GenerateCtx, OpenStreamCtx,
-// QCCurveCtx, ...): cancellation and deadlines propagate into the
-// O(n²) recursions and simulation sweeps, and the context's obs scope
-// collects metrics. The context-free spellings remain for call sites
-// that genuinely have no context, and each is equivalent to calling
-// its Ctx form with context.Background().
+// Every operation that can run long has exactly one entry point, and it
+// takes a context as its first argument (GenerateMovie, FitCtx,
+// Model.GenerateCtx, OpenStreamCtx, QCCurveCtx, ...): cancellation and
+// deadlines propagate into the O(n²) recursions and simulation sweeps,
+// and the context's obs scope collects metrics. There are no
+// context-free spellings, so a caller holding a context cannot drop it
+// by accident; a program makes its root context once, in main. Names
+// that once had a context-free twin keep their Ctx suffix.
 //
 // Quick start:
 //
-//	ctx := context.Background()
-//	tr, err := vbr.GenerateMovie(vbr.DefaultMovieConfig()) // empirical substitute
+//	ctx := context.Background() // in main; elsewhere, pass the caller's
+//	tr, err := vbr.GenerateMovie(ctx, vbr.DefaultMovieConfig()) // empirical substitute
 //	model, err := vbr.FitCtx(ctx, tr.Frames, vbr.DefaultFitOptions())
 //	frames, err := model.GenerateCtx(ctx, 171000, vbr.DefaultGenOptions())
 //
@@ -91,8 +92,11 @@ type MovieEffect = synth.Effect
 // DefaultMovieConfig is calibrated to Tables 1–2 of the paper.
 func DefaultMovieConfig() MovieConfig { return synth.DefaultConfig() }
 
-// GenerateMovie synthesizes the empirical-substitute VBR trace.
-func GenerateMovie(cfg MovieConfig) (*Trace, error) { return synth.Generate(cfg) }
+// GenerateMovie synthesizes the empirical-substitute VBR trace; the
+// context reaches the activity backbone's fGn generator.
+func GenerateMovie(ctx context.Context, cfg MovieConfig) (*Trace, error) {
+	return synth.Generate(ctx, cfg)
+}
 
 // Model is the paper's four-parameter VBR video source model
 // (μ_Γ, σ_Γ, m_T, H).
@@ -111,9 +115,6 @@ func DefaultFitOptions() FitOptions { return core.DefaultFitOptions() }
 func FitCtx(ctx context.Context, frames []float64, opts FitOptions) (Model, error) {
 	return core.FitCtx(ctx, frames, opts)
 }
-
-// Fit is equivalent to FitCtx(context.Background(), ...).
-func Fit(frames []float64, opts FitOptions) (Model, error) { return core.Fit(frames, opts) }
 
 // GenOptions controls synthetic traffic generation, including the
 // optional Pool that shares precomputations across calls.
@@ -144,19 +145,6 @@ const (
 // "paxson", "auto" and common aliases) to its Backend; unknown names
 // return an error matching ErrUnknownBackend.
 func ParseBackend(s string) (Backend, error) { return backend.Parse(s) }
-
-// Generator selects the LRD Gaussian engine.
-//
-// Deprecated: Generator is an alias of Backend kept for source
-// compatibility; use Backend.
-type Generator = core.Generator
-
-// Deprecated generator spellings; use BackendHosking and
-// BackendDaviesHarte.
-const (
-	HoskingExact    = core.HoskingExact
-	DaviesHarteFast = core.DaviesHarteFast
-)
 
 // DefaultGenOptions mirrors the paper's generation procedure (Hosking,
 // 10,000-point marginal table).
@@ -282,14 +270,20 @@ type QCPoint = queue.QCPoint
 // QCCurveConfig parameterizes a Q–C sweep.
 type QCCurveConfig = queue.QCCurveConfig
 
-// QCCurve computes a Fig. 14 curve.
-func QCCurve(cfg QCCurveConfig) ([]QCPoint, error) { return queue.QCCurve(cfg) }
+// QCCurveCtx computes a Fig. 14 curve under a context: cancellation
+// returns the completed points alongside an error matching ErrCancelled,
+// and cfg.Resume skips grid points carried over from a previous partial
+// run.
+func QCCurveCtx(ctx context.Context, cfg QCCurveConfig) ([]QCPoint, error) {
+	return queue.QCCurveCtx(ctx, cfg)
+}
 
-// MinCapacityFn bisects for the minimum capacity meeting a loss target,
-// given any monotone loss(capacity) function — the primitive under
-// QCCurve and SMG, exported for custom allocation studies.
-func MinCapacityFn(loss func(capacityBps float64) (float64, error), loBps, hiBps float64, target LossTarget) (float64, error) {
-	return queue.MinCapacity(loss, loBps, hiBps, target)
+// MinCapacityFnCtx bisects for the minimum capacity meeting a loss
+// target, given any monotone loss(capacity) function — the primitive
+// under QCCurveCtx and SMGCtx, exported for custom allocation studies.
+// The context is checked between bisection iterations.
+func MinCapacityFnCtx(ctx context.Context, loss func(capacityBps float64) (float64, error), loBps, hiBps float64, target LossTarget) (float64, error) {
+	return queue.MinCapacityCtx(ctx, loss, loBps, hiBps, target)
 }
 
 // Knee locates a Q–C curve's knee, the paper's natural operating point.
@@ -302,8 +296,11 @@ type (
 	SMGConfig = queue.SMGConfig
 )
 
-// SMG computes required per-source allocation against N (Fig. 15).
-func SMG(cfg SMGConfig) ([]SMGPoint, error) { return queue.SMG(cfg) }
+// SMGCtx computes required per-source allocation against N (Fig. 15)
+// under a context.
+func SMGCtx(ctx context.Context, cfg SMGConfig) ([]SMGPoint, error) {
+	return queue.SMGCtx(ctx, cfg)
+}
 
 // RealizedGain is the fraction of peak-to-mean gain achieved (72% at
 // N = 5 in the paper).
@@ -316,11 +313,11 @@ func RealizedGain(perSourceBps, peakBps, meanBps float64) (float64, error) {
 
 // ARMA is a stationary ARMA(p, q) short-range filter; composing it with
 // the model's LRD backbone yields fractional ARIMA(p, d, q) traffic
-// (Model.GenerateWithARMA) — the §4 "ARMA filter" augmentation.
+// (Model.GenerateWithARMACtx) — the §4 "ARMA filter" augmentation.
 type ARMA = arma.Model
 
 // MarkovChain is a level-modulating Markov chain for scene-like
-// short-range structure (Model.GenerateMarkovModulated).
+// short-range structure (Model.GenerateMarkovModulatedCtx).
 type MarkovChain = arma.MarkovChain
 
 // SceneChain builds a three-state quiet/normal/action chain with the
@@ -400,11 +397,12 @@ func SceneCuts(frames []float64, cfg SceneConfig) ([]int, error) {
 // ------------------------------------------------------------------
 // Resilient execution: error taxonomy, cancellation, fault injection.
 //
-// Long-running entry points have context-aware variants on their own
-// types (Model.GenerateCtx, Mux.AverageLossCtx, QCCurveCtx below); the
-// plain forms are equivalent to passing context.Background(). Failures
-// across the package wrap the sentinel errors re-exported here, so
-// callers classify them with errors.Is rather than string matching.
+// Long-running entry points, on this package and on the aliased types
+// (Model.GenerateCtx, Mux.AverageLossCtx, QCCurveCtx above), take the
+// caller's context and stop promptly when it is cancelled, returning an
+// error matching ErrCancelled. Failures across the package wrap the
+// sentinel errors re-exported here, so callers classify them with
+// errors.Is rather than string matching.
 // The panic-isolating parallel runner (internal/runner) is generic and
 // cannot be re-exported as a type alias under this module's Go version;
 // its behavior surfaces through SimResult-style combo error reporting
@@ -428,25 +426,6 @@ var (
 	ErrUnknownBackend     = errs.ErrUnknownBackend
 )
 
-// QCCurveCtx computes a Fig. 14 curve under a context: cancellation
-// returns the completed points alongside an error matching ErrCancelled,
-// and cfg.Resume skips grid points carried over from a previous partial
-// run.
-func QCCurveCtx(ctx context.Context, cfg QCCurveConfig) ([]QCPoint, error) {
-	return queue.QCCurveCtx(ctx, cfg)
-}
-
-// SMGCtx computes the Fig. 15 analysis under a context.
-func SMGCtx(ctx context.Context, cfg SMGConfig) ([]SMGPoint, error) {
-	return queue.SMGCtx(ctx, cfg)
-}
-
-// MinCapacityFnCtx is MinCapacityFn under a context, checked between
-// bisection iterations.
-func MinCapacityFnCtx(ctx context.Context, loss func(capacityBps float64) (float64, error), loBps, hiBps float64, target LossTarget) (float64, error) {
-	return queue.MinCapacityCtx(ctx, loss, loBps, hiBps, target)
-}
-
 // FaultEpisode is one capacity-degradation or outage episode of a
 // deterministic server fault schedule.
 type FaultEpisode = queue.FaultEpisode
@@ -469,20 +448,6 @@ func GenerateFaults(seed uint64, n int, cfg FaultConfig) (*FaultSchedule, error)
 // backend. Zero tuning fields select defaults.
 type StreamConfig = stream.Config
 
-// StreamBackend selects the Gaussian engine behind a stream.
-//
-// Deprecated: StreamBackend is an alias of Backend kept for source
-// compatibility; use Backend.
-type StreamBackend = stream.Backend
-
-// Deprecated stream-backend spellings; use BackendHosking and
-// BackendDaviesHarte (streams also accept BackendPaxson and
-// BackendAuto).
-const (
-	StreamHosking     = stream.Hosking
-	StreamDaviesHarte = stream.DaviesHarte
-)
-
 // BlockSource produces consecutive frame-size blocks under bounded
 // memory; the returned slice is valid only until the next call.
 type BlockSource = stream.BlockSource
@@ -501,9 +466,6 @@ type StreamProbe = stream.Probe
 func OpenStreamCtx(ctx context.Context, cfg StreamConfig) (*Stream, error) {
 	return stream.OpenCtx(ctx, cfg)
 }
-
-// OpenStream is equivalent to OpenStreamCtx(context.Background(), cfg).
-func OpenStream(cfg StreamConfig) (*Stream, error) { return stream.Open(cfg) }
 
 // CollectStream drains a BlockSource into one materialized series, for
 // consumers that need the whole trace at once.
@@ -590,5 +552,5 @@ func NewGenPool(maxBytes int64) *GenPool { return genpool.New(maxBytes) }
 
 // BatchSeed derives the seed of trace i in a Model.GenerateBatch run
 // from the batch seed, so any single batch member can be regenerated
-// solo with Generate.
+// solo with GenerateCtx.
 func BatchSeed(base uint64, i int) uint64 { return core.BatchSeed(base, i) }

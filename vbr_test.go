@@ -12,10 +12,11 @@ import (
 // through the facade: movie generation → summary → fit → generate →
 // Hurst estimation → multiplexed queueing → capacity planning.
 func TestPublicAPIEndToEnd(t *testing.T) {
+	ctx := context.Background()
 	cfg := DefaultMovieConfig()
 	cfg.Frames = 12000
 	cfg.MeanSceneFrames = 96
-	tr, err := GenerateMovie(cfg)
+	tr, err := GenerateMovie(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +29,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Errorf("mean %v", s.Mean)
 	}
 
-	model, err := Fit(tr.Frames, DefaultFitOptions())
+	model, err := FitCtx(ctx, tr.Frames, DefaultFitOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,8 +38,8 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 
 	opts := DefaultGenOptions()
-	opts.Generator = DaviesHarteFast
-	frames, err := model.Generate(8000, opts)
+	opts.Backend = BackendDaviesHarte
+	frames, err := model.GenerateCtx(ctx, 8000, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	capacity := tr.MeanRate() * 3 * 1.2
-	r, err := mux.AverageLoss(capacity, 0.002*capacity/8, false, SimOptions{})
+	r, err := mux.AverageLossCtx(ctx, capacity, 0.002*capacity/8, false, SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Errorf("loss %v", r.Pl)
 	}
 
-	points, err := QCCurve(QCCurveConfig{
+	points, err := QCCurveCtx(ctx, QCCurveConfig{
 		Mux:      mux,
 		Target:   LossTarget{Pl: 1e-3},
 		TmaxGrid: []float64{0.001, 0.008, 0.064},
@@ -84,10 +85,11 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 }
 
 func TestPublicAPITraceIO(t *testing.T) {
+	ctx := context.Background()
 	cfg := DefaultMovieConfig()
 	cfg.Frames = 500
 	cfg.SlicesPerFrame = 4
-	tr, err := GenerateMovie(cfg)
+	tr, err := GenerateMovie(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,8 +151,9 @@ func TestPublicAPISimulate(t *testing.T) {
 }
 
 func TestPublicAPIStream(t *testing.T) {
+	ctx := context.Background()
 	model := Model{MuGamma: 27791, SigmaGamma: 6254, TailSlope: 12, Hurst: 0.8}
-	s, err := OpenStream(StreamConfig{Model: model, N: 2000, BlockSize: 512, Seed: 7, Backend: StreamHosking})
+	s, err := OpenStreamCtx(ctx, StreamConfig{Model: model, N: 2000, BlockSize: 512, Seed: 7, Backend: BackendHosking})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,11 +177,11 @@ func TestPublicAPIStream(t *testing.T) {
 }
 
 // TestPublicAPIBackend pins the unified backend surface: the exported
-// constants round-trip through ParseBackend/String, the deprecated
-// generator and stream spellings are the same values, unknown names
-// match ErrUnknownBackend, and every backend drives Generate through
+// constants round-trip through ParseBackend/String, unknown names
+// match ErrUnknownBackend, and every backend drives GenerateCtx through
 // the facade.
 func TestPublicAPIBackend(t *testing.T) {
+	ctx := context.Background()
 	for _, b := range []Backend{BackendHosking, BackendDaviesHarte, BackendPaxson, BackendAuto} {
 		got, err := ParseBackend(b.String())
 		if err != nil {
@@ -188,12 +191,6 @@ func TestPublicAPIBackend(t *testing.T) {
 			t.Errorf("ParseBackend(%q) = %v, want %v", b.String(), got, b)
 		}
 	}
-	if BackendHosking != HoskingExact || BackendDaviesHarte != DaviesHarteFast {
-		t.Error("deprecated generator constants diverged from Backend values")
-	}
-	if Backend(StreamHosking) != BackendHosking || Backend(StreamDaviesHarte) != BackendDaviesHarte {
-		t.Error("deprecated stream constants diverged from Backend values")
-	}
 	if _, err := ParseBackend("fourier"); !errors.Is(err, ErrUnknownBackend) {
 		t.Errorf("ParseBackend(fourier) = %v, want ErrUnknownBackend", err)
 	}
@@ -201,9 +198,9 @@ func TestPublicAPIBackend(t *testing.T) {
 	model := Model{MuGamma: 27791, SigmaGamma: 6254, TailSlope: 12, Hurst: 0.8}
 	for _, b := range []Backend{BackendHosking, BackendDaviesHarte, BackendPaxson, BackendAuto} {
 		opts := DefaultGenOptions()
-		opts.Generator = b
+		opts.Backend = b
 		opts.Seed = 4
-		frames, err := model.Generate(1024, opts)
+		frames, err := model.GenerateCtx(ctx, 1024, opts)
 		if err != nil {
 			t.Fatalf("Generate with %v: %v", b, err)
 		}
