@@ -105,6 +105,7 @@ func (c *Coder) accumulate(f *Frame, freq []uint64) error {
 
 // forEachBlock runs the DCT→quantize→RLE pipeline over every 8×8 block of
 // the frame in slice-major order and passes the symbols to fn.
+//
 //vbrlint:hotpath
 func (c *Coder) forEachBlock(f *Frame, fn func([]RunLevel) error) error {
 	if f.W != c.cfg.Width || f.H != c.cfg.Height {
@@ -133,6 +134,7 @@ func (c *Coder) forEachBlock(f *Frame, fn func([]RunLevel) error) error {
 // CodeFrame codes one frame and returns the coded size of each slice in
 // bits. A slice is a horizontal band of block rows (Height/8/SlicesPerFrame
 // rows of blocks), scanned left to right.
+//
 //vbrlint:hotpath
 func (c *Coder) CodeFrame(f *Frame) ([]int, error) {
 	blockRows := c.cfg.Height / BlockSize

@@ -45,9 +45,9 @@ import (
 
 // DefaultMaxBytes is the default resident-byte budget (256 MiB):
 // roomy enough for dozens of paper-scale Hosking schedules (~5.5 MiB
-// each at 171,000 points) next to the chunk-engine setups (~1.4 MiB for
-// a Davies–Harte 5,120-frame chunk, ~0.7 MiB for Paxson) and marginal
-// tables.
+// each at 171,000 points) next to the chunk-engine setups (~0.4 MiB for
+// Davies–Harte at the default 8,192-point chunk synthesis, ~0.16 MiB
+// for Paxson) and marginal tables.
 const DefaultMaxBytes = 256 << 20
 
 // kind discriminates the four cacheable precomputation families.

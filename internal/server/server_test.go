@@ -175,6 +175,7 @@ func TestTraceBadRequests(t *testing.T) {
 		"backend=fourier",
 		"seed=-1",
 		"block=4096&overlap=4096&backend=davies-harte",
+		"n=100&block=1&overlap=50000000", // overlap ≥ block holds for a 1-frame block too
 	} {
 		resp, err := http.Get(ts.URL + "/v1/trace?" + q)
 		if err != nil {
@@ -190,6 +191,40 @@ func TestTraceBadRequests(t *testing.T) {
 		}
 		if body.Error == "" {
 			t.Errorf("?%s: empty error message", q)
+		}
+	}
+}
+
+// TestTraceBlockClampedToN: a block longer than the trace is clamped
+// to n, on the classic stream and on a zoo model alike, so the request
+// is served from n-frame buffers exactly as if block=n had been sent.
+func TestTraceBlockClampedToN(t *testing.T) {
+	ts := newTestServer(t, Config{MaxFrames: 10_000})
+	for _, c := range []struct{ query, clamped string }{
+		{"n=100&block=200000000&seed=4", "n=100&block=100&seed=4"},
+		{"model=gop&n=100&block=200000000&seed=4", "model=gop&n=100&block=100&seed=4"},
+	} {
+		get := func(q string) []byte {
+			resp, err := http.Get(ts.URL + "/v1/trace?format=bin&" + q)
+			if err != nil {
+				t.Fatalf("GET ?%s: %v", q, err)
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("?%s: status %d", q, resp.StatusCode)
+			}
+			raw, err := io.ReadAll(resp.Body)
+			if err != nil {
+				t.Fatalf("?%s: reading body: %v", q, err)
+			}
+			return raw
+		}
+		got, want := get(c.query), get(c.clamped)
+		if len(got) != 100*8 {
+			t.Errorf("?%s: body %d bytes, want 800", c.query, len(got))
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("?%s: body differs from ?%s", c.query, c.clamped)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"runtime"
 	"strconv"
 	"strings"
 
@@ -165,6 +166,7 @@ func (s *Server) parseZooSource(get func(string) string, spec string) (*source.B
 // flushed per block, so memory stays O(block) regardless of n, and a
 // slow or vanished client is detected through r.Context() —
 // generation stops instead of racing ahead of the socket.
+//
 //vbrlint:hotpath
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
@@ -269,6 +271,11 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		if flusher != nil {
 			flusher.Flush()
 		}
+		// Yield once per block. Chunk draws allocate nothing, so a busy
+		// stream would otherwise keep its processor until Go's 10 ms
+		// preemption tick, and a new request's first byte would wait
+		// for that tick behind it.
+		runtime.Gosched()
 	}
 	p := src.Probe()
 	if !math.IsNaN(p.HMavar) {

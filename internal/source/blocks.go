@@ -23,8 +23,9 @@ type BlockAdapter struct {
 }
 
 // Blocks adapts src to a BlockSource producing n frames in blocks of
-// block frames. The adapter owns the read position; callers should
-// Reset the source before (not during) adaptation.
+// block frames, clamped to n as stream.Config clamps its BlockSize.
+// The adapter owns the read position; callers should Reset the source
+// before (not during) adaptation.
 func Blocks(src Source, n, block int) (*BlockAdapter, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("source: block adapter needs n ≥ 1, got %d", n)
@@ -32,6 +33,7 @@ func Blocks(src Source, n, block int) (*BlockAdapter, error) {
 	if block < 1 {
 		return nil, fmt.Errorf("source: block adapter needs block ≥ 1, got %d", block)
 	}
+	block = min(block, n)
 	return &BlockAdapter{
 		src: src,
 		n:   n,

@@ -425,6 +425,16 @@ func TestBlocksAdapter(t *testing.T) {
 		t.Errorf("Probe().Mean = %v, want > 0", p.Mean)
 	}
 
+	// A block longer than the trace is clamped to it.
+	src.Reset(13)
+	short, err := Blocks(src, 100, 200_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(short.buf) != 100 {
+		t.Errorf("block buffer of %d frames for n=100, want 100", len(short.buf))
+	}
+
 	// Cancellation surfaces as errs.ErrCancelled.
 	src.Reset(13)
 	ad2, err := Blocks(src, n, block)

@@ -87,6 +87,7 @@ func NewMonitor(n int) *Monitor {
 
 // Add folds one frame into every aggregation level and the MAVAR
 // accumulators.
+//
 //vbrlint:hotpath
 func (mo *Monitor) Add(v float64) {
 	for _, l := range mo.levels {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"math/rand/v2"
 )
 
@@ -14,9 +15,12 @@ import (
 // synthesis is pluggable — Davies–Harte and Paxson share every line of
 // the seam logic and differ only in how a chunk is drawn.
 //
+// Each chunk is drawn at synthLen(B, L) points and only its first B+L
+// are used; a prefix of an exact fGn draw is exact fGn.
+//
 // Chunk i covers absolute frames [i·B, (i+1)·B+L): the first L samples
 // are blended with the tail carried over from chunk i−1, the middle B−L
-// are emitted as-is, and the final L become the carry for chunk i+1.
+// are emitted as-is, and the next L become the carry for chunk i+1.
 // The blend uses power-preserving weights
 //
 //	out[j] = cos(θ_j)·carry[j] + sin(θ_j)·fresh[j],  θ_j = (j+½)/L · π/2
@@ -40,7 +44,7 @@ type stitch struct {
 	src        *rand.PCG
 	rng        *rand.Rand
 
-	chunk []float64    // block+overlap points of the current chunk
+	chunk []float64    // the current chunk, synthLen points
 	work  []complex128 // the engine's spectrum buffer
 	carry []float64
 
@@ -57,6 +61,14 @@ type chunkEngine interface {
 	WorkLen() int
 }
 
+// synthLen is the length a chunk of block+overlap points is drawn at:
+// the next power of two, so both engines' chunk FFTs (2·synthLen
+// points for Davies–Harte, synthLen for Paxson) run radix-2 rather
+// than through Bluestein's two inner transforms of twice the size.
+func synthLen(block, overlap int) int {
+	return 1 << bits.Len(uint(block+overlap-1))
+}
+
 // newStitch allocates the stream's chunk buffers once, so drawing a
 // chunk allocates nothing.
 func newStitch(cfg Config, name string, salt uint64, eng chunkEngine) *stitch {
@@ -65,19 +77,19 @@ func newStitch(cfg Config, name string, salt uint64, eng chunkEngine) *stitch {
 		n: cfg.N, block: cfg.BlockSize, overlap: cfg.Overlap,
 		name: name, eng: eng,
 		seed: cfg.Seed, salt: salt, src: src, rng: rand.New(src),
-		chunk: make([]float64, cfg.BlockSize+cfg.Overlap),
+		chunk: make([]float64, synthLen(cfg.BlockSize, cfg.Overlap)),
 		work:  make([]complex128, eng.WorkLen()),
 		carry: make([]float64, 0, cfg.Overlap),
 	}
 }
 
 // newDHStitch builds the Davies–Harte chunked backend: exact circulant
-// embedding within chunks. Every chunk has the same length
-// block+overlap, so one eigenvalue vector and FFT plan — looked up once
-// here, from the pool when there is one — serve all chunks of this
-// stream and every other stream with the same (H, chunk length).
+// embedding within chunks. Every chunk has the same synthesis length,
+// so one eigenvalue vector and FFT plan — looked up once here, from
+// the pool when there is one — serve all chunks of this stream and
+// every other stream with the same (H, synthesis length).
 func newDHStitch(ctx context.Context, cfg Config) (*stitch, error) {
-	eig, err := cfg.Pool.DaviesHarteEigen(ctx, cfg.Model.Hurst, cfg.BlockSize+cfg.Overlap)
+	eig, err := cfg.Pool.DaviesHarteEigen(ctx, cfg.Model.Hurst, synthLen(cfg.BlockSize, cfg.Overlap))
 	if err != nil {
 		return nil, err
 	}
@@ -86,12 +98,12 @@ func newDHStitch(ctx context.Context, cfg Config) (*stitch, error) {
 
 // newPaxsonStitch builds the Paxson chunked backend: FFT-approximate
 // spectral synthesis within chunks, the fastest engine. The
-// (H, chunk length)-keyed spectrum and plan are looked up once, the
-// same way the Davies–Harte eigenvalues are. Chunks draw from their own
-// PCG streams under paxsonStreamSalt, so a Paxson stream and a
-// Davies–Harte stream of the same seed stay independent.
+// (H, synthesis length)-keyed spectrum and plan are looked up once,
+// the same way the Davies–Harte eigenvalues are. Chunks draw from
+// their own PCG streams under paxsonStreamSalt, so a Paxson stream and
+// a Davies–Harte stream of the same seed stay independent.
 func newPaxsonStitch(ctx context.Context, cfg Config) (*stitch, error) {
-	spec, err := cfg.Pool.PaxsonSpectrum(ctx, cfg.Model.Hurst, cfg.BlockSize+cfg.Overlap)
+	spec, err := cfg.Pool.PaxsonSpectrum(ctx, cfg.Model.Hurst, synthLen(cfg.BlockSize, cfg.Overlap))
 	if err != nil {
 		return nil, err
 	}
@@ -128,7 +140,7 @@ func (d *stitch) Next(ctx context.Context, dst []float64) (int, error) {
 	}
 	copy(dst[start:emit], chunk[start:emit])
 	if d.overlap > 0 {
-		d.carry = append(d.carry[:0], chunk[d.block:]...)
+		d.carry = append(d.carry[:0], chunk[d.block:d.block+d.overlap]...)
 	}
 	d.idx++
 	d.pos += emit

@@ -68,11 +68,12 @@ type Config struct {
 	Model core.Model
 	// N is the total number of frames the stream will produce.
 	N int
-	// BlockSize is the number of frames per block (default 4096).
+	// BlockSize is the number of frames per block (default 4096). It
+	// is clamped to N, so no block is longer than the stream.
 	BlockSize int
 	// Overlap is the stitch length in frames for the chunked backends
-	// (Davies–Harte, Paxson; default BlockSize/4, ignored by the
-	// Hosking backend). It must stay below BlockSize.
+	// (Davies–Harte, Paxson; default BlockSize/4 of the clamped block,
+	// ignored by the Hosking backend). It must stay below BlockSize.
 	Overlap int
 	// TableSize is the marginal mapping table resolution (default
 	// 10000, the paper's choice).
@@ -91,11 +92,15 @@ type Config struct {
 	Pool *genpool.Pool
 }
 
-// withDefaults fills the zero-valued tuning knobs.
+// withDefaults fills the zero-valued tuning knobs and clamps the block
+// to the stream, before the overlap default is taken from it: a block
+// longer than N would only size buffers and chunk FFTs for frames the
+// stream never emits.
 func (c Config) withDefaults() Config {
 	if c.BlockSize == 0 {
 		c.BlockSize = 4096
 	}
+	c.BlockSize = min(c.BlockSize, c.N)
 	if c.Overlap == 0 {
 		c.Overlap = c.BlockSize / 4
 	}
@@ -117,7 +122,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("stream: block size must be ≥ 1, got %d", c.BlockSize)
 	}
 	stitched := c.Backend.Resolve(c.N, true) != backend.Hosking
-	if c.Overlap < 0 || (stitched && c.BlockSize > 1 && c.Overlap >= c.BlockSize) {
+	if c.Overlap < 0 || (stitched && c.Overlap >= c.BlockSize) {
 		return fmt.Errorf("stream: overlap must be in [0, block size), got %d with block %d", c.Overlap, c.BlockSize)
 	}
 	if c.TableSize < 2 {

@@ -367,6 +367,7 @@ func TestConfigValidate(t *testing.T) {
 		{"overlap ≥ block (DH)", func(c *Config) { c.Backend = backend.DaviesHarte; c.BlockSize = 64; c.Overlap = 64 }},
 		{"overlap ≥ block (Paxson)", func(c *Config) { c.Backend = backend.Paxson; c.BlockSize = 64; c.Overlap = 64 }},
 		{"overlap ≥ block (Auto)", func(c *Config) { c.Backend = backend.Auto; c.BlockSize = 64; c.Overlap = 64 }},
+		{"overlap ≥ block of 1 (DH)", func(c *Config) { c.Backend = backend.DaviesHarte; c.BlockSize = 1; c.Overlap = 50_000_000 }},
 		{"tiny table", func(c *Config) { c.TableSize = 1 }},
 		{"bad backend", func(c *Config) { c.Backend = backend.Backend(99) }},
 		{"bad model", func(c *Config) { c.Model.Hurst = 1.5 }},

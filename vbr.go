@@ -533,7 +533,7 @@ func SourceSubSeed(base uint64, i int) uint64 { return source.SubSeed(base, i) }
 // seed-independent precomputations: Hosking coefficient schedules
 // (keyed by H, with prefix reuse across lengths), Davies–Harte
 // eigenvalues and Paxson spectra with the FFT plans of their synthesis
-// (keyed by H and chunk length) and Eq. 13 marginal mapping tables
+// (keyed by H and synthesis length) and Eq. 13 marginal mapping tables
 // (keyed by the marginal parameters and resolution).
 // Attach one to GenOptions.Pool or StreamConfig.Pool; generated output
 // is bitwise-identical with or without a pool.
