@@ -40,9 +40,10 @@ race:
 	$(GO) test -race ./internal/fleet/
 
 # Short fuzzing pass over the parser/decoder fuzz targets, the Ĥ
-# estimator robustness targets, the scenario-zoo cascade invariants and
-# the stitched streams' block/overlap geometry; one target per
-# invocation as go test requires.
+# estimator robustness targets, the scenario-zoo cascade invariants,
+# the stitched streams' block/overlap geometry and the queue's zero-loss
+# dual against the simulator; one target per invocation as go test
+# requires.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzDecodeSymbols -fuzztime=$(FUZZTIME) ./internal/codec/
 	$(GO) test -fuzz=FuzzDecodeFrame -fuzztime=$(FUZZTIME) ./internal/codec/
@@ -55,6 +56,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzCascade -fuzztime=$(FUZZTIME) ./internal/source/
 	$(GO) test -fuzz=FuzzPaxson -fuzztime=$(FUZZTIME) ./internal/fgn/
 	$(GO) test -fuzz=FuzzStreamGeometry -fuzztime=$(FUZZTIME) ./internal/stream/
+	$(GO) test -fuzz=FuzzZeroLoss -fuzztime=$(FUZZTIME) ./internal/queue/
 
 # Regenerate the committed estimator calibration table: run the full
 # bias/variance battery (known-H fGn × lengths × 32 seeds, base seed

@@ -341,7 +341,7 @@ func benchWorkload(b *testing.B) queue.Workload {
 	if err != nil {
 		b.Fatal(err)
 	}
-	w, err := mux.SliceWorkload([]int{0})
+	w, err := mux.SliceWorkload(context.Background(), []int{0})
 	if err != nil {
 		b.Fatal(err)
 	}

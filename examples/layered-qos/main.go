@@ -40,7 +40,7 @@ func main() {
 		log.Fatal(err)
 	}
 	lags := []int{0}
-	w, err := mux.FrameWorkload(lags)
+	w, err := mux.FrameWorkload(ctx, lags)
 	if err != nil {
 		log.Fatal(err)
 	}

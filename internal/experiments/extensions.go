@@ -59,15 +59,13 @@ func (s *Suite) ExtTransport(ctx context.Context) (*ExtTransportResult, error) {
 		Note: "circuit reservation",
 	})
 
-	// Plain VBR at Pl ≤ 1e-3, 2 ms buffer.
-	lossAt := func(c float64) (float64, error) {
-		r, err := queue.Simulate(w, c, tmax*c/8, queue.Options{})
-		if err != nil {
-			return 0, err
-		}
-		return r.Pl, nil
+	// Plain VBR at Pl ≤ 1e-3, 2 ms buffer; a one-source Mux carries the
+	// trace bit for bit.
+	mux, err := queue.NewMuxFromConfig(queue.MuxConfig{Trace: s.Trace, N: 1})
+	if err != nil {
+		return nil, err
 	}
-	vbrCap, err := queue.MinCapacityCtx(ctx, lossAt, w.MeanRate()*0.5, w.PeakRate()*1.05, queue.LossTarget{Pl: 1e-3})
+	vbrCap, err := queue.MinCapacityAtCtx(ctx, mux, queue.LossTarget{Pl: 1e-3}, tmax, false)
 	if err != nil {
 		return nil, err
 	}
@@ -183,17 +181,8 @@ func (s *Suite) ExtAdmissionCtx(ctx context.Context) (*ExtAdmissionResult, error
 		if err != nil {
 			return nil, err
 		}
-		mean := s.Trace.MeanRate() * float64(n)
-		peak := s.Trace.PeakRate() * float64(n) * 1.05
-		lossAt := func(c float64) (float64, error) {
-			// Bufferless comparison: a buffer of one frame interval.
-			r, err := mux.AverageLossCtx(ctx, c, c/8*interval, false, queue.Options{})
-			if err != nil {
-				return 0, err
-			}
-			return r.Pl, nil
-		}
-		cs, err := queue.MinCapacityCtx(ctx, lossAt, mean*0.5, peak, queue.LossTarget{Pl: res.Eps})
+		// Bufferless comparison: a buffer of one frame interval.
+		cs, err := queue.MinCapacityAtCtx(ctx, mux, queue.LossTarget{Pl: res.Eps}, interval, false)
 		if err != nil {
 			return nil, err
 		}

@@ -57,14 +57,12 @@ func extFaultScenarios() []extFaultScenario {
 func (s *Suite) ExtFaultsCtx(ctx context.Context) (*ExtFaultsResult, error) {
 	w := queue.Workload{Bytes: s.Trace.Frames, Interval: 1 / s.Trace.FrameRate}
 	const tmax = 0.002
-	lossAt := func(c float64) (float64, error) {
-		r, err := queue.Simulate(w, c, tmax*c/8, queue.Options{})
-		if err != nil {
-			return 0, err
-		}
-		return r.Pl, nil
+	// A one-source Mux carries the trace bit for bit.
+	mux, err := queue.NewMuxFromConfig(queue.MuxConfig{Trace: s.Trace, N: 1})
+	if err != nil {
+		return nil, err
 	}
-	capBps, err := queue.MinCapacityCtx(ctx, lossAt, w.MeanRate()*0.5, w.PeakRate()*1.05, queue.LossTarget{Pl: 1e-3})
+	capBps, err := queue.MinCapacityAtCtx(ctx, mux, queue.LossTarget{Pl: 1e-3}, tmax, false)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: ExtFaults capacity sizing: %w", err)
 	}

@@ -362,17 +362,7 @@ func (s *Suite) Fig17Ctx(ctx context.Context) (*Fig17Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		mean := s.Trace.MeanRate() * float64(n)
-		peak := s.Trace.PeakRate() * float64(n) * 1.05
-		lossAt := func(c float64) (float64, error) {
-			q := 0.002 * c / 8
-			r, err := mux.AverageLossCtx(ctx, c, q, s.UseSlices, queue.Options{})
-			if err != nil {
-				return 0, err
-			}
-			return r.Pl, nil
-		}
-		c, err := queue.MinCapacityCtx(ctx, lossAt, mean*0.5, peak, queue.LossTarget{Pl: res.TargetPl})
+		c, err := queue.MinCapacityAtCtx(ctx, mux, queue.LossTarget{Pl: res.TargetPl}, 0.002, s.UseSlices)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: Fig17 N=%d: %w", n, err)
 		}

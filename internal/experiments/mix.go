@@ -78,10 +78,16 @@ func (s *Suite) ExtMixCtx(ctx context.Context) (*ExtMixResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: ExtMix %q: %w", spec, err)
 		}
-		mean, peak, err := mux.RateEnvelope()
+		ws, err := mux.Workloads(ctx, false)
 		if err != nil {
 			return nil, err
 		}
+		var mean, peak float64
+		for _, w := range ws {
+			mean += w.MeanRate()
+			peak = max(peak, w.PeakRate())
+		}
+		mean /= float64(len(ws))
 		res.Curves = append(res.Curves, ExtMixCurve{
 			Spec:    spec,
 			N:       mux.NSources(),

@@ -33,10 +33,6 @@ type ProxyConfig struct {
 	// MaxSimulateBody caps the buffered /v1/simulate body (default
 	// 64 MiB, matching the worker's own bound).
 	MaxSimulateBody int64
-	// DefaultModel resolves absent model parameters before hashing, so
-	// the proxy and the workers agree on a request's cache identity.
-	// Zero selects the paper default, like the workers do.
-	DefaultModel core.Model
 }
 
 func (c ProxyConfig) withDefaults() ProxyConfig {
@@ -51,9 +47,6 @@ func (c ProxyConfig) withDefaults() ProxyConfig {
 	}
 	if c.MaxSimulateBody <= 0 {
 		c.MaxSimulateBody = 64 << 20
-	}
-	if c.DefaultModel == (core.Model{}) {
-		c.DefaultModel = server.PaperDefault
 	}
 	return c
 }
@@ -115,11 +108,13 @@ func (p *Proxy) unavailable(w http.ResponseWriter, scope *obs.Scope, err error) 
 	writeProxyError(w, http.StatusServiceUnavailable, err)
 }
 
-// requestModel resolves a request's model parameters against the
-// default, tolerating malformed values (the worker will reject them
-// with its own 400 — the proxy only needs a routing key).
+// requestModel resolves a request's model parameters against
+// server.PaperDefault, as the workers do, so the proxy and the workers
+// agree on a request's cache identity; malformed values are tolerated
+// (the worker will reject them with its own 400 — the proxy only needs
+// a routing key).
 func (p *Proxy) requestModel(get func(string) string) core.Model {
-	m := p.cfg.DefaultModel
+	m := server.PaperDefault
 	for _, f := range []struct {
 		name string
 		dst  *float64

@@ -7,6 +7,7 @@ import (
 
 	"vbr/internal/errs"
 	"vbr/internal/obs"
+	"vbr/internal/runner"
 )
 
 // LossTarget is a quality-of-service target for the capacity search:
@@ -92,6 +93,65 @@ func MinCapacityCtx(ctx context.Context, loss func(capacityBps float64) (float64
 	return hiBps, nil
 }
 
+// MinCapacityAtCtx returns the least aggregate capacity (bits/s) at
+// which agg meets target with the buffer sized for a maximum delay T_max
+// (Q = T_max·C/8 bytes) — one point of a Q–C curve. Its upper end is the
+// zero-loss dual: C* = the largest zeroLossRate(w, 0, T_max) over the
+// aggregator's combination workloads, above which no combination loses
+// anything, so C* bounds every target. A Pl = 0 target is answered with
+// the first capacity from C*·(1 + 1e-12) up at which AverageLossCtx
+// reports exactly zero loss (at C* itself rounding leaves ~1e-16);
+// any other target is bisected by MinCapacityCtx on
+// [½·min(mean, C*), that capacity].
+func MinCapacityAtCtx(ctx context.Context, agg Aggregator, target LossTarget, tmaxSec float64, useSlices bool) (float64, error) {
+	if !(tmaxSec >= 0) {
+		return 0, fmt.Errorf("queue: negative T_max %v", tmaxSec)
+	}
+	ws, err := agg.Workloads(ctx, useSlices)
+	if err != nil {
+		return 0, err
+	}
+	duals := runner.Run(ctx, len(ws), runner.Options{}, func(_ context.Context, c int) (float64, error) {
+		return zeroLossRate(ws[c], 0, tmaxSec)
+	})
+	var cStar, mean float64
+	for i, d := range duals {
+		if d.Err != nil {
+			return 0, d.Err
+		}
+		cStar = max(cStar, d.Value)
+		mean += ws[i].MeanRate()
+	}
+	mean /= float64(len(ws))
+	lossAt := func(c float64) (float64, error) {
+		r, err := agg.AverageLossCtx(ctx, c, tmaxSec*c/8, useSlices, Options{})
+		if err != nil {
+			return 0, err
+		}
+		if target.UseWES {
+			return r.PlWES, nil
+		}
+		return r.Pl, nil
+	}
+	for step := 1e-12; step < 2e-6; step *= 10 {
+		zero := cStar * (1 + step)
+		l, err := lossAt(zero)
+		if err != nil {
+			return 0, err
+		}
+		//vbrlint:ignore floateq exact zero is the point: Pl = 0 promises no lost byte, not a rounding-sized loss
+		if l != 0 {
+			continue
+		}
+		//vbrlint:ignore floateq Pl 0 is the exact zero-loss sentinel assigned from literals, never computed
+		if target.Pl == 0 {
+			return zero, nil
+		}
+		return MinCapacityCtx(ctx, lossAt, min(mean, cStar)/2, zero, target)
+	}
+	return 0, fmt.Errorf("queue: loss still nonzero 1e-6 above the zero-loss dual %v: %w", cStar, errs.ErrTargetUnreachable)
+}
+
 // QCPoint is one point of a Fig. 14 curve: the maximum buffer delay
 // T_max = Q/(N·C) against the allocated bandwidth per source C/N.
 type QCPoint struct {
@@ -101,7 +161,7 @@ type QCPoint struct {
 
 // QCCurveConfig parameterizes a Q–C tradeoff sweep over any
 // Aggregator — the classic lagged-trace Mux or a scenario-zoo
-// SourceMux population.
+// SourceMux population. Each point is one MinCapacityAtCtx search.
 type QCCurveConfig struct {
 	Mux       Aggregator
 	Target    LossTarget
@@ -111,9 +171,6 @@ type QCCurveConfig struct {
 	// entries whose T_max exactly matches a resume point are reused
 	// instead of re-searched. Points not on the grid are ignored.
 	Resume []QCPoint
-	// Faults, when non-nil, injects the schedule into every simulation
-	// of the sweep.
-	Faults *FaultSchedule
 }
 
 // QCCurveCtx computes a Fig. 14 curve: for each T_max, the minimum
@@ -133,18 +190,9 @@ func QCCurveCtx(ctx context.Context, cfg QCCurveConfig) ([]QCPoint, error) {
 		resumed[p.TmaxSec] = p.PerSourceBps
 	}
 	n := float64(cfg.Mux.NSources())
-	mean, peak, err := cfg.Mux.RateEnvelope()
-	if err != nil {
-		return nil, err
-	}
-	peak *= 1.05 // headroom for slice-level peaks
-
 	scope := obs.From(ctx)
 	points := make([]QCPoint, 0, len(cfg.TmaxGrid))
 	for _, tmax := range cfg.TmaxGrid {
-		if !(tmax >= 0) {
-			return points, fmt.Errorf("queue: negative T_max %v", tmax)
-		}
 		if bps, ok := resumed[tmax]; ok {
 			points = append(points, QCPoint{TmaxSec: tmax, PerSourceBps: bps})
 			scope.Progress("queue.qccurve", int64(len(points)), int64(len(cfg.TmaxGrid)))
@@ -153,19 +201,7 @@ func QCCurveCtx(ctx context.Context, cfg QCCurveConfig) ([]QCPoint, error) {
 		if ctx.Err() != nil {
 			return points, fmt.Errorf("queue: Q-C sweep interrupted at T_max=%v: %w", tmax, errs.Cancelled(ctx))
 		}
-		tm := tmax
-		lossAt := func(c float64) (float64, error) {
-			q := tm * c / 8 // Q = T_max · (N·C) in bytes; c is aggregate bits/s
-			r, err := cfg.Mux.AverageLossCtx(ctx, c, q, cfg.UseSlices, Options{Faults: cfg.Faults})
-			if err != nil {
-				return 0, err
-			}
-			if cfg.Target.UseWES {
-				return r.PlWES, nil
-			}
-			return r.Pl, nil
-		}
-		c, err := MinCapacityCtx(ctx, lossAt, mean*0.5, peak, cfg.Target)
+		c, err := MinCapacityAtCtx(ctx, cfg.Mux, cfg.Target, tmax, cfg.UseSlices)
 		if err != nil {
 			return points, fmt.Errorf("queue: T_max=%v: %w", tmax, err)
 		}
@@ -227,9 +263,6 @@ func SMGCtx(ctx context.Context, cfg SMGConfig) ([]SMGPoint, error) {
 	if len(cfg.Ns) == 0 {
 		return nil, fmt.Errorf("queue: empty N list")
 	}
-	if !(cfg.TmaxSec >= 0) {
-		return nil, fmt.Errorf("queue: negative T_max")
-	}
 	scope := obs.From(ctx)
 	out := make([]SMGPoint, 0, len(cfg.Ns))
 	for _, n := range cfg.Ns {
@@ -240,23 +273,7 @@ func SMGCtx(ctx context.Context, cfg SMGConfig) ([]SMGPoint, error) {
 		if err != nil {
 			return out, err
 		}
-		mean, peak, err := mux.RateEnvelope()
-		if err != nil {
-			return out, err
-		}
-		peak *= 1.05
-		lossAt := func(c float64) (float64, error) {
-			q := cfg.TmaxSec * c / 8
-			r, err := mux.AverageLossCtx(ctx, c, q, cfg.UseSlices, Options{})
-			if err != nil {
-				return 0, err
-			}
-			if cfg.Target.UseWES {
-				return r.PlWES, nil
-			}
-			return r.Pl, nil
-		}
-		c, err := MinCapacityCtx(ctx, lossAt, mean*0.5, peak, cfg.Target)
+		c, err := MinCapacityAtCtx(ctx, mux, cfg.Target, cfg.TmaxSec, cfg.UseSlices)
 		if err != nil {
 			return out, fmt.Errorf("queue: N=%d: %w", n, err)
 		}

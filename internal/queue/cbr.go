@@ -1,14 +1,16 @@
 package queue
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // This file implements the CBR-side of the paper's motivating comparison
 // (§1: "Forcing the transmission rate to be constant results in delay,
 // wasted bandwidth, and modulation of the video quality") and the exact
-// zero-loss allocation that anchors the Fig. 14 curves.
+// zero-loss allocation that anchors the Fig. 14 curves. Both are one
+// problem: a fluid FIFO served at C bits/s with buffer B + T·C/8 bytes
+// loses nothing iff S_j − S_i ≤ B + C/8·(Δt·(j − i) + T) for every
+// i < j, where S_k is the cumulative arrival process — the arrival-curve
+// condition of network calculus (Cruz 1991) — so the least such C is one
+// max-slope query, zeroLossRate.
 
 // CBRRate returns the minimum constant channel rate (bits/s) at which
 // the workload can be carried through a source smoothing buffer without
@@ -16,56 +18,18 @@ import (
 // circuit-switched (CBR) connection would have to reserve for the same
 // video. maxDelay = 0 requires the peak rate.
 //
-// The feasibility test is the exact backlog recursion; the rate is found
-// by bisection between the mean and peak rates (backlog is monotone in
-// the service rate).
-//
-//vbrlint:ignore ctxcheck single bounded pass over the workload with a fixed smoothing window
+// Backlog stays within rate/8·maxDelay exactly when the zero-loss dual
+// with delay maxDelay allows the rate; the result is floored at the mean
+// rate, which a finite trace's dual falls below once maxDelay spans it.
 func CBRRate(w Workload, maxDelay float64) (float64, error) {
-	if err := w.Validate(); err != nil {
-		return 0, err
-	}
-	if maxDelay < 0 {
+	if !(maxDelay >= 0) {
 		return 0, fmt.Errorf("queue: max delay must be ≥ 0, got %v", maxDelay)
 	}
-	mean, peak := w.MeanRate(), w.PeakRate()
-	//vbrlint:ignore floateq exact-zero guard: an all-zero workload has exactly zero mean rate
-	if mean == 0 {
-		return 0, nil
+	c, err := zeroLossRate(w, 0, maxDelay)
+	if err != nil {
+		return 0, err
 	}
-	feasible := func(rateBps float64) bool {
-		service := rateBps / 8 * w.Interval
-		maxBacklog := rateBps / 8 * maxDelay
-		var q float64
-		for _, a := range w.Bytes {
-			q = math.Max(0, q+a-service)
-			if q > maxBacklog {
-				return false
-			}
-		}
-		return true
-	}
-	if feasible(mean) {
-		return mean, nil
-	}
-	lo, hi := mean, peak
-	if !feasible(hi) {
-		// Possible when maxDelay is 0 and arrivals exceed service within
-		// one interval due to discretization; nudge up.
-		hi = peak * (1 + 1e-9)
-		for !feasible(hi) {
-			hi *= 1.01
-		}
-	}
-	for i := 0; i < 60 && hi-lo > 1e-6*hi; i++ {
-		mid := (lo + hi) / 2
-		if feasible(mid) {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return hi, nil
+	return max(w.MeanRate(), c), nil
 }
 
 // ZeroLossCapacityExact returns the exact minimum capacity (bits/s) for
@@ -73,36 +37,69 @@ func CBRRate(w Workload, maxDelay float64) (float64, error) {
 //
 //	C* = 8/Δt · max_{0 ≤ i < j ≤ n} (S_j − S_i − Q) / (j − i),
 //
-// where S_k is the cumulative arrival process. The pairwise maximum is a
-// max-slope query from each point (j, S_j − Q) to the lower convex hull
-// of {(i, S_i)}, maintained incrementally — O(n log n) overall, and free
-// of the bisection tolerance that MinCapacityCtx carries.
-//
-//vbrlint:ignore ctxcheck exact max-burst dual: one bounded O(n) pass over the workload
+// where S_k is the cumulative arrival process — the zero-loss dual with
+// no delay term, free of the bisection tolerance that MinCapacityCtx
+// carries.
 func ZeroLossCapacityExact(w Workload, bufferBytes float64) (float64, error) {
-	if err := w.Validate(); err != nil {
-		return 0, err
-	}
 	if bufferBytes < 0 {
 		return 0, fmt.Errorf("queue: buffer must be ≥ 0, got %v", bufferBytes)
 	}
-	n := len(w.Bytes)
-	// Cumulative arrivals S_0..S_n (S_0 = 0).
-	s := make([]float64, n+1)
-	for i, a := range w.Bytes {
-		s[i+1] = s[i] + a
-	}
+	return zeroLossRate(w, bufferBytes, 0)
+}
 
-	// Lower convex hull of (i, S_i), queried for the max slope to
-	// (j, S_j - Q). The best hull vertex for a max-slope query from a
-	// point to the right is found by binary search on the hull's slope
-	// sequence (slopes to hull vertices are unimodal).
+// zeroLossRate is the zero-loss dual of the fluid queue: the least
+// capacity (bits/s) at which a buffer of bufferBytes + delaySec·C/8
+// never overflows,
+//
+//	C* = 8/Δt · max_{0 ≤ i < j ≤ n} (S_j − S_i − B) / ((j − i) + T/Δt).
+//
+// The pairwise maximum is a max-slope query from each point
+// (j + T/Δt, S_j − B) to the lower convex hull of {(i, S_i) : i < j},
+// maintained incrementally — O(n log n) overall. Every query point lies
+// right of the hull, so slopes to hull vertices are unimodal and a
+// ternary search finds the best one. With T = 0 the denominators are
+// the integer gaps themselves, bit for bit.
+func zeroLossRate(w Workload, bufferBytes, delaySec float64) (float64, error) {
+	if err := w.Validate(); err != nil {
+		return 0, err
+	}
+	tau := delaySec / w.Interval
 	type pt struct {
 		x int
 		y float64
 	}
-	hull := make([]pt, 0, n+1)
-	push := func(p pt) {
+	slopeTo := func(j int, yj float64, h pt) float64 {
+		return (yj - h.y) / (float64(j-h.x) + tau)
+	}
+	hull := []pt{{0, 0}} // lower convex hull of (i, S_i)
+	best, sj := 0.0, 0.0 // C* ≥ 0 always (empty queue); S_j
+	for j := 1; j <= len(w.Bytes); j++ {
+		aj := w.Bytes[j-1]
+		sj += aj
+		// With B ≥ 0 every slope from j is at most a_j or a slope from
+		// j − 1 (it is their mediant, or (a_j − B)/(1 + T/Δt) for vertex
+		// j − 1), so only a_j > best can raise best. That holds up to
+		// rounding, so T = 0 still queries every j and keeps
+		// ZeroLossCapacityExact's bits.
+		if tau <= 0 || aj > best {
+			yj := sj - bufferBytes
+			lo, hi := 0, len(hull)-1
+			for hi-lo > 2 {
+				m1 := lo + (hi-lo)/3
+				m2 := hi - (hi-lo)/3
+				if slopeTo(j, yj, hull[m1]) < slopeTo(j, yj, hull[m2]) {
+					lo = m1 + 1
+				} else {
+					hi = m2 - 1
+				}
+			}
+			for k := lo; k <= hi; k++ {
+				if v := slopeTo(j, yj, hull[k]); v > best {
+					best = v
+				}
+			}
+		}
+		p := pt{j, sj}
 		for len(hull) >= 2 {
 			a, b := hull[len(hull)-2], hull[len(hull)-1]
 			// Remove b if it is above segment a–p (keeps the hull lower).
@@ -113,32 +110,6 @@ func ZeroLossCapacityExact(w Workload, bufferBytes float64) (float64, error) {
 			}
 		}
 		hull = append(hull, p)
-	}
-	slopeTo := func(j int, yj float64, h pt) float64 {
-		return (yj - h.y) / float64(j-h.x)
-	}
-
-	best := 0.0 // C* ≥ 0 always (empty queue)
-	push(pt{0, s[0]})
-	for j := 1; j <= n; j++ {
-		yj := s[j] - bufferBytes
-		// Ternary search over the hull for the max slope.
-		lo, hi := 0, len(hull)-1
-		for hi-lo > 2 {
-			m1 := lo + (hi-lo)/3
-			m2 := hi - (hi-lo)/3
-			if slopeTo(j, yj, hull[m1]) < slopeTo(j, yj, hull[m2]) {
-				lo = m1 + 1
-			} else {
-				hi = m2 - 1
-			}
-		}
-		for k := lo; k <= hi; k++ {
-			if v := slopeTo(j, yj, hull[k]); v > best {
-				best = v
-			}
-		}
-		push(pt{j, s[j]})
 	}
 	return best * 8 / w.Interval, nil
 }

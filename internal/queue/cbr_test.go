@@ -82,6 +82,71 @@ func TestCBRRateFeasibility(t *testing.T) {
 	}
 }
 
+// cbrRateBisection is CBRRate as it stood before the zero-loss dual
+// replaced it, kept verbatim as the reference: a 60-step bisection
+// between the mean and peak rates on the exact backlog recursion.
+func cbrRateBisection(w Workload, maxDelay float64) float64 {
+	mean, peak := w.MeanRate(), w.PeakRate()
+	if mean == 0 {
+		return 0
+	}
+	feasible := func(rateBps float64) bool {
+		service := rateBps / 8 * w.Interval
+		maxBacklog := rateBps / 8 * maxDelay
+		var q float64
+		for _, a := range w.Bytes {
+			q = math.Max(0, q+a-service)
+			if q > maxBacklog {
+				return false
+			}
+		}
+		return true
+	}
+	if feasible(mean) {
+		return mean
+	}
+	lo, hi := mean, peak
+	if !feasible(hi) {
+		hi = peak * (1 + 1e-9)
+		for !feasible(hi) {
+			hi *= 1.01
+		}
+	}
+	for i := 0; i < 60 && hi-lo > 1e-6*hi; i++ {
+		mid := (lo + hi) / 2
+		if feasible(mid) {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return hi
+}
+
+// TestCBRRateMatchesBisection checks the dual-based CBRRate against the
+// bisection it replaced, from no smoothing to smoothing longer than the
+// workload, on bursty and trace workloads.
+func TestCBRRateMatchesBisection(t *testing.T) {
+	tr := testTrace(t, 3000)
+	for _, w := range []Workload{
+		layeredTestWorkload(8000, 12),
+		{Bytes: tr.Frames, Interval: 1 / tr.FrameRate},
+		{Bytes: tr.Slices, Interval: 1 / (tr.FrameRate * float64(tr.SlicesPerFrame))},
+	} {
+		for _, d := range []float64{0, 1e-3, 1e-2, 0.1, 1, 10, 1e6} {
+			got, err := CBRRate(w, d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := cbrRateBisection(w, d)
+			if math.Abs(got-want) > 1e-6*want {
+				t.Errorf("%d intervals, delay %v: CBRRate %v, bisection %v (rel %.2g)",
+					len(w.Bytes), d, got, want, math.Abs(got-want)/want)
+			}
+		}
+	}
+}
+
 func TestZeroLossCapacityExactHandCase(t *testing.T) {
 	// Arrivals 100/300/100 per 0.1 s, buffer 100 bytes.
 	// S = 0,100,400,500. C*·Δt/8 = max over pairs of (S_j-S_i-100)/(j-i):
@@ -145,6 +210,126 @@ func TestZeroLossCapacityExactMatchesBisection(t *testing.T) {
 			t.Errorf("Q=%v: bisection %v vs exact %v", q, bisect, exact)
 		}
 	}
+}
+
+// zeroLossGoldenCases returns the fixed (workload, buffer) cases the
+// ZeroLossCapacityExact golden is recorded over: hand cases, bursty and
+// heavy-tailed random workloads at frame and slice intervals, and the
+// test trace at both granularities, each against buffers from zero to
+// several times the workload's total bytes.
+func zeroLossGoldenCases(t *testing.T) (ws []Workload, buffers [][]float64) {
+	t.Helper()
+	ws = []Workload{
+		{Bytes: []float64{100, 300, 100}, Interval: 0.1},
+		{Bytes: []float64{5, 5, 5}, Interval: 1},
+		{Bytes: []float64{1000}, Interval: 0.04},
+		{Bytes: []float64{0, 0, 7, 0}, Interval: 0.5},
+		layeredTestWorkload(2000, 15),
+		layeredTestWorkload(5000, 10),
+	}
+	rng := rand.New(rand.NewPCG(0x2e70, 0x1055))
+	for _, n := range []int{2, 3, 10, 64, 777, 3000} {
+		for _, dt := range []float64{1.0 / 24, 1.0 / 144} {
+			b := make([]float64, n)
+			for i := range b {
+				b[i] = 2000 / math.Pow(1-rng.Float64(), 0.7) // Pareto-like tail
+			}
+			ws = append(ws, Workload{Bytes: b, Interval: dt})
+		}
+	}
+	tr := testTrace(t, 3000)
+	ws = append(ws,
+		Workload{Bytes: tr.Frames, Interval: 1 / tr.FrameRate},
+		Workload{Bytes: tr.Slices, Interval: 1 / (tr.FrameRate * float64(tr.SlicesPerFrame))})
+	for _, w := range ws {
+		peak, total := 0.0, w.TotalBytes()
+		for _, v := range w.Bytes {
+			peak = math.Max(peak, v)
+		}
+		bs := []float64{0, 1, 100}
+		for _, f := range []float64{0.01, 0.1, 0.5, 1, 2, 10, 100} {
+			bs = append(bs, f*peak)
+		}
+		bs = append(bs, 0.5*total, total, 3*total)
+		buffers = append(buffers, bs)
+	}
+	return ws, buffers
+}
+
+// Float64bits of ZeroLossCapacityExact over zeroLossGoldenCases, folded
+// by goldenHash, captured from the convex-hull code before it was
+// generalized into zeroLossRate. Never regenerate from current code.
+const (
+	goldenZeroLossCases = 260
+	goldenZeroLossHash  = 0xd1ac1e2be24fa4ba
+)
+
+// TestZeroLossCapacityExactGolden pins ZeroLossCapacityExact bit for bit:
+// the T = 0 query of the zero-loss dual divides by the integer gaps
+// exactly as the dedicated hull did.
+func TestZeroLossCapacityExactGolden(t *testing.T) {
+	ws, buffers := zeroLossGoldenCases(t)
+	var got []float64
+	for i, w := range ws {
+		for _, b := range buffers[i] {
+			c, err := ZeroLossCapacityExact(w, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, c)
+		}
+	}
+	if len(got) != goldenZeroLossCases {
+		t.Fatalf("%d cases, want %d", len(got), goldenZeroLossCases)
+	}
+	if h := goldenHash(got); h != goldenZeroLossHash {
+		t.Errorf("zero-loss capacity hash = %#x, want %#x", h, uint64(goldenZeroLossHash))
+	}
+}
+
+// FuzzZeroLoss checks the zero-loss dual against the simulator on
+// arbitrary short workloads (one byte per interval, so cumulative sums
+// are exact), buffers B and delays T: with buffer B + T·C/8, the fluid
+// queue loses at most 1e-9 of the bytes just above the dual rate and
+// loses some bytes just below it.
+func FuzzZeroLoss(f *testing.F) {
+	f.Add([]byte{100, 255, 3, 0, 200}, uint16(50), uint16(0))
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint16(0), uint16(250))
+	f.Add([]byte{0, 0, 9}, uint16(0), uint16(0))
+	f.Add([]byte{255, 255, 255, 255}, uint16(1000), uint16(60000))
+	f.Fuzz(func(t *testing.T, data []byte, buffer, delayMs uint16) {
+		if len(data) == 0 || len(data) > 256 {
+			return
+		}
+		w := Workload{Bytes: make([]float64, len(data)), Interval: 1.0 / 24}
+		for i, b := range data {
+			w.Bytes[i] = float64(b)
+		}
+		bufferBytes, delay := float64(buffer), float64(delayMs)/1000
+		rate, err := zeroLossRate(w, bufferBytes, delay)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !(rate >= 0) || math.IsInf(rate, 0) {
+			t.Fatalf("dual rate %v", rate)
+		}
+		if rate == 0 { // no pair of intervals outruns the buffer
+			return
+		}
+		lossAt := func(c float64) *Result {
+			r, err := Simulate(w, c, bufferBytes+delay*c/8, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return r
+		}
+		if r := lossAt(rate * (1 + 1e-9)); r.LostBytes > 1e-9*r.TotalBytes {
+			t.Errorf("lost %v of %v bytes just above the dual rate %v", r.LostBytes, r.TotalBytes, rate)
+		}
+		if r := lossAt(rate * (1 - 1e-6)); !(r.LostBytes > 0) {
+			t.Errorf("no loss just below the dual rate %v", rate)
+		}
+	})
 }
 
 func TestZeroLossCapacityExactZeroBufferIsPeak(t *testing.T) {

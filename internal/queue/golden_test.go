@@ -94,10 +94,11 @@ func TestGoldenLags(t *testing.T) {
 // TestGoldenWorkloads pins the aggregate workloads: same values in the
 // same float-addition order, at frame and slice granularity.
 func TestGoldenWorkloads(t *testing.T) {
+	ctx := context.Background()
 	m := goldenMux(t)
 	lags := []int{0, goldenComboLag1, goldenComboLag2}
 
-	fw, err := m.FrameWorkload(lags)
+	fw, err := m.FrameWorkload(ctx, lags)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +112,7 @@ func TestGoldenWorkloads(t *testing.T) {
 		t.Errorf("frame workload hash = %#x, want %#x", h, uint64(goldenFrameWorkloadHash))
 	}
 
-	sw, err := m.SliceWorkload(lags)
+	sw, err := m.SliceWorkload(ctx, lags)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,13 +75,6 @@ func NewMuxFromConfig(cfg MuxConfig) (*Mux, error) {
 // NSources implements Aggregator.
 func (m *Mux) NSources() int { return m.N }
 
-// RateEnvelope implements Aggregator: the aggregate mean and peak of N
-// phased copies are N times the trace's single-source rates (phasing
-// changes neither the marginal sum nor the per-copy peak bound).
-func (m *Mux) RateEnvelope() (meanBps, peakBps float64, err error) {
-	return m.Trace.MeanRate() * float64(m.N), m.Trace.PeakRate() * float64(m.N), nil
-}
-
 // Lags draws one admissible lag combination: N offsets whose pairwise
 // circular distances are all at least MinLagFrames, with the first lag 0
 // (a pure relabeling of time). The draw is constructive rather than
@@ -157,7 +150,7 @@ func lagged(vals []float64, lags []int, scale int, perFrame float64) ([]source.S
 
 // FrameWorkload sums the N lagged frame series into one aggregate
 // workload at frame granularity.
-func (m *Mux) FrameWorkload(lags []int) (Workload, error) {
+func (m *Mux) FrameWorkload(ctx context.Context, lags []int) (Workload, error) {
 	if len(lags) != m.N {
 		return Workload{}, fmt.Errorf("queue: %d lags for %d sources", len(lags), m.N)
 	}
@@ -165,14 +158,13 @@ func (m *Mux) FrameWorkload(lags []int) (Workload, error) {
 	if err != nil {
 		return Workload{}, err
 	}
-	//vbrlint:ignore ctxcheck bounded aggregation over N phased copies of the trace; no blocking calls
-	return AggregateSources(context.Background(), srcs, len(m.Trace.Frames), 1/m.Trace.FrameRate)
+	return AggregateSources(ctx, srcs, len(m.Trace.Frames), 1/m.Trace.FrameRate)
 }
 
 // SliceWorkload sums the N lagged slice series into one aggregate
 // workload at slice granularity (the resolution the paper's simulations
 // use). The trace must carry slice data.
-func (m *Mux) SliceWorkload(lags []int) (Workload, error) {
+func (m *Mux) SliceWorkload(ctx context.Context, lags []int) (Workload, error) {
 	if m.Trace.Slices == nil {
 		return Workload{}, fmt.Errorf("queue: trace has no slice data")
 	}
@@ -184,8 +176,7 @@ func (m *Mux) SliceWorkload(lags []int) (Workload, error) {
 	if err != nil {
 		return Workload{}, err
 	}
-	//vbrlint:ignore ctxcheck bounded aggregation over N phased copies of the trace; no blocking calls
-	return AggregateSources(context.Background(), srcs, len(m.Trace.Slices), 1/(m.Trace.FrameRate*float64(spf)))
+	return AggregateSources(ctx, srcs, len(m.Trace.Slices), 1/(m.Trace.FrameRate*float64(spf)))
 }
 
 // Combos returns the number of lag combinations §5.1 prescribes: one for
@@ -198,11 +189,11 @@ func (m *Mux) Combos() int {
 	return 6
 }
 
-// workloads returns (building and caching on first use) the aggregate
-// workloads of the Combos lag combinations drawn deterministically from
-// Seed. Safe for concurrent use; the cached workloads are read-only
-// after the build.
-func (m *Mux) workloads(useSlices bool) ([]Workload, error) {
+// Workloads implements Aggregator: the aggregate workloads of the
+// Combos lag combinations drawn deterministically from Seed, built and
+// cached on first use. Safe for concurrent use; the cached workloads
+// are read-only after the build.
+func (m *Mux) Workloads(ctx context.Context, useSlices bool) ([]Workload, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if useSlices && m.cachedSlice != nil {
@@ -219,9 +210,9 @@ func (m *Mux) workloads(useSlices bool) ([]Workload, error) {
 		var w Workload
 		var err error
 		if useSlices {
-			w, err = m.SliceWorkload(lags)
+			w, err = m.SliceWorkload(ctx, lags)
 		} else {
-			w, err = m.FrameWorkload(lags)
+			w, err = m.FrameWorkload(ctx, lags)
 		}
 		if err != nil {
 			return nil, err
@@ -250,7 +241,7 @@ var comboFailHook func(combo int) error
 // Result.ComboErrors). It fails outright only when the context is
 // cancelled or every combination failed.
 func (m *Mux) AverageLossCtx(ctx context.Context, capacityBps, bufferBytes float64, useSlices bool, opts Options) (*Result, error) {
-	ws, err := m.workloads(useSlices)
+	ws, err := m.Workloads(ctx, useSlices)
 	if err != nil {
 		return nil, err
 	}

@@ -78,6 +78,7 @@ func TestLagsRespectMinDistance(t *testing.T) {
 }
 
 func TestFrameWorkloadConservesBytes(t *testing.T) {
+	ctx := context.Background()
 	tr := testTrace(t, 2000)
 	m, err := NewMuxFromConfig(MuxConfig{Trace: tr, N: 3, MinLagFrames: 100, Seed: 7})
 	if err != nil {
@@ -85,7 +86,7 @@ func TestFrameWorkloadConservesBytes(t *testing.T) {
 	}
 	rng := rand.New(rand.NewPCG(9, 9))
 	lags := m.Lags(rng)
-	w, err := m.FrameWorkload(lags)
+	w, err := m.FrameWorkload(ctx, lags)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,12 +101,13 @@ func TestFrameWorkloadConservesBytes(t *testing.T) {
 	if math.Abs(w.Interval-1.0/24) > 1e-12 {
 		t.Errorf("interval %v", w.Interval)
 	}
-	if _, err := m.FrameWorkload([]int{1}); err == nil {
+	if _, err := m.FrameWorkload(ctx, []int{1}); err == nil {
 		t.Error("wrong lag count should fail")
 	}
 }
 
 func TestSliceWorkload(t *testing.T) {
+	ctx := context.Background()
 	tr := testTrace(t, 2000)
 	m, err := NewMuxFromConfig(MuxConfig{Trace: tr, N: 2, MinLagFrames: 100, Seed: 7})
 	if err != nil {
@@ -113,7 +115,7 @@ func TestSliceWorkload(t *testing.T) {
 	}
 	rng := rand.New(rand.NewPCG(11, 11))
 	lags := m.Lags(rng)
-	w, err := m.SliceWorkload(lags)
+	w, err := m.SliceWorkload(ctx, lags)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,14 +126,14 @@ func TestSliceWorkload(t *testing.T) {
 		t.Errorf("interval %v", w.Interval)
 	}
 	// Slice aggregate equals frame aggregate in total.
-	fw, _ := m.FrameWorkload(lags)
+	fw, _ := m.FrameWorkload(ctx, lags)
 	if math.Abs(w.TotalBytes()-fw.TotalBytes()) > 1e-6*fw.TotalBytes() {
 		t.Errorf("slice total %v vs frame total %v", w.TotalBytes(), fw.TotalBytes())
 	}
 	// Trace without slice data.
 	noSlices := &trace.Trace{Frames: tr.Frames, FrameRate: 24}
 	m2, _ := NewMuxFromConfig(MuxConfig{Trace: noSlices, N: 2, MinLagFrames: 100, Seed: 7})
-	if _, err := m2.SliceWorkload(lags); err == nil {
+	if _, err := m2.SliceWorkload(ctx, lags); err == nil {
 		t.Error("missing slices should fail")
 	}
 }

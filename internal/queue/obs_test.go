@@ -65,7 +65,7 @@ func TestAverageLossWindowSeriesFromFirstCombo(t *testing.T) {
 	}
 
 	// The series must be bit-identical to combo 0 simulated directly.
-	ws, err := m.workloads(true)
+	ws, err := m.Workloads(ctx, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -111,7 +111,7 @@ func TestAverageLossComboFailuresDegradeGracefully(t *testing.T) {
 
 	// The survivor average must equal the mean over exactly the four
 	// surviving combos, computed directly.
-	ws, err := m.workloads(true)
+	ws, err := m.Workloads(ctx, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestFaultedSimulationDeterministicAndLossy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws, err := m.workloads(false)
+	ws, err := m.Workloads(context.Background(), false)
 	if err != nil {
 		t.Fatal(err)
 	}

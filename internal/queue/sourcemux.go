@@ -11,9 +11,10 @@ import (
 // Aggregator is the multiplexer contract the capacity search and the
 // experiment suites consume: something that can simulate its aggregate
 // workload against a (capacity, buffer) point, say how many sources it
-// multiplexes, and bracket its aggregate rate for bisection. The
-// classic lagged-trace Mux and the scenario-zoo SourceMux both
-// implement it, so a Q–C sweep runs unchanged over either population.
+// multiplexes, and hand over the combination workloads it averages, from
+// which the search takes its zero-loss dual. The classic lagged-trace
+// Mux and the scenario-zoo SourceMux both implement it, so a Q–C sweep
+// runs unchanged over either population.
 type Aggregator interface {
 	// AverageLossCtx simulates the aggregate workload at the given
 	// capacity (bits/s) and buffer (bytes), averaging losses over the
@@ -22,9 +23,10 @@ type Aggregator interface {
 	AverageLossCtx(ctx context.Context, capacityBps, bufferBytes float64, useSlices bool, opts Options) (*Result, error)
 	// NSources reports how many sources share the buffer.
 	NSources() int
-	// RateEnvelope reports the aggregate mean and peak rates in bits/s,
-	// the bracket the capacity bisection searches inside.
-	RateEnvelope() (meanBps, peakBps float64, err error)
+	// Workloads returns the aggregate workload of every lag/seed
+	// combination AverageLossCtx averages over, at slice granularity
+	// when useSlices is set. Callers must not modify them.
+	Workloads(ctx context.Context, useSlices bool) ([]Workload, error)
 }
 
 var (
@@ -118,11 +120,15 @@ func (m *SourceMux) Combos() int { return m.combos }
 // FrameRate reports the population's shared frame rate.
 func (m *SourceMux) FrameRate() float64 { return m.fps }
 
-// workloads builds (once, then caches) the aggregate workload of each
-// replication: replication c resets source j to SubSeed(SubSeed(seed,
-// c), j) and the per-frame outputs are summed source-major via
-// AggregateSources, fixing the float addition order.
-func (m *SourceMux) workloads(ctx context.Context) ([]Workload, error) {
+// Workloads implements Aggregator. It builds (once, then caches) the
+// aggregate workload of each replication: replication c resets source j
+// to SubSeed(SubSeed(seed, c), j) and the per-frame outputs are summed
+// source-major via AggregateSources, fixing the float addition order.
+// Zoo sources supply frames, not slices, so useSlices must be false.
+func (m *SourceMux) Workloads(ctx context.Context, useSlices bool) ([]Workload, error) {
+	if useSlices {
+		return nil, fmt.Errorf("queue: scenario-zoo sources supply frame granularity only")
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.cached != nil {
@@ -144,37 +150,11 @@ func (m *SourceMux) workloads(ctx context.Context) ([]Workload, error) {
 	return ws, nil
 }
 
-// RateEnvelope implements Aggregator. Zoo models may be unbounded
-// (heavy tails), so the envelope is read off the realized workloads:
-// the mean over replications of the aggregate mean rate, and the
-// maximum realized aggregate peak — exactly the range the capacity
-// bisection needs to bracket its simulations.
-//
-//vbrlint:ignore ctxcheck the Aggregator contract fixes this signature; the envelope fold is bounded by the combo count
-func (m *SourceMux) RateEnvelope() (meanBps, peakBps float64, err error) {
-	//vbrlint:ignore ctxcheck workloads are cached after the first bounded build; there is no ctx to pass through
-	ws, err := m.workloads(context.Background())
-	if err != nil {
-		return 0, 0, err
-	}
-	for _, w := range ws {
-		meanBps += w.MeanRate()
-		if p := w.PeakRate(); p > peakBps {
-			peakBps = p
-		}
-	}
-	meanBps /= float64(len(ws))
-	return meanBps, peakBps, nil
-}
-
 // AverageLossCtx implements Aggregator: the fluid simulation over the
 // replications' workloads, averaged over survivors. Zoo sources supply
 // frames, not slices, so useSlices must be false.
 func (m *SourceMux) AverageLossCtx(ctx context.Context, capacityBps, bufferBytes float64, useSlices bool, opts Options) (*Result, error) {
-	if useSlices {
-		return nil, fmt.Errorf("queue: scenario-zoo sources supply frame granularity only")
-	}
-	ws, err := m.workloads(ctx)
+	ws, err := m.Workloads(ctx, useSlices)
 	if err != nil {
 		return nil, err
 	}

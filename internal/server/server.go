@@ -20,9 +20,6 @@ import (
 
 // Config parameterizes a Server. Zero values select defaults.
 type Config struct {
-	// DefaultModel seeds requests that omit model parameters; the zero
-	// Model selects the paper's Star Wars fit (Table 4).
-	DefaultModel core.Model
 	// MaxFrames caps the per-request trace length (default 4·2²⁰); a
 	// cap keeps one greedy client from pinning a worker for hours.
 	MaxFrames int
@@ -70,9 +67,6 @@ type Server struct {
 // lives until ctx fires. The caller owns HTTP listening and shutdown;
 // see cmd/vbrd.
 func New(ctx context.Context, cfg Config) *Server {
-	if cfg.DefaultModel == (core.Model{}) {
-		cfg.DefaultModel = PaperDefault
-	}
 	if cfg.MaxFrames == 0 {
 		cfg.MaxFrames = 4 << 20
 	}
@@ -205,9 +199,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // parseModel reads μΓ/σΓ/m_T/H overrides from query parameters on top
-// of the server default.
+// of PaperDefault.
 func (s *Server) parseModel(get func(string) string) (core.Model, error) {
-	m := s.cfg.DefaultModel
+	m := PaperDefault
 	for _, p := range []struct {
 		name string
 		dst  *float64

@@ -476,7 +476,7 @@ func TestConcurrentTraceStreams(t *testing.T) {
 // built without sim workers so the FIFO fills deterministically.
 func TestHealthzDegraded(t *testing.T) {
 	s := &Server{
-		cfg:  Config{DefaultModel: PaperDefault, MaxFrames: 1 << 20, JobQueueDepth: 10},
+		cfg:  Config{MaxFrames: 1 << 20, JobQueueDepth: 10},
 		jobs: newJobStore("", 10),
 	}
 	ts := httptest.NewServer(s.Handler())

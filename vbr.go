@@ -267,7 +267,9 @@ type LossTarget = queue.LossTarget
 // QCPoint is one point of a Fig. 14 Q–C tradeoff curve.
 type QCPoint = queue.QCPoint
 
-// QCCurveConfig parameterizes a Q–C sweep.
+// QCCurveConfig parameterizes a Q–C sweep: a multiplexer, a loss target
+// and a T_max grid, each point sized by the zero-loss dual (Pl = 0) or
+// a bisection under it (Pl > 0).
 type QCCurveConfig = queue.QCCurveConfig
 
 // QCCurveCtx computes a Fig. 14 curve under a context: cancellation
@@ -280,8 +282,9 @@ func QCCurveCtx(ctx context.Context, cfg QCCurveConfig) ([]QCPoint, error) {
 
 // MinCapacityFnCtx bisects for the minimum capacity meeting a loss
 // target, given any monotone loss(capacity) function — the primitive
-// under QCCurveCtx and SMGCtx, exported for custom allocation studies.
-// The context is checked between bisection iterations.
+// under the Pl > 0 points of QCCurveCtx and SMGCtx (their Pl = 0 points
+// come from the exact zero-loss dual), exported for custom allocation
+// studies. The context is checked between bisection iterations.
 func MinCapacityFnCtx(ctx context.Context, loss func(capacityBps float64) (float64, error), loBps, hiBps float64, target LossTarget) (float64, error) {
 	return queue.MinCapacityCtx(ctx, loss, loBps, hiBps, target)
 }
