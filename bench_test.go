@@ -527,9 +527,9 @@ func BenchmarkWarmGenerate(b *testing.B) {
 
 // Paper-scale streaming through the chunked engines: a 171,000-frame
 // stream opened on a warm pool and drained, which is the work vbrd does
-// per default /v1/trace request (4,096-frame blocks, 5,120-frame
-// chunks). ns/frame and B/frame put the chunk draws' cost and their
-// allocation-free steady state on a per-frame scale.
+// per default /v1/trace request (4,096-frame blocks, chunks drawn at
+// 8,192 points). ns/frame and B/frame put the chunk draws' cost and
+// their allocation-free steady state on a per-frame scale.
 func BenchmarkStreamDaviesHarte171k(b *testing.B) { benchStream(b, BackendDaviesHarte) }
 
 func BenchmarkStreamPaxson171k(b *testing.B) { benchStream(b, BackendPaxson) }
@@ -567,6 +567,36 @@ func benchStream(b *testing.B, engine Backend) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/frames, "ns/frame")
 	b.ReportMetric(float64(ms.TotalAlloc-allocated)/frames, "B/frame")
 }
+
+// The online validation a stream does per frame: 171,000 frames of
+// Davies–Harte stream output folded into a fresh Monitor, with one
+// Probe per 4,096-frame block, as Stream.Next takes them.
+func BenchmarkMonitorAdd(b *testing.B) {
+	ctx := context.Background()
+	const n, block = 171_000, 4096
+	st, err := stream.OpenCtx(ctx, stream.Config{Model: benchCacheModel, N: n, Backend: BackendDaviesHarte, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ys, err := stream.Collect(ctx, st)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mo := stream.NewMonitor(n)
+		for lo := 0; lo < n; lo += block {
+			for _, v := range ys[lo:min(lo+block, n)] {
+				mo.Add(v)
+			}
+			benchProbe = mo.Probe()
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*n), "ns/frame")
+}
+
+var benchProbe stream.Probe
 
 // Eight independently seeded traces through the worker-pool batch
 // engine sharing one pool, vs. what eight cold GenerateCtx calls would

@@ -26,10 +26,23 @@ import (
 //
 // The implementation is the *decimated* form: instead of averaging
 // windows at every phase offset j (which needs an O(τ) sliding buffer
-// per octave), windows advance with stride τ/4 — each octave keeps the
-// phase sum of the sub-block being filled plus a fixed 12-slot ring of
-// completed sub-block sums, an O(1)-memory accumulator. Stationarity of
-// the increments makes the strided average an unbiased estimate of the
+// per octave), windows advance with stride τ/4 (1 below τ = 4). Each
+// octave keeps a fixed 16-entry ring of the window-block sums
+// W_τ(n) = x_{n−τ+1} + … + x_n it produced and builds each new one
+// from the octave below: octave 1's block is the phase x_n itself, and
+// W_2τ(n) = W_τ(n) + W_τ(n−τ) — formed every frame while 2τ ≤ 4, and
+// on every other octave-τ block above that. A window's B₂ is the block
+// just formed; B₁ and B₀ are the blocks the octave produced τ and 2τ
+// frames earlier, read from the ring rather than kept as sliding sums,
+// which would accumulate rounding over the whole stream. A window
+// counts once n ≥ 3τ. Octaves 1, 2 and 4 work every frame and octave
+// 2^k once per 2^{k−2} frames, so an observation costs O(1) amortised
+// time and the state is O(1) per octave. The cascade only reorders the
+// additions of summing each block's τ phases in sequence: τ ≤ 2 is
+// bit-identical to that, and the sequential accumulator it replaced
+// (and re-pinned the goldens and the calibration table against, once)
+// is kept in mavar_oracle_test.go as the oracle. Stationarity of the
+// increments makes the strided average an unbiased estimate of the
 // same modified Allan variance; the 75%-overlapped windows keep most of
 // the fully-overlapped estimator's averaging, and the calibration
 // battery (calibration_table.go) quantifies what variance remains. That
@@ -58,25 +71,24 @@ const (
 	defaultMavarFitLo = 2
 )
 
-// mavarSubs is the number of sub-blocks per averaging window: windows
-// advance with stride τ/mavarSubs, so each completed sub-block yields
-// one second-difference window once the ring holds 3·mavarSubs sums.
+// mavarSubs is the number of strides per window block: windows
+// advance with stride τ/mavarSubs (1 below τ = mavarSubs).
 const mavarSubs = 4
 
-// mavarLevel is one octave's decimating accumulator: the phase sum of
-// the sub-block being filled, a fixed ring of the last 3·f completed
-// sub-block sums (f = min(τ, mavarSubs)), and the running
-// second-difference statistics.
+// mavarRing is the number of window-block sums an octave keeps: a power
+// of two above 2·mavarSubs, so B₀, read 2f blocks back, never wraps onto
+// the block being written.
+const mavarRing = 16
+
+// mavarLevel is one octave's accumulator: a ring of the last window-block
+// sums W_τ it produced, one per stride τ/f (f = min(τ, mavarSubs)), and
+// the running second-difference statistics.
 type mavarLevel struct {
 	tau int
-	sub int // sub-block length: max(1, τ/mavarSubs)
-	f   int // sub-blocks per window block: τ/sub
+	f   int // blocks per window length τ: min(τ, mavarSubs)
 
-	acc  float64 // phase sum of the current, partially filled sub-block
-	fill int
-	ring [3 * mavarSubs]float64 // last 3f completed sub-block sums
-	head int                    // next ring write position (mod 3f)
-	subs int64                  // completed sub-blocks
+	ring   [mavarRing]float64 // W_τ of the last blocks, block k at k mod mavarRing
+	blocks uint64             // blocks produced; wraps harmlessly mod mavarRing
 
 	sumSq float64 // Σ (B₂ − 2B₁ + B₀)² over strided windows
 	count int64   // second-difference windows folded into sumSq
@@ -109,7 +121,7 @@ func (l *mavarLevel) modVar() float64 {
 
 // OnlineMAVAR is the streaming MAVAR estimator: one decimating
 // accumulator per octave τ = 1, 2, 4, …, maxTau, fed one observation at
-// a time in O(1) memory and O(log maxTau) time per observation. Feeding
+// a time in O(1) memory and O(1) amortised time per observation. Feeding
 // it a series in any block partitioning yields bitwise-identical state,
 // and the batch MAVAR function is defined as feeding the whole series.
 type OnlineMAVAR struct {
@@ -134,11 +146,7 @@ func MaxMavarTau(n int) int {
 func NewOnlineMAVAR(maxTau int) *OnlineMAVAR {
 	o := &OnlineMAVAR{}
 	for tau := 1; tau <= maxTau && len(o.levels) < maxMavarOctaves; tau *= 2 {
-		sub := tau / mavarSubs
-		if sub < 1 {
-			sub = 1
-		}
-		o.levels = append(o.levels, mavarLevel{tau: tau, sub: sub, f: tau / sub})
+		o.levels = append(o.levels, mavarLevel{tau: tau, f: min(tau, mavarSubs)})
 	}
 	return o
 }
@@ -149,57 +157,32 @@ func (o *OnlineMAVAR) N() int64 { return o.n }
 // MaxTau reports the largest tracked octave.
 func (o *OnlineMAVAR) MaxTau() int { return o.levels[len(o.levels)-1].tau }
 
-// Add folds one rate observation into every octave accumulator. It
-// allocates nothing and runs in O(number of octaves).
+// Add folds one rate observation into the octave accumulators, from
+// τ = 1 up to the first octave that forms no block at this frame. It
+// allocates nothing and runs in O(1) amortised time.
 //
 //vbrlint:hotpath
 func (o *OnlineMAVAR) Add(v float64) {
 	o.phase += v
 	o.n++
+	b2 := o.phase
 	for i := range o.levels {
 		l := &o.levels[i]
-		l.acc += o.phase
-		l.fill++
-		if l.fill < l.sub {
-			continue
+		l.blocks++
+		l.ring[l.blocks%mavarRing] = b2
+		b1 := l.ring[(l.blocks-uint64(l.f))%mavarRing]
+		if o.n >= 3*int64(l.tau) {
+			b0 := l.ring[(l.blocks-2*uint64(l.f))%mavarRing]
+			d := b2 - 2*b1 + b0
+			l.sumSq += d * d
+			l.count++
 		}
-		size := 3 * l.f
-		l.ring[l.head] = l.acc
-		l.head++
-		if l.head == size {
-			l.head = 0
+		// From τ = mavarSubs up, octave 2τ strides twice as far as τ,
+		// so only every other block of τ forms one of 2τ.
+		if l.f == mavarSubs && l.blocks%2 == 1 {
+			return
 		}
-		l.subs++
-		l.acc, l.fill = 0, 0
-		if l.subs < int64(size) {
-			continue
-		}
-		// The ring now holds the last 3f sub-block sums, oldest at the
-		// next write position; the three window blocks B₀, B₁, B₂ are f
-		// consecutive sub-blocks each.
-		var b0, b1, b2 float64
-		idx := l.head
-		for j := 0; j < l.f; j++ {
-			b0 += l.ring[idx]
-			if idx++; idx == size {
-				idx = 0
-			}
-		}
-		for j := 0; j < l.f; j++ {
-			b1 += l.ring[idx]
-			if idx++; idx == size {
-				idx = 0
-			}
-		}
-		for j := 0; j < l.f; j++ {
-			b2 += l.ring[idx]
-			if idx++; idx == size {
-				idx = 0
-			}
-		}
-		d := b2 - 2*b1 + b0
-		l.sumSq += d * d
-		l.count++
+		b2 += b1 // W_2τ(n) = W_τ(n) + W_τ(n−τ)
 	}
 }
 

@@ -13,10 +13,11 @@ const minAggSamples = 8
 
 // aggLevel accumulates the variance of the m-aggregated series
 // X^(m)_i = (X_{im+1}+…+X_{(i+1)m})/m with Welford's update, the
-// streaming half of the §4.1 variance–time plot.
+// streaming half of the §4.1 variance–time plot. Above m = 1 a level
+// builds each block sum from four block sums of the level below.
 type aggLevel struct {
 	m    int
-	acc  float64
+	acc  float64 // sum of the level-below block sums folded in so far
 	fill int
 
 	n    int64
@@ -24,15 +25,10 @@ type aggLevel struct {
 	m2   float64
 }
 
+// add folds one aggregated point into the level's Welford moments.
+//
 //vbrlint:hotpath
-func (l *aggLevel) add(v float64) {
-	l.acc += v
-	l.fill++
-	if l.fill < l.m {
-		return
-	}
-	s := l.acc / float64(l.m)
-	l.acc, l.fill = 0, 0
+func (l *aggLevel) add(s float64) {
 	l.n++
 	d := s - l.mean
 	l.mean += d / float64(l.n)
@@ -59,7 +55,7 @@ func (l *aggLevel) variance() float64 {
 //     ±1.96σ half-width from the committed battery table, so snapshots
 //     report honest uncertainty, not a bare point value.
 type Monitor struct {
-	levels []*aggLevel
+	levels []aggLevel
 	mavar  *lrd.OnlineMAVAR
 }
 
@@ -80,20 +76,29 @@ func maxAggLevel(n int) int {
 func NewMonitor(n int) *Monitor {
 	mo := &Monitor{mavar: lrd.NewOnlineMAVAR(lrd.MaxMavarTau(n))}
 	for m := 1; m <= maxAggLevel(n); m *= 4 {
-		mo.levels = append(mo.levels, &aggLevel{m: m})
+		mo.levels = append(mo.levels, aggLevel{m: m})
 	}
 	return mo
 }
 
-// Add folds one frame into every aggregation level and the MAVAR
-// accumulators.
+// Add folds one frame into the MAVAR accumulators and the aggregation
+// levels: level 1 takes the frame itself, and each level above takes
+// the block sum of the level below once that completes, so the ladder
+// does O(1) amortised work per frame.
 //
 //vbrlint:hotpath
 func (mo *Monitor) Add(v float64) {
-	for _, l := range mo.levels {
-		l.add(v)
-	}
 	mo.mavar.Add(v)
+	mo.levels[0].add(v)
+	for i := 1; i < len(mo.levels); i++ {
+		l := &mo.levels[i]
+		l.acc += v
+		if l.fill++; l.fill < 4 {
+			return
+		}
+		v, l.acc, l.fill = l.acc, 0, 0
+		l.add(v / float64(l.m))
+	}
 }
 
 // Probe is a point-in-time validation snapshot of a stream.

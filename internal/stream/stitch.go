@@ -47,6 +47,8 @@ type stitch struct {
 	chunk []float64    // the current chunk, synthLen points
 	work  []complex128 // the engine's spectrum buffer
 	carry []float64
+	cos   []float64 // crossfade weights cos θ_j, j < overlap
+	sin   []float64 // crossfade weights sin θ_j
 
 	idx int // next chunk index
 	pos int // frames emitted
@@ -69,18 +71,26 @@ func synthLen(block, overlap int) int {
 	return 1 << bits.Len(uint(block+overlap-1))
 }
 
-// newStitch allocates the stream's chunk buffers once, so drawing a
-// chunk allocates nothing.
+// newStitch allocates the stream's chunk buffers and computes the
+// crossfade weights once, so drawing a chunk allocates nothing and
+// blending calls no trigonometry.
 func newStitch(cfg Config, name string, salt uint64, eng chunkEngine) *stitch {
 	src := rand.NewPCG(cfg.Seed, salt)
-	return &stitch{
+	d := &stitch{
 		n: cfg.N, block: cfg.BlockSize, overlap: cfg.Overlap,
 		name: name, eng: eng,
 		seed: cfg.Seed, salt: salt, src: src, rng: rand.New(src),
 		chunk: make([]float64, synthLen(cfg.BlockSize, cfg.Overlap)),
 		work:  make([]complex128, eng.WorkLen()),
 		carry: make([]float64, 0, cfg.Overlap),
+		cos:   make([]float64, cfg.Overlap),
+		sin:   make([]float64, cfg.Overlap),
 	}
+	for j := range d.cos {
+		theta := (float64(j) + 0.5) / float64(cfg.Overlap) * (math.Pi / 2)
+		d.cos[j], d.sin[j] = math.Cos(theta), math.Sin(theta)
+	}
+	return d
 }
 
 // newDHStitch builds the Davies–Harte chunked backend: exact circulant
@@ -132,10 +142,9 @@ func (d *stitch) Next(ctx context.Context, dst []float64) (int, error) {
 		emit = rem
 	}
 	start := 0
-	if d.idx > 0 && d.overlap > 0 {
+	if d.idx > 0 {
 		for ; start < d.overlap && start < emit; start++ {
-			theta := (float64(start) + 0.5) / float64(d.overlap) * (math.Pi / 2)
-			dst[start] = math.Cos(theta)*d.carry[start] + math.Sin(theta)*chunk[start]
+			dst[start] = d.cos[start]*d.carry[start] + d.sin[start]*chunk[start]
 		}
 	}
 	copy(dst[start:emit], chunk[start:emit])

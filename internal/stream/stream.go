@@ -162,8 +162,7 @@ type Stream struct {
 	resolved backend.Backend // concrete engine after Auto resolution
 	gauss    gaussian
 	tab      *dist.QuantileTable
-	gbuf     []float64
-	out      []float64
+	gbuf     []float64 // backend block, transformed in place
 	mon      *Monitor
 	pos      int
 
@@ -212,7 +211,6 @@ func OpenCtx(ctx context.Context, cfg Config) (*Stream, error) {
 		cfg:  cfg,
 		tab:  tab,
 		gbuf: make([]float64, cfg.BlockSize),
-		out:  make([]float64, cfg.BlockSize),
 		mon:  NewMonitor(cfg.N),
 	}
 	if mu := gp.Mean(); !math.IsInf(mu, 0) && mu > 0 {
@@ -282,8 +280,8 @@ func (s *Stream) Next(ctx context.Context) ([]float64, error) {
 		}
 		return nil, err
 	}
-	out := s.out[:n]
-	for i, v := range s.gbuf[:n] {
+	out := s.gbuf[:n]
+	for i, v := range out {
 		y := s.tab.Value(specfn.NormCDF(v))
 		out[i] = y
 		s.mon.Add(y)
