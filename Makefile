@@ -72,13 +72,14 @@ calibrate:
 # fGn generators plus the paper-scale Auto-policy cold generation, the
 # fluid queue, the end-to-end Fig 14 sweep, the generation-cache
 # cold/warm/batch trio, the paper-scale warm Davies–Harte and Paxson
-# streams and their online Monitor, the estimator battery (batch
+# streams, their first block (the time-to-first-byte share of
+# generation) and their online Monitor, the estimator battery (batch
 # MAVAR, the streaming per-observation update, the full EstimateAll
 # bundle), and the per-frame hot path of every scenario-zoo model. The
 # text output goes through an intermediate file so a benchmark failure
 # fails the target rather than feeding benchjson an empty stream.
 bench-json:
-	$(GO) test -run '^$$' -bench 'Ablation_Hosking10k$$|Ablation_DaviesHarte10k$$|Paxson10k$$|Paxson171k$$|Ablation_QueueFluid$$|Fig14_QCCurves$$|ColdGenerate$$|WarmGenerate$$|BatchGenerate$$|StreamDaviesHarte171k$$|StreamPaxson171k$$|MonitorAdd$$|MAVAR$$|OnlineMAVARAdd$$|EstimateAll$$|SourceNext$$' -benchmem -count=3 . > bench.out
+	$(GO) test -run '^$$' -bench 'Ablation_Hosking10k$$|Ablation_DaviesHarte10k$$|Paxson10k$$|Paxson171k$$|Ablation_QueueFluid$$|Fig14_QCCurves$$|ColdGenerate$$|WarmGenerate$$|BatchGenerate$$|StreamDaviesHarte171k$$|StreamPaxson171k$$|StreamFirstBlock$$|MonitorAdd$$|MAVAR$$|OnlineMAVARAdd$$|EstimateAll$$|SourceNext$$' -benchmem -count=3 . > bench.out
 	@out="$(BENCH_OUT)"; \
 	if [ -z "$$out" ]; then i=0; while [ -e BENCH_$$i.json ]; do i=$$((i+1)); done; out=BENCH_$$i.json; fi; \
 	$(GO) run ./cmd/benchjson -o "$$out" bench.out && echo "wrote $$out"

@@ -527,9 +527,9 @@ func BenchmarkWarmGenerate(b *testing.B) {
 
 // Paper-scale streaming through the chunked engines: a 171,000-frame
 // stream opened on a warm pool and drained, which is the work vbrd does
-// per default /v1/trace request (4,096-frame blocks, chunks drawn at
-// 8,192 points). ns/frame and B/frame put the chunk draws' cost and
-// their allocation-free steady state on a per-frame scale.
+// per default /v1/trace request (4,096-frame blocks out of 8,192-point
+// chunks, two per pair draw). ns/frame and B/frame put the pair draws'
+// cost and their allocation-free steady state on a per-frame scale.
 func BenchmarkStreamDaviesHarte171k(b *testing.B) { benchStream(b, BackendDaviesHarte) }
 
 func BenchmarkStreamPaxson171k(b *testing.B) { benchStream(b, BackendPaxson) }
@@ -567,6 +567,37 @@ func benchStream(b *testing.B, engine Backend) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/frames, "ns/frame")
 	b.ReportMetric(float64(ms.TotalAlloc-allocated)/frames, "B/frame")
 }
+
+// The first block of a stream, the generation cost behind a request's
+// time to first byte: OpenCtx on a warm pool plus the first Next
+// (4,096 frames), which draws the stream's first chunk pair. The 171k
+// stream benchmarks average this over the whole stream.
+func BenchmarkStreamFirstBlock(b *testing.B) {
+	ctx := context.Background()
+	for _, engine := range []Backend{BackendDaviesHarte, BackendPaxson} {
+		b.Run(engine.String(), func(b *testing.B) {
+			cfg := stream.Config{Model: benchCacheModel, N: 171_000, Backend: engine, Pool: NewGenPool(0)}
+			first := func() {
+				st, err := stream.OpenCtx(ctx, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if benchBlock, err = st.Next(ctx); err != nil {
+					b.Fatal(err)
+				}
+			}
+			first() // fill the pool
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cfg.Seed = uint64(i + 1)
+				first()
+			}
+		})
+	}
+}
+
+var benchBlock []float64
 
 // The online validation a stream does per frame: 171,000 frames of
 // Davies–Harte stream output folded into a fresh Monitor, with one

@@ -11,8 +11,8 @@
 // Every transform runs through a Plan: the length- and direction-only
 // work (twiddles, the Bluestein chirp and the FFT of its filter) is done
 // once at NewPlan, so callers that transform many vectors of one length
-// — the chunked fGn engines draw one per 4,096-frame block — pay for it
-// once. The one-shot functions (Forward, Inverse, ForwardReal,
+// — the chunked fGn engines run one per pair of stream chunks — pay for
+// it once. The one-shot functions (Forward, Inverse, ForwardReal,
 // Periodogram, Autocorrelation) build a plan per call.
 package fft
 

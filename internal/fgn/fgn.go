@@ -9,7 +9,10 @@
 //
 // As the repository's speed ablation the package also implements the
 // Davies–Harte circulant-embedding generator for fractional Gaussian
-// noise, which is exact in distribution as well but runs in O(n log n).
+// noise, which is exact in distribution as well but runs in O(n log n),
+// and Paxson's approximate spectral synthesis. Both also draw in pairs
+// (Pair): two independent series from one transform, which is how the
+// stitched streams draw their chunks.
 package fgn
 
 import (
@@ -313,19 +316,21 @@ type DaviesHarteEigen struct {
 	n      int
 	lambda []float64
 	plan   *fft.Plan // forward, 2n points; nil when n == 1
+	pair   Pair
 }
 
 // Lambda returns the 2n circulant eigenvalues (empty for n == 1). The
 // slice is shared and read-only.
 func (e *DaviesHarteEigen) Lambda() []float64 { return e.lambda }
 
-// WorkLen is the length of the spectrum buffer DrawCtx needs: 2n, or 0
-// for n == 1.
-func (e *DaviesHarteEigen) WorkLen() int { return len(e.lambda) }
+// Pair returns the pair draw over the same embedding: two independent
+// n-point draws per 2n-point transform.
+func (e *DaviesHarteEigen) Pair() Pair { return e.pair }
 
-// Bytes is the resident size of the eigenvalues and the plan.
+// Bytes is the resident size of the eigenvalues, the pair draw's
+// amplitudes and the plan.
 func (e *DaviesHarteEigen) Bytes() int64 {
-	b := 8 * int64(len(e.lambda))
+	b := 8*int64(len(e.lambda)) + e.pair.bytes()
 	if e.plan != nil {
 		b += e.plan.Bytes()
 	}
@@ -347,7 +352,7 @@ func DaviesHarteEigenCtx(ctx context.Context, n int, h float64) (*DaviesHarteEig
 		return nil, fmt.Errorf("fgn: Hurst parameter must be in (0,1), got %v", h)
 	}
 	if n == 1 {
-		return &DaviesHarteEigen{n: 1, lambda: []float64{}}, nil
+		return &DaviesHarteEigen{n: 1, lambda: []float64{}, pair: newPair(1, nil, nil, "fgn.daviesharte.points")}, nil
 	}
 	if ctx.Err() != nil {
 		return nil, errs.Cancelled(ctx)
@@ -384,8 +389,14 @@ func DaviesHarteEigenCtx(ctx context.Context, n int, h float64) (*DaviesHarteEig
 			lambda[i] = 0
 		}
 	}
+	// The pair draw's amplitudes, a_k = √(λ_k/2n). Like the Hermitian
+	// draw below, they read λ_0..λ_n only, so a_{2n−k} = a_k exactly.
+	amp := make([]float64, m)
+	for k := range amp {
+		amp[k] = math.Sqrt(lambda[min(k, m-k)] / float64(m))
+	}
 	obs.From(ctx).Count("fgn.daviesharte.eigen", 1)
-	return &DaviesHarteEigen{n: n, lambda: lambda, plan: plan}, nil
+	return &DaviesHarteEigen{n: n, lambda: lambda, plan: plan, pair: newPair(n, amp, plan, "fgn.daviesharte.points")}, nil
 }
 
 // DaviesHarteFromEigenCtx is the seed-dependent half of the Davies–Harte
@@ -416,7 +427,7 @@ func DaviesHarteFromEigenCtx(ctx context.Context, n int, eig *DaviesHarteEigen, 
 // DrawCtx is the allocation-free form of DaviesHarteFromEigenCtx for
 // callers that draw repeatedly at one length: it writes len(dst)
 // points, which must equal the n the eigenvalues were computed for,
-// and uses work (WorkLen entries) as the spectrum buffer.
+// and uses work (2n entries) as the spectrum buffer.
 //
 //vbrlint:hotpath
 func (e *DaviesHarteEigen) DrawCtx(ctx context.Context, dst []float64, work []complex128, rng *rand.Rand) error {

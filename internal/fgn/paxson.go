@@ -25,10 +25,11 @@ import (
 // is statistically invisible to the Ĥ estimators the repository uses.
 //
 // Like Davies–Harte, the sampler is split into a seed-independent half
-// (PaxsonSpectrumCtx — the (H, n)-keyed expected-power vector and its
-// FFT plan, the unit genpool caches) and a seed-dependent half
-// (PaxsonFromSpectrumCtx, or DrawCtx for repeated allocation-free
-// draws).
+// (PaxsonSpectrumCtx — the (H, n)-keyed expected-power vector, its FFT
+// plan and the pair draw's amplitudes, the unit genpool caches) and a
+// seed-dependent half (PaxsonFromSpectrumCtx, or DrawCtx for repeated
+// allocation-free draws, or the Pair draw that streams use: two series
+// per transform).
 
 // paxsonB3 evaluates B̃(λ; H), the 3-term Taylor-plus-tail
 // approximation of Paxson §A to the infinite sum Σ_{j≥1} [(2πj+λ)^d +
@@ -85,6 +86,7 @@ func paxsonLen(n int) int {
 type PaxsonSpectrum struct {
 	power []float64 // m/2 entries; empty for n == 1
 	plan  *fft.Plan // inverse, m points; nil for n == 1
+	pair  Pair
 }
 
 // Power returns the expected power E|Z_j|² of Fourier coefficients
@@ -95,9 +97,14 @@ func (p *PaxsonSpectrum) Power() []float64 { return p.power }
 // synthesis FFT length m, or 0 for n == 1.
 func (p *PaxsonSpectrum) WorkLen() int { return 2 * len(p.power) }
 
-// Bytes is the resident size of the power vector and the plan.
+// Pair returns the pair draw over the same spectrum: two independent
+// m-point draws per m-point transform.
+func (p *PaxsonSpectrum) Pair() Pair { return p.pair }
+
+// Bytes is the resident size of the power vector, the pair draw's
+// amplitudes and the plan.
 func (p *PaxsonSpectrum) Bytes() int64 {
-	b := 8 * int64(len(p.power))
+	b := 8*int64(len(p.power)) + p.pair.bytes()
 	if p.plan != nil {
 		b += p.plan.Bytes()
 	}
@@ -127,7 +134,7 @@ func PaxsonSpectrumCtx(ctx context.Context, n int, h float64) (*PaxsonSpectrum, 
 		return nil, fmt.Errorf("fgn: Hurst parameter must be in (0,1), got %v", h)
 	}
 	if n == 1 {
-		return &PaxsonSpectrum{power: []float64{}}, nil
+		return &PaxsonSpectrum{power: []float64{}, pair: newPair(1, nil, nil, "fgn.paxson.points")}, nil
 	}
 	if ctx.Err() != nil {
 		return nil, errs.Cancelled(ctx)
@@ -153,8 +160,16 @@ func PaxsonSpectrumCtx(ctx context.Context, n int, h float64) (*PaxsonSpectrum, 
 	for i := range p {
 		p[i] *= scale
 	}
+	// The pair draw's amplitudes: a_0 = 0 (zero mean) and
+	// a_k = √p_min(k,m−k), so the Hermitian part of a_k·(N₁ + iN₂) has
+	// the single draw's expected power at every frequency.
+	amp := make([]float64, m)
+	for k := 1; k < m; k++ {
+		amp[k] = math.Sqrt(p[min(k, m-k)-1])
+	}
+	plan := fft.NewPlan(m, fft.DirInverse)
 	obs.From(ctx).Count("fgn.paxson.spectrum", 1)
-	return &PaxsonSpectrum{power: p, plan: fft.NewPlan(m, fft.DirInverse)}, nil
+	return &PaxsonSpectrum{power: p, plan: plan, pair: newPair(m, amp, plan, "fgn.paxson.points")}, nil
 }
 
 // PaxsonFromSpectrumCtx is the seed-dependent half of the Paxson

@@ -274,7 +274,7 @@ func (p *Proxy) relay(w http.ResponseWriter, resp *http.Response, headerSent *bo
 			return 0, 0, fmt.Errorf("fleet: re-synchronizing replacement stream: %w", err)
 		}
 	}
-	buf := make([]byte, 32<<10)
+	buf := make([]byte, server.WireChunkBytes)
 	for {
 		n, rerr := resp.Body.Read(buf)
 		if n > 0 {

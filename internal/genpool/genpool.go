@@ -45,9 +45,10 @@ import (
 
 // DefaultMaxBytes is the default resident-byte budget (256 MiB):
 // roomy enough for dozens of paper-scale Hosking schedules (~5.5 MiB
-// each at 171,000 points) next to the chunk-engine setups (~0.4 MiB for
-// Davies–Harte at the default 8,192-point chunk synthesis, ~0.16 MiB
-// for Paxson) and marginal tables.
+// each at 171,000 points) next to the chunk-engine setups (~0.5 MiB for
+// Davies–Harte at the default 8,192-point chunk synthesis, ~0.22 MiB
+// for Paxson, each with its plan and pair-draw amplitudes) and marginal
+// tables.
 const DefaultMaxBytes = 256 << 20
 
 // kind discriminates the four cacheable precomputation families.
@@ -323,9 +324,9 @@ func (p *Pool) resize(scope *obs.Scope, e *entry, bytes int64) {
 }
 
 // DaviesHarteEigen returns the Davies–Harte setup for (h, n) — the 2n
-// circulant eigenvalues and the plan of the 2n-point synthesis FFT —
-// computing it at most once per key. The entry is charged for both.
-// The value is shared and read-only.
+// circulant eigenvalues, the pair draw's 2n amplitudes and the plan of
+// the 2n-point synthesis FFT — computing it at most once per key. The
+// entry is charged for all three. The value is shared and read-only.
 func (p *Pool) DaviesHarteEigen(ctx context.Context, h float64, n int) (*fgn.DaviesHarteEigen, error) {
 	if p == nil {
 		return fgn.DaviesHarteEigenCtx(ctx, n, h)
@@ -351,11 +352,12 @@ func (p *Pool) DaviesHarteEigen(ctx context.Context, h float64, n int) (*fgn.Dav
 }
 
 // PaxsonSpectrum returns the Paxson setup for (h, n) — the
-// paxsonLen(n)/2 expected powers and the plan of the synthesis inverse
-// FFT — computing it at most once per key. Keys use the even FFT
-// length backing the synthesis, so an odd request and its even
-// neighbour share one cached value. The entry is charged for both the
-// vector and the plan. The value is shared and read-only.
+// paxsonLen(n)/2 expected powers, the pair draw's paxsonLen(n)
+// amplitudes and the plan of the synthesis inverse FFT — computing it
+// at most once per key. Keys use the even FFT length backing the
+// synthesis, so an odd request and its even neighbour share one cached
+// value. The entry is charged for both vectors and the plan. The value
+// is shared and read-only.
 func (p *Pool) PaxsonSpectrum(ctx context.Context, h float64, n int) (*fgn.PaxsonSpectrum, error) {
 	if p == nil {
 		return fgn.PaxsonSpectrumCtx(ctx, n, h)

@@ -293,8 +293,9 @@ func TestConcurrentHammer(t *testing.T) {
 // evicted values were still served correctly.
 func TestEvictionBound(t *testing.T) {
 	ctx := context.Background()
-	// 64 KiB: each 1024-point entry is 48 KiB — 16 KiB of eigenvalues
-	// and 32 KiB of 2048-point FFT twiddles — so at most one is resident.
+	// 64 KiB: each 1024-point entry is 65,520 B — 16 KiB of
+	// eigenvalues, 16 KiB of pair-draw amplitudes and 32,752 B of
+	// 2048-point FFT twiddles — so at most one is resident.
 	const budget = 64 << 10
 	p := genpool.New(budget)
 	for i := 0; i < 24; i++ {
@@ -351,7 +352,7 @@ func TestEngineEntriesChargePlan(t *testing.T) {
 // computed and returned, but must not take up residence.
 func TestOversizedItemNotRetained(t *testing.T) {
 	ctx := context.Background()
-	p := genpool.New(1024) // 1 KiB: a 1024-point entry (48 KiB) cannot fit
+	p := genpool.New(1024) // 1 KiB: a 1024-point entry (64 KiB) cannot fit
 	eig, err := p.DaviesHarteEigen(ctx, 0.8, 1024)
 	if err != nil {
 		t.Fatal(err)

@@ -112,6 +112,15 @@ const ModelHeader = "X-Vbr-Model"
 // what Auto picked rather than "auto".
 const BackendHeader = "X-Vbr-Backend"
 
+// WireChunkBytes sizes the buffer between a trace stream and its
+// socket: the trace writer's bufio.Writer here and the fleet proxy's
+// relay buffer. A default 4,096-frame binary block is one 32 KiB write
+// per flush. A smaller buffer splits each flushed block into several
+// wire chunks, and each chunk costs a wakeup and syscalls at the
+// worker, the proxy and the client, paid also by the other streams
+// sharing their processors.
+const WireChunkBytes = 32 << 10
+
 // DefaultBackend is the engine a request without a backend= parameter
 // gets. Exported so the fleet proxy hashes absent parameters to the
 // same routing key the workers' own default produces.
@@ -231,7 +240,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Trailer", trailerHMavar+", "+trailerHMavarErr+", "+trailerHVT)
 
 	flusher, _ := w.(http.Flusher)
-	bw := bufio.NewWriter(w)
+	bw := bufio.NewWriterSize(w, WireChunkBytes)
 	var scratch [8]byte
 	var line []byte
 	for {

@@ -41,7 +41,9 @@ func fnv1a(xs []float64) uint64 {
 
 // TestChunkedStreamGolden pins the stitched streams' output bits at the
 // default geometry (4,096-frame blocks, 1,024-frame overlap, 8,192-point
-// chunk synthesis): five chunks and four seams per 20,000-frame stream.
+// chunks, a 7,168-frame chunk stride): three chunks, from two pair
+// draws, and two seams per 20,000-frame stream, one seam inside a pair
+// and one across pairs.
 // The constants were captured once from this code and change only
 // deliberately, with the change that alters the stream bits; vbrd and
 // the fleet serve these same bytes, so regenerating them is a wire
@@ -51,8 +53,8 @@ func TestChunkedStreamGolden(t *testing.T) {
 		b    backend.Backend
 		want uint64
 	}{
-		{backend.DaviesHarte, 0x504b793b7278cf09},
-		{backend.Paxson, 0xa9ed9e32c81e24b8},
+		{backend.DaviesHarte, 0x1a03af59684e20e1},
+		{backend.Paxson, 0xc3868d72126773c0},
 	} {
 		got := fnv1a(collect(t, Config{Model: paperModel(), N: 20_000, Seed: 1994, Backend: c.b}))
 		if got != c.want {
@@ -75,8 +77,8 @@ func TestBlockClampedToN(t *testing.T) {
 			t.Errorf("%v: block %d, overlap %d, buffer %d; want block 100, overlap 25, buffer 100",
 				b, s.cfg.BlockSize, s.cfg.Overlap, len(s.gbuf))
 		}
-		if st, ok := s.gauss.(*stitch); ok && len(st.chunk) != 128 {
-			t.Errorf("%v: chunk of %d points, want 128", b, len(st.chunk))
+		if st, ok := s.gauss.(*stitch); ok && st.size != 128 {
+			t.Errorf("%v: chunk of %d points, want 128", b, st.size)
 		}
 		blk, err := s.Next(ctx)
 		if err != nil || len(blk) != 100 {
@@ -90,8 +92,12 @@ func TestBlockClampedToN(t *testing.T) {
 
 // FuzzStreamGeometry drives the stitched backends over arbitrary
 // block and overlap sizes: OpenCtx rejects exactly the invalid
-// geometries, and every accepted stream drains exactly n finite,
-// non-negative frames in blocks no longer than n.
+// geometries, every accepted stream drains exactly n finite,
+// non-negative frames in blocks no longer than n, and the block is
+// only a buffering choice: re-opened with block = S − L, the chunk
+// stride, and the same explicit overlap L, the stream emits the same
+// bits. A zero overlap cannot be requested explicitly (0 selects the
+// default), so those geometries skip the re-open.
 func FuzzStreamGeometry(f *testing.F) {
 	f.Add(1000, 0, 0, false)
 	f.Add(100, 1, 50_000_000, false)
@@ -124,7 +130,7 @@ func FuzzStreamGeometry(f *testing.F) {
 		if !valid {
 			t.Fatalf("%v n=%d block=%d overlap=%d: accepted an invalid geometry", b, n, block, overlap)
 		}
-		total := 0
+		var out []float64
 		for {
 			blk, err := s.Next(ctx)
 			if errors.Is(err, io.EOF) {
@@ -138,13 +144,29 @@ func FuzzStreamGeometry(f *testing.F) {
 			}
 			for i, v := range blk {
 				if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-					t.Fatalf("%v n=%d block=%d overlap=%d: frame %d = %v", b, n, block, overlap, total+i, v)
+					t.Fatalf("%v n=%d block=%d overlap=%d: frame %d = %v", b, n, block, overlap, len(out)+i, v)
 				}
 			}
-			total += len(blk)
+			out = append(out, blk...)
 		}
-		if total != n {
-			t.Fatalf("%v n=%d block=%d overlap=%d: drained %d frames", b, n, block, overlap, total)
+		if len(out) != n {
+			t.Fatalf("%v n=%d block=%d overlap=%d: drained %d frames", b, n, block, overlap, len(out))
+		}
+		l := s.cfg.Overlap
+		if l == 0 {
+			return
+		}
+		stride := synthLen(s.cfg.BlockSize, l) - l
+		r, err := OpenCtx(ctx, Config{Model: paperModel(), N: n, BlockSize: stride, Overlap: l, Seed: 7, Backend: b})
+		if err != nil {
+			t.Fatalf("%v n=%d block=%d overlap=%d: re-open with block %d: %v", b, n, block, overlap, stride, err)
+		}
+		again, err := Collect(ctx, r)
+		if err != nil {
+			t.Fatalf("%v n=%d block=%d overlap=%d: re-opened stream: %v", b, n, block, overlap, err)
+		}
+		if len(again) != n || fnv1a(again) != fnv1a(out) {
+			t.Fatalf("%v n=%d block=%d overlap=%d: block %d changed the output", b, n, block, overlap, stride)
 		}
 	})
 }

@@ -11,10 +11,11 @@
 //     to the batch generator with the same seed; the recursion's own
 //     O(n) state is inherent to exactness, but no extra O(n) output
 //     buffering is added.
-//   - DaviesHarte: successive independent O(B log B) circulant-embedding
-//     blocks joined by power-preserving overlap stitching, giving true
-//     O(block) memory for arbitrarily long traces at the cost of an
-//     approximate correlation structure across block seams.
+//   - DaviesHarte: independent circulant-embedding chunks of S points
+//     (S the next power of two ≥ block + overlap), two per O(S log S)
+//     pair draw, joined by power-preserving overlap stitching, giving
+//     true O(chunk) memory for arbitrarily long traces at the cost of
+//     an approximate correlation structure across chunk seams.
 //   - Paxson: the same overlap-stitched chunking over independent
 //     FFT-approximate spectral-synthesis chunks — the fastest backend,
 //     approximate both within chunks and across seams.
@@ -50,9 +51,10 @@ import (
 // same salt for its output to be bitwise-identical to Model.GenerateCtx.
 const gaussStreamSalt = 0x6a55
 
-// dhStreamSalt offsets the per-block PCG streams of the Davies–Harte
-// backend; block i draws from stream dhStreamSalt+i of the same seed, so
-// blocks are mutually independent yet the whole trace is reproducible.
+// dhStreamSalt offsets the per-pair PCG streams of the Davies–Harte
+// backend; chunk pair p draws from stream dhStreamSalt+p of the same
+// seed, so pairs are mutually independent yet the whole trace is
+// reproducible.
 const dhStreamSalt = 0xd41e5
 
 // paxsonStreamSalt is the Paxson backend's counterpart of dhStreamSalt,
@@ -74,6 +76,9 @@ type Config struct {
 	// Overlap is the stitch length in frames for the chunked backends
 	// (Davies–Harte, Paxson; default BlockSize/4 of the clamped block,
 	// ignored by the Hosking backend). It must stay below BlockSize.
+	// Block and overlap fix the chunk length S, the next power of two
+	// ≥ BlockSize + Overlap; the stitched output depends on S and the
+	// overlap only.
 	Overlap int
 	// TableSize is the marginal mapping table resolution (default
 	// 10000, the paper's choice).
