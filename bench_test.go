@@ -600,8 +600,8 @@ func BenchmarkStreamFirstBlock(b *testing.B) {
 var benchBlock []float64
 
 // The online validation a stream does per frame: 171,000 frames of
-// Davies–Harte stream output folded into a fresh Monitor, with one
-// Probe per 4,096-frame block, as Stream.Next takes them.
+// Davies–Harte stream output folded into a fresh Monitor a 4,096-frame
+// block per call, with one Probe per block, as Stream.Next does.
 func BenchmarkMonitorAdd(b *testing.B) {
 	ctx := context.Background()
 	const n, block = 171_000, 4096
@@ -618,9 +618,7 @@ func BenchmarkMonitorAdd(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		mo := stream.NewMonitor(n)
 		for lo := 0; lo < n; lo += block {
-			for _, v := range ys[lo:min(lo+block, n)] {
-				mo.Add(v)
-			}
+			mo.Add(ys[lo:min(lo+block, n)]...)
 			benchProbe = mo.Probe()
 		}
 	}

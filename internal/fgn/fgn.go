@@ -324,11 +324,13 @@ type DaviesHarteEigen struct {
 func (e *DaviesHarteEigen) Lambda() []float64 { return e.lambda }
 
 // Pair returns the pair draw over the same embedding: two independent
-// n-point draws per 2n-point transform.
+// n-point draws per 2n-point transform. It is built only at the lengths
+// streams draw at (see pairLen); elsewhere it is the zero Pair, whose
+// DrawCtx fails.
 func (e *DaviesHarteEigen) Pair() Pair { return e.pair }
 
 // Bytes is the resident size of the eigenvalues, the pair draw's
-// amplitudes and the plan.
+// amplitudes (none off the stream lengths) and the plan.
 func (e *DaviesHarteEigen) Bytes() int64 {
 	b := 8*int64(len(e.lambda)) + e.pair.bytes()
 	if e.plan != nil {
@@ -389,14 +391,19 @@ func DaviesHarteEigenCtx(ctx context.Context, n int, h float64) (*DaviesHarteEig
 			lambda[i] = 0
 		}
 	}
-	// The pair draw's amplitudes, a_k = √(λ_k/2n). Like the Hermitian
-	// draw below, they read λ_0..λ_n only, so a_{2n−k} = a_k exactly.
-	amp := make([]float64, m)
-	for k := range amp {
-		amp[k] = math.Sqrt(lambda[min(k, m-k)] / float64(m))
+	eig := &DaviesHarteEigen{n: n, lambda: lambda, plan: plan}
+	if pairLen(n) {
+		// The pair draw's amplitudes, a_k = √(λ_k/2n). Like the
+		// Hermitian draw below, they read λ_0..λ_n only, so
+		// a_{2n−k} = a_k exactly.
+		amp := make([]float64, m)
+		for k := range amp {
+			amp[k] = math.Sqrt(lambda[min(k, m-k)] / float64(m))
+		}
+		eig.pair = newPair(n, amp, plan, "fgn.daviesharte.points")
 	}
 	obs.From(ctx).Count("fgn.daviesharte.eigen", 1)
-	return &DaviesHarteEigen{n: n, lambda: lambda, plan: plan, pair: newPair(n, amp, plan, "fgn.daviesharte.points")}, nil
+	return eig, nil
 }
 
 // DaviesHarteFromEigenCtx is the seed-dependent half of the Davies–Harte

@@ -14,14 +14,15 @@ import (
 // engine's length from one transform (Dietrich & Newsam 1997). It
 // fills the whole spectrum buffer with w_k = a_k·(N₁ + iN₂), N₁ and N₂
 // independent N(0,1), and runs the engine's plan, so Re(w) and Im(w)
-// are the two draws. Each engine builds its amplitudes a_k once, with
-// a_k = a_{len−k}, which makes the Re×Im cross-covariance
-// Σ_k a_k²·sin(2πjk/len) exactly zero, and Σ_k a_k²·cos(2πjk/len) the
-// engine's own covariance (over len² for Paxson's normalized inverse
-// transform). For Paxson the Hermitian part of
-// a_k·(N₁ + iN₂) is the single draw's Exp(1)-power, uniform-phase
-// coefficient, a complex normal in law; only the Nyquist coefficient's
-// law changes, from ±√(p·Exp) to a real Gaussian of the same variance.
+// are the two draws. Each engine builds its amplitudes a_k once, at
+// power-of-two lengths only, with a_k = a_{len−k}, which makes the
+// Re×Im cross-covariance Σ_k a_k²·sin(2πjk/len) exactly zero, and
+// Σ_k a_k²·cos(2πjk/len) the engine's own covariance (over len² for
+// Paxson's normalized inverse transform). For Paxson the Hermitian
+// part of a_k·(N₁ + iN₂) is the single draw's Exp(1)-power,
+// uniform-phase coefficient, a complex normal in law; only the Nyquist
+// coefficient's law changes, from ±√(p·Exp) to a real Gaussian of the
+// same variance.
 // A Pair shares its engine's plan and is safe for concurrent use.
 type Pair struct {
 	amp    []float64 // a_k, one per spectrum entry
@@ -29,6 +30,12 @@ type Pair struct {
 	n      int    // points per draw
 	points string // obs counter of points drawn
 }
+
+// pairLen reports whether an engine of n points builds its pair draw.
+// Only the stitched streams draw pairs, always at a power-of-two chunk
+// length; at any other length, such as a 171,000-frame batch trace, the
+// amplitude vector would be cached memory that nothing reads.
+func pairLen(n int) bool { return n&(n-1) == 0 }
 
 // newPair builds the pair draw of an n-point engine whose n ≤ 1
 // degenerate case needs no transform: the pair is then two plain
@@ -56,6 +63,9 @@ func (p Pair) bytes() int64 { return 8 * int64(len(p.amp)) }
 func (p Pair) DrawCtx(ctx context.Context, work []complex128, rng *rand.Rand) error {
 	if rng == nil {
 		return fmt.Errorf("fgn: generation needs a random source")
+	}
+	if p.plan == nil {
+		return fmt.Errorf("fgn: no pair draw: engines build one only at power-of-two lengths")
 	}
 	if len(work) != len(p.amp) {
 		return fmt.Errorf("fgn: pair spectrum buffer holds %d entries, want %d", len(work), len(p.amp))

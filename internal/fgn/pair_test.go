@@ -267,3 +267,49 @@ func TestPairDrawErrors(t *testing.T) {
 		t.Fatalf("1-point pair: %v with %d entries", err, len(w))
 	}
 }
+
+// TestPairBuiltOnlyAtStreamLengths: the chunk engines build their pair
+// draw only at the power-of-two lengths streams draw at, so a
+// batch-length entry is charged for its vector and plan alone; at
+// 171,000 points that leaves out 2,736,000 B of Davies–Harte and
+// 1,368,000 B of Paxson amplitudes. Off those lengths the zero Pair
+// refuses to draw. -short skips the 171,000-point case, whose
+// Davies–Harte plan alone takes about 45 MB.
+func TestPairBuiltOnlyAtStreamLengths(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewPCG(1, 2))
+	for _, c := range []struct {
+		n      int
+		dh, px int64
+		pair   bool
+	}{
+		{8192, 524_272, 229_360, true},
+		{1000, 203_696, 97_968, false},
+		{171_000, 47_328_816, 22_982_448, false},
+	} {
+		if testing.Short() && c.n > 8192 {
+			continue
+		}
+		eig, err := DaviesHarteEigenCtx(ctx, c.n, 0.8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, err := PaxsonSpectrumCtx(ctx, c.n, 0.8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if eig.Bytes() != c.dh || spec.Bytes() != c.px {
+			t.Errorf("n=%d: entries of %d B (Davies–Harte) and %d B (Paxson), want %d and %d", c.n, eig.Bytes(), spec.Bytes(), c.dh, c.px)
+		}
+		for _, p := range []Pair{eig.Pair(), spec.Pair()} {
+			if (p.Len() > 0) != c.pair {
+				t.Errorf("n=%d: pair of %d entries, want one built: %v", c.n, p.Len(), c.pair)
+			}
+			if !c.pair {
+				if err := p.DrawCtx(ctx, make([]complex128, p.Len()), rng); err == nil {
+					t.Errorf("n=%d: the zero pair drew", c.n)
+				}
+			}
+		}
+	}
+}

@@ -98,11 +98,13 @@ func (p *PaxsonSpectrum) Power() []float64 { return p.power }
 func (p *PaxsonSpectrum) WorkLen() int { return 2 * len(p.power) }
 
 // Pair returns the pair draw over the same spectrum: two independent
-// m-point draws per m-point transform.
+// m-point draws per m-point transform. Like DaviesHarteEigen.Pair it is
+// built only at the lengths streams draw at, and is the zero Pair
+// elsewhere.
 func (p *PaxsonSpectrum) Pair() Pair { return p.pair }
 
 // Bytes is the resident size of the power vector, the pair draw's
-// amplitudes and the plan.
+// amplitudes (none off the stream lengths) and the plan.
 func (p *PaxsonSpectrum) Bytes() int64 {
 	b := 8*int64(len(p.power)) + p.pair.bytes()
 	if p.plan != nil {
@@ -160,16 +162,19 @@ func PaxsonSpectrumCtx(ctx context.Context, n int, h float64) (*PaxsonSpectrum, 
 	for i := range p {
 		p[i] *= scale
 	}
-	// The pair draw's amplitudes: a_0 = 0 (zero mean) and
-	// a_k = √p_min(k,m−k), so the Hermitian part of a_k·(N₁ + iN₂) has
-	// the single draw's expected power at every frequency.
-	amp := make([]float64, m)
-	for k := 1; k < m; k++ {
-		amp[k] = math.Sqrt(p[min(k, m-k)-1])
+	spec := &PaxsonSpectrum{power: p, plan: fft.NewPlan(m, fft.DirInverse)}
+	if pairLen(m) {
+		// The pair draw's amplitudes: a_0 = 0 (zero mean) and
+		// a_k = √p_min(k,m−k), so the Hermitian part of a_k·(N₁ + iN₂)
+		// has the single draw's expected power at every frequency.
+		amp := make([]float64, m)
+		for k := 1; k < m; k++ {
+			amp[k] = math.Sqrt(p[min(k, m-k)-1])
+		}
+		spec.pair = newPair(m, amp, spec.plan, "fgn.paxson.points")
 	}
-	plan := fft.NewPlan(m, fft.DirInverse)
 	obs.From(ctx).Count("fgn.paxson.spectrum", 1)
-	return &PaxsonSpectrum{power: p, plan: plan, pair: newPair(m, amp, plan, "fgn.paxson.points")}, nil
+	return spec, nil
 }
 
 // PaxsonFromSpectrumCtx is the seed-dependent half of the Paxson

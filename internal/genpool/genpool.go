@@ -324,9 +324,10 @@ func (p *Pool) resize(scope *obs.Scope, e *entry, bytes int64) {
 }
 
 // DaviesHarteEigen returns the Davies–Harte setup for (h, n) — the 2n
-// circulant eigenvalues, the pair draw's 2n amplitudes and the plan of
-// the 2n-point synthesis FFT — computing it at most once per key. The
-// entry is charged for all three. The value is shared and read-only.
+// circulant eigenvalues, the pair draw's 2n amplitudes (for a
+// power-of-two n, the stream chunk lengths) and the plan of the
+// 2n-point synthesis FFT — computing it at most once per key. The
+// entry is charged for all of them. The value is shared and read-only.
 func (p *Pool) DaviesHarteEigen(ctx context.Context, h float64, n int) (*fgn.DaviesHarteEigen, error) {
 	if p == nil {
 		return fgn.DaviesHarteEigenCtx(ctx, n, h)
@@ -353,11 +354,12 @@ func (p *Pool) DaviesHarteEigen(ctx context.Context, h float64, n int) (*fgn.Dav
 
 // PaxsonSpectrum returns the Paxson setup for (h, n) — the
 // paxsonLen(n)/2 expected powers, the pair draw's paxsonLen(n)
-// amplitudes and the plan of the synthesis inverse FFT — computing it
-// at most once per key. Keys use the even FFT length backing the
-// synthesis, so an odd request and its even neighbour share one cached
-// value. The entry is charged for both vectors and the plan. The value
-// is shared and read-only.
+// amplitudes (for a power-of-two length, as streams draw at) and the
+// plan of the synthesis inverse FFT — computing it at most once per
+// key. Keys use the even FFT length backing the synthesis, so an odd
+// request and its even neighbour share one cached value. The entry is
+// charged for its vectors and the plan. The value is shared and
+// read-only.
 func (p *Pool) PaxsonSpectrum(ctx context.Context, h float64, n int) (*fgn.PaxsonSpectrum, error) {
 	if p == nil {
 		return fgn.PaxsonSpectrumCtx(ctx, n, h)

@@ -28,10 +28,10 @@ func fuzzSeries(data []byte) []float64 {
 	return xs
 }
 
-// seedEstimatorCorpus adds the degenerate shapes every estimator must
-// survive: empty, too-short, constant, NaN- and Inf-poisoned, and a
-// plausible well-behaved series.
-func seedEstimatorCorpus(f *testing.F) {
+// estimatorCorpus returns the degenerate shapes every estimator must
+// survive, encoded as fuzz input: empty, too-short, constant, NaN- and
+// Inf-poisoned, and a plausible well-behaved series.
+func estimatorCorpus() [][]byte {
 	enc := func(xs []float64) []byte {
 		b := make([]byte, 8*len(xs))
 		for i, v := range xs {
@@ -39,13 +39,10 @@ func seedEstimatorCorpus(f *testing.F) {
 		}
 		return b
 	}
-	f.Add([]byte{})
-	f.Add(enc([]float64{1, 2, 3}))
 	constant := make([]float64, 512)
 	for i := range constant {
 		constant[i] = 4.25
 	}
-	f.Add(enc(constant))
 	poisoned := make([]float64, 512)
 	for i := range poisoned {
 		poisoned[i] = float64(i % 17)
@@ -53,14 +50,20 @@ func seedEstimatorCorpus(f *testing.F) {
 	poisoned[100] = math.NaN()
 	poisoned[200] = math.Inf(1)
 	poisoned[300] = math.Inf(-1)
-	f.Add(enc(poisoned))
 	healthy := make([]float64, 1024)
 	s := 0.0
 	for i := range healthy {
 		s = 0.9*s + float64((i*2654435761)%1000)/1000 - 0.5
 		healthy[i] = s
 	}
-	f.Add(enc(healthy))
+	return [][]byte{{}, enc([]float64{1, 2, 3}), enc(constant), enc(poisoned), enc(healthy)}
+}
+
+// seedEstimatorCorpus adds estimatorCorpus to a one-argument target.
+func seedEstimatorCorpus(f *testing.F) {
+	for _, data := range estimatorCorpus() {
+		f.Add(data)
+	}
 }
 
 // checkEstimator is the shared oracle: the estimator must not panic,
@@ -103,10 +106,34 @@ func FuzzWhittle(f *testing.F) {
 	})
 }
 
+// FuzzMAVAR also feeds each series to OnlineMAVAR.Add in blocks whose
+// lengths sizes picks, two bytes (little-endian, plus one) per block in
+// turn; no sizes means one block of the whole series. The state and the
+// Result must be bit-identical to feeding one value at a time, whatever
+// the values.
 func FuzzMAVAR(f *testing.F) {
-	seedEstimatorCorpus(f)
-	f.Fuzz(func(t *testing.T, data []byte) {
+	for _, data := range estimatorCorpus() {
+		for _, sizes := range [][]byte{nil, {0, 0}, {4, 0}, {255, 15}, {2, 0, 200, 1}} {
+			f.Add(data, sizes)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data, sizes []byte) {
 		xs := fuzzSeries(data)
+		one, blocks := NewOnlineMAVAR(MaxMavarTau(len(xs))), NewOnlineMAVAR(MaxMavarTau(len(xs)))
+		for _, v := range xs {
+			one.Add(v)
+		}
+		for i, rest := 0, xs; len(rest) > 0; i++ {
+			b := len(rest)
+			if len(sizes) >= 2 {
+				j := 2 * i % (len(sizes) &^ 1)
+				b = min(b, 1+int(binary.LittleEndian.Uint16(sizes[j:])))
+			}
+			blocks.Add(rest[:b]...)
+			rest = rest[b:]
+		}
+		sameMAVAR(t, one, blocks)
+
 		h, err := EstimateBy(EstMAVAR, xs)
 		checkEstimator(t, EstMAVAR, h, err)
 		if err != nil {
@@ -121,4 +148,42 @@ func FuzzMAVAR(f *testing.F) {
 			t.Fatalf("degenerate MAVAR result: %+v", r)
 		}
 	})
+}
+
+// sameMAVAR fails unless a and b hold bit-identical accumulators and
+// snapshot to bit-identical Results (or both fail to).
+func sameMAVAR(t *testing.T, a, b *OnlineMAVAR) {
+	t.Helper()
+	bits := math.Float64bits
+	if a.n != b.n || bits(a.phase) != bits(b.phase) || len(a.levels) != len(b.levels) {
+		t.Fatalf("n/phase/octaves %d/%v/%d, one at a time %d/%v/%d", b.n, b.phase, len(b.levels), a.n, a.phase, len(a.levels))
+	}
+	for i := range a.levels {
+		la, lb := &a.levels[i], &b.levels[i]
+		same := la.tau == lb.tau && la.f == lb.f && la.blocks == lb.blocks &&
+			la.count == lb.count && bits(la.sumSq) == bits(lb.sumSq)
+		for j := range la.ring {
+			same = same && bits(la.ring[j]) == bits(lb.ring[j])
+		}
+		if !same {
+			t.Fatalf("octave τ=%d: %+v, one at a time %+v", la.tau, *lb, *la)
+		}
+	}
+	ra, erra := a.Result(0, 0)
+	rb, errb := b.Result(0, 0)
+	if (erra == nil) != (errb == nil) {
+		t.Fatalf("Result errors %v, one at a time %v", errb, erra)
+	}
+	if erra != nil {
+		return
+	}
+	same := len(ra.Points) == len(rb.Points) && ra.FitLo == rb.FitLo && ra.FitHi == rb.FitHi &&
+		ra.Octaves == rb.Octaves && bits(ra.Mu) == bits(rb.Mu) && bits(ra.H) == bits(rb.H)
+	for i := 0; same && i < len(ra.Points); i++ {
+		pa, pb := ra.Points[i], rb.Points[i]
+		same = pa.Tau == pb.Tau && pa.Windows == pb.Windows && bits(pa.ModVar) == bits(pb.ModVar)
+	}
+	if !same {
+		t.Fatalf("Result %+v, one at a time %+v", *rb, *ra)
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"vbr/internal/errs"
+	"vbr/internal/stats"
 )
 
 // This file implements the Modified Allan Variance (MAVAR) Hurst
@@ -49,7 +50,9 @@ import (
 // bounded accumulator is what makes the streaming OnlineMAVAR form
 // possible; the batch MAVAR entry point simply feeds the whole series
 // through the same accumulators, so batch and online results are
-// bitwise identical by construction.
+// bitwise identical by construction. Add folds a block at a time (see
+// fold), and every block partition leaves the same bits; FuzzMAVAR
+// checks that.
 
 const (
 	// maxMavarOctaves bounds the per-snapshot regression scratch: octave
@@ -85,13 +88,36 @@ const mavarRing = 16
 // the running second-difference statistics.
 type mavarLevel struct {
 	tau int
-	f   int // blocks per window length τ: min(τ, mavarSubs)
+	f   uint64 // blocks per window length τ: min(τ, mavarSubs)
 
 	ring   [mavarRing]float64 // W_τ of the last blocks, block k at k mod mavarRing
-	blocks uint64             // blocks produced; wraps harmlessly mod mavarRing
+	blocks uint64             // blocks produced
 
 	sumSq float64 // Σ (B₂ − 2B₁ + B₀)² over strided windows
 	count int64   // second-difference windows folded into sumSq
+}
+
+// window writes block b2, the octave's k-th, into ring and returns B₁,
+// the block f strides back, with Σ D² updated. A window counts once the
+// octave holds 3f blocks, when B₀ is a full block: octave τ forms its
+// k-th block at frame k·τ/f, so that is the n ≥ 3τ rule.
+func window(ring *[mavarRing]float64, k, f uint64, b2, sumSq float64) (b1, sum float64) {
+	ring[k%mavarRing] = b2
+	b1 = ring[(k-f)%mavarRing]
+	if k >= 3*f {
+		d := b2 - 2*b1 + ring[(k-2*f)%mavarRing]
+		sumSq += d * d
+	}
+	return b1, sumSq
+}
+
+// settle records that the octave has formed k blocks with Σ D² = sum,
+// and counts its windows: one per block from the 3f-th on.
+func (l *mavarLevel) settle(k uint64, sum float64) {
+	l.blocks, l.sumSq, l.count = k, sum, 0
+	if k >= 3*l.f {
+		l.count = int64(k - 3*l.f + 1)
+	}
 }
 
 // mavarWindows returns how many second-difference windows the octave τ
@@ -119,15 +145,22 @@ func (l *mavarLevel) modVar() float64 {
 	return l.sumSq / (2 * n * n * n * n * float64(l.count))
 }
 
+// mavarPass is the most observations one pass of the block fold takes:
+// its first step leaves at most mavarPass/2 octave-8 blocks for the
+// second.
+const mavarPass = 512
+
 // OnlineMAVAR is the streaming MAVAR estimator: one decimating
-// accumulator per octave τ = 1, 2, 4, …, maxTau, fed one observation at
-// a time in O(1) memory and O(1) amortised time per observation. Feeding
-// it a series in any block partitioning yields bitwise-identical state,
-// and the batch MAVAR function is defined as feeding the whole series.
+// accumulator per octave τ = 1, 2, 4, …, maxTau, fed observations in
+// blocks of any size in O(1) memory and O(1) amortised time per
+// observation. Feeding it a series in any block partitioning yields
+// bitwise-identical state, and the batch MAVAR function is defined as
+// feeding the whole series.
 type OnlineMAVAR struct {
 	phase  float64
 	n      int64
 	levels []mavarLevel
+	blocks [mavarPass / 2]float64 // one pass's octave-8 blocks, cascaded in place
 }
 
 // MaxMavarTau returns the largest octave-spaced observation interval τ
@@ -146,7 +179,7 @@ func MaxMavarTau(n int) int {
 func NewOnlineMAVAR(maxTau int) *OnlineMAVAR {
 	o := &OnlineMAVAR{}
 	for tau := 1; tau <= maxTau && len(o.levels) < maxMavarOctaves; tau *= 2 {
-		o.levels = append(o.levels, mavarLevel{tau: tau, f: min(tau, mavarSubs)})
+		o.levels = append(o.levels, mavarLevel{tau: tau, f: uint64(min(tau, mavarSubs))})
 	}
 	return o
 }
@@ -157,12 +190,117 @@ func (o *OnlineMAVAR) N() int64 { return o.n }
 // MaxTau reports the largest tracked octave.
 func (o *OnlineMAVAR) MaxTau() int { return o.levels[len(o.levels)-1].tau }
 
-// Add folds one rate observation into the octave accumulators, from
-// τ = 1 up to the first octave that forms no block at this frame. It
-// allocates nothing and runs in O(1) amortised time.
+// Add folds a block of rate observations into the octave accumulators;
+// Add(v) folds one. It allocates nothing and runs in O(1) amortised
+// time per observation.
+func (o *OnlineMAVAR) Add(vs ...float64) {
+	if len(vs) == 1 {
+		o.cascade(vs[0])
+		return
+	}
+	o.fold(vs, false, 0, 0, 0)
+}
+
+// AddWithMoments is o.Add(vs...) that also carries Welford's running
+// moments of the observations (count n, mean, and m2, the sum of
+// squared deviations from the mean) through the same loop and returns
+// them updated. The moments stay in registers and their division chain
+// overlaps the octave sums, so a caller that wants both pays for
+// little more than the longer of the two.
+func AddWithMoments(o *OnlineMAVAR, n int64, mean, m2 float64, vs []float64) (int64, float64, float64) {
+	return o.fold(vs, true, n, mean, m2)
+}
+
+// fold is Add, and with moments set also Welford's update of (n, mean,
+// m2). A lone observation, or a series too short for octave 4, takes
+// the frame-at-a-time cascade. Longer blocks run in passes of at most
+// mavarPass observations, each in two steps:
+//
+//   - The first walks the observations once. Octaves 1, 2 and 4 form a
+//     block every frame, so they share one block counter, the frame
+//     count, and keep Σ D² in registers beside the phase and the
+//     moments. Every other octave-4 block completes an octave-8 block
+//     W_8(n) = W_4(n) + W_4(n−4), which is kept.
+//   - The second runs each decimated octave τ ≥ 8 over the blocks the
+//     one below kept, keeping every other W_2τ for the next, in place.
+//
+// Either way every octave sees the same blocks in the same order, and
+// each block is the same sum of the same operands, so the state is
+// bit-identical under any block partition.
 //
 //vbrlint:hotpath
-func (o *OnlineMAVAR) Add(v float64) {
+func (o *OnlineMAVAR) fold(vs []float64, moments bool, n int64, mean, m2 float64) (int64, float64, float64) {
+	if len(vs) == 1 || len(o.levels) < 3 {
+		for _, v := range vs {
+			o.cascade(v)
+			if moments {
+				n, mean, m2 = stats.Welford(v, n, mean, m2)
+			}
+		}
+		return n, mean, m2
+	}
+	o1, o2, o4 := &o.levels[0], &o.levels[1], &o.levels[2]
+	for len(vs) > 0 {
+		pass := vs[:min(len(vs), mavarPass)]
+		vs = vs[len(pass):]
+		kept := 0 // octave-8 blocks in o.blocks
+		k, phase := o1.blocks, o.phase
+		s1, s2, s4 := o1.sumSq, o2.sumSq, o4.sumSq
+		for _, v := range pass {
+			phase += v
+			k++
+			var b1 float64
+			b2 := phase
+			b1, s1 = window(&o1.ring, k, 1, b2, s1)
+			b2 += b1
+			b1, s2 = window(&o2.ring, k, 2, b2, s2)
+			b2 += b1
+			b1, s4 = window(&o4.ring, k, mavarSubs, b2, s4)
+			if k%2 == 0 { // every other octave-4 block forms one of octave 8
+				o.blocks[kept] = b2 + b1
+				kept++
+			}
+			if moments {
+				n, mean, m2 = stats.Welford(v, n, mean, m2)
+			}
+		}
+		o.phase = phase
+		o.n += int64(len(pass))
+		o1.settle(k, s1)
+		o2.settle(k, s2)
+		o4.settle(k, s4)
+		for i := 3; i < len(o.levels) && kept > 0; i++ {
+			kept = o.levels[i].decimate(o.blocks[:kept])
+		}
+	}
+	return n, mean, m2
+}
+
+// decimate folds the blocks bs of a decimated octave (τ ≥ 8) in order,
+// writes every other W_2τ it completes to the front of bs, and returns
+// how many it wrote.
+//
+//vbrlint:hotpath
+func (l *mavarLevel) decimate(bs []float64) int {
+	k, sum, next := l.blocks, l.sumSq, 0
+	for _, b2 := range bs {
+		k++
+		var b1 float64
+		b1, sum = window(&l.ring, k, mavarSubs, b2, sum)
+		if k%2 == 0 {
+			bs[next] = b2 + b1 // W_2τ(n) = W_τ(n) + W_τ(n−τ)
+			next++
+		}
+	}
+	l.settle(k, sum)
+	return next
+}
+
+// cascade folds one observation frame-at-a-time, from τ = 1 up to the
+// first octave that forms no block at this frame.
+//
+//vbrlint:hotpath
+func (o *OnlineMAVAR) cascade(v float64) {
 	o.phase += v
 	o.n++
 	b2 := o.phase
@@ -170,10 +308,9 @@ func (o *OnlineMAVAR) Add(v float64) {
 		l := &o.levels[i]
 		l.blocks++
 		l.ring[l.blocks%mavarRing] = b2
-		b1 := l.ring[(l.blocks-uint64(l.f))%mavarRing]
-		if o.n >= 3*int64(l.tau) {
-			b0 := l.ring[(l.blocks-2*uint64(l.f))%mavarRing]
-			d := b2 - 2*b1 + b0
+		b1 := l.ring[(l.blocks-l.f)%mavarRing]
+		if l.blocks >= 3*l.f {
+			d := b2 - 2*b1 + l.ring[(l.blocks-2*l.f)%mavarRing]
 			l.sumSq += d * d
 			l.count++
 		}
@@ -303,8 +440,6 @@ func MAVAR(xs []float64, fitLo, fitHi int) (*MAVARResult, error) {
 		return nil, fmt.Errorf("lrd: MAVAR: %w", err)
 	}
 	o := NewOnlineMAVAR(MaxMavarTau(len(xs)))
-	for _, v := range xs {
-		o.Add(v)
-	}
+	o.Add(xs...)
 	return o.Result(fitLo, fitHi)
 }

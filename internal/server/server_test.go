@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"vbr/internal/backend"
+	"vbr/internal/genpool"
 	"vbr/internal/queue"
 	"vbr/internal/stream"
 )
@@ -177,21 +178,48 @@ func TestTraceBadRequests(t *testing.T) {
 		"block=4096&overlap=4096&backend=davies-harte",
 		"n=100&block=1&overlap=50000000", // overlap ≥ block holds for a 1-frame block too
 	} {
-		resp, err := http.Get(ts.URL + "/v1/trace?" + q)
-		if err != nil {
-			t.Fatalf("GET ?%s: %v", q, err)
+		wantBadRequest(t, http.DefaultClient, ts.URL+"/v1/trace?"+q)
+	}
+
+	// An unknown format is refused before the source opens: no Hosking
+	// schedule is extended (an O(n²) job at n = 4,000,000) and no
+	// Davies–Harte entry is cached for a new H, so the pool is untouched.
+	// The client gives up long before such a job would finish.
+	pool := genpool.New(0)
+	ts = newTestServer(t, Config{Pool: pool})
+	client := &http.Client{Timeout: 10 * time.Second}
+	for _, q := range []string{
+		"format=xml&backend=hosking&n=4000000",
+		"format=xml&hurst=0.73",
+		"model=farima:hurst=0.73&format=xml",
+		"model=farima&format=xml&n=4000000",
+	} {
+		before := pool.Stats()
+		wantBadRequest(t, client, ts.URL+"/v1/trace?"+q)
+		if after := pool.Stats(); after != before {
+			t.Errorf("?%s: pool stats %+v, were %+v", q, after, before)
 		}
-		var body apiError
-		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-			t.Errorf("?%s: undecodable error body: %v", q, err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("?%s: status %d, want 400", q, resp.StatusCode)
-		}
-		if body.Error == "" {
-			t.Errorf("?%s: empty error message", q)
-		}
+	}
+}
+
+// wantBadRequest GETs url and requires a 400 with a JSON error message.
+func wantBadRequest(t *testing.T, client *http.Client, url string) {
+	t.Helper()
+	resp, err := client.Get(url)
+	if err != nil {
+		t.Errorf("GET %s: %v", url, err)
+		return
+	}
+	defer resp.Body.Close()
+	var body apiError
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Errorf("%s: undecodable error body: %v", url, err)
+	}
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("%s: status %d, want 400", url, resp.StatusCode)
+	}
+	if body.Error == "" {
+		t.Errorf("%s: empty error message", url)
 	}
 }
 

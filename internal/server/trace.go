@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -113,13 +112,18 @@ const ModelHeader = "X-Vbr-Model"
 const BackendHeader = "X-Vbr-Backend"
 
 // WireChunkBytes sizes the buffer between a trace stream and its
-// socket: the trace writer's bufio.Writer here and the fleet proxy's
+// socket: the trace writer's encode buffer here and the fleet proxy's
 // relay buffer. A default 4,096-frame binary block is one 32 KiB write
 // per flush. A smaller buffer splits each flushed block into several
 // wire chunks, and each chunk costs a wakeup and syscalls at the
 // worker, the proxy and the client, paid also by the other streams
 // sharing their processors.
 const WireChunkBytes = 32 << 10
+
+// maxNDJSONFrame is the longest NDJSON line a frame can encode to: the
+// shortest round-trip form of a float64 takes at most 24 bytes
+// (-2.2250738585072014e-308), plus the newline.
+const maxNDJSONFrame = 25
 
 // DefaultBackend is the engine a request without a backend= parameter
 // gets. Exported so the fleet proxy hashes absent parameters to the
@@ -184,6 +188,18 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	defer scope.Span("server.trace")()
 
 	q := r.URL.Query()
+	// Check the format before opening the source: opening can fill a
+	// genpool entry or extend a Hosking schedule, and a request that is
+	// refused anyway must not cost that.
+	format := q.Get("format")
+	if format == "" {
+		format = formatNDJSON
+	}
+	if format != formatNDJSON && format != formatBinary {
+		scope.Count("server.trace.badrequest", 1)
+		writeError(w, http.StatusBadRequest, fmt.Errorf("server: unknown format %q (want %s or %s)", format, formatNDJSON, formatBinary))
+		return
+	}
 	var (
 		src  probeSource
 		n    int
@@ -216,16 +232,6 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		// the client learns what the policy actually picked.
 		w.Header().Set(BackendHeader, st.Backend().String())
 	}
-	format := q.Get("format")
-	if format == "" {
-		format = formatNDJSON
-	}
-	if format != formatNDJSON && format != formatBinary {
-		scope.Count("server.trace.badrequest", 1)
-		writeError(w, http.StatusBadRequest, fmt.Errorf("server: unknown format %q (want %s or %s)", format, formatNDJSON, formatBinary))
-		return
-	}
-
 	if format == formatBinary {
 		w.Header().Set("Content-Type", "application/octet-stream")
 	} else {
@@ -240,9 +246,14 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Trailer", trailerHMavar+", "+trailerHMavarErr+", "+trailerHVT)
 
 	flusher, _ := w.(http.Flusher)
-	bw := bufio.NewWriterSize(w, WireChunkBytes)
-	var scratch [8]byte
-	var line []byte
+	// Each block is encoded into one reused buffer of WireChunkBytes,
+	// written when the next frame might not fit and at the block's end,
+	// so a default 4,096-frame binary block leaves as one 32 KiB write.
+	maxFrame := maxNDJSONFrame
+	if format == formatBinary {
+		maxFrame = 8
+	}
+	buf := make([]byte, 0, WireChunkBytes)
 	for {
 		blk, err := src.Next(ctx)
 		if err != nil {
@@ -255,27 +266,26 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 			scope.Count("server.trace.aborted", 1)
 			return
 		}
-		if format == formatBinary {
-			for _, f := range blk {
-				binary.LittleEndian.PutUint64(scratch[:], math.Float64bits(f))
-				if _, err := bw.Write(scratch[:]); err != nil {
+		for len(blk) > 0 {
+			k := min(len(blk), (WireChunkBytes-len(buf))/maxFrame) // frames that surely fit
+			if format == formatBinary {
+				for _, f := range blk[:k] {
+					buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
+				}
+			} else {
+				for _, f := range blk[:k] {
+					buf = strconv.AppendFloat(buf, f, 'g', -1, 64)
+					buf = append(buf, '\n')
+				}
+			}
+			blk = blk[k:]
+			if len(blk) == 0 || len(buf)+maxFrame > WireChunkBytes {
+				if _, err := w.Write(buf); err != nil {
 					scope.Count("server.trace.aborted", 1)
 					return
 				}
+				buf = buf[:0]
 			}
-		} else {
-			for _, f := range blk {
-				line = strconv.AppendFloat(line[:0], f, 'g', -1, 64)
-				line = append(line, '\n')
-				if _, err := bw.Write(line); err != nil {
-					scope.Count("server.trace.aborted", 1)
-					return
-				}
-			}
-		}
-		if err := bw.Flush(); err != nil {
-			scope.Count("server.trace.aborted", 1)
-			return
 		}
 		if flusher != nil {
 			flusher.Flush()

@@ -76,8 +76,8 @@ func (a *BlockAdapter) Next(ctx context.Context) ([]float64, error) {
 			return nil, err
 		}
 		out[i] = v
-		a.mon.Add(v)
 	}
+	a.mon.Add(out...)
 	a.pos += want
 	return out, nil
 }

@@ -81,6 +81,17 @@ func Variance(xs []float64) float64 {
 	return ss / float64(len(xs))
 }
 
+// Welford folds v into the running moments of a series under Welford's
+// update: the count n, the mean, and m2, the sum of squared deviations
+// from the mean (the population variance is m2/n). It takes and returns
+// the moments by value so a loop can keep them in registers.
+func Welford(v float64, n int64, mean, m2 float64) (int64, float64, float64) {
+	n++
+	d := v - mean
+	mean += d / float64(n)
+	return n, mean, m2 + d*(v-mean)
+}
+
 // MovingAverage returns the centered moving average of xs with the given
 // window (Fig. 2 uses window 20,000 frames). Edges use the partial window
 // actually available, so the output has the same length as the input.

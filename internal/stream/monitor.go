@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"vbr/internal/lrd"
+	"vbr/internal/stats"
 )
 
 // minAggSamples is the minimum number of aggregated points a level must
@@ -23,16 +24,6 @@ type aggLevel struct {
 	n    int64
 	mean float64
 	m2   float64
-}
-
-// add folds one aggregated point into the level's Welford moments.
-//
-//vbrlint:hotpath
-func (l *aggLevel) add(s float64) {
-	l.n++
-	d := s - l.mean
-	l.mean += d / float64(l.n)
-	l.m2 += d * (s - l.mean)
 }
 
 func (l *aggLevel) variance() float64 {
@@ -57,7 +48,12 @@ func (l *aggLevel) variance() float64 {
 type Monitor struct {
 	levels []aggLevel
 	mavar  *lrd.OnlineMAVAR
+	sums   [monitorPass / 4]float64 // one pass's block sums, cascaded up the ladder in place
 }
+
+// monitorPass is the most frames one pass of Add runs up the ladder:
+// level 4 leaves at most monitorPass/4 block sums for level 16.
+const monitorPass = 512
 
 // maxAggLevel picks the largest aggregation level worth tracking for a
 // stream of n frames: the level must be able to accumulate at least
@@ -81,23 +77,39 @@ func NewMonitor(n int) *Monitor {
 	return mo
 }
 
-// Add folds one frame into the MAVAR accumulators and the aggregation
-// levels: level 1 takes the frame itself, and each level above takes
-// the block sum of the level below once that completes, so the ladder
-// does O(1) amortised work per frame.
+// Add folds a block of frames into the MAVAR accumulators and the
+// aggregation levels; Add(v) folds one. Level 1's Welford update runs
+// in the MAVAR octaves' loop. Each level above then runs over the block
+// sums of the level below, a pass at a time: level 4 over the frames,
+// level 16 over level 4's sums, and so on. Each block sum adds the same
+// four operands in the same order as a frame-at-a-time cascade, so the
+// state does not depend on how frames are grouped into calls, and the
+// ladder does O(1) amortised work per frame.
 //
 //vbrlint:hotpath
-func (mo *Monitor) Add(v float64) {
-	mo.mavar.Add(v)
-	mo.levels[0].add(v)
-	for i := 1; i < len(mo.levels); i++ {
-		l := &mo.levels[i]
-		l.acc += v
-		if l.fill++; l.fill < 4 {
-			return
+func (mo *Monitor) Add(vs ...float64) {
+	base := &mo.levels[0]
+	base.n, base.mean, base.m2 = lrd.AddWithMoments(mo.mavar, base.n, base.mean, base.m2, vs)
+	for len(vs) > 0 {
+		in := vs[:min(len(vs), monitorPass)]
+		vs = vs[len(in):]
+		for i := 1; i < len(mo.levels) && len(in) > 0; i++ {
+			l := &mo.levels[i]
+			acc, fill, sums := l.acc, l.fill, 0
+			n, mean, m2 := l.n, l.mean, l.m2
+			for _, v := range in {
+				acc += v
+				if fill++; fill < 4 {
+					continue
+				}
+				mo.sums[sums] = acc
+				sums++
+				n, mean, m2 = stats.Welford(acc/float64(l.m), n, mean, m2)
+				acc, fill = 0, 0
+			}
+			l.acc, l.fill, l.n, l.mean, l.m2 = acc, fill, n, mean, m2
+			in = mo.sums[:sums]
 		}
-		v, l.acc, l.fill = l.acc, 0, 0
-		l.add(v / float64(l.m))
 	}
 }
 

@@ -41,7 +41,8 @@ func (l *seqAggLevel) add(v float64) {
 // the sequential one it replaced, on paper-scale streams of both
 // chunked engines: after every block, N, Mean and Std (level 1, whose
 // update is unchanged) are bit-identical, the same levels enter the fit,
-// and Ĥ moves only by the rounding of the reordered block sums.
+// and Ĥ moves only by the rounding of the reordered block sums. It then
+// holds the block fold to the per-frame fold under several partitions.
 func TestMonitorMatchesOracle(t *testing.T) {
 	const hTol = 1e-12
 	ctx := context.Background()
@@ -89,4 +90,60 @@ func TestMonitorMatchesOracle(t *testing.T) {
 		}
 	}
 	t.Logf("worst variance–time |ΔĤ| %.2e", worst)
+
+	// Block partitions: the same streams fed to a Monitor in blocks of 1,
+	// 5 (its first boundaries fall inside the first 12 frames, before
+	// any τ ≤ 4 window counts), 4,096 and n frames match the per-frame
+	// fold, after every block and in every Probe field, bit for bit.
+	for _, b := range []backend.Backend{backend.DaviesHarte, backend.Paxson} {
+		for _, n := range []int{171_000, 400_000} {
+			ys := collect(t, Config{Model: paperModel(), N: n, Seed: 19, Backend: b})
+			for _, block := range []int{1, 5, 4096, n} {
+				mo, ref := NewMonitor(n), NewMonitor(n)
+				for lo := 0; lo < n; lo += block {
+					blk := ys[lo:min(lo+block, n)]
+					mo.Add(blk...)
+					for _, v := range blk {
+						addFrame(ref, v)
+					}
+					if got, want := mo.Probe(), ref.Probe(); !sameProbe(got, want) {
+						t.Fatalf("%v n=%d blocks of %d, at frame %d: %+v, per-frame fold %+v", b, n, block, lo+len(blk), got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// addFrame is the per-frame Monitor.Add the block fold replaced, kept
+// as its oracle: the MAVAR octaves take one value per call, level 1
+// takes the frame, and each level above takes the block sum of the level
+// below once that completes.
+func addFrame(mo *Monitor, v float64) {
+	add := func(l *aggLevel, s float64) {
+		l.n++
+		d := s - l.mean
+		l.mean += d / float64(l.n)
+		l.m2 += d * (s - l.mean)
+	}
+	mo.mavar.Add(v)
+	add(&mo.levels[0], v)
+	for i := 1; i < len(mo.levels); i++ {
+		l := &mo.levels[i]
+		l.acc += v
+		if l.fill++; l.fill < 4 {
+			return
+		}
+		v, l.acc, l.fill = l.acc, 0, 0
+		add(l, v/float64(l.m))
+	}
+}
+
+// sameProbe reports whether two probes agree in every field, bit for bit.
+func sameProbe(a, b Probe) bool {
+	bits := math.Float64bits
+	return a.N == b.N && bits(a.Mean) == bits(b.Mean) && bits(a.Std) == bits(b.Std) &&
+		bits(a.H) == bits(b.H) && a.Levels == b.Levels &&
+		bits(a.HMavar) == bits(b.HMavar) && bits(a.HMavarErr) == bits(b.HMavarErr) &&
+		a.MavarOctaves == b.MavarOctaves
 }

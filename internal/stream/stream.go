@@ -287,10 +287,9 @@ func (s *Stream) Next(ctx context.Context) ([]float64, error) {
 	}
 	out := s.gbuf[:n]
 	for i, v := range out {
-		y := s.tab.Value(specfn.NormCDF(v))
-		out[i] = y
-		s.mon.Add(y)
+		out[i] = s.tab.Value(specfn.NormCDF(v))
 	}
+	s.mon.Add(out...)
 	s.pos += n
 
 	scope := obs.From(ctx)

@@ -314,9 +314,10 @@ func TestMonitorBoundedMemory(t *testing.T) {
 }
 
 // TestMonitorZeroAlloc pins the hotpath guarantee hotalloc enforces
-// statically: per-frame Add and per-block Probe never allocate. Probe's
-// log-log regression scratch lives in fixed arrays, so validating a
-// stream adds no GC pressure to the serving path.
+// statically: per-frame Add, per-block Add and per-block Probe never
+// allocate. The block fold's scratch and Probe's log-log regression
+// scratch live in fixed arrays, so validating a stream adds no GC
+// pressure to the serving path.
 func TestMonitorZeroAlloc(t *testing.T) {
 	mo := NewMonitor(1 << 14)
 	rng := rand.New(rand.NewPCG(42, 0))
@@ -325,6 +326,13 @@ func TestMonitorZeroAlloc(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { mo.Add(1.0) }); allocs != 0 {
 		t.Errorf("Monitor.Add allocates %v per call, want 0", allocs)
+	}
+	block := make([]float64, 4096)
+	for i := range block {
+		block[i] = rng.NormFloat64()
+	}
+	if allocs := testing.AllocsPerRun(100, func() { mo.Add(block...) }); allocs != 0 {
+		t.Errorf("Monitor.Add of a %d-frame block allocates %v per call, want 0", len(block), allocs)
 	}
 	var sink Probe
 	if allocs := testing.AllocsPerRun(100, func() { sink = mo.Probe() }); allocs != 0 {

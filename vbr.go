@@ -181,8 +181,9 @@ type HurstBar = lrd.HBar
 type MAVARResult = lrd.MAVARResult
 
 // OnlineMAVAR is the streaming form of the MAVAR estimator: feed
-// observations one at a time in O(1) memory and read Ĥ at any point.
-// Feeding a whole series through it is exactly EstimateMAVAR.
+// observations one at a time or in blocks of any size, in O(1) memory,
+// and read Ĥ at any point. Any partition gives the same bits, and
+// feeding a whole series through it is exactly EstimateMAVAR.
 type OnlineMAVAR = lrd.OnlineMAVAR
 
 // EstimateHurst runs every §3.2.3 estimator on a series; aggM is the
