@@ -41,9 +41,9 @@ race:
 
 # Short fuzzing pass over the parser/decoder fuzz targets, the Ĥ
 # estimator robustness targets, the scenario-zoo cascade invariants,
-# the stitched streams' block/overlap geometry and the queue's zero-loss
-# dual against the simulator; one target per invocation as go test
-# requires.
+# the stitched streams' block/overlap geometry, the queue's zero-loss
+# dual against the simulator and the NDJSON float encoder against
+# strconv; one target per invocation as go test requires.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzDecodeSymbols -fuzztime=$(FUZZTIME) ./internal/codec/
 	$(GO) test -fuzz=FuzzDecodeFrame -fuzztime=$(FUZZTIME) ./internal/codec/
@@ -57,6 +57,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzPaxson -fuzztime=$(FUZZTIME) ./internal/fgn/
 	$(GO) test -fuzz=FuzzStreamGeometry -fuzztime=$(FUZZTIME) ./internal/stream/
 	$(GO) test -fuzz=FuzzZeroLoss -fuzztime=$(FUZZTIME) ./internal/queue/
+	$(GO) test -fuzz=FuzzAppendShortest -fuzztime=$(FUZZTIME) ./internal/ftoa/
 
 # Regenerate the committed estimator calibration table: run the full
 # bias/variance battery (known-H fGn × lengths × 32 seeds, base seed
@@ -73,13 +74,14 @@ calibrate:
 # fluid queue, the end-to-end Fig 14 sweep, the generation-cache
 # cold/warm/batch trio, the paper-scale warm Davies–Harte and Paxson
 # streams, their first block (the time-to-first-byte share of
-# generation) and their online Monitor, the estimator battery (batch
+# generation) and their online Monitor, the served NDJSON request
+# (stream plus wire encode), the estimator battery (batch
 # MAVAR, the streaming per-observation update, the full EstimateAll
 # bundle), and the per-frame hot path of every scenario-zoo model. The
 # text output goes through an intermediate file so a benchmark failure
 # fails the target rather than feeding benchjson an empty stream.
 bench-json:
-	$(GO) test -run '^$$' -bench 'Ablation_Hosking10k$$|Ablation_DaviesHarte10k$$|Paxson10k$$|Paxson171k$$|Ablation_QueueFluid$$|Fig14_QCCurves$$|ColdGenerate$$|WarmGenerate$$|BatchGenerate$$|StreamDaviesHarte171k$$|StreamPaxson171k$$|StreamFirstBlock$$|MonitorAdd$$|MAVAR$$|OnlineMAVARAdd$$|EstimateAll$$|SourceNext$$' -benchmem -count=3 . > bench.out
+	$(GO) test -run '^$$' -bench 'Ablation_Hosking10k$$|Ablation_DaviesHarte10k$$|Paxson10k$$|Paxson171k$$|Ablation_QueueFluid$$|Fig14_QCCurves$$|ColdGenerate$$|WarmGenerate$$|BatchGenerate$$|StreamDaviesHarte171k$$|StreamPaxson171k$$|StreamFirstBlock$$|MonitorAdd$$|TraceNDJSON$$|MAVAR$$|OnlineMAVARAdd$$|EstimateAll$$|SourceNext$$' -benchmem -count=3 . > bench.out
 	@out="$(BENCH_OUT)"; \
 	if [ -z "$$out" ]; then i=0; while [ -e BENCH_$$i.json ]; do i=$$((i+1)); done; out=BENCH_$$i.json; fi; \
 	$(GO) run ./cmd/benchjson -o "$$out" bench.out && echo "wrote $$out"

@@ -8,8 +8,11 @@ package vbr
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand/v2"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"sync"
 	"testing"
@@ -19,6 +22,7 @@ import (
 	"vbr/internal/fgn"
 	"vbr/internal/lrd"
 	"vbr/internal/queue"
+	"vbr/internal/server"
 	"vbr/internal/stats"
 	"vbr/internal/stream"
 	"vbr/internal/synth"
@@ -598,6 +602,60 @@ func BenchmarkStreamFirstBlock(b *testing.B) {
 }
 
 var benchBlock []float64
+
+// The served NDJSON path: Handler().ServeHTTP of a 171,000-frame Paxson
+// NDJSON request on a warm pool into a ResponseWriter that drops the
+// body, the work _perfbench's server.handler probe times. Its ns/frame
+// less BenchmarkStreamPaxson171k's is the wire encode.
+func BenchmarkTraceNDJSON(b *testing.B) {
+	const n = 171_000
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	h := server.New(ctx, server.Config{Pool: NewGenPool(0)}).Handler()
+	serve := func(seed int) {
+		w := &discardWriter{header: http.Header{}}
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, fmt.Sprintf("/v1/trace?n=%d&format=ndjson&backend=paxson&seed=%d", n, seed), nil))
+		if w.status != http.StatusOK {
+			b.Fatalf("handler answered HTTP %d", w.status)
+		}
+	}
+	serve(0) // fill the pool
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	allocated := ms.TotalAlloc
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve(i + 1)
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&ms)
+	frames := float64(b.N) * n
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/frames, "ns/frame")
+	b.ReportMetric(float64(ms.TotalAlloc-allocated)/frames, "B/frame")
+}
+
+// discardWriter is an http.ResponseWriter that drops the body, so a
+// handler is timed without a socket.
+type discardWriter struct {
+	header http.Header
+	status int
+}
+
+func (w *discardWriter) Header() http.Header { return w.header }
+
+func (w *discardWriter) WriteHeader(status int) {
+	if w.status == 0 {
+		w.status = status
+	}
+}
+
+func (w *discardWriter) Write(p []byte) (int, error) {
+	w.WriteHeader(http.StatusOK)
+	return len(p), nil
+}
+
+func (w *discardWriter) Flush() {}
 
 // The online validation a stream does per frame: 171,000 frames of
 // Davies–Harte stream output folded into a fresh Monitor a 4,096-frame

@@ -175,10 +175,11 @@ func MaxMavarTau(n int) int {
 }
 
 // NewOnlineMAVAR builds a streaming estimator with octaves
-// 1, 2, 4, …, maxTau (rounded down to a power of two).
+// 1, 2, 4, …, maxTau (rounded down to a power of two). Octave 1 is
+// always kept, so a maxTau below 1 tracks τ = 1 alone.
 func NewOnlineMAVAR(maxTau int) *OnlineMAVAR {
 	o := &OnlineMAVAR{}
-	for tau := 1; tau <= maxTau && len(o.levels) < maxMavarOctaves; tau *= 2 {
+	for tau := 1; tau <= max(maxTau, 1) && len(o.levels) < maxMavarOctaves; tau *= 2 {
 		o.levels = append(o.levels, mavarLevel{tau: tau, f: uint64(min(tau, mavarSubs))})
 	}
 	return o

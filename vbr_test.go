@@ -209,3 +209,20 @@ func TestPublicAPIBackend(t *testing.T) {
 		}
 	}
 }
+
+// TestPublicAPIOnlineMAVARSmallTau: a maxTau below 1 still tracks
+// octave 1, so MaxTau, Add and Estimate all work on it.
+func TestPublicAPIOnlineMAVARSmallTau(t *testing.T) {
+	for _, maxTau := range []int{0, -3} {
+		o := NewOnlineMAVAR(maxTau)
+		if got := o.MaxTau(); got != 1 {
+			t.Errorf("NewOnlineMAVAR(%d).MaxTau() = %d, want 1", maxTau, got)
+		}
+		for i := range 1000 {
+			o.Add(float64(i % 7))
+		}
+		if h, octaves := o.Estimate(); octaves > 1 {
+			t.Errorf("NewOnlineMAVAR(%d).Estimate() = %v over %d octaves, want at most 1", maxTau, h, octaves)
+		}
+	}
+}
