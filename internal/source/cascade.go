@@ -88,10 +88,15 @@ func (c *cascadeSource) Reset(seed uint64) {
 }
 
 // betaSample draws Beta(β,β) as G1/(G1+G2) with G_i ~ Gamma(β,1).
+// A tiny β can underflow both draws to 0, and 0/0 is NaN; Beta(β,β)
+// tends to a fair coin on {0, 1} as β → 0, so a coin picks the end.
 func (c *cascadeSource) betaSample(rng *rand.Rand) float64 {
 	g1 := c.beta.Sample(rng)
 	g2 := c.beta.Sample(rng)
-	return g1 / (g1 + g2)
+	if s := g1 + g2; s > 0 {
+		return g1 / s
+	}
+	return float64(rng.Uint64() >> 63)
 }
 
 // synthesize fills buf with the next macro-block: iterative in-place

@@ -15,6 +15,7 @@ func FuzzCascade(f *testing.F) {
 	f.Add(uint64(1994), 1, 1.0, 0.1)
 	f.Add(uint64(7), 12, 1e9, 30.0)
 	f.Add(uint64(0), 16, 1e-3, 0.5)
+	f.Add(uint64(211), 1, 50.00025, 1.2538580246913578e-4) // both Gamma draws underflow
 	f.Fuzz(func(t *testing.T, seed uint64, depth int, mean, beta float64) {
 		b, err := Lookup("cascade")
 		if err != nil {
