@@ -42,8 +42,9 @@ race:
 # Short fuzzing pass over the parser/decoder fuzz targets, the Ĥ
 # estimator robustness targets, the scenario-zoo cascade invariants,
 # the stitched streams' block/overlap geometry, the queue's zero-loss
-# dual against the simulator and the NDJSON float encoder against
-# strconv; one target per invocation as go test requires.
+# dual against the simulator, the NDJSON float encoder against strconv
+# and the checkpoint loader against hostile files; one target per
+# invocation as go test requires.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzDecodeSymbols -fuzztime=$(FUZZTIME) ./internal/codec/
 	$(GO) test -fuzz=FuzzDecodeFrame -fuzztime=$(FUZZTIME) ./internal/codec/
@@ -58,6 +59,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzStreamGeometry -fuzztime=$(FUZZTIME) ./internal/stream/
 	$(GO) test -fuzz=FuzzZeroLoss -fuzztime=$(FUZZTIME) ./internal/queue/
 	$(GO) test -fuzz=FuzzAppendShortest -fuzztime=$(FUZZTIME) ./internal/ftoa/
+	$(GO) test -fuzz=FuzzLoadHosking -fuzztime=$(FUZZTIME) ./internal/checkpoint/
 
 # Regenerate the committed estimator calibration table: run the full
 # bias/variance battery (known-H fGn × lengths × 32 seeds, base seed

@@ -52,7 +52,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 		drain      = fs.Duration("drain", 30*time.Second, "graceful-drain budget for in-flight requests on shutdown")
 		maxFrames  = fs.Int("max-frames", 4<<20, "per-request trace length cap")
 		simWorkers = fs.Int("sim-workers", 2, "concurrent simulation-job workers")
-		poolBytes  = fs.Int64("pool-bytes", genpool.DefaultMaxBytes, "generation-cache budget in bytes (coefficient schedules, eigenvalues, mapping tables shared across requests); values <= 0 select the default")
+		poolBytes  = fs.Int64("pool-bytes", genpool.DefaultMaxBytes, "generation-cache budget in bytes (Hosking coefficients, eigenvalues, mapping tables shared across requests); values <= 0 select the default")
 		readHeader = fs.Duration("read-header-timeout", 10*time.Second, "budget for a client to finish sending request headers; slow-header (slowloris) connections are cut past it")
 		idle       = fs.Duration("idle-timeout", 120*time.Second, "keep-alive idle budget before an inactive connection is closed")
 		writeBud   = fs.Duration("write-budget", 30*time.Second, "write budget for non-streaming responses (simulate accept, job polls, healthz); 0 disables; /v1/trace streams are exempt")

@@ -3,10 +3,11 @@
 // Hosking's exact algorithm, transformed to the hybrid Gamma/Pareto
 // marginal via Eq. 13.
 //
-// Long Hosking runs (O(n²); the paper reports 10 hours for its 171,000
-// frames on a 1994 workstation) are interruptible: with -checkpoint set,
-// Ctrl-C saves the recursion state and -resume continues it later,
-// producing output bitwise-identical to an uninterrupted run.
+// Hosking runs (the paper reports 10 hours for its 171,000 frames on a
+// 1994 workstation; the closed form here takes about a tenth of a
+// second) are interruptible: with -checkpoint set, Ctrl-C saves the
+// frames drawn so far and -resume continues from them, producing output
+// bitwise-identical to an uninterrupted run.
 //
 // Examples:
 //
@@ -52,7 +53,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 		sigma    = fs.Float64("std", 6254, "σ_Γ: Gamma-body std (bytes/frame)")
 		tail     = fs.Float64("tail", 12, "m_T: Pareto tail slope")
 		hurst    = fs.Float64("hurst", 0.8, "H: Hurst parameter")
-		bk       = fs.String("backend", "davies-harte", "Gaussian backend: hosking (the paper's exact O(n²) algorithm) | davies-harte | paxson (both O(n log n)) | auto (exact when short, paxson when long)")
+		bk       = fs.String("backend", "davies-harte", "Gaussian backend: hosking (the paper's exact algorithm, O(n log² n)) | davies-harte | paxson (both O(n log n)) | auto (exact when short, paxson when long)")
 		variant  = fs.String("variant", "full", "model variant: full | gaussian | iid")
 		tabSize  = fs.Int("table", 10000, "marginal mapping table size (paper: 10000)")
 		seed     = fs.Uint64("seed", 1, "random seed")
@@ -62,7 +63,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 		verify   = fs.Bool("verify", true, "measure the realization against the model")
 		ckptPath = fs.String("checkpoint", "", "checkpoint file: on interrupt the Hosking state is saved here")
 		resume   = fs.Bool("resume", false, "continue an interrupted generation from -checkpoint")
-		every    = fs.Int("checkpoint-every", 5000, "with -checkpoint, also save the state every this many points (0 = only on interrupt)")
+		every    = fs.Int("checkpoint-every", 1<<20, "with -checkpoint, also save the state every this many points (0 = only on interrupt); each save writes every point drawn so far")
 	)
 	ob := cli.RegisterObsFlags(fs)
 	if err := cli.ParseFlags(fs, args); err != nil {
@@ -84,9 +85,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 		return err
 	}
 	opts.Backend = b
-	if b.Resolve(*n, false) == backend.Hosking && *n > 50000 {
-		fmt.Fprintf(stderr, "note: Hosking is O(n²); %d points will take a while (the paper: \"10 hours on a 1994 workstation\")\n", *n)
-	}
 	if *ckptPath != "" && (b != backend.Hosking || *variant != "full") {
 		return cli.Usagef("-checkpoint requires -backend hosking and -variant full")
 	}
@@ -166,7 +164,7 @@ func genMeta(m core.Model, n int, opts core.GenOptions) map[string]string {
 }
 
 // generateCheckpointed runs the resumable Hosking generation: on
-// interruption the recursion state is flushed to ckptPath before the
+// interruption the generator state is flushed to ckptPath before the
 // error propagates, a positive every additionally saves the state after
 // each block of that many points (so a crash, not just a signal, loses
 // bounded work); on success a consumed checkpoint is removed.

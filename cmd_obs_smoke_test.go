@@ -186,8 +186,10 @@ func TestCLIObsDebugAddr(t *testing.T) {
 	}
 	dir := t.TempDir()
 	metrics := filepath.Join(dir, "m.json")
+	// 3M Hosking points take several seconds (about 4 s on a 2-vCPU
+	// x86-64 host), so the interrupt below lands mid-run.
 	cmd := exec.Command(filepath.Join(binaries(t), "vbrgen"),
-		"-n", "60000", "-backend", "hosking", "-seed", "7",
+		"-n", "3000000", "-backend", "hosking", "-seed", "7",
 		"-debug-addr", "127.0.0.1:0", "-metrics-json", metrics)
 	stderr, err := cmd.StderrPipe()
 	if err != nil {
@@ -218,7 +220,7 @@ func TestCLIObsDebugAddr(t *testing.T) {
 	}()
 
 	// Hosking counters flush every 4096 points, so a live snapshot shows
-	// nonzero progress well before the 60k-point run finishes. Poll with a
+	// nonzero progress well before the 3M-point run finishes. Poll with a
 	// deadline rather than sleeping a fixed time.
 	var points int64
 	deadline := time.Now().Add(30 * time.Second)
@@ -250,7 +252,7 @@ func TestCLIObsDebugAddr(t *testing.T) {
 	err = cmd.Wait()
 	var ee *exec.ExitError
 	if points > 0 && err == nil {
-		t.Fatal("60k-point run finished before the interrupt; raise -n if machines got faster")
+		t.Fatal("3M-point run finished before the interrupt; raise -n if machines got faster")
 	}
 	if !errors.As(err, &ee) || ee.ExitCode() != 130 {
 		t.Fatalf("interrupted run with obs flags: %v, want exit 130", err)

@@ -364,9 +364,12 @@ func TestCLIInterruptResume(t *testing.T) {
 	resumed := filepath.Join(dir, "resumed.bin")
 	straight := filepath.Join(dir, "straight.bin")
 	gen := filepath.Join(binaries(t), "vbrgen")
-	args := []string{"-n", "60000", "-backend", "hosking", "-seed", "42", "-checkpoint", ckpt}
+	// Three million points keep the Hosking stage busy for several
+	// seconds (about 4 s on a 2-vCPU x86-64 host); -slices 0 skips the
+	// per-slice trace, which would take gigabytes at this length.
+	args := []string{"-n", "3000000", "-backend", "hosking", "-seed", "42", "-slices", "0", "-checkpoint", ckpt}
 
-	// Start the long O(n²) run and interrupt it mid-recursion.
+	// Start the long run and interrupt it mid-generation.
 	cmd := exec.Command(gen, append(args, "-o", resumed)...)
 	var buf strings.Builder
 	cmd.Stdout = &buf
@@ -374,9 +377,9 @@ func TestCLIInterruptResume(t *testing.T) {
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	// Give it time to get into the recursion, then interrupt. If the run
-	// finishes before the signal lands the test still passes trivially,
-	// but 60k Hosking points take far longer than a second.
+	// Give it time to get into the generation, then interrupt. The run
+	// must still be going when the signal lands: 3M Hosking points take
+	// several seconds.
 	time.Sleep(1 * time.Second)
 	if err := cmd.Process.Signal(os.Interrupt); err != nil {
 		t.Fatal(err)
@@ -398,13 +401,13 @@ func TestCLIInterruptResume(t *testing.T) {
 
 	// Resume to completion, then compare with an uninterrupted run.
 	out := runCmd(t, "vbrgen", append(args, "-resume", "-o", resumed)...)
-	if !strings.Contains(out, "generated 60000 frames") {
+	if !strings.Contains(out, "generated 3000000 frames") {
 		t.Fatalf("resumed run did not finish:\n%s", out)
 	}
 	if _, err := os.Stat(ckpt); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("consumed checkpoint was not removed: %v", err)
 	}
-	runCmd(t, "vbrgen", "-n", "60000", "-backend", "hosking", "-seed", "42", "-o", straight)
+	runCmd(t, "vbrgen", "-n", "3000000", "-backend", "hosking", "-seed", "42", "-slices", "0", "-o", straight)
 
 	got, err := os.ReadFile(resumed)
 	if err != nil {
@@ -420,7 +423,8 @@ func TestCLIInterruptResume(t *testing.T) {
 }
 
 // TestCLITraceInterrupt pins that vbrtrace's synthesis honours SIGINT:
-// an exact Hosking backbone at 120k frames runs for many seconds, so a
+// an exact Hosking backbone at 3M frames runs for several seconds (about
+// 4 s on a 2-vCPU x86-64 host, and the whole run about 20 s), so a
 // signal one second in must end the run with exit 130 well before it
 // would finish, and must leave no trace file behind.
 func TestCLITraceInterrupt(t *testing.T) {
@@ -428,7 +432,7 @@ func TestCLITraceInterrupt(t *testing.T) {
 		t.Skip("CLI smoke tests skipped in -short mode")
 	}
 	out := filepath.Join(t.TempDir(), "trace.bin")
-	cmd := exec.Command(filepath.Join(binaries(t), "vbrtrace"), "-backend", "hosking", "-frames", "120000", "-o", out)
+	cmd := exec.Command(filepath.Join(binaries(t), "vbrtrace"), "-backend", "hosking", "-frames", "3000000", "-o", out)
 	var buf strings.Builder
 	cmd.Stdout = &buf
 	cmd.Stderr = &buf

@@ -38,8 +38,8 @@ func main() {
 		model.MuGamma, model.SigmaGamma, model.TailSlope, model.Hurst)
 
 	// 3. Generate synthetic traffic from the model. The default engine is
-	//    Hosking's exact O(n²) algorithm (the paper's); switch to
-	//    BackendDaviesHarte for long series.
+	//    Hosking's exact algorithm (the paper's); this example draws from
+	//    BackendDaviesHarte, the other exact engine.
 	opts := vbr.DefaultGenOptions()
 	opts.Backend = vbr.BackendDaviesHarte
 	frames, err := model.GenerateCtx(ctx, 30000, opts)

@@ -9,8 +9,9 @@
 //
 // Four engines are selectable:
 //
-//   - Hosking: the paper's exact O(n²) conditional recursion — the
-//     bitwise reference every other engine is validated against.
+//   - Hosking: the paper's exact conditional recursion, evaluated in
+//     closed form in O(n log² n) — the reference every other engine is
+//     validated against.
 //   - DaviesHarte: exact-in-distribution O(n log n) circulant
 //     embedding.
 //   - Paxson: approximate O(n log n) spectral synthesis (Paxson 1997),
@@ -18,7 +19,8 @@
 //     fGn for traffic-modeling purposes but not exact.
 //   - Auto: a selection policy, not an engine — it resolves to Hosking
 //     for short batch runs (exactness is free when n is small) and to
-//     Paxson for long or streamed traces (where O(n²) is unpayable).
+//     Paxson for long or streamed traces (bounded memory at any length
+//     when streamed).
 //
 // The zero value is Hosking, so a zero GenOptions or stream Config
 // selects the exact recursion; the integer values of Hosking and
@@ -36,8 +38,9 @@ import (
 type Backend int
 
 const (
-	// Hosking is the paper's exact conditional recursion (Eqs. 6–12):
-	// O(n²), the bitwise reference.
+	// Hosking is the paper's exact conditional recursion (Eqs. 6–12),
+	// its Levinson–Durbin coefficients taken in closed form: O(n log² n)
+	// time, the reference engine.
 	Hosking Backend = iota
 	// DaviesHarte is the exact circulant-embedding FGN sampler:
 	// O(n log n) time, O(n) memory for the 2n-point embedding.
@@ -52,9 +55,11 @@ const (
 )
 
 // AutoCutoff is the batch length at which Auto switches from the exact
-// Hosking recursion to Paxson synthesis. Below it the O(n²) recursion
-// costs at most tens of milliseconds, so exactness is effectively free;
-// above it the quadratic term dominates end-to-end latency.
+// Hosking recursion to Paxson synthesis. Below it exact Hosking costs a
+// few milliseconds, so exactness is effectively free. Where the two
+// engines' costs cross has not been measured since Hosking's closed
+// form (O(n log² n) against Paxson's O(n log n)), so the value stays
+// until a benchmark moves it.
 const AutoCutoff = 8192
 
 // String names the backend the way the CLI flags and the HTTP API

@@ -1,4 +1,4 @@
-// Package checkpoint persists interrupted long-running jobs — the O(n²)
+// Package checkpoint persists interrupted long-running jobs — the exact
 // Hosking generation and the Fig. 14 capacity-search grids — to a
 // versioned binary format, so a cancelled vbrgen/vbrsim run resumes
 // where it stopped instead of restarting. Files are written atomically
@@ -8,7 +8,14 @@
 // Format: an 8-byte magic "VBRCKPT\x00", a little-endian uint16 format
 // version, a uint16 record kind, then the kind-specific payload.
 // Integers are uvarint-coded, floats are IEEE-754 bit patterns, strings
-// and slices are length-prefixed.
+// and slices are length-prefixed. A generation record holds n, H, the
+// position K, the K points drawn so far and the random-source state;
+// the generator rebuilds the rest of its state from the points.
+//
+// Files come from outside the program, so loading trusts nothing: a
+// length field only bounds how much is read, never how much is
+// allocated ahead of the data, and a generation record is validated as
+// a resume point before it is returned.
 package checkpoint
 
 import (
@@ -18,6 +25,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"sort"
@@ -28,8 +36,11 @@ import (
 )
 
 // Version is the current checkpoint format version. Loaders reject any
-// other version with errs.ErrCheckpointVersion.
-const Version = 1
+// other version with errs.ErrCheckpointVersion. Version 1 files held
+// the Levinson–Durbin recursion state of the O(n²) Hosking generator;
+// version 2 holds only the drawn points. The version is per file, not
+// per kind, so version-1 capacity-search files are refused as well.
+const Version = 2
 
 var magic = [8]byte{'V', 'B', 'R', 'C', 'K', 'P', 'T', 0}
 
@@ -58,7 +69,7 @@ func (k Kind) String() string {
 // hostile file cannot trigger a giant allocation.
 const maxCount = 1 << 28
 
-// HoskingRecord is a checkpointed generation job: the recursion snapshot
+// HoskingRecord is a checkpointed generation job: the generator snapshot
 // plus the job metadata (seed, model parameters, output options) the CLI
 // uses to verify that a resume matches the original invocation.
 type HoskingRecord struct {
@@ -123,29 +134,35 @@ func SaveHosking(path string, rec *HoskingRecord) error {
 		writeUvarint(w, uint64(st.N))
 		writeFloat(w, st.H)
 		writeUvarint(w, uint64(st.K))
-		writeFloat(w, st.V)
-		writeFloat(w, st.NPrev)
-		writeFloat(w, st.DPrev)
 		writeFloats(w, st.X)
-		writeFloats(w, st.PhiPrev)
 		writeBytes(w, st.RNG)
 		return nil
 	})
 }
 
-// LoadHosking reads a generation checkpoint from path.
+// LoadHosking reads a generation checkpoint from path. The record is
+// returned only if its state is one a generation could have stopped
+// in (fgn.HoskingState.Validate) with the state of a math/rand/v2 PCG,
+// the source every checkpointed generation draws from; anything else
+// is an error matching errs.ErrCheckpointCorrupt.
 func LoadHosking(path string) (*HoskingRecord, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	r := bufio.NewReader(f)
+	return readHosking(bufio.NewReader(f), path)
+}
+
+// readHosking decodes and validates a generation record; path names
+// the source in errors.
+func readHosking(r *bufio.Reader, path string) (*HoskingRecord, error) {
 	if err := readHeader(r, KindHosking); err != nil {
 		return nil, err
 	}
 	rec := &HoskingRecord{State: &fgn.HoskingState{}}
 	st := rec.State
+	var err error
 	if rec.Meta, err = readMeta(r); err != nil {
 		return nil, corrupt(path, err)
 	}
@@ -158,29 +175,24 @@ func LoadHosking(path string) (*HoskingRecord, error) {
 		st.H, err = readFloat(r)
 	}
 	if err == nil {
-		k, err = readUvarint(r)
+		if k, err = readUvarint(r); err == nil && k > maxCount {
+			err = fmt.Errorf("implausible K=%d", k)
+		}
 		st.K = int(k)
 	}
 	if err == nil {
-		st.V, err = readFloat(r)
-	}
-	if err == nil {
-		st.NPrev, err = readFloat(r)
-	}
-	if err == nil {
-		st.DPrev, err = readFloat(r)
-	}
-	if err == nil {
 		st.X, err = readFloats(r)
-	}
-	if err == nil {
-		st.PhiPrev, err = readFloats(r)
 	}
 	if err == nil {
 		st.RNG, err = readBytes(r)
 	}
 	if err != nil {
 		return nil, corrupt(path, err)
+	}
+	// A throwaway source: it is never drawn from, only checked to accept
+	// the saved bytes.
+	if err := st.Validate(new(rand.PCG)); err != nil {
+		return nil, fmt.Errorf("checkpoint: %s: %w", path, err)
 	}
 	return rec, nil
 }
@@ -327,8 +339,14 @@ func readHeader(r *bufio.Reader, want Kind) error {
 		return fmt.Errorf("checkpoint: reading version: %w: %w", errs.ErrCheckpointCorrupt, err)
 	}
 	if ver != Version {
-		return fmt.Errorf("checkpoint: file is version %d, this build reads %d: %w",
-			ver, Version, errs.ErrCheckpointVersion)
+		why := ""
+		if ver == 1 {
+			why = " (version 1 held the Levinson recursion state of the O(n²) Hosking generator, " +
+				"which the closed-form generator cannot resume; capacity-search files of version 1 " +
+				"are refused too: rerun the job without -resume)"
+		}
+		return fmt.Errorf("checkpoint: file is version %d, this build reads %d%s: %w",
+			ver, Version, why, errs.ErrCheckpointVersion)
 	}
 	if err := binary.Read(r, binary.LittleEndian, &kind); err != nil {
 		return fmt.Errorf("checkpoint: reading kind: %w: %w", errs.ErrCheckpointCorrupt, err)
@@ -358,7 +376,7 @@ func readMeta(r *bufio.Reader) (map[string]string, error) {
 	if err != nil || n > maxCount {
 		return nil, fmt.Errorf("checkpoint: meta count: %w", errOr(err))
 	}
-	meta := make(map[string]string, n)
+	meta := make(map[string]string, min(n, 64))
 	for i := uint64(0); i < n; i++ {
 		k, err := readString(r)
 		if err != nil {
@@ -413,11 +431,15 @@ func readFloats(r *bufio.Reader) ([]float64, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	xs := make([]float64, n)
-	for i := range xs {
-		if xs[i], err = readFloat(r); err != nil {
+	// Grown as values arrive, so a count the data does not back
+	// allocates nothing beyond the data.
+	xs := make([]float64, 0, min(n, 1<<12))
+	for range n {
+		x, err := readFloat(r)
+		if err != nil {
 			return nil, err
 		}
+		xs = append(xs, x)
 	}
 	return xs, nil
 }
@@ -438,11 +460,11 @@ func readBytes(r *bufio.Reader) ([]byte, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r, b); err != nil {
-		return nil, err
+	b, err := io.ReadAll(io.LimitReader(r, int64(n)))
+	if err == nil && uint64(len(b)) < n {
+		err = io.ErrUnexpectedEOF
 	}
-	return b, nil
+	return b, err
 }
 
 func writeString(w *bufio.Writer, s string) {

@@ -1,11 +1,16 @@
 package checkpoint
 
 import (
+	"bufio"
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 
 	"vbr/internal/errs"
@@ -27,12 +32,12 @@ func (c *interruptCtx) Err() error {
 }
 
 // liveState interrupts a real Hosking run to obtain a genuine snapshot.
-func liveState(t *testing.T) *fgn.HoskingState {
-	t.Helper()
+func liveState(tb testing.TB) *fgn.HoskingState {
+	tb.Helper()
 	cctx := &interruptCtx{Context: context.Background(), limit: 400}
 	_, st, err := fgn.HoskingCheckpointed(cctx, 1000, 0.8, rand.NewPCG(11, 13), nil, 0, nil)
 	if !errors.Is(err, errs.ErrCancelled) || st == nil {
-		t.Fatalf("interrupting generation: err=%v st=%v", err, st)
+		tb.Fatalf("interrupting generation: err=%v st=%v", err, st)
 	}
 	return st
 }
@@ -55,20 +60,15 @@ func TestHoskingRoundTrip(t *testing.T) {
 		t.Errorf("meta round trip: %v", got.Meta)
 	}
 	g := got.State
-	if g.N != st.N || g.H != st.H || g.K != st.K || g.V != st.V || g.NPrev != st.NPrev || g.DPrev != st.DPrev {
+	if g.N != st.N || g.H != st.H || g.K != st.K {
 		t.Errorf("scalar state round trip mismatch: %+v vs %+v", g, st)
 	}
-	if len(g.X) != len(st.X) || len(g.PhiPrev) != len(st.PhiPrev) || len(g.RNG) != len(st.RNG) {
-		t.Fatalf("slice lengths differ")
+	if len(g.X) != len(st.X) || !bytes.Equal(g.RNG, st.RNG) {
+		t.Fatalf("prefix length or random-source state differs")
 	}
 	for i := range st.X {
 		if g.X[i] != st.X[i] {
 			t.Fatalf("X[%d] differs", i)
-		}
-	}
-	for i := range st.PhiPrev {
-		if g.PhiPrev[i] != st.PhiPrev[i] {
-			t.Fatalf("PhiPrev[%d] differs", i)
 		}
 	}
 
@@ -137,6 +137,91 @@ func TestVersionRejected(t *testing.T) {
 	if !errors.Is(err, errs.ErrCheckpointVersion) {
 		t.Errorf("got %v, want ErrCheckpointVersion", err)
 	}
+}
+
+// TestVersion1Refused pins the refusal of the previous format: a
+// version-1 file of either kind fails with ErrCheckpointVersion and a
+// message that says why and what to do.
+func TestVersion1Refused(t *testing.T) {
+	for _, kind := range []Kind{KindHosking, KindSearch} {
+		path := filepath.Join(t.TempDir(), "v1.ckpt")
+		if err := os.WriteFile(path, version1Header(kind), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		if kind == KindHosking {
+			_, err = LoadHosking(path)
+		} else {
+			_, err = LoadSearch(path)
+		}
+		if !errors.Is(err, errs.ErrCheckpointVersion) {
+			t.Fatalf("%v: got %v, want ErrCheckpointVersion", kind, err)
+		}
+		for _, want := range []string{"version 1", "Levinson", "capacity-search", "without -resume"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%v: message %q does not mention %q", kind, err, want)
+			}
+		}
+	}
+}
+
+// version1Header is the first 12 bytes of a version-1 file of kind.
+func version1Header(kind Kind) []byte {
+	b := append([]byte(nil), magic[:]...)
+	b = binary.LittleEndian.AppendUint16(b, 1)
+	return binary.LittleEndian.AppendUint16(b, uint16(kind))
+}
+
+// FuzzLoadHosking feeds arbitrary bytes to the generation-record loader:
+// it must fail with a checkpoint sentinel or return a record whose state
+// resume validation accepts, never panic, and never allocate ahead of
+// the data a length field claims.
+func FuzzLoadHosking(f *testing.F) {
+	var saved bytes.Buffer
+	w := bufio.NewWriter(&saved)
+	writeHeader(w, KindHosking)
+	writeMeta(w, map[string]string{"seed": "11"})
+	st := liveState(f)
+	writeUvarint(w, uint64(st.N))
+	writeFloat(w, st.H)
+	writeUvarint(w, uint64(st.K))
+	writeFloats(w, st.X)
+	writeBytes(w, st.RNG)
+	w.Flush()
+	f.Add(saved.Bytes())
+	f.Add(version1Header(KindHosking))
+	// A point count far beyond the data that follows it.
+	var short bytes.Buffer
+	w = bufio.NewWriter(&short)
+	writeHeader(w, KindHosking)
+	writeMeta(w, nil)
+	writeUvarint(w, maxCount)
+	writeFloat(w, 0.8)
+	writeUvarint(w, maxCount)
+	writeUvarint(w, maxCount)
+	writeFloat(w, 1)
+	w.Flush()
+	f.Add(short.Bytes())
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rec, err := readHosking(bufio.NewReader(bytes.NewReader(data)), "fuzz")
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64*uint64(len(data))+1<<20 {
+			t.Fatalf("loading %d bytes allocated %d", len(data), grew)
+		}
+		if err != nil {
+			if !errors.Is(err, errs.ErrCheckpointCorrupt) && !errors.Is(err, errs.ErrCheckpointVersion) &&
+				!errors.Is(err, errs.ErrCheckpointMismatch) {
+				t.Fatalf("error matches no checkpoint sentinel: %v", err)
+			}
+			return
+		}
+		if err := rec.State.Validate(new(rand.PCG)); err != nil {
+			t.Fatalf("loaded a state resume validation rejects: %v", err)
+		}
+	})
 }
 
 func TestKindMismatch(t *testing.T) {

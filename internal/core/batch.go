@@ -18,8 +18,8 @@ import (
 // only on (model, k, n, opts) — never on scheduling — and trace i of a
 // batch equals a solo GenerateCtx call with the derived seed.
 //
-// The workers share one generation pool: the O(n²) Hosking coefficient
-// schedule (or the Davies–Harte eigenvalue vector) and the Eq. 13
+// The workers share one generation pool: the Hosking coefficients (or
+// the Davies–Harte eigenvalue vector) and the Eq. 13
 // mapping table are computed once and reused by every trace, which is
 // where the batch speedup over k sequential GenerateCtx calls comes from.
 // opts.Pool is used when set (sharing warmth with other callers);

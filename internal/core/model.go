@@ -165,7 +165,7 @@ type GenOptions struct {
 	Standardize bool
 	Seed        uint64
 	// SnapshotEvery, when positive together with a non-nil Snapshot,
-	// makes GenerateResumable persist a recursion checkpoint after each
+	// makes GenerateResumable persist a generation checkpoint after each
 	// block of this many generated points, bounding the work lost to a
 	// crash (not just a signal). Ignored by the other generators.
 	SnapshotEvery int
@@ -173,12 +173,12 @@ type GenOptions struct {
 	// fgn.HoskingCheckpointed for the exact semantics.
 	Snapshot fgn.SnapshotFunc
 	// Pool, when non-nil, serves the seed-independent precomputations —
-	// Hosking coefficient schedules, Davies–Harte eigenvalues and Paxson
+	// Hosking coefficients, Davies–Harte eigenvalues and Paxson
 	// spectra with their FFT plans, and Eq. 13 quantile tables — from a
 	// shared cross-request cache instead of recomputing them per call.
 	// The generated output is bitwise identical either way (the cached
-	// quantities do not depend on the seed); nil preserves the cold
-	// per-call behavior exactly.
+	// quantities do not depend on the seed); nil computes them cold for
+	// each call.
 	Pool *genpool.Pool
 }
 
@@ -188,9 +188,9 @@ func DefaultGenOptions() GenOptions {
 }
 
 // GenerateCtx produces n frames of synthetic VBR video traffic from the
-// full model: LRD Gaussian noise mapped through Eq. 13. The O(n²)
-// Hosking recursion checks the context each outer iteration and returns
-// an error matching errs.ErrCancelled promptly when it fires.
+// full model: LRD Gaussian noise mapped through Eq. 13. The Hosking
+// generator checks the context once per point and returns an error
+// matching errs.ErrCancelled promptly when it fires.
 func (m Model) GenerateCtx(ctx context.Context, n int, opts GenOptions) ([]float64, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
@@ -253,11 +253,11 @@ func (m Model) GenerateIIDCtx(ctx context.Context, n int, opts GenOptions) ([]fl
 }
 
 // gaussianCtx runs the selected LRD engine under a context and
-// optionally standardizes. With a pool in the options the
-// seed-independent half of the chosen engine (coefficient schedule, or
-// eigenvalues or spectrum with its FFT plan) is served from cache; the
-// seeded half draws from rng in exactly the cold order, keeping the
-// output bitwise identical.
+// optionally standardizes. The seed-independent half of the chosen
+// engine (coefficients, or eigenvalues or spectrum with its FFT plan)
+// comes from opts.Pool, from cache when the pool is set and computed
+// cold when it is nil; the seeded half draws from rng in the same order
+// either way, keeping the output bitwise identical.
 func (m Model) gaussianCtx(ctx context.Context, n int, opts GenOptions) ([]float64, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("core: length must be ≥ 1, got %d", n)
@@ -267,33 +267,22 @@ func (m Model) gaussianCtx(ctx context.Context, n int, opts GenOptions) ([]float
 	var err error
 	// Auto resolves per request: exact Hosking below the cutoff, Paxson
 	// above it. A resolved concrete backend passes through unchanged.
+	// A nil pool computes cold, so one call per engine covers both modes.
 	switch opts.Backend.Resolve(n, false) {
 	case backend.Hosking:
-		if opts.Pool != nil {
-			var c *fgn.HoskingCoeffs
-			if c, err = opts.Pool.HoskingCoeffs(ctx, m.Hurst, n); err == nil {
-				x, err = fgn.HoskingFromCoeffs(ctx, n, c, rng)
-			}
-		} else {
-			x, err = fgn.HoskingCtx(ctx, n, m.Hurst, rng)
+		var c *fgn.HoskingCoeffs
+		if c, err = opts.Pool.HoskingCoeffs(ctx, m.Hurst, n); err == nil {
+			x, err = fgn.HoskingFromCoeffs(ctx, n, c, rng)
 		}
 	case backend.DaviesHarte:
-		if opts.Pool != nil {
-			var eig *fgn.DaviesHarteEigen
-			if eig, err = opts.Pool.DaviesHarteEigen(ctx, m.Hurst, n); err == nil {
-				x, err = fgn.DaviesHarteFromEigenCtx(ctx, n, eig, rng)
-			}
-		} else {
-			x, err = fgn.DaviesHarteCtx(ctx, n, m.Hurst, rng)
+		var eig *fgn.DaviesHarteEigen
+		if eig, err = opts.Pool.DaviesHarteEigen(ctx, m.Hurst, n); err == nil {
+			x, err = fgn.DaviesHarteFromEigenCtx(ctx, n, eig, rng)
 		}
 	case backend.Paxson:
-		if opts.Pool != nil {
-			var p *fgn.PaxsonSpectrum
-			if p, err = opts.Pool.PaxsonSpectrum(ctx, m.Hurst, n); err == nil {
-				x, err = fgn.PaxsonFromSpectrumCtx(ctx, n, p, rng)
-			}
-		} else {
-			x, err = fgn.PaxsonCtx(ctx, n, m.Hurst, rng)
+		var p *fgn.PaxsonSpectrum
+		if p, err = opts.Pool.PaxsonSpectrum(ctx, m.Hurst, n); err == nil {
+			x, err = fgn.PaxsonFromSpectrumCtx(ctx, n, p, rng)
 		}
 	default:
 		return nil, fmt.Errorf("core: generator %d: %w", int(opts.Backend), errs.ErrUnknownBackend)
@@ -308,9 +297,9 @@ func (m Model) gaussianCtx(ctx context.Context, n int, opts GenOptions) ([]float
 }
 
 // GenerateResumable is the checkpointable variant of GenerateCtx,
-// restricted to the Hosking backend (the O(n²) recursion is the run worth
-// checkpointing; Davies–Harte finishes in seconds). On cancellation it
-// returns a nil series together with a snapshot of the recursion that,
+// restricted to the Hosking backend, the paper's generator and the one
+// whose state is a prefix of its own output. On cancellation it
+// returns a nil series together with a snapshot of the generation that,
 // passed back as resume in a later call with the same n and options,
 // continues the computation and yields a series bitwise-identical to an
 // uninterrupted run. On completion the returned state is nil.
@@ -328,7 +317,7 @@ func (m Model) GenerateResumable(ctx context.Context, n int, opts GenOptions, re
 		return nil, nil, fmt.Errorf("core: length must be ≥ 1, got %d", n)
 	}
 	// Same derivation as gaussianCtx, so an uninterrupted resumable run
-	// matches GenerateCtx exactly. Periodic snapshots observe the recursion
+	// matches GenerateCtx exactly. Periodic snapshots observe the generator
 	// without consuming randomness, so they cannot perturb the output.
 	src := rand.NewPCG(opts.Seed, 0x6a55)
 	x, st, err := fgn.HoskingCheckpointed(ctx, n, m.Hurst, src, resume, opts.SnapshotEvery, opts.Snapshot)

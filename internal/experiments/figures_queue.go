@@ -7,7 +7,6 @@ import (
 	"math/rand/v2"
 	"strings"
 
-	"vbr/internal/backend"
 	"vbr/internal/core"
 	"vbr/internal/queue"
 	"vbr/internal/trace"
@@ -215,20 +214,10 @@ func (s *Suite) Fig16Ctx(ctx context.Context) (*Fig16Result, error) {
 		return nil, err
 	}
 	n := len(s.Trace.Frames)
+	// The default backend is the paper's generator, exact Hosking, at
+	// every scale.
 	genOpts := core.DefaultGenOptions()
 	genOpts.Seed = 4242
-	// Hosking's O(n²) recursion is the paper's algorithm but needs ~10
-	// minutes for 171k points even today; the circulant-embedding
-	// generator is exact for FGN and used at paper scale. Quick scale
-	// exercises the Hosking path.
-	if s.Scale == PaperScale {
-		genOpts.Backend = backend.DaviesHarte
-	} else {
-		genOpts.Backend = backend.Hosking
-		if n > 20000 {
-			genOpts.Backend = backend.DaviesHarte
-		}
-	}
 
 	full, err := model.GenerateCtx(ctx, n, genOpts)
 	if err != nil {

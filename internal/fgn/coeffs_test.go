@@ -4,12 +4,12 @@ import (
 	"context"
 	"math"
 	"math/rand/v2"
+	"runtime"
 	"testing"
 )
 
-// TestHoskingFromCoeffsBitwise pins the tentpole invariant: the warm
-// (schedule-driven) batch generator reproduces the cold recursion bit
-// for bit for the same seed.
+// TestHoskingFromCoeffsBitwise pins that the coefficient-driven batch
+// generator reproduces HoskingCtx bit for bit for the same seed.
 func TestHoskingFromCoeffsBitwise(t *testing.T) {
 	ctx := context.Background()
 	for _, h := range []float64{0.55, 0.8, 0.95} {
@@ -33,9 +33,32 @@ func TestHoskingFromCoeffsBitwise(t *testing.T) {
 	}
 }
 
-// TestHoskingCoeffsPrefixExtension checks the prefix-reuse rule: a
-// schedule extended in stages carries exactly the entries a one-shot
-// schedule computes, so any cached long schedule serves shorter runs.
+// sameCoeffs fails unless a and b hold bitwise-identical factors over
+// their first n points and identical spectra at every level n uses.
+func sameCoeffs(t *testing.T, a, b *HoskingCoeffs, n int) {
+	t.Helper()
+	if a.Len() < n || b.Len() < n {
+		t.Fatalf("coefficients cover %d and %d points, want %d", a.Len(), b.Len(), n)
+	}
+	bits := math.Float64bits
+	for k := range n {
+		fa, fb := a.fac[k], b.fac[k]
+		if bits(fa.gain) != bits(fb.gain) || bits(fa.sd) != bits(fb.sd) || bits(fa.weight) != bits(fb.weight) {
+			t.Fatalf("factors diverge at k=%d", k)
+		}
+	}
+	for i := range levelsFor(n) {
+		for k, p := range a.levels[i].coef {
+			if p != b.levels[i].coef[k] {
+				t.Fatalf("level %d spectrum diverges at bin %d", i, k)
+			}
+		}
+	}
+}
+
+// TestHoskingCoeffsPrefixExtension checks the prefix-reuse rule:
+// coefficients extended in stages carry exactly the entries of a
+// one-shot extension, so any cached long run serves shorter ones.
 func TestHoskingCoeffsPrefixExtension(t *testing.T) {
 	ctx := context.Background()
 	inc, err := NewHoskingCoeffs(0.8)
@@ -54,24 +77,12 @@ func TestHoskingCoeffsPrefixExtension(t *testing.T) {
 	if err := one.EnsureCtx(ctx, 2048); err != nil {
 		t.Fatal(err)
 	}
-	ik, iv, err := inc.Schedule(2048)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ok, ov, err := one.Schedule(2048)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := 1; k < 2048; k++ {
-		if math.Float64bits(ik[k]) != math.Float64bits(ok[k]) || math.Float64bits(iv[k]) != math.Float64bits(ov[k]) {
-			t.Fatalf("staged extension diverges at k=%d", k)
-		}
-	}
+	sameCoeffs(t, inc, one, 2048)
 }
 
 // cancelAfterCtx reports Canceled from Err after limit calls, so a
-// schedule extension can be interrupted a deterministic number of
-// iterations in — mimicking a client dropping a request mid-build.
+// coefficient extension can be interrupted a deterministic number of
+// points in — mimicking a client dropping a request mid-build.
 type cancelAfterCtx struct {
 	context.Context
 	calls, limit int
@@ -86,11 +97,9 @@ func (c *cancelAfterCtx) Err() error {
 }
 
 // TestHoskingCoeffsCancelledThenRetry is the regression test for the
-// cancelled-extension panic: EnsureCtx used to pre-grow rho/phi to the
-// target length before the loop, so a cancellation left them longer
-// than kk/v and a later shorter request computed a negative make()
-// length. A cached schedule must survive cancel → shorter retry →
-// longer retry with bitwise-identical entries.
+// cancelled-extension panic: an extension interrupted part way must
+// leave coefficients that survive cancel → shorter retry → longer retry
+// with bitwise-identical entries.
 func TestHoskingCoeffsCancelledThenRetry(t *testing.T) {
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -99,7 +108,11 @@ func TestHoskingCoeffsCancelledThenRetry(t *testing.T) {
 		ctx  context.Context
 	}{
 		{"before-first-step", cancelled},
-		{"mid-extension", &cancelAfterCtx{Context: context.Background(), limit: 300}},
+		// EnsureCtx checks every 1024 new points and before each level:
+		// the second check falls at point 1025, and the fourth after the
+		// first of the five levels 2000 points use.
+		{"mid-extension", &cancelAfterCtx{Context: context.Background(), limit: 1}},
+		{"mid-levels", &cancelAfterCtx{Context: context.Background(), limit: 3}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -125,25 +138,13 @@ func TestHoskingCoeffsCancelledThenRetry(t *testing.T) {
 			if err := fresh.EnsureCtx(context.Background(), 2000); err != nil {
 				t.Fatal(err)
 			}
-			ck, cv, err := c.Schedule(2000)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fk, fv, err := fresh.Schedule(2000)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for k := 1; k < 2000; k++ {
-				if math.Float64bits(ck[k]) != math.Float64bits(fk[k]) || math.Float64bits(cv[k]) != math.Float64bits(fv[k]) {
-					t.Fatalf("retried schedule diverges from fresh at k=%d", k)
-				}
-			}
+			sameCoeffs(t, c, fresh, 2000)
 		})
 	}
 }
 
-// TestHoskingStreamWithCoeffsBitwise: the warm stream's concatenated
-// blocks equal the cold batch output bit for bit.
+// TestHoskingStreamWithCoeffsBitwise: the stream's concatenated blocks
+// equal the batch output bit for bit.
 func TestHoskingStreamWithCoeffsBitwise(t *testing.T) {
 	ctx := context.Background()
 	const n = 2000
@@ -200,5 +201,65 @@ func TestDaviesHarteFromEigenBitwise(t *testing.T) {
 				t.Fatalf("n=%d: warm[%d] != cold[%d]", n, i, i)
 			}
 		}
+	}
+}
+
+// TestHoskingStreamBytesPerPoint bounds a stream's own memory on shared
+// coefficients: drawing a paper-scale trace allocates one float64 per
+// point plus the transform buffer of its largest tree block, at most 24
+// bytes per point.
+func TestHoskingStreamBytesPerPoint(t *testing.T) {
+	const n = 171000
+	c, err := NewHoskingCoeffs(0.8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.EnsureCtx(context.Background(), n); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]float64, 4096)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s, err := NewHoskingStreamWithCoeffs(n, c, rand.New(rand.NewPCG(1, 2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		if _, err := s.Next(context.Background(), buf); err != nil {
+			break
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perPoint := float64(after.TotalAlloc-before.TotalAlloc) / n; perPoint > 24 {
+		t.Errorf("stream allocated %.2f bytes per point, want ≤ 24", perPoint)
+	}
+}
+
+// TestHoskingStreamZeroAlloc pins that the per-point loop allocates
+// nothing once the stream's transform buffer exists.
+func TestHoskingStreamZeroAlloc(t *testing.T) {
+	const n = 1 << 16
+	c, err := NewHoskingCoeffs(0.8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.EnsureCtx(context.Background(), n); err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewHoskingStreamWithCoeffs(n, c, rand.New(rand.NewPCG(1, 2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]float64, 256)
+	if _, err := s.Next(context.Background(), buf[:baseBlock+1]); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := s.Next(context.Background(), buf); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Next allocated %v times per call, want 0", allocs)
 	}
 }

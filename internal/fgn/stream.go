@@ -4,78 +4,37 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math"
+	"math/bits"
 	"math/rand/v2"
 
 	"vbr/internal/obs"
 )
 
-// HoskingStream is the pull-based form of the Hosking recursion: instead
-// of materializing all n points in one call, callers draw the series
-// block by block with Next. Every Hosking generator in the package —
-// batch, checkpointed, schedule-driven — is a HoskingStream advanced to
-// n, so the concatenation of all blocks is bitwise-identical to the
-// output of Hosking(n, h, rng) with an equally seeded generator.
+// HoskingStream is the pull-based form of Hosking's method: callers
+// draw the series block by block with Next. Every Hosking generator in
+// the package is a HoskingStream advanced to n, so the blocks
+// concatenate to HoskingCtx's output bit for bit, whatever their sizes.
 //
-// The recursion state (generated prefix, partial linear-prediction
-// coefficients, ρ sequence) grows with the position k; that O(n) state
-// is inherent to the exact algorithm, which conditions every point on
-// the entire past. What streaming removes is any *additional* O(n)
-// buffering between generator and consumer: each Next hands out only the
-// block just produced.
+// The stream keeps one float64 per point — z_i = b_i·X_i for the points
+// drawn, the partial convolution sums for the points to come — and the
+// transform buffer of its largest tree block: at most 24 bytes per
+// point. Output is not kept.
 type HoskingStream struct {
-	n   int
-	h   float64
-	rng *rand.Rand
+	n      int
+	rng    *rand.Rand
+	fac    []factor
+	lag    *[baseBlock]float64
+	levels []*level
 
-	x   []float64
-	lev levinson // lev.phi holds φ_{k-1,·}; cold mode runs the whole step
-	k   int      // next point to generate
-
-	// Warm mode (NewHoskingStreamWithCoeffs): precomputed φ_kk and v_k
-	// schedules replace the rest of the Levinson step. nil in cold mode.
-	kk []float64
-	vs []float64
+	zc   []float64 // z_i for i < k; partial Σ a_{t−i}·z_i for t ≥ k
+	work []complex128
+	k    int // next point to generate
 }
 
-// NewHoskingStream prepares an incremental Hosking generation of n
-// points with Hurst parameter h drawing innovations from rng. The
-// stream owns rng from this call on; drawing from it elsewhere desyncs
-// the output from the equivalent batch run.
-func NewHoskingStream(n int, h float64, rng *rand.Rand) (*HoskingStream, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("fgn: length must be ≥ 1, got %d", n)
-	}
-	if !validHurst(h) {
-		return nil, fmt.Errorf("fgn: Hurst parameter must be in (0,1), got %v", h)
-	}
-	if rng == nil {
-		return nil, fmt.Errorf("fgn: stream needs a random source")
-	}
-	rho, err := FarimaACF(h, n)
-	if err != nil {
-		return nil, err
-	}
-	return &HoskingStream{
-		n: n, h: h, rng: rng,
-		x:   make([]float64, n),
-		lev: newLevinson(rho, make([]float64, n)),
-	}, nil
-}
-
-// Pos returns how many points have been generated so far.
-func (s *HoskingStream) Pos() int { return s.k }
-
-// Len returns the total length of the stream.
-func (s *HoskingStream) Len() int { return s.n }
-
-// Next advances the recursion by up to len(dst) points, filling dst from
-// the front, and returns how many points were produced. After the last
-// point it returns (0, io.EOF). Cancellation is checked once per
-// generated point (the late-recursion iterations are O(n) each) and
-// surfaces as an error matching errs.ErrCancelled.
-//
-//vbrlint:hotpath
+// Next draws up to len(dst) points into dst and returns how many it
+// produced; after the last point it returns (0, io.EOF). Cancellation
+// is checked once per point and surfaces as an error matching
+// errs.ErrCancelled, with the points drawn before it in dst.
 func (s *HoskingStream) Next(ctx context.Context, dst []float64) (int, error) {
 	if s.k >= s.n {
 		return 0, io.EOF
@@ -84,29 +43,28 @@ func (s *HoskingStream) Next(ctx context.Context, dst []float64) (int, error) {
 		return 0, fmt.Errorf("fgn: stream block must be non-empty")
 	}
 	from := s.k
-	err := s.advance(ctx, from+min(len(dst), s.n-from))
-	produced := copy(dst, s.x[from:s.k])
-	if err != nil {
-		return produced, err
+	err := s.advance(ctx, dst[:min(len(dst), s.n-from)])
+	if err == nil {
+		obs.From(ctx).Count("fgn.hosking.stream.points", int64(s.k-from))
 	}
-	obs.From(ctx).Count("fgn.hosking.stream.points", int64(produced))
-	return produced, nil
+	return s.k - from, err
 }
 
-// advance draws X_k ~ N(m_k, v_k) for k = Pos()..to-1 (Eqs. 11–12),
-// with X_0 ~ N(0, 1) drawn unconditionally when the stream is fresh.
-// φ_kk and v_k come from the Levinson step (cold) or the schedule
-// (warm); either way φ_{k,·} is updated in place before the conditional
-// mean is summed. Cancellation is checked before each conditioned point
-// and leaves the stream at the interrupted point, so a later call (or a
-// snapshot) continues exactly there.
+// advance draws X_k ~ N(m_k, v_k) (Eqs. 11–12) for the next len(out)
+// points into out; X_0 ~ N(0, 1) needs no conditioning. m_k is A_k times
+// what finished tree blocks added to zc[k] plus the direct sum over the
+// current base block. Cancellation is checked before each conditioned
+// point and leaves the stream there, so a later call (or a snapshot)
+// continues exactly at that point.
 //
 //vbrlint:hotpath
-func (s *HoskingStream) advance(ctx context.Context, to int) error {
-	x, phi, rng := s.x, s.lev.phi, s.rng
-	k := s.k
-	if k == 0 {
-		x[0] = rng.NormFloat64()
+func (s *HoskingStream) advance(ctx context.Context, out []float64) error {
+	zc, fac, lag, rng := s.zc, s.fac, s.lag, s.rng
+	from := s.k
+	k, to := from, from+len(out)
+	if k == 0 && to > 0 {
+		out[0] = rng.NormFloat64()
+		zc[0] = out[0]
 		k = 1
 	}
 	for ; k < to; k++ {
@@ -114,16 +72,55 @@ func (s *HoskingStream) advance(ctx context.Context, to int) error {
 			s.k = k
 			return interruptedErr(ctx, "Hosking generation", k, s.n)
 		}
-		var v float64
-		if s.kk != nil {
-			updatePhiInPlace(phi, k, s.kk[k])
-			v = s.vs[k]
-		} else {
-			_, v = s.lev.step(k)
+		base := k &^ (baseBlock - 1)
+		if k == base {
+			s.relax(k)
 		}
-		m := dotRevAdd(0, phi[1:k+1], x[:k])
-		x[k] = m + math.Sqrt(v)*rng.NormFloat64()
+		acc := zc[k]
+		for i, z := range zc[base:k] {
+			acc += lag[k-base-i] * z
+		}
+		f := fac[k]
+		x := f.gain*acc + f.sd*rng.NormFloat64()
+		out[k-from] = x
+		zc[k] = f.weight * x
 	}
 	s.k = k
+	return nil
+}
+
+// relax runs the tree step due before point e, a multiple of the base
+// block. The aligned block [e−s, e), s the largest power of two
+// dividing e, is a left child, so it adds Σ_{i∈[e−s,e)} a_{t−i}·z_i to
+// every t ∈ [e, e+s) by one FFT convolution. Each pair i < t is covered
+// once, by the block in which i and t part or inside a base block, and
+// each zc[t] receives its additions in an order fixed by absolute
+// positions, so output bits depend neither on block sizes nor on n.
+func (s *HoskingStream) relax(e int) {
+	sz := e & -e
+	if s.work == nil {
+		s.work = make([]complex128, baseBlock<<(len(s.levels)-1))
+	}
+	lv := s.levels[bits.TrailingZeros(uint(sz))-bits.TrailingZeros(baseBlock)]
+	lv.convolve(s.work[:sz], s.zc[e-sz:e], s.zc[e:min(e+sz, s.n)])
+}
+
+// replay rebuilds a stream stopped before point len(x) from the points
+// it drew, with the original run's z values and tree steps in its
+// order, so the resumed stream continues with its bits. Cancellation
+// is checked once per base block.
+func (s *HoskingStream) replay(ctx context.Context, x []float64) error {
+	for base := 0; base < len(x); base += baseBlock {
+		if ctx.Err() != nil {
+			return interruptedErr(ctx, "Hosking resume", base, s.n)
+		}
+		if base > 0 {
+			s.relax(base)
+		}
+		for k := base; k < min(base+baseBlock, len(x)); k++ {
+			s.zc[k] = s.fac[k].weight * x[k]
+		}
+	}
+	s.k = len(x)
 	return nil
 }

@@ -3,12 +3,12 @@
 // precomputations of the §4 generator, shared across requests, streams
 // and batch workers.
 //
-//   - Hosking coefficient schedules (fgn.HoskingCoeffs), keyed by H
-//     alone with prefix reuse: the Levinson–Durbin recursion at step k
-//     depends only on ρ_0..ρ_k, so one cached 171k-point schedule
-//     serves every shorter request with the same H, and longer
-//     requests extend the cached schedule incrementally instead of
-//     recomputing it.
+//   - Hosking coefficients (fgn.HoskingCoeffs), keyed by H alone with
+//     prefix reuse: the closed-form factors of point k and the
+//     convolution spectra of each tree level depend on H and their own
+//     index only, so one cached 171k-point entry serves every shorter
+//     request with the same H, and longer requests extend the cached
+//     entry instead of recomputing it.
 //   - Davies–Harte circulant eigenvalues with the plan of their 2n-point
 //     synthesis FFT (fgn.DaviesHarteEigen), keyed by (H, n).
 //   - Paxson expected-power vectors with the plan of their inverse FFT
@@ -44,8 +44,10 @@ import (
 )
 
 // DefaultMaxBytes is the default resident-byte budget (256 MiB):
-// roomy enough for dozens of paper-scale Hosking schedules (~5.5 MiB
-// each at 171,000 points) next to the chunk-engine setups (~0.5 MiB for
+// roomy enough for over a dozen paper-scale Hosking entries (~13.9 MiB
+// each at 171,000 points: 24 bytes per point plus the tree levels'
+// spectra and FFT plans; a 4,194,304-point entry takes the whole
+// budget) next to the chunk-engine setups (~0.5 MiB for
 // Davies–Harte at the default 8,192-point chunk synthesis, ~0.22 MiB
 // for Paxson, each with its plan and pair-draw amplitudes) and marginal
 // tables.
@@ -72,8 +74,8 @@ type key struct {
 
 // entry is one cache slot. ready is closed once val/err are final;
 // waiters blocked on a concurrent miss select on it. For Hosking
-// entries, mu serializes schedule extension so concurrent longer
-// requests don't duplicate the O(n²) work.
+// entries, mu serializes extension so concurrent longer requests don't
+// duplicate the work.
 type entry struct {
 	key      key
 	elem     *list.Element
@@ -244,12 +246,12 @@ func (p *Pool) countMiss(scope *obs.Scope) {
 	scope.Count("genpool.miss", 1)
 }
 
-// HoskingCoeffs returns a coefficient schedule for Hurst parameter h
-// covering at least n points, extending a cached schedule when one
-// exists (a request longer than the cached horizon is a miss that
-// reuses the prefix; a shorter one is a pure hit). The returned
-// schedule is shared and must be treated as read-only; fgn's warm
-// generators only ever read published prefixes.
+// HoskingCoeffs returns Hosking coefficients for Hurst parameter h
+// covering at least n points, extending cached ones when they exist (a
+// request longer than the cached horizon is a miss that reuses the
+// prefix; a shorter one is a pure hit). The returned coefficients are
+// shared and must be treated as read-only; fgn's generators only ever
+// read published prefixes. A nil pool computes them cold.
 func (p *Pool) HoskingCoeffs(ctx context.Context, h float64, n int) (*fgn.HoskingCoeffs, error) {
 	if p == nil {
 		c, err := fgn.NewHoskingCoeffs(h)
@@ -286,10 +288,9 @@ func (p *Pool) HoskingCoeffs(ctx context.Context, h float64, n int) (*fgn.Hoskin
 	nb := c.Bytes()
 	e.mu.Unlock()
 
-	// Re-account even when the extension was cancelled: the steps that
-	// completed stay in the schedule and its capacity may have grown, and
-	// the cached entry must stay correctly charged for whatever it keeps
-	// resident.
+	// Re-account even when the extension was cancelled: the points and
+	// levels that completed stay in the coefficients, and the cached
+	// entry must stay correctly charged for whatever it keeps resident.
 	p.resize(scope, e, nb)
 	if ensureErr != nil {
 		return nil, ensureErr
@@ -304,7 +305,7 @@ func (p *Pool) HoskingCoeffs(ctx context.Context, h float64, n int) (*fgn.Hoskin
 }
 
 // resize re-accounts an entry whose resident size changed (Hosking
-// schedules grow in place) and evicts colder entries if the growth
+// coefficients grow in place) and evicts colder entries if the growth
 // pushed the pool over budget.
 func (p *Pool) resize(scope *obs.Scope, e *entry, bytes int64) {
 	p.mu.Lock()

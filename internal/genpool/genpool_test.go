@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"sync"
 	"testing"
 
@@ -92,24 +93,28 @@ func TestHoskingPrefixReuse(t *testing.T) {
 		t.Fatalf("schedule covers %d, want ≥ 3000", longer.Len())
 	}
 
-	// The extended schedule still matches a from-scratch one bitwise.
+	// The extended coefficients still generate a from-scratch run's bits.
+	bitwiseEqual(t, "extended coefficients", coldHosking(t, 3000), drawHosking(t, longer, 3000))
+}
+
+// drawHosking generates n points on c with a fixed seed.
+func drawHosking(t *testing.T, c *fgn.HoskingCoeffs, n int) []float64 {
+	t.Helper()
+	x, err := fgn.HoskingFromCoeffs(context.Background(), n, c, rand.New(rand.NewPCG(21, 22)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return x
+}
+
+// coldHosking is drawHosking on fresh H = 0.8 coefficients.
+func coldHosking(t *testing.T, n int) []float64 {
+	t.Helper()
 	fresh, err := fgn.NewHoskingCoeffs(0.8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fresh.EnsureCtx(ctx, 3000); err != nil {
-		t.Fatal(err)
-	}
-	ck, cv, err := longer.Schedule(3000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fk, fv, err := fresh.Schedule(3000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bitwiseEqual(t, "schedule kk", fk, ck)
-	bitwiseEqual(t, "schedule v", fv, cv)
+	return drawHosking(t, fresh, n)
 }
 
 // errAfterCtx reports Canceled from Err after limit calls while its
@@ -142,7 +147,9 @@ func TestHoskingCancelledExtensionThenShorter(t *testing.T) {
 	if _, err := p.HoskingCoeffs(ctx, 0.8, 100); err != nil {
 		t.Fatal(err)
 	}
-	cctx := &errAfterCtx{Context: ctx, limit: 200}
+	// EnsureCtx checks every 1024 new points: the second check, at
+	// point 1124, cancels.
+	cctx := &errAfterCtx{Context: ctx, limit: 1}
 	if _, err := p.HoskingCoeffs(cctx, 0.8, 2000); err == nil {
 		t.Fatal("expected a cancellation error")
 	}
@@ -151,23 +158,7 @@ func TestHoskingCancelledExtensionThenShorter(t *testing.T) {
 	if err != nil {
 		t.Fatalf("shorter request after cancelled extension: %v", err)
 	}
-	fresh, err := fgn.NewHoskingCoeffs(0.8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fresh.EnsureCtx(ctx, 500); err != nil {
-		t.Fatal(err)
-	}
-	ck, cv, err := c.Schedule(500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fk, fv, err := fresh.Schedule(500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bitwiseEqual(t, "retry kk", fk, ck)
-	bitwiseEqual(t, "retry v", fv, cv)
+	bitwiseEqual(t, "retried coefficients", coldHosking(t, 500), drawHosking(t, c, 500))
 	if st := p.Stats(); st.Bytes != c.Bytes() || st.Entries != 1 {
 		t.Fatalf("accounting after cancelled extension: stats=%+v schedule=%d bytes", st, c.Bytes())
 	}
@@ -229,17 +220,7 @@ func TestPaxsonSpectrumPool(t *testing.T) {
 func TestConcurrentHammer(t *testing.T) {
 	ctx := context.Background()
 	p := genpool.New(0)
-	want, err := fgn.NewHoskingCoeffs(0.8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := want.EnsureCtx(ctx, 1200); err != nil {
-		t.Fatal(err)
-	}
-	wk, wv, err := want.Schedule(1200)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := coldHosking(t, 1200)
 
 	const workers = 32
 	var wg sync.WaitGroup
@@ -257,14 +238,14 @@ func TestConcurrentHammer(t *testing.T) {
 				errc <- err
 				return
 			}
-			kk, v, err := c.Schedule(n)
+			x, err := fgn.HoskingFromCoeffs(ctx, n, c, rand.New(rand.NewPCG(21, 22)))
 			if err != nil {
 				errc <- err
 				return
 			}
-			for i := 1; i < n; i++ {
-				if math.Float64bits(kk[i]) != math.Float64bits(wk[i]) || math.Float64bits(v[i]) != math.Float64bits(wv[i]) {
-					errc <- fmt.Errorf("worker %d: schedule bits diverge at k=%d", w, i)
+			for i := range x {
+				if math.Float64bits(x[i]) != math.Float64bits(want[i]) {
+					errc <- fmt.Errorf("worker %d: output bits diverge at k=%d", w, i)
 					return
 				}
 			}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"sync"
 	"testing"
 
@@ -14,39 +15,35 @@ import (
 // TestStressCoeffsExtendEvict hammers the singleflight fill path where
 // it is most delicate: concurrent EnsureCtx prefix extension of shared
 // HoskingCoeffs entries while a deliberately tiny byte budget forces
-// eviction of those same entries mid-extension. Every schedule handed
-// out must still be bitwise identical to a cold single-threaded
-// computation — eviction may drop an entry from the pool, but it must
-// never corrupt a schedule a reader already holds or double-account the
+// eviction of those same entries mid-extension. Every entry handed out
+// must still generate the bits of a cold single-threaded computation —
+// eviction may drop an entry from the pool, but it must never corrupt
+// coefficients a reader already holds or double-account the
 // budget. Run under -race this exercises the acquire/finish/resize
 // lock discipline that lockguard checks statically.
 func TestStressCoeffsExtendEvict(t *testing.T) {
 	ctx := context.Background()
 
-	// Three Hurst values, each extended to maxN. A schedule of n points
-	// holds four float64 slices (~32n bytes), so at maxN each entry is
-	// ~38 KiB; a 64 KiB budget fits barely one full-size entry, forcing
-	// the three keys to evict each other continuously.
+	// Three Hurst values, each extended to maxN. Coefficients for n
+	// points hold 24 bytes per point plus the spectra and FFT plans of
+	// the tree levels below n, about 110 KiB at maxN; a 128 KiB budget
+	// fits barely one full-size entry, forcing the three keys to evict
+	// each other continuously.
 	hs := []float64{0.6, 0.75, 0.9}
 	const maxN = 1200
-	p := genpool.New(64 << 10)
+	p := genpool.New(128 << 10)
 
-	// Cold references, computed once without the pool.
-	type ref struct{ kk, v []float64 }
-	refs := map[float64]ref{}
+	// Cold references, computed once without the pool: the same seed
+	// drawn on fresh coefficients. Output is a prefix of any longer run.
+	refs := map[float64][]float64{}
 	for _, h := range hs {
 		c, err := fgn.NewHoskingCoeffs(h)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := c.EnsureCtx(ctx, maxN); err != nil {
+		if refs[h], err = fgn.HoskingFromCoeffs(ctx, maxN, c, rand.New(rand.NewPCG(5, 6))); err != nil {
 			t.Fatal(err)
 		}
-		kk, v, err := c.Schedule(maxN)
-		if err != nil {
-			t.Fatal(err)
-		}
-		refs[h] = ref{kk, v}
 	}
 
 	const workers = 24
@@ -72,15 +69,14 @@ func TestStressCoeffsExtendEvict(t *testing.T) {
 					errc <- err
 					return
 				}
-				kk, v, err := c.Schedule(n)
+				x, err := fgn.HoskingFromCoeffs(ctx, n, c, rand.New(rand.NewPCG(5, 6)))
 				if err != nil {
 					errc <- err
 					return
 				}
-				for i := 1; i < n; i++ {
-					if math.Float64bits(kk[i]) != math.Float64bits(want.kk[i]) ||
-						math.Float64bits(v[i]) != math.Float64bits(want.v[i]) {
-						errc <- fmt.Errorf("worker %d round %d: H=%v schedule diverges at k=%d", w, r, h, i)
+				for i := range x {
+					if math.Float64bits(x[i]) != math.Float64bits(want[i]) {
+						errc <- fmt.Errorf("worker %d round %d: H=%v output diverges at k=%d", w, r, h, i)
 						return
 					}
 				}

@@ -7,7 +7,8 @@ import (
 
 // ctxScopePkgs are the long-running generation/simulation packages
 // whose exported loop-bearing entry points must be cancellable: fGn
-// generation is O(n²), the queueing sweeps run minutes at paper scale,
+// generation runs seconds at multi-million-point lengths, the queueing
+// sweeps run minutes at paper scale,
 // and PR 1's checkpoint/resume layer only works if cancellation can
 // reach every loop.
 var ctxScopePkgs = map[string]bool{

@@ -28,7 +28,7 @@ type Config struct {
 	SimWorkers int
 	// Pool is the process-wide generation cache shared by every trace
 	// request and simulation job: requests repeating a Hurst parameter
-	// or marginal reuse the coefficient schedules, eigenvalue vectors
+	// or marginal reuse the Hosking coefficients, eigenvalue vectors
 	// and mapping tables of earlier requests. When nil, New installs a
 	// genpool.New(0) default; output never depends on cache state.
 	Pool *genpool.Pool

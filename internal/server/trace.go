@@ -191,7 +191,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 
 	q := r.URL.Query()
 	// Check the format before opening the source: opening can fill a
-	// genpool entry or extend a Hosking schedule, and a request that is
+	// genpool entry or extend Hosking coefficients, and a request that is
 	// refused anyway must not cost that.
 	format := q.Get("format")
 	if format == "" {

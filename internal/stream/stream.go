@@ -6,11 +6,12 @@
 //
 // Three Gaussian backends feed the Eq. 13 marginal transform:
 //
-//   - Hosking: the exact O(n²) recursion, advanced block by block
-//     (fgn.HoskingStream). The concatenated output is bitwise-identical
-//     to the batch generator with the same seed; the recursion's own
-//     O(n) state is inherent to exactness, but no extra O(n) output
-//     buffering is added.
+//   - Hosking: the paper's exact recursion in its O(n log² n) closed
+//     form, advanced block by block (fgn.HoskingStream). The
+//     concatenated output is bitwise-identical to the batch generator
+//     with the same seed; the generator's own O(n) state (one float64
+//     per frame plus a transform buffer) is inherent to exactness, but
+//     no extra O(n) output buffering is added.
 //   - DaviesHarte: independent circulant-embedding chunks of S points
 //     (S the next power of two ≥ block + overlap), two per O(S log S)
 //     pair draw, joined by power-preserving overlap stitching, giving
@@ -88,7 +89,7 @@ type Config struct {
 	// Backend selects the Gaussian engine.
 	Backend backend.Backend
 	// Pool, when non-nil, serves the stream's seed-independent
-	// precomputations (Hosking coefficient schedule, the chunk engines'
+	// precomputations (Hosking coefficients, the chunk engines'
 	// Davies–Harte eigenvalues or Paxson spectrum with its FFT plan,
 	// the Eq. 13 mapping table) from a shared cross-request cache; each
 	// is looked up once, at open. The emitted frames are bitwise
@@ -195,8 +196,8 @@ const (
 )
 
 // OpenCtx builds a stream for cfg. The context bounds the setup work —
-// for a pooled Hosking stream that includes extending the shared
-// coefficient schedule to cfg.N, the dominant cost on a cold cache —
+// for a Hosking stream that includes extending the (shared, when
+// pooled) coefficients to cfg.N, the dominant cost on a cold cache —
 // and its obs scope receives the pool's hit/miss counters.
 func OpenCtx(ctx context.Context, cfg Config) (*Stream, error) {
 	cfg = cfg.withDefaults()
@@ -231,21 +232,14 @@ func OpenCtx(ctx context.Context, cfg Config) (*Stream, error) {
 	s.resolved = cfg.Backend.Resolve(cfg.N, true)
 	switch s.resolved {
 	case backend.Hosking:
-		rng := rand.New(rand.NewPCG(cfg.Seed, gaussStreamSalt))
-		var hs *fgn.HoskingStream
-		if cfg.Pool != nil {
-			var c *fgn.HoskingCoeffs
-			if c, err = cfg.Pool.HoskingCoeffs(ctx, cfg.Model.Hurst, cfg.N); err != nil {
-				return nil, err
-			}
-			hs, err = fgn.NewHoskingStreamWithCoeffs(cfg.N, c, rng)
-		} else {
-			hs, err = fgn.NewHoskingStream(cfg.N, cfg.Model.Hurst, rng)
-		}
+		c, err := cfg.Pool.HoskingCoeffs(ctx, cfg.Model.Hurst, cfg.N)
 		if err != nil {
 			return nil, err
 		}
-		s.gauss = hs
+		rng := rand.New(rand.NewPCG(cfg.Seed, gaussStreamSalt))
+		if s.gauss, err = fgn.NewHoskingStreamWithCoeffs(cfg.N, c, rng); err != nil {
+			return nil, err
+		}
 	case backend.DaviesHarte:
 		if s.gauss, err = newDHStitch(ctx, cfg); err != nil {
 			return nil, err

@@ -79,7 +79,7 @@ type Config struct {
 
 	// Backend selects the fGn engine behind the activity backbone.
 	// DefaultConfig picks Davies–Harte (exact and fast at movie length);
-	// the zero value is Hosking, the exact O(n²) reference. Auto defers
+	// the zero value is Hosking, the exact reference (O(n log² n)). Auto defers
 	// to the batch policy: exact below the cutoff, Paxson above.
 	Backend backend.Backend
 

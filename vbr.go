@@ -18,7 +18,7 @@
 //     gain analysis (§5).
 //   - A cross-request generation cache (GenPool) and a parallel batch
 //     engine (Model.GenerateBatch) that amortize the seed-independent
-//     precomputations — Hosking coefficient schedules, Davies–Harte
+//     precomputations — Hosking coefficients, Davies–Harte
 //     eigenvalues, Eq. 13 mapping tables — across requests without
 //     changing a single output bit.
 //
@@ -27,7 +27,7 @@
 // Every operation that can run long has exactly one entry point, and it
 // takes a context as its first argument (GenerateMovie, FitCtx,
 // Model.GenerateCtx, OpenStreamCtx, QCCurveCtx, ...): cancellation and
-// deadlines propagate into the O(n²) recursions and simulation sweeps,
+// deadlines propagate into the generators and simulation sweeps,
 // and the context's obs scope collects metrics. There are no
 // context-free spellings, so a caller holding a context cannot drop it
 // by accident; a program makes its root context once, in main. Names
@@ -123,8 +123,8 @@ type GenOptions = core.GenOptions
 // Backend selects the fGn Gaussian engine behind every generation
 // path — batch, streaming and the synthetic movie backbone:
 //
-//   - BackendHosking: the paper's exact O(n²) recursion, the bitwise
-//     reference.
+//   - BackendHosking: the paper's exact recursion, in its O(n log² n)
+//     closed form; the reference engine.
 //   - BackendDaviesHarte: exact circulant embedding, O(n log n).
 //   - BackendPaxson: FFT spectral approximation (Paxson 1997),
 //     O(n log n) with the smallest constants; approximate but passes
@@ -465,8 +465,8 @@ type Stream = stream.Stream
 type StreamProbe = stream.Probe
 
 // OpenStreamCtx builds a Stream for cfg. The context bounds the setup
-// work — for a pooled Hosking stream that includes extending the shared
-// coefficient schedule — and its obs scope receives cache counters.
+// work — for a Hosking stream that includes extending the (shared, when
+// pooled) coefficients — and its obs scope receives cache counters.
 func OpenStreamCtx(ctx context.Context, cfg StreamConfig) (*Stream, error) {
 	return stream.OpenCtx(ctx, cfg)
 }
@@ -534,8 +534,8 @@ func SourceSubSeed(base uint64, i int) uint64 { return source.SubSeed(base, i) }
 // Cross-request generation cache and parallel batch engine.
 
 // GenPool is a concurrency-safe, byte-bounded cache for the generator's
-// seed-independent precomputations: Hosking coefficient schedules
-// (keyed by H, with prefix reuse across lengths), Davies–Harte
+// seed-independent precomputations: Hosking coefficients (keyed by H,
+// with prefix reuse across lengths), Davies–Harte
 // eigenvalues and Paxson spectra with the FFT plans of their synthesis
 // (keyed by H and synthesis length) and Eq. 13 marginal mapping tables
 // (keyed by the marginal parameters and resolution).
