@@ -40,7 +40,8 @@ race:
 	$(GO) test -race ./internal/fleet/
 
 # Short fuzzing pass over the parser/decoder fuzz targets, the Ĥ
-# estimator robustness targets, the scenario-zoo cascade invariants,
+# estimator robustness targets, both spectral fGn samplers, the
+# scenario-zoo cascade invariants,
 # the stitched streams' block/overlap geometry, the queue's zero-loss
 # dual against the simulator, the NDJSON float encoder against strconv
 # and the checkpoint loader against hostile files; one target per
@@ -56,6 +57,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzMAVAR -fuzztime=$(FUZZTIME) ./internal/lrd/
 	$(GO) test -fuzz=FuzzCascade -fuzztime=$(FUZZTIME) ./internal/source/
 	$(GO) test -fuzz=FuzzPaxson -fuzztime=$(FUZZTIME) ./internal/fgn/
+	$(GO) test -fuzz=FuzzDaviesHarte -fuzztime=$(FUZZTIME) ./internal/fgn/
 	$(GO) test -fuzz=FuzzStreamGeometry -fuzztime=$(FUZZTIME) ./internal/stream/
 	$(GO) test -fuzz=FuzzZeroLoss -fuzztime=$(FUZZTIME) ./internal/queue/
 	$(GO) test -fuzz=FuzzAppendShortest -fuzztime=$(FUZZTIME) ./internal/ftoa/

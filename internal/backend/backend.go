@@ -43,7 +43,8 @@ const (
 	// time, the reference engine.
 	Hosking Backend = iota
 	// DaviesHarte is the exact circulant-embedding FGN sampler:
-	// O(n log n) time, O(n) memory for the 2n-point embedding.
+	// O(n log n) time, O(n) memory for the embedding of at most 4n
+	// points (twice n rounded up to a power of two).
 	DaviesHarte
 	// Paxson is the FFT-approximate fGn synthesis of Paxson (1997):
 	// O(n log n), the fastest engine; the spectrum is sampled rather

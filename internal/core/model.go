@@ -275,12 +275,12 @@ func (m Model) gaussianCtx(ctx context.Context, n int, opts GenOptions) ([]float
 			x, err = fgn.HoskingFromCoeffs(ctx, n, c, rng)
 		}
 	case backend.DaviesHarte:
-		var eig *fgn.DaviesHarteEigen
+		var eig *fgn.Pair
 		if eig, err = opts.Pool.DaviesHarteEigen(ctx, m.Hurst, n); err == nil {
 			x, err = fgn.DaviesHarteFromEigenCtx(ctx, n, eig, rng)
 		}
 	case backend.Paxson:
-		var p *fgn.PaxsonSpectrum
+		var p *fgn.Pair
 		if p, err = opts.Pool.PaxsonSpectrum(ctx, m.Hurst, n); err == nil {
 			x, err = fgn.PaxsonFromSpectrumCtx(ctx, n, p, rng)
 		}

@@ -182,6 +182,9 @@ type QuantileTable struct {
 // Len returns the number of table points.
 func (t *QuantileTable) Len() int { return len(t.q) }
 
+// Bytes is the resident size of the table points.
+func (t *QuantileTable) Bytes() int64 { return 8 * int64(len(t.q)) }
+
 // Value maps a probability p in [0, 1] to a quantile. Interior values
 // interpolate linearly between table nodes; both extreme tails (beyond
 // the first and last nodes) fall back to the exact quantile function so

@@ -132,8 +132,22 @@ func TestExtScenes(t *testing.T) {
 	if r.Precision < 0.6 {
 		t.Errorf("precision %v", r.Precision)
 	}
-	if r.Recall < 0.1 {
-		t.Errorf("recall %v", r.Recall)
+	// Recall spreads with a standard deviation near 0.02 across movies,
+	// so its bound applies to the mean over synth seeds 1..recallSeeds.
+	const recallSeeds = 32
+	var recall float64
+	for seed := uint64(1); seed <= recallSeeds; seed++ {
+		sc := Suite{Scale: s.Scale, Cfg: s.Cfg}
+		sc.Cfg.Seed = seed
+		rs, err := sc.ExtScenesCtx(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recall += rs.Recall / recallSeeds
+	}
+	t.Logf("mean recall over %d movies: %.4f", recallSeeds, recall)
+	if recall < 0.1 {
+		t.Errorf("mean recall over %d movies %v", recallSeeds, recall)
 	}
 	if r.Detected < 2 || r.TrueScenes < 2 {
 		t.Errorf("counts: detected %d true %d", r.Detected, r.TrueScenes)

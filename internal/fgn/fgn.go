@@ -14,9 +14,10 @@
 // As the repository's speed ablation the package also implements the
 // Davies–Harte circulant-embedding generator for fractional Gaussian
 // noise, which is exact in distribution as well but runs in O(n log n),
-// and Paxson's approximate spectral synthesis. Both also draw in pairs
-// (Pair): two independent series from one transform, which is how the
-// stitched streams draw their chunks.
+// and Paxson's approximate spectral synthesis. Both have one seeded
+// draw, Pair: two independent series from one radix-2 transform at a
+// power-of-two length. A batch trace is the first n points of one
+// half; the stitched streams use both halves as chunks.
 package fgn
 
 import (
@@ -290,13 +291,13 @@ func finite(xs ...float64) bool {
 // DaviesHarteCtx generates n points of zero-mean, unit-variance
 // fractional Gaussian noise with Hurst parameter H by circulant
 // embedding: the autocovariance sequence is embedded in a circulant
-// matrix of size 2n whose eigenvalues (the FFT of the first row) are
-// provably non-negative for FGN, giving an exact O(n log n) sampler.
-// Cancellation is checked between the pipeline stages (ACF build,
-// eigenvalue FFT, spectrum randomization, synthesis FFT). It is the
-// composition of the two halves below: the seed-independent eigenvalue
-// setup (cacheable across requests, keyed by (H, n)) and the
-// seed-dependent synthesis.
+// matrix of power-of-two size M ≥ 2n whose eigenvalues (the FFT of the
+// first row) are provably non-negative for FGN, giving an exact
+// O(n log n) sampler. Cancellation is checked between the pipeline
+// stages (ACF build, eigenvalue FFT, pair draw). It is the composition
+// of the two halves below: the
+// seed-independent setup (cacheable across requests, keyed by (H, n))
+// and the seed-dependent draw.
 func DaviesHarteCtx(ctx context.Context, n int, h float64, rng *rand.Rand) ([]float64, error) {
 	scope := obs.From(ctx)
 	defer scope.Span("fgn.daviesharte")()
@@ -307,70 +308,37 @@ func DaviesHarteCtx(ctx context.Context, n int, h float64, rng *rand.Rand) ([]fl
 	return DaviesHarteFromEigenCtx(ctx, n, eig, rng)
 }
 
-// DaviesHarteEigen is the seed-independent half of a Davies–Harte
-// sampler for (H, n): the eigenvalues of the 2n circulant matrix built
-// from the FGN autocovariance, and the FFT plan of the 2n-point
-// synthesis. It depends only on (H, n), so it is the natural unit of
-// cross-request caching — one value serves every seed — and it is
-// immutable and safe for concurrent use.
-type DaviesHarteEigen struct {
-	n      int
-	lambda []float64
-	plan   *fft.Plan // forward, 2n points; nil when n == 1
-	pair   Pair
-}
-
-// Lambda returns the 2n circulant eigenvalues (empty for n == 1). The
-// slice is shared and read-only.
-func (e *DaviesHarteEigen) Lambda() []float64 { return e.lambda }
-
-// Pair returns the pair draw over the same embedding: two independent
-// n-point draws per 2n-point transform. It is built only at the lengths
-// streams draw at (see pairLen); elsewhere it is the zero Pair, whose
-// DrawCtx fails.
-func (e *DaviesHarteEigen) Pair() Pair { return e.pair }
-
-// Bytes is the resident size of the eigenvalues, the pair draw's
-// amplitudes (none off the stream lengths) and the plan.
-func (e *DaviesHarteEigen) Bytes() int64 {
-	b := 8*int64(len(e.lambda)) + e.pair.bytes()
-	if e.plan != nil {
-		b += e.plan.Bytes()
-	}
-	return b
-}
-
 // DaviesHarteEigenCtx computes the seed-independent half of the
-// circulant embedding for (H, n): the eigenvalues of the 2n circulant
-// (the FFT of its first row, through the same plan the synthesis
-// uses), verified non-negative and clamped at numerical zero.
-//
-// For n == 1 the sampler needs no embedding; the eigenvalues are empty
-// and DaviesHarteFromEigenCtx ignores them.
-func DaviesHarteEigenCtx(ctx context.Context, n int, h float64) (*DaviesHarteEigen, error) {
+// circulant embedding for (H, n): the FGN autocovariance at lags
+// 0..M/2 embedded in a circulant of M = 2·padLen(n) points, exact for
+// the first M/2 + 1 ≥ n points, and its eigenvalues λ_k (the FFT of
+// the first row, through the plan the draw uses), verified
+// non-negative and clamped at numerical zero. It keeps only the pair
+// draw's amplitudes, a_k = √(λ_k/M), and the plan. The result depends
+// only on (H, n), so it is the natural unit of cross-request caching —
+// one value serves every seed.
+func DaviesHarteEigenCtx(ctx context.Context, n int, h float64) (*Pair, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("fgn: length must be ≥ 1, got %d", n)
 	}
 	if !validHurst(h) {
 		return nil, fmt.Errorf("fgn: Hurst parameter must be in (0,1), got %v", h)
 	}
-	if n == 1 {
-		return &DaviesHarteEigen{n: 1, lambda: []float64{}, pair: newPair(1, nil, nil, "fgn.daviesharte.points")}, nil
-	}
 	if ctx.Err() != nil {
 		return nil, errs.Cancelled(ctx)
 	}
-	// First row of the circulant: γ_0..γ_n, γ_{n-1}..γ_1.
-	rho, err := FGNACF(h, n)
+	// First row of the circulant: γ_0..γ_{M/2}, γ_{M/2−1}..γ_1.
+	half := padLen(n)
+	rho, err := FGNACF(h, half)
 	if err != nil {
 		return nil, err
 	}
-	m := 2 * n
+	m := 2 * half
 	row := make([]complex128, m)
-	for k := 0; k <= n; k++ {
+	for k := 0; k <= half; k++ {
 		row[k] = complex(rho[k], 0)
 	}
-	for k := 1; k < n; k++ {
+	for k := 1; k < half; k++ {
 		row[m-k] = complex(rho[k], 0)
 	}
 
@@ -379,108 +347,32 @@ func DaviesHarteEigenCtx(ctx context.Context, n int, h float64) (*DaviesHarteEig
 	}
 	plan := fft.NewPlan(m, fft.DirForward)
 	plan.Transform(row)
-	// Eigenvalues must be (numerically) non-negative. Only the real
-	// parts matter downstream (the row is symmetric, so the spectrum is
-	// real up to round-off); keeping float64 halves the cache footprint.
-	lambda := make([]float64, m)
-	for i := range row {
-		lambda[i] = real(row[i])
-		if lambda[i] < 0 {
-			if lambda[i] < -1e-8*float64(m) {
-				return nil, fmt.Errorf("fgn: circulant embedding not non-negative definite (λ=%v) at H=%v", lambda[i], h)
+	// The row is symmetric, so the spectrum is real up to round-off;
+	// reading λ_0..λ_{M/2} only makes a_{M−k} = a_k exactly.
+	amp := make([]float64, m)
+	for k := 0; k <= half; k++ {
+		lambda := real(row[k])
+		if lambda < 0 {
+			if lambda < -1e-8*float64(m) {
+				return nil, fmt.Errorf("fgn: circulant embedding not non-negative definite (λ=%v) at H=%v", lambda, h)
 			}
-			lambda[i] = 0
+			lambda = 0
 		}
+		amp[k] = math.Sqrt(lambda / float64(m))
 	}
-	eig := &DaviesHarteEigen{n: n, lambda: lambda, plan: plan}
-	if pairLen(n) {
-		// The pair draw's amplitudes, a_k = √(λ_k/2n). Like the
-		// Hermitian draw below, they read λ_0..λ_n only, so
-		// a_{2n−k} = a_k exactly.
-		amp := make([]float64, m)
-		for k := range amp {
-			amp[k] = math.Sqrt(lambda[min(k, m-k)] / float64(m))
-		}
-		eig.pair = newPair(n, amp, plan, "fgn.daviesharte.points")
+	for k := 1; k < half; k++ {
+		amp[m-k] = amp[k]
 	}
 	obs.From(ctx).Count("fgn.daviesharte.eigen", 1)
-	return eig, nil
+	return &Pair{amp: amp, plan: plan, n: half, points: "fgn.daviesharte.points"}, nil
 }
 
 // DaviesHarteFromEigenCtx is the seed-dependent half of the Davies–Harte
-// sampler: it randomizes the spectrum with Hermitian symmetry and
-// inverse-transforms it into n points of FGN. eig must come from
-// DaviesHarteEigenCtx for the same n; for the same rng state the output
-// is bitwise identical to DaviesHarteCtx.
-func DaviesHarteFromEigenCtx(ctx context.Context, n int, eig *DaviesHarteEigen, rng *rand.Rand) ([]float64, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("fgn: length must be ≥ 1, got %d", n)
-	}
-	if rng == nil {
-		return nil, fmt.Errorf("fgn: generation needs a random source")
-	}
-	if n == 1 {
-		return []float64{rng.NormFloat64()}, nil
-	}
-	if eig == nil {
-		return nil, fmt.Errorf("fgn: no eigenvalues for n=%d", n)
-	}
-	out := make([]float64, n)
-	if err := eig.DrawCtx(ctx, out, make([]complex128, 2*n), rng); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// DrawCtx is the allocation-free form of DaviesHarteFromEigenCtx for
-// callers that draw repeatedly at one length: it writes len(dst)
-// points, which must equal the n the eigenvalues were computed for,
-// and uses work (2n entries) as the spectrum buffer.
-//
-//vbrlint:hotpath
-func (e *DaviesHarteEigen) DrawCtx(ctx context.Context, dst []float64, work []complex128, rng *rand.Rand) error {
-	if rng == nil {
-		return fmt.Errorf("fgn: generation needs a random source")
-	}
-	n := len(dst)
-	if n == 1 {
-		dst[0] = rng.NormFloat64()
-		return nil
-	}
-	if n != e.n {
-		return fmt.Errorf("fgn: eigenvalues computed for n=%d, drawing %d points", e.n, n)
-	}
-	m := 2 * n
-	if len(work) < m {
-		return fmt.Errorf("fgn: spectrum buffer holds %d entries, want %d", len(work), m)
-	}
-	if ctx.Err() != nil {
-		return errs.Cancelled(ctx)
-	}
-
-	// Build the randomized spectrum with the Hermitian symmetry that makes
-	// the inverse FFT real-valued.
-	lambda, w := e.lambda, work[:m]
-	scale := 1 / math.Sqrt(float64(m))
-	w[0] = complex(math.Sqrt(lambda[0])*rng.NormFloat64()*scale, 0)
-	w[n] = complex(math.Sqrt(lambda[n])*rng.NormFloat64()*scale, 0)
-	for k := 1; k < n; k++ {
-		sd := math.Sqrt(lambda[k] / 2)
-		re := sd * rng.NormFloat64() * scale
-		im := sd * rng.NormFloat64() * scale
-		w[k] = complex(re, im)
-		w[m-k] = complex(re, -im)
-	}
-
-	if ctx.Err() != nil {
-		return errs.Cancelled(ctx)
-	}
-	e.plan.Transform(w)
-	for i := range dst {
-		dst[i] = real(w[i])
-	}
-	obs.From(ctx).Count("fgn.daviesharte.points", int64(n))
-	return nil
+// sampler: the first n points of the real half of one pair draw from
+// eig, which must come from DaviesHarteEigenCtx for n; for the same rng
+// state the output is bitwise identical to DaviesHarteCtx.
+func DaviesHarteFromEigenCtx(ctx context.Context, n int, eig *Pair, rng *rand.Rand) ([]float64, error) {
+	return firstHalf(ctx, n, eig, rng)
 }
 
 // Standardize rescales xs in place to zero mean and unit variance and

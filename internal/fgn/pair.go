@@ -3,6 +3,7 @@ package fgn
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"math/rand/v2"
 
 	"vbr/internal/errs"
@@ -10,49 +11,40 @@ import (
 	"vbr/internal/obs"
 )
 
-// Pair is a chunk engine's pair draw: two independent series of the
-// engine's length from one transform (Dietrich & Newsam 1997). It
+// Pair is the one seeded draw of both spectral engines: two
+// independent series from one transform (Dietrich & Newsam 1997). It
 // fills the whole spectrum buffer with w_k = a_k·(N₁ + iN₂), N₁ and N₂
 // independent N(0,1), and runs the engine's plan, so Re(w) and Im(w)
-// are the two draws. Each engine builds its amplitudes a_k once, at
-// power-of-two lengths only, with a_k = a_{len−k}, which makes the
-// Re×Im cross-covariance Σ_k a_k²·sin(2πjk/len) exactly zero, and
-// Σ_k a_k²·cos(2πjk/len) the engine's own covariance (over len² for
+// are the two draws. Each engine builds its amplitudes a_k once, at a
+// power-of-two length M, with a_k = a_{M−k}, which makes the Re×Im
+// cross-covariance Σ_k a_k²·sin(2πjk/M) exactly zero, and
+// Σ_k a_k²·cos(2πjk/M) the engine's own covariance (over M² for
 // Paxson's normalized inverse transform). For Paxson the Hermitian
-// part of a_k·(N₁ + iN₂) is the single draw's Exp(1)-power,
-// uniform-phase coefficient, a complex normal in law; only the Nyquist
-// coefficient's law changes, from ±√(p·Exp) to a real Gaussian of the
-// same variance.
-// A Pair shares its engine's plan and is safe for concurrent use.
+// part of a_k·(N₁ + iN₂) is an Exp(1)-power, uniform-phase
+// coefficient, Paxson's randomization, a complex normal in law; only
+// the Nyquist coefficient is a real Gaussian rather than ±√(p·Exp).
+//
+// A batch trace of n points is the first n points of the real half
+// (DaviesHarteFromEigenCtx, PaxsonFromSpectrumCtx); the stitched
+// streams use both halves as consecutive chunks. A Pair is immutable
+// after its engine builds it and safe for concurrent use.
 type Pair struct {
 	amp    []float64 // a_k, one per spectrum entry
 	plan   *fft.Plan
-	n      int    // points per draw
+	n      int    // points per half that follow the engine's law
 	points string // obs counter of points drawn
 }
 
-// pairLen reports whether an engine of n points builds its pair draw.
-// Only the stitched streams draw pairs, always at a power-of-two chunk
-// length; at any other length, such as a 171,000-frame batch trace, the
-// amplitude vector would be cached memory that nothing reads.
-func pairLen(n int) bool { return n&(n-1) == 0 }
+// padLen is the power of two an n-point draw is synthesized at: the
+// smallest one ≥ n.
+func padLen(n int) int { return 1 << bits.Len(uint(n-1)) }
 
-// newPair builds the pair draw of an n-point engine whose n ≤ 1
-// degenerate case needs no transform: the pair is then two plain
-// N(0,1) draws.
-func newPair(n int, amp []float64, plan *fft.Plan, points string) Pair {
-	if n == 1 {
-		amp, plan = []float64{1}, fft.NewPlan(1, fft.DirForward)
-	}
-	return Pair{amp: amp, plan: plan, n: n, points: points}
-}
-
-// Len is the length of the spectrum buffer DrawCtx fills: 2n for
-// Davies–Harte, m for Paxson, 1 for n == 1.
+// Len is the length M of the spectrum buffer DrawCtx fills: twice the
+// padded length for Davies–Harte, the padded length for Paxson.
 func (p Pair) Len() int { return len(p.amp) }
 
-// bytes is the resident size of the amplitude vector.
-func (p Pair) bytes() int64 { return 8 * int64(len(p.amp)) }
+// Bytes is the resident size of the amplitudes and the plan.
+func (p Pair) Bytes() int64 { return 8*int64(len(p.amp)) + p.plan.Bytes() }
 
 // DrawCtx draws two independent series into work, which must hold Len
 // entries: on return Re(work[j]) and Im(work[j]), j < n, are the two
@@ -61,11 +53,22 @@ func (p Pair) bytes() int64 { return 8 * int64(len(p.amp)) }
 //
 //vbrlint:hotpath
 func (p Pair) DrawCtx(ctx context.Context, work []complex128, rng *rand.Rand) error {
+	if err := p.fill(ctx, work, rng); err != nil {
+		return err
+	}
+	obs.From(ctx).Count(p.points, int64(2*p.n))
+	return nil
+}
+
+// fill is DrawCtx without the point count.
+//
+//vbrlint:hotpath
+func (p Pair) fill(ctx context.Context, work []complex128, rng *rand.Rand) error {
 	if rng == nil {
 		return fmt.Errorf("fgn: generation needs a random source")
 	}
 	if p.plan == nil {
-		return fmt.Errorf("fgn: no pair draw: engines build one only at power-of-two lengths")
+		return fmt.Errorf("fgn: pair draw has no engine setup")
 	}
 	if len(work) != len(p.amp) {
 		return fmt.Errorf("fgn: pair spectrum buffer holds %d entries, want %d", len(work), len(p.amp))
@@ -79,6 +82,27 @@ func (p Pair) DrawCtx(ctx context.Context, work []complex128, rng *rand.Rand) er
 		work[k] = complex(a*re, a*im)
 	}
 	p.plan.Transform(work)
-	obs.From(ctx).Count(p.points, int64(2*p.n))
 	return nil
+}
+
+// firstHalf is the batch draw of every spectral engine: the first n
+// points of the real half of one pair draw from p, which must have
+// been built for at least n points.
+func firstHalf(ctx context.Context, n int, p *Pair, rng *rand.Rand) ([]float64, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("fgn: length must be ≥ 1, got %d", n)
+	}
+	if p == nil || n > p.n {
+		return nil, fmt.Errorf("fgn: no engine setup for n=%d", n)
+	}
+	work := make([]complex128, p.Len())
+	if err := p.fill(ctx, work, rng); err != nil {
+		return nil, err
+	}
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = real(work[i])
+	}
+	obs.From(ctx).Count(p.points, int64(n))
+	return out, nil
 }

@@ -55,82 +55,97 @@ func pairCov(amp, cs, sn []float64, scale float64, j int) (cov, cross float64) {
 }
 
 // TestDaviesHartePairOracle: the pair draw's amplitudes imply exactly
-// the fGn autocovariance in each half, Σ_k a_k²·cos(2πjk/2S) = ρ_j for
-// every lag j ≤ S, and no Re×Im cross-covariance. The O(S²) check at
-// the streams' 8,192-point chunks is left to the full run: -short is
-// the race-detector tier, where it takes tens of seconds and races
-// nothing.
+// the fGn autocovariance in each half, Σ_k a_k²·cos(2πjk/M) = ρ_j for
+// every lag j ≤ M/2 (every lag a draw of n ≤ M/2 points uses), and no
+// Re×Im cross-covariance, at power-of-two lengths and at lengths padded
+// to one (n = 1, 3, 1,000, 5,120). The O(M²) checks at M ≥ 16,384 are
+// left to the full run: -short is the race-detector tier, where they
+// take tens of seconds and race nothing.
 func TestDaviesHartePairOracle(t *testing.T) {
 	ctx := context.Background()
 	for _, c := range []struct {
 		h float64
-		s int
-	}{{0.6, 1024}, {0.8, 8192}, {0.9, 1024}, {0.8, 2}} {
-		if testing.Short() && c.s > 1024 {
+		n int
+	}{{0.6, 1024}, {0.8, 8192}, {0.9, 1024}, {0.8, 2}, {0.7, 1}, {0.8, 3}, {0.6, 1000}, {0.9, 5120}} {
+		if testing.Short() && c.n > 1024 {
 			continue
 		}
-		eig, err := DaviesHarteEigenCtx(ctx, c.s, c.h)
+		eig, err := DaviesHarteEigenCtx(ctx, c.n, c.h)
 		if err != nil {
 			t.Fatal(err)
 		}
-		amp := eig.Pair().amp
-		if len(amp) != 2*c.s {
-			t.Fatalf("H=%v S=%d: %d amplitudes, want %d", c.h, c.s, len(amp), 2*c.s)
+		m := 2 * padLen(c.n)
+		if eig.Len() != m || eig.n != m/2 {
+			t.Fatalf("H=%v n=%d: %d amplitudes for %d points, want %d for %d", c.h, c.n, eig.Len(), eig.n, m, m/2)
 		}
-		rho, err := FGNACF(c.h, c.s)
+		rho, err := FGNACF(c.h, m/2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cs, sn := trig(2 * c.s)
-		for j := 0; j <= c.s; j++ {
-			cov, cross := pairCov(amp, cs, sn, 1, j)
+		cs, sn := trig(m)
+		for j := 0; j <= m/2; j++ {
+			cov, cross := pairCov(eig.amp, cs, sn, 1, j)
 			if d := math.Abs(cov - rho[j]); d > 1e-12 {
-				t.Fatalf("H=%v S=%d lag %d: pair covariance %v, fGn %v (|Δ| = %.3g)", c.h, c.s, j, cov, rho[j], d)
+				t.Fatalf("H=%v n=%d lag %d: pair covariance %v, fGn %v (|Δ| = %.3g)", c.h, c.n, j, cov, rho[j], d)
 			}
 			if math.Abs(cross) > 1e-15 {
-				t.Fatalf("H=%v S=%d lag %d: Re×Im cross-covariance %.3g", c.h, c.s, j, cross)
+				t.Fatalf("H=%v n=%d lag %d: Re×Im cross-covariance %.3g", c.h, c.n, j, cross)
 			}
 		}
 	}
 }
 
-// TestPaxsonPairOracle: the pair draw's amplitudes imply exactly the
-// covariance of the single Hermitian draw, (1/m²)·Σ_k a_k²·cos(2πjk/m)
-// = (1/m²)·(2·Σ_{0<i<m/2} p_i·cos(2πij/m) + p_{m/2}·cos(πj)), and no
-// Re×Im cross-covariance. As above, -short skips the 8,192-point case.
+// TestPaxsonPairOracle: the pair draw's amplitudes are Paxson's sampled
+// spectrum, normalized to unit variance: at every lag j < M,
+// (1/M²)·Σ_k a_k²·cos(2πjk/M) equals (2·Σ_{0<i<M/2} p_i·cos(2πij/M) +
+// p_{M/2}·cos(πj)) / (2·Σ_{0<i<M/2} p_i + p_{M/2}), with p_i the fGn
+// spectral density at 2πi/M, which is 1 at lag 0; and there is no Re×Im
+// cross-covariance. The lengths are the Davies–Harte oracle's, and as
+// there -short skips M ≥ 8,192.
 func TestPaxsonPairOracle(t *testing.T) {
 	ctx := context.Background()
 	for _, c := range []struct {
 		h float64
-		m int
-	}{{0.6, 1024}, {0.8, 8192}, {0.9, 1024}, {0.8, 2}} {
-		if testing.Short() && c.m > 1024 {
+		n int
+	}{{0.6, 1024}, {0.8, 8192}, {0.9, 1024}, {0.8, 2}, {0.7, 1}, {0.8, 3}, {0.6, 1000}, {0.9, 5120}} {
+		if testing.Short() && c.n > 1024 {
 			continue
 		}
-		spec, err := PaxsonSpectrumCtx(ctx, c.m, c.h)
+		spec, err := PaxsonSpectrumCtx(ctx, c.n, c.h)
 		if err != nil {
 			t.Fatal(err)
 		}
-		amp, p := spec.Pair().amp, spec.Power()
-		if len(amp) != c.m || amp[0] != 0 {
-			t.Fatalf("H=%v m=%d: %d amplitudes with a_0 = %v, want %d with a_0 = 0", c.h, c.m, len(amp), amp[0], c.m)
+		m := max(2, padLen(c.n))
+		amp := spec.amp
+		if len(amp) != m || spec.n != m || amp[0] != 0 {
+			t.Fatalf("H=%v n=%d: %d amplitudes for %d points with a_0 = %v, want %d for %d with a_0 = 0",
+				c.h, c.n, len(amp), spec.n, amp[0], m, m)
 		}
-		cs, sn := trig(c.m)
-		scale := 1 / float64(c.m) / float64(c.m)
-		half := c.m / 2
-		for j := 0; j < c.m; j++ {
-			cov, cross := pairCov(amp, cs, sn, scale, j)
+		half := m / 2
+		p := make([]float64, half+1)
+		for i := 1; i <= half; i++ {
+			p[i] = FGNSpectralDensity(2*math.Pi*float64(i)/float64(m), c.h)
+		}
+		cs, sn := trig(m)
+		// sampled is the sampled spectrum's covariance at lag j before
+		// normalization; sampled(0) normalizes it.
+		sampled := func(j int) float64 {
 			var sum neumaier
 			for i := 1; i < half; i++ {
-				sum.add(2 * p[i-1] * cs[j*i%c.m])
+				sum.add(2 * p[i] * cs[j*i%m])
 			}
-			sum.add(p[half-1] * cs[j*half%c.m])
-			single := scale * sum.value()
-			if d := math.Abs(cov - single); d > 1e-12 {
-				t.Fatalf("H=%v m=%d lag %d: pair covariance %v, single draw %v (|Δ| = %.3g)", c.h, c.m, j, cov, single, d)
+			sum.add(p[half] * cs[j*half%m])
+			return sum.value()
+		}
+		total := sampled(0)
+		for j := 0; j < m; j++ {
+			cov, cross := pairCov(amp, cs, sn, 1/float64(m)/float64(m), j)
+			want := sampled(j) / total
+			if d := math.Abs(cov - want); d > 1e-12 {
+				t.Fatalf("H=%v n=%d lag %d: pair covariance %v, sampled spectrum %v (|Δ| = %.3g)", c.h, c.n, j, cov, want, d)
 			}
 			if math.Abs(cross) > 1e-15 {
-				t.Fatalf("H=%v m=%d lag %d: Re×Im cross-covariance %.3g", c.h, c.m, j, cross)
+				t.Fatalf("H=%v n=%d lag %d: Re×Im cross-covariance %.3g", c.h, c.n, j, cross)
 			}
 		}
 	}
@@ -215,7 +230,7 @@ func TestPairMonteCarlo(t *testing.T) {
 	}
 	cs, sn := trig(s)
 	pxCov := func(j int) float64 {
-		c, _ := pairCov(spec.Pair().amp, cs, sn, 1/float64(s)/float64(s), j)
+		c, _ := pairCov(spec.amp, cs, sn, 1/float64(s)/float64(s), j)
 		return c
 	}
 	names := [4]string{"variance", "lag 1", "lag 10", "Re/Im correlation"}
@@ -224,8 +239,8 @@ func TestPairMonteCarlo(t *testing.T) {
 		pair  Pair
 		exact [4]float64
 	}{
-		{"davies-harte", eig.Pair(), [4]float64{rho[0], rho[1], rho[10], 0}},
-		{"paxson", spec.Pair(), [4]float64{pxCov(0), pxCov(1), pxCov(10), 0}},
+		{"davies-harte", *eig, [4]float64{rho[0], rho[1], rho[10], 0}},
+		{"paxson", *spec, [4]float64{pxCov(0), pxCov(1), pxCov(10), 0}},
 	} {
 		m := samplePairs(t, c.pair, s, pairs)
 		for i := range names {
@@ -237,15 +252,17 @@ func TestPairMonteCarlo(t *testing.T) {
 	}
 }
 
-// TestPairDrawErrors: a pair draw refuses a missing source and a
-// wrong-sized buffer, and a cancelled context before drawing.
+// TestPairDrawErrors: a pair draw refuses a missing source, a
+// wrong-sized buffer, the zero Pair (no engine built it) and a
+// cancelled context before drawing. A 1-point engine draws through a
+// 2-point transform like any other length.
 func TestPairDrawErrors(t *testing.T) {
 	ctx := context.Background()
 	eig, err := DaviesHarteEigenCtx(ctx, 64, 0.8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr := eig.Pair()
+	pr := *eig
 	rng := rand.New(rand.NewPCG(1, 2))
 	if err := pr.DrawCtx(ctx, make([]complex128, pr.Len()), nil); err == nil {
 		t.Error("nil source accepted")
@@ -253,43 +270,41 @@ func TestPairDrawErrors(t *testing.T) {
 	if err := pr.DrawCtx(ctx, make([]complex128, 64), rng); err == nil {
 		t.Error("64-entry buffer accepted for a 128-entry pair")
 	}
+	if err := (Pair{}).DrawCtx(ctx, nil, rng); err == nil {
+		t.Error("the zero pair drew")
+	}
 	cctx, cancel := context.WithCancel(ctx)
 	cancel()
 	if err := pr.DrawCtx(cctx, make([]complex128, pr.Len()), rng); !errors.Is(err, errs.ErrCancelled) {
 		t.Errorf("cancelled draw: %v, want errs.ErrCancelled", err)
 	}
-	one, err := PaxsonSpectrumCtx(ctx, 1, 0.8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := make([]complex128, one.Pair().Len())
-	if err := one.Pair().DrawCtx(ctx, w, rng); err != nil || len(w) != 1 {
-		t.Fatalf("1-point pair: %v with %d entries", err, len(w))
+	for _, build := range []func(context.Context, int, float64) (*Pair, error){DaviesHarteEigenCtx, PaxsonSpectrumCtx} {
+		one, err := build(ctx, 1, 0.8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := make([]complex128, one.Len())
+		if err := one.DrawCtx(ctx, w, rng); err != nil || len(w) != 2 {
+			t.Fatalf("1-point pair: %v with %d entries, want 2", err, len(w))
+		}
 	}
 }
 
-// TestPairBuiltOnlyAtStreamLengths: the chunk engines build their pair
-// draw only at the power-of-two lengths streams draw at, so a
-// batch-length entry is charged for its vector and plan alone; at
-// 171,000 points that leaves out 2,736,000 B of Davies–Harte and
-// 1,368,000 B of Paxson amplitudes. Off those lengths the zero Pair
-// refuses to draw. -short skips the 171,000-point case, whose
-// Davies–Harte plan alone takes about 45 MB.
-func TestPairBuiltOnlyAtStreamLengths(t *testing.T) {
+// TestPairBytes pins the resident size of an engine setup: the
+// amplitudes and the radix-2 plan of its power-of-two transform, 2M
+// points for Davies–Harte and M for Paxson, M = padLen(n). At 171,000
+// points that is 12,582,896 B and 6,291,440 B; the Bluestein plans of
+// the exact-length transforms took 47,328,816 B and 22,982,448 B.
+func TestPairBytes(t *testing.T) {
 	ctx := context.Background()
-	rng := rand.New(rand.NewPCG(1, 2))
 	for _, c := range []struct {
 		n      int
 		dh, px int64
-		pair   bool
 	}{
-		{8192, 524_272, 229_360, true},
-		{1000, 203_696, 97_968, false},
-		{171_000, 47_328_816, 22_982_448, false},
+		{1000, 49_136, 24_560},
+		{8192, 393_200, 196_592},
+		{171_000, 12_582_896, 6_291_440},
 	} {
-		if testing.Short() && c.n > 8192 {
-			continue
-		}
 		eig, err := DaviesHarteEigenCtx(ctx, c.n, 0.8)
 		if err != nil {
 			t.Fatal(err)
@@ -300,16 +315,6 @@ func TestPairBuiltOnlyAtStreamLengths(t *testing.T) {
 		}
 		if eig.Bytes() != c.dh || spec.Bytes() != c.px {
 			t.Errorf("n=%d: entries of %d B (Davies–Harte) and %d B (Paxson), want %d and %d", c.n, eig.Bytes(), spec.Bytes(), c.dh, c.px)
-		}
-		for _, p := range []Pair{eig.Pair(), spec.Pair()} {
-			if (p.Len() > 0) != c.pair {
-				t.Errorf("n=%d: pair of %d entries, want one built: %v", c.n, p.Len(), c.pair)
-			}
-			if !c.pair {
-				if err := p.DrawCtx(ctx, make([]complex128, p.Len()), rng); err == nil {
-					t.Errorf("n=%d: the zero pair drew", c.n)
-				}
-			}
 		}
 	}
 }

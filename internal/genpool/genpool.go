@@ -9,10 +9,11 @@
 //     index only, so one cached 171k-point entry serves every shorter
 //     request with the same H, and longer requests extend the cached
 //     entry instead of recomputing it.
-//   - Davies–Harte circulant eigenvalues with the plan of their 2n-point
-//     synthesis FFT (fgn.DaviesHarteEigen), keyed by (H, n).
-//   - Paxson expected-power vectors with the plan of their inverse FFT
-//     (fgn.PaxsonSpectrum), keyed by (H, even synthesis length).
+//   - Davies–Harte and Paxson setups (fgn.Pair), keyed by (H, n): the
+//     amplitudes of the engine's one seeded draw and the radix-2 plan
+//     of its transform, 2M points for Davies–Harte and M for Paxson, M
+//     the smallest power of two ≥ n. The padding rule lives in fgn, so
+//     two lengths that pad alike hold equal entries under two keys.
 //   - Eq. 13 Gaussian→Gamma/Pareto quantile tables, keyed by
 //     (μ_Γ, σ_Γ, m_T, size).
 //
@@ -47,10 +48,11 @@ import (
 // roomy enough for over a dozen paper-scale Hosking entries (~13.9 MiB
 // each at 171,000 points: 24 bytes per point plus the tree levels'
 // spectra and FFT plans; a 4,194,304-point entry takes the whole
-// budget) next to the chunk-engine setups (~0.5 MiB for
-// Davies–Harte at the default 8,192-point chunk synthesis, ~0.22 MiB
-// for Paxson, each with its plan and pair-draw amplitudes) and marginal
-// tables.
+// budget) next to the spectral-engine setups, 24 bytes per transform
+// point of amplitudes and plan twiddles: at the streams' 8,192-point
+// chunks 393,200 B for Davies–Harte and 196,592 B for Paxson, at a
+// 171,000-point batch trace 12,582,896 B and 6,291,440 B — and
+// marginal tables.
 const DefaultMaxBytes = 256 << 20
 
 // kind discriminates the four cacheable precomputation families.
@@ -324,71 +326,25 @@ func (p *Pool) resize(scope *obs.Scope, e *entry, bytes int64) {
 	p.publishGauges(scope)
 }
 
-// DaviesHarteEigen returns the Davies–Harte setup for (h, n) — the 2n
-// circulant eigenvalues, the pair draw's 2n amplitudes (for a
-// power-of-two n, the stream chunk lengths) and the plan of the
-// 2n-point synthesis FFT — computing it at most once per key. The
-// entry is charged for all of them. The value is shared and read-only.
-func (p *Pool) DaviesHarteEigen(ctx context.Context, h float64, n int) (*fgn.DaviesHarteEigen, error) {
-	if p == nil {
+// DaviesHarteEigen returns the Davies–Harte setup for (h, n) — the
+// pair draw's amplitudes over the circulant eigenvalues and the plan of
+// its radix-2 synthesis FFT (fgn.DaviesHarteEigenCtx) — computing it at
+// most once per key. The entry is charged for both. The value is shared
+// and read-only.
+func (p *Pool) DaviesHarteEigen(ctx context.Context, h float64, n int) (*fgn.Pair, error) {
+	return lookup(ctx, p, key{kind: kindDHEigen, p0: math.Float64bits(h), n: n}, func() (*fgn.Pair, error) {
 		return fgn.DaviesHarteEigenCtx(ctx, n, h)
-	}
-	scope := obs.From(ctx)
-	k := key{kind: kindDHEigen, p0: math.Float64bits(h), n: n}
-	e, fill, err := p.acquire(ctx, k)
-	if err != nil {
-		return nil, err
-	}
-	if fill {
-		p.countMiss(scope)
-		eig, ferr := fgn.DaviesHarteEigenCtx(ctx, n, h)
-		if ferr != nil {
-			p.finish(scope, e, nil, 0, ferr)
-			return nil, ferr
-		}
-		p.finish(scope, e, eig, eig.Bytes(), nil)
-		return eig, nil
-	}
-	p.countHit(scope)
-	return e.val.(*fgn.DaviesHarteEigen), nil
+	})
 }
 
-// PaxsonSpectrum returns the Paxson setup for (h, n) — the
-// paxsonLen(n)/2 expected powers, the pair draw's paxsonLen(n)
-// amplitudes (for a power-of-two length, as streams draw at) and the
-// plan of the synthesis inverse FFT — computing it at most once per
-// key. Keys use the even FFT length backing the synthesis, so an odd
-// request and its even neighbour share one cached value. The entry is
-// charged for its vectors and the plan. The value is shared and
-// read-only.
-func (p *Pool) PaxsonSpectrum(ctx context.Context, h float64, n int) (*fgn.PaxsonSpectrum, error) {
-	if p == nil {
+// PaxsonSpectrum returns the Paxson setup for (h, n) — the pair draw's
+// amplitudes over the sampled spectrum and the plan of its inverse FFT
+// (fgn.PaxsonSpectrumCtx) — computing it at most once per key. The
+// entry is charged for both. The value is shared and read-only.
+func (p *Pool) PaxsonSpectrum(ctx context.Context, h float64, n int) (*fgn.Pair, error) {
+	return lookup(ctx, p, key{kind: kindPaxsonSpec, p0: math.Float64bits(h), n: n}, func() (*fgn.Pair, error) {
 		return fgn.PaxsonSpectrumCtx(ctx, n, h)
-	}
-	scope := obs.From(ctx)
-	// Normalize odd lengths to the even FFT length they synthesize
-	// through; n=1 degenerates to a single draw with an empty spectrum
-	// and is not worth a slot.
-	if n > 1 && n%2 != 0 {
-		n++
-	}
-	k := key{kind: kindPaxsonSpec, p0: math.Float64bits(h), n: n}
-	e, fill, err := p.acquire(ctx, k)
-	if err != nil {
-		return nil, err
-	}
-	if fill {
-		p.countMiss(scope)
-		spec, ferr := fgn.PaxsonSpectrumCtx(ctx, n, h)
-		if ferr != nil {
-			p.finish(scope, e, nil, 0, ferr)
-			return nil, ferr
-		}
-		p.finish(scope, e, spec, spec.Bytes(), nil)
-		return spec, nil
-	}
-	p.countHit(scope)
-	return e.val.(*fgn.PaxsonSpectrum), nil
+	})
 }
 
 // QuantileTable returns the Eq. 13 marginal mapping table for the
@@ -396,17 +352,6 @@ func (p *Pool) PaxsonSpectrum(ctx context.Context, h float64, n int) (*fgn.Paxso
 // resolution, computing it at most once per key. The table is shared
 // and read-only.
 func (p *Pool) QuantileTable(ctx context.Context, muGamma, sigmaGamma, tailSlope float64, size int) (*dist.QuantileTable, error) {
-	build := func() (*dist.QuantileTable, error) {
-		gp, err := dist.NewGammaParetoFromParams(dist.GammaParetoParams{MuGamma: muGamma, SigmaGamma: sigmaGamma, TailSlope: tailSlope})
-		if err != nil {
-			return nil, err
-		}
-		return gp.QuantileTable(size)
-	}
-	if p == nil {
-		return build()
-	}
-	scope := obs.From(ctx)
 	k := key{
 		kind: kindTable,
 		p0:   math.Float64bits(muGamma),
@@ -414,19 +359,39 @@ func (p *Pool) QuantileTable(ctx context.Context, muGamma, sigmaGamma, tailSlope
 		p2:   math.Float64bits(tailSlope),
 		n:    size,
 	}
+	return lookup(ctx, p, k, func() (*dist.QuantileTable, error) {
+		gp, err := dist.NewGammaParetoFromParams(dist.GammaParetoParams{MuGamma: muGamma, SigmaGamma: sigmaGamma, TailSlope: tailSlope})
+		if err != nil {
+			return nil, err
+		}
+		return gp.QuantileTable(size)
+	})
+}
+
+// lookup is the one path of every fixed-size entry: a nil pool builds
+// cold; otherwise the first caller for k counts a miss, builds and
+// publishes the value charged at its Bytes, and every other caller
+// waits for it and counts a hit.
+func lookup[T interface{ Bytes() int64 }](ctx context.Context, p *Pool, k key, build func() (T, error)) (T, error) {
+	if p == nil {
+		return build()
+	}
+	scope := obs.From(ctx)
 	e, fill, err := p.acquire(ctx, k)
 	if err != nil {
-		return nil, err
+		var zero T
+		return zero, err
 	}
-	if fill {
-		p.countMiss(scope)
-		tab, ferr := build()
-		p.finish(scope, e, tab, int64(size)*8, ferr)
-		if ferr != nil {
-			return nil, ferr
-		}
-		return tab, nil
+	if !fill {
+		p.countHit(scope)
+		return e.val.(T), nil
 	}
-	p.countHit(scope)
-	return e.val.(*dist.QuantileTable), nil
+	p.countMiss(scope)
+	v, err := build()
+	if err != nil {
+		p.finish(scope, e, nil, 0, err)
+		return v, err
+	}
+	p.finish(scope, e, v, v.Bytes(), nil)
+	return v, nil
 }

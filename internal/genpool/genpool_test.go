@@ -165,10 +165,9 @@ func TestHoskingCancelledExtensionThenShorter(t *testing.T) {
 }
 
 // TestPaxsonSpectrumPool pins the pooled-spectrum contract: the cached
-// vector equals the pool-free computation bitwise, repeats are pure
-// hits, and an odd-length request shares its even neighbor's entry
-// (Paxson synthesis pads odd n to the next even FFT length, so both
-// lengths consume the same vector).
+// setup draws the pool-free computation's bits, repeats are pure hits,
+// and every requested length is its own key (fgn pads it to the
+// transform length, so 4,095 and 4,096 points hold equal setups).
 func TestPaxsonSpectrumPool(t *testing.T) {
 	ctx := context.Background()
 	cold, err := fgn.PaxsonSpectrumCtx(ctx, 4096, 0.8)
@@ -180,7 +179,7 @@ func TestPaxsonSpectrumPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bitwiseEqual(t, "pooled spectrum", cold.Power(), warm.Power())
+	bitwiseEqual(t, "pooled spectrum", drawPaxson(t, cold, 4096), drawPaxson(t, warm, 4096))
 	if _, err := p.PaxsonSpectrum(ctx, 0.8, 4096); err != nil {
 		t.Fatal(err)
 	}
@@ -191,17 +190,15 @@ func TestPaxsonSpectrumPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if odd != warm {
-		t.Fatal("odd length got its own value instead of the even entry")
+	if st := p.Stats(); st.Misses != 2 || st.Entries != 2 {
+		t.Fatalf("odd length should be its own entry: %+v", st)
 	}
-	if st := p.Stats(); st.Hits != 2 || st.Entries != 1 {
-		t.Fatalf("odd length did not share the even entry: %+v", st)
-	}
+	bitwiseEqual(t, "odd-length spectrum", drawPaxson(t, warm, 4095), drawPaxson(t, odd, 4095))
 	// A different H is a different identity.
 	if _, err := p.PaxsonSpectrum(ctx, 0.9, 4096); err != nil {
 		t.Fatal(err)
 	}
-	if st := p.Stats(); st.Entries != 2 {
+	if st := p.Stats(); st.Entries != 3 {
 		t.Fatalf("distinct H should add an entry: %+v", st)
 	}
 	// The nil pool computes cold with identical bits.
@@ -210,7 +207,17 @@ func TestPaxsonSpectrumPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bitwiseEqual(t, "nil-pool spectrum", cold.Power(), direct.Power())
+	bitwiseEqual(t, "nil-pool spectrum", drawPaxson(t, cold, 4096), drawPaxson(t, direct, 4096))
+}
+
+// drawPaxson is an n-point batch draw from spec at a fixed seed.
+func drawPaxson(t *testing.T, spec *fgn.Pair, n int) []float64 {
+	t.Helper()
+	x, err := fgn.PaxsonFromSpectrumCtx(context.Background(), n, spec, rand.New(rand.NewPCG(3, 4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return x
 }
 
 // TestConcurrentHammer runs 32 goroutines against one pool mixing all
@@ -274,9 +281,9 @@ func TestConcurrentHammer(t *testing.T) {
 // evicted values were still served correctly.
 func TestEvictionBound(t *testing.T) {
 	ctx := context.Background()
-	// 64 KiB: each 1024-point entry is 65,520 B — 16 KiB of
-	// eigenvalues, 16 KiB of pair-draw amplitudes and 32,752 B of
-	// 2048-point FFT twiddles — so at most one is resident.
+	// 64 KiB: each 1024-point entry is 49,136 B — 16 KiB of pair-draw
+	// amplitudes and 32,752 B of 2048-point FFT twiddles — so at most
+	// one is resident.
 	const budget = 64 << 10
 	p := genpool.New(budget)
 	for i := 0; i < 24; i++ {
@@ -285,7 +292,7 @@ func TestEvictionBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n := len(eig.Lambda()); n != 2048 {
+		if n := eig.Len(); n != 2048 {
 			t.Fatalf("eigen vector %d has %d entries, want 2048", i, n)
 		}
 		if st := p.Stats(); st.Bytes > st.MaxBytes {
@@ -302,8 +309,8 @@ func TestEvictionBound(t *testing.T) {
 }
 
 // TestEngineEntriesChargePlan: a Davies–Harte or Paxson entry is
-// charged for its FFT plan as well as its vector, and a second lookup
-// returns the same shared value.
+// charged for its FFT plan as well as its amplitudes, and a second
+// lookup returns the same shared value.
 func TestEngineEntriesChargePlan(t *testing.T) {
 	ctx := context.Background()
 	p := genpool.New(0)
@@ -315,7 +322,7 @@ func TestEngineEntriesChargePlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vectors := 8 * int64(len(eig.Lambda())+len(spec.Power()))
+	vectors := 8 * int64(eig.Len()+spec.Len())
 	st := p.Stats()
 	if st.Bytes != eig.Bytes()+spec.Bytes() || st.Bytes <= vectors {
 		t.Fatalf("pool charges %d bytes; entries report %d + %d, vectors alone %d", st.Bytes, eig.Bytes(), spec.Bytes(), vectors)
@@ -333,12 +340,12 @@ func TestEngineEntriesChargePlan(t *testing.T) {
 // computed and returned, but must not take up residence.
 func TestOversizedItemNotRetained(t *testing.T) {
 	ctx := context.Background()
-	p := genpool.New(1024) // 1 KiB: a 1024-point entry (64 KiB) cannot fit
+	p := genpool.New(1024) // 1 KiB: a 1024-point entry (48 KiB) cannot fit
 	eig, err := p.DaviesHarteEigen(ctx, 0.8, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := len(eig.Lambda()); n != 2048 {
+	if n := eig.Len(); n != 2048 {
 		t.Fatalf("got %d entries, want 2048", n)
 	}
 	if st := p.Stats(); st.Entries != 0 || st.Bytes != 0 {

@@ -27,64 +27,64 @@ var goldenEstimates = []struct {
 	{
 		h: 0.6,
 		fields: map[string]uint64{
-			"VarianceTime": 0x3fe2414b701975b8, // 0.5704705419008667
-			"RS":           0x3fe39bc3c5b02f20, // 0.6127642499063519
-			"RSAggregated": 0x3fe3f8035818fbfe, // 0.6240250321060328
-			"RSSweepMin":   0x3fe36cca50ac560e, // 0.6070300651214795
-			"RSSweepMax":   0x3fe3e54ca2e1b8df, // 0.6217406445773824
-			"Whittle":      0x3fe38301172ad0f8, // 0.6097417309270261
+			"VarianceTime": 0x3fe24812e3a9a068, // 0.5712980696234924
+			"RS":           0x3fe4100cb4fcaaa6, // 0.6269591841604167
+			"RSAggregated": 0x3fe50a1a44b88e3d, // 0.6574832288938023
+			"RSSweepMin":   0x3fe3da8658388c41, // 0.6204253886284122
+			"RSSweepMax":   0x3fe4225d34f35261, // 0.6291948351086597
+			"Whittle":      0x3fe2b985fbedbf9f, // 0.5851468964083216
 			"WhittleCI95":  0x3fb87e58dfa2bccb, // 0.09567790469985764
-			"Periodogram":  0x3fe347cb92e874bf, // 0.6025140637681473
-			"MAVAR":        0x3fe2671109df37c6, // 0.5750813668071195
+			"Periodogram":  0x3fe3c73ab45266f0, // 0.6180699846183568
+			"MAVAR":        0x3fe2439c2465f137, // 0.5707531653311325
 		},
 		bars: []goldenBar{
-			{"variance-time", 0x3fe2414b701975b8, 0x3fe27574abd0fefb, 0x3fa86ddf3621cab0}, // raw 0.5704705419008667, H 0.5768378597058182 ± 0.04771325622359279
-			{"rs", 0x3fe39bc3c5b02f20, 0x3fe2bdb0d0852fda, 0x3f9ee1ad8717ebba},            // raw 0.6127642499063519, H 0.5856556008015972 ± 0.030157767649125346
-			{"periodogram", 0x3fe347cb92e874bf, 0x3fe35f7aeb22e42a, 0x3fa6ea32508e0fac},   // raw 0.6025140637681473, H 0.6054052917962782 ± 0.044755527814259594
-			{"whittle", 0x3fe3f326e045571e, 0x3fe3161f9b2bf0e2, 0x3f86abbc61ccf28f},       // raw 0.6234316234865422, H 0.5964506178566149 ± 0.011069747671734546
-			{"mavar", 0x3fe2671109df37c6, 0x3fe3615588993d16, 0x3f8cfb1159383d82},         // raw 0.5750813668071195, H 0.6056316059056452 ± 0.014150748763340774
+			{"variance-time", 0x3fe24812e3a9a068, 0x3fe2c0b4d95fb999, 0x3fb02bc9b4ae2ef6}, // raw 0.5712980696234924, H 0.5860237355789649 ± 0.06316815053122213
+			{"rs", 0x3fe4100cb4fcaaa6, 0x3fe360a776fab306, 0x3fa229e14f32d333},            // raw 0.6269591841604167, H 0.6055486034216251 ± 0.03547576991824144
+			{"periodogram", 0x3fe3c73ab45266f0, 0x3fe3928d75fad795, 0x3fa931ce867df867},   // raw 0.6180699846183568, H 0.6116397194189057 ± 0.04920812026738091
+			{"whittle", 0x3fe3ed5989c59b44, 0x3fe308e538e8782f, 0x3f89475e4f4e1bb1},       // raw 0.6227233591897421, H 0.5948358642087949 ± 0.012343155665588275
+			{"mavar", 0x3fe2439c2465f137, 0x3fe3183e729ac4ca, 0x3f903c1276c1298f},         // raw 0.5707531653311325, H 0.5967094648714462 ± 0.015854156969263008
 		},
 	},
 	{
 		h: 0.8,
 		fields: map[string]uint64{
-			"VarianceTime": 0x3fe8cafdf3c65e49, // 0.774779296992116
-			"RS":           0x3fe8a713339a3235, // 0.7703948982103329
-			"RSAggregated": 0x3fe7faad783fe70f, // 0.7493502949357395
-			"RSSweepMin":   0x3fe8696ff35d46af, // 0.7628707650385048
-			"RSSweepMax":   0x3fe8be7893ec5159, // 0.7732508553622593
-			"Whittle":      0x3feb5c66b803244a, // 0.8550294488897034
+			"VarianceTime": 0x3fe8a47f64f6a664, // 0.7700802776282214
+			"RS":           0x3fe85e43b390dfe1, // 0.7615068919321822
+			"RSAggregated": 0x3fe83d9c578ebfb3, // 0.7575208387479421
+			"RSSweepMin":   0x3fe8515762aabbe6, // 0.7599293639267415
+			"RSSweepMax":   0x3fe8784303dff5ab, // 0.7646803928070559
+			"Whittle":      0x3feb05bb9259ee46, // 0.8444497927116081
 			"WhittleCI95":  0x3fb87e58dfa2bccb, // 0.09567790469985764
-			"Periodogram":  0x3fea735bd9565650, // 0.8265818829410794
-			"MAVAR":        0x3fe95d700d784e4a, // 0.7926559699139457
+			"Periodogram":  0x3fea6e8e1b3fcbb0, // 0.8259954960070583
+			"MAVAR":        0x3fe8ce85f316b57e, // 0.7752103565050417
 		},
 		bars: []goldenBar{
-			{"variance-time", 0x3fe8cafdf3c65e49, 0x3fe981b6b9f5dbef, 0x3fae948067e00d98}, // raw 0.774779296992116, H 0.7970842010535061 ± 0.05972672718055633
-			{"rs", 0x3fe8a713339a3235, 0x3fe8e406bdc9fa51, 0x3fa06062b082091d},            // raw 0.7703948982103329, H 0.7778352457824643 ± 0.03198536305082398
-			{"periodogram", 0x3fea735bd9565650, 0x3fea499b0eea4bc9, 0x3fa9e897a34de822},   // raw 0.8265818829410794, H 0.8214850703537816 ± 0.050602663693055897
-			{"whittle", 0x3feb68caba412cc6, 0x3fe928290694f082, 0x3f8821744518b56e},       // raw 0.8565419805321646, H 0.7861523750830346 ± 0.011782558783205412
-			{"mavar", 0x3fe95d700d784e4a, 0x3fea090223a45e6f, 0x3f936cea49707205},         // raw 0.7926559699139457, H 0.8135996528753376 ± 0.01897016595113323
+			{"variance-time", 0x3fe8a47f64f6a664, 0x3fe9747ac503bd3a, 0x3fb07b95bbe5c4c8}, // raw 0.7700802776282214, H 0.7954686973516012 ± 0.06438575589506279
+			{"rs", 0x3fe85e43b390dfe1, 0x3fe8b9ab2a9814a8, 0x3fa28caa13dd08ce},            // raw 0.7615068919321822, H 0.7726646263041816 ± 0.03622943394158683
+			{"periodogram", 0x3fea6e8e1b3fcbb0, 0x3fea4e25b7948311, 0x3fa569cc30b3dc4e},   // raw 0.8259954960070583, H 0.8220394692944827 ± 0.0418227967692749
+			{"whittle", 0x3feb1f5cca9678c6, 0x3fe8e7d3824ad730, 0x3f86d4b087bed115},       // raw 0.8475784260552011, H 0.7782990975162871 ± 0.01114786066305177
+			{"mavar", 0x3fe8ce85f316b57e, 0x3fe97d5d6740e422, 0x3f93a63e9e72f322},         // raw 0.7752103565050417, H 0.7965533272428085 ± 0.019188860341034737
 		},
 	},
 	{
 		h: 0.9,
 		fields: map[string]uint64{
-			"VarianceTime": 0x3fe96cab3e79eab6, // 0.7945152492751137
-			"RS":           0x3fe9fe62d59a982c, // 0.8123029872847431
-			"RSAggregated": 0x3fe682fd6163d7ac, // 0.7034899618290544
-			"RSSweepMin":   0x3fe9fe62d59a982c, // 0.8123029872847431
-			"RSSweepMax":   0x3fea6d448a647500, // 0.8258383467652095
-			"Whittle":      0x3fed7d38a6f7ae90, // 0.921535802944577
+			"VarianceTime": 0x3fe958e05b8c3fcb, // 0.7920991695445933
+			"RS":           0x3feb067ee98a0d7b, // 0.8445429383577187
+			"RSAggregated": 0x3fe99b599a0d3224, // 0.8002136238879456
+			"RSSweepMin":   0x3feaea008e4c831e, // 0.8410647181773105
+			"RSSweepMax":   0x3feb25f9cdc20e85, // 0.8483857172690966
+			"Whittle":      0x3feff7ced91025f4, // 0.9989999999535812
 			"WhittleCI95":  0x3fb87e58dfa2bccb, // 0.09567790469985764
-			"Periodogram":  0x3fec8a86ff226150, // 0.8919100745288606
-			"MAVAR":        0x3fec0e9c4a0af553, // 0.8767835088871528
+			"Periodogram":  0x3fec03be44026100, // 0.8754569366747376
+			"MAVAR":        0x3febce85c9caa6b4, // 0.8689602795831974
 		},
 		bars: []goldenBar{
-			{"variance-time", 0x3fe96cab3e79eab6, 0x3fea27cca9956b95, 0x3faf71281dca1eb9}, // raw 0.7945152492751137, H 0.817358332841979 ± 0.06141019214288463
-			{"rs", 0x3fe9fe62d59a982c, 0x3fea9e04bce6b510, 0x3fa0545d198cec95},            // raw 0.8123029872847431, H 0.8317893685795372 ± 0.031893643731074985
-			{"periodogram", 0x3fec8a86ff226150, 0x3fec6199cb85b4c2, 0x3fa31384aa599cb3},   // raw 0.8919100745288606, H 0.8869141554875102 ± 0.037258287234004504
-			{"whittle", 0x3fef723b942aafcd, 0x3fecfaf4a1131cf9, 0x3f8756d25ce9afc3},       // raw 0.9826944249994028, H 0.9056342264165372 ± 0.011396068058466718
-			{"mavar", 0x3fec0e9c4a0af553, 0x3feca7d21a97c5cb, 0x3f905fe8ffb0fa53},         // raw 0.8767835088871528, H 0.8954859275237878 ± 0.01599086819282498
+			{"variance-time", 0x3fe958e05b8c3fcb, 0x3fea3b6406da86aa, 0x3fb026040ca5dad7}, // raw 0.7920991695445933, H 0.8197498449191774 ± 0.06308007534776593
+			{"rs", 0x3feb067ee98a0d7b, 0x3fec266cd9a83bb8, 0x3fa318b75cc94732},            // raw 0.8445429383577187, H 0.8796905757061415 ± 0.03729794509548724
+			{"periodogram", 0x3fec03be44026100, 0x3febc96d953b6efa, 0x3fa47a986673912b},   // raw 0.8754569366747376, H 0.868338386029307 ± 0.03999782801273207
+			{"whittle", 0x3fef529b072d4dd0, 0x3fecd1f9304b925f, 0x3f86b704ef351cb9},       // raw 0.9788336887526672, H 0.9006315177217167 ± 0.011091269063980712
+			{"mavar", 0x3febce85c9caa6b4, 0x3fec62a01372d7ab, 0x3f90c4c54246e036},         // raw 0.8689602795831974, H 0.8870392207961592 ± 0.016375620050638605
 		},
 	},
 }

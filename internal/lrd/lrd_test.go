@@ -303,17 +303,34 @@ func TestWhittleLadder(t *testing.T) {
 func TestWhittleStabilizedOnPureFGN(t *testing.T) {
 	// On exactly self-similar input the ladder is flat, so the
 	// stabilized estimate should match the plain Whittle estimate and
-	// the truth.
-	xs := testSeries(t, 0.8, 60000)
-	res, err := WhittleStabilized(xs, false)
+	// the truth. One series' Ĥ spreads with a standard deviation near
+	// 0.03 at this length, so the bound applies to the mean over
+	// whittleSeeds series (PCG(s, 99), s = 1..whittleSeeds); the CI
+	// check stays on the fixed series.
+	const whittleSeeds = 32
+	ctx := context.Background()
+	res, err := WhittleStabilized(testSeries(t, 0.8, 60000), false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(res.H-0.8) > 0.08 {
-		t.Errorf("stabilized H = %v, want 0.8", res.H)
-	}
 	if res.CI95 <= 0 {
 		t.Error("missing CI")
+	}
+	var mean float64
+	for s := uint64(1); s <= whittleSeeds; s++ {
+		xs, err := fgn.DaviesHarteCtx(ctx, 60000, 0.8, rand.New(rand.NewPCG(s, 99)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := WhittleStabilized(xs, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mean += r.H / whittleSeeds
+	}
+	t.Logf("mean stabilized Ĥ over %d series: %.4f", whittleSeeds, mean)
+	if math.Abs(mean-0.8) > 0.08 {
+		t.Errorf("mean stabilized H over %d series = %v, want 0.8", whittleSeeds, mean)
 	}
 }
 

@@ -215,7 +215,7 @@ func TestZeroLossCapacityExactMatchesBisection(t *testing.T) {
 // zeroLossGoldenCases returns the fixed (workload, buffer) cases the
 // ZeroLossCapacityExact golden is recorded over: hand cases, bursty and
 // heavy-tailed random workloads at frame and slice intervals, and the
-// test trace at both granularities, each against buffers from zero to
+// golden trace at both granularities, each against buffers from zero to
 // several times the workload's total bytes.
 func zeroLossGoldenCases(t *testing.T) (ws []Workload, buffers [][]float64) {
 	t.Helper()
@@ -237,7 +237,7 @@ func zeroLossGoldenCases(t *testing.T) (ws []Workload, buffers [][]float64) {
 			ws = append(ws, Workload{Bytes: b, Interval: dt})
 		}
 	}
-	tr := testTrace(t, 3000)
+	tr := goldenTrace(t)
 	ws = append(ws,
 		Workload{Bytes: tr.Frames, Interval: 1 / tr.FrameRate},
 		Workload{Bytes: tr.Slices, Interval: 1 / (tr.FrameRate * float64(tr.SlicesPerFrame))})

@@ -4,7 +4,10 @@ import (
 	"context"
 	"math"
 	"math/rand/v2"
+	"os"
 	"testing"
+
+	"vbr/internal/trace"
 )
 
 // This file pins the legacy trace-multiplexer path bitwise to its
@@ -33,9 +36,10 @@ func goldenHash(xs []float64) uint64 {
 	return h
 }
 
-// The golden scenario: testTrace(t, 3000) (synth defaults with 3000
-// frames, 6 slices/frame, 48-frame scenes, seed 1994) multiplexed
-// 3 ways with 400-frame minimum lag under seed 7.
+// The golden scenario: goldenTrace (synth defaults with 3000 frames,
+// 6 slices/frame, 48-frame scenes, seed 1994, as the synthetic movie
+// drew it when these constants were captured) multiplexed 3 ways with
+// 400-frame minimum lag under seed 7.
 const (
 	goldenComboLag1 = 1807
 	goldenComboLag2 = 2263
@@ -69,9 +73,27 @@ var goldenWindowLossBits = [6]uint64{
 	0x3f941f1fc3b3d617,
 }
 
+// goldenTrace reads the trace the queue goldens were captured on,
+// frozen in testdata by trace.WriteBinary from testTrace(t, 3000), so
+// a change to the synthetic movie's draws cannot move the constants
+// here and in cbr_test.go.
+func goldenTrace(t *testing.T) *trace.Trace {
+	t.Helper()
+	f, err := os.Open("testdata/golden_trace.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	tr, err := trace.ReadBinary(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
 func goldenMux(t *testing.T) *Mux {
 	t.Helper()
-	tr := testTrace(t, 3000)
+	tr := goldenTrace(t)
 	m, err := NewMuxFromConfig(MuxConfig{Trace: tr, N: 3, MinLagFrames: 400, Seed: 7})
 	if err != nil {
 		t.Fatal(err)

@@ -99,7 +99,7 @@ func newDHStitch(ctx context.Context, cfg Config) (*stitch, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newStitch(cfg, "davies-harte", dhStreamSalt, eig.Pair()), nil
+	return newStitch(cfg, "davies-harte", dhStreamSalt, *eig), nil
 }
 
 // newPaxsonStitch builds the Paxson chunked backend: FFT-approximate
@@ -113,7 +113,7 @@ func newPaxsonStitch(ctx context.Context, cfg Config) (*stitch, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newStitch(cfg, "paxson", paxsonStreamSalt, spec.Pair()), nil
+	return newStitch(cfg, "paxson", paxsonStreamSalt, *spec), nil
 }
 
 // Next implements the gaussian contract: it fills dst (the final call
