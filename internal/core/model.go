@@ -156,8 +156,9 @@ type GenOptions struct {
 	// Backend selects the Gaussian LRD engine (the zero value is the
 	// paper's exact Hosking recursion).
 	Backend backend.Backend
-	// TableSize is the resolution of the Gaussian→Gamma/Pareto mapping
-	// table (the paper uses 10,000 points).
+	// TableSize is the number of points of the Gaussian→Gamma/Pareto
+	// mapping table (the paper uses 10,000), whose nodes are evenly
+	// spaced on the Gaussian axis (dist.NormalTable).
 	TableSize int
 	// Standardize renormalizes the Gaussian realization to exactly zero
 	// mean and unit variance before the marginal transform, compensating
@@ -174,7 +175,7 @@ type GenOptions struct {
 	Snapshot fgn.SnapshotFunc
 	// Pool, when non-nil, serves the seed-independent precomputations —
 	// Hosking coefficients, Davies–Harte eigenvalues and Paxson
-	// spectra with their FFT plans, and Eq. 13 quantile tables — from a
+	// spectra with their FFT plans, and Eq. 13 mapping tables — from a
 	// shared cross-request cache instead of recomputing them per call.
 	// The generated output is bitwise identical either way (the cached
 	// quantities do not depend on the seed); nil computes them cold for

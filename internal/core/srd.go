@@ -6,9 +6,7 @@ import (
 	"math/rand/v2"
 
 	"vbr/internal/arma"
-	"vbr/internal/dist"
 	"vbr/internal/fgn"
-	"vbr/internal/specfn"
 )
 
 // This file implements the short-range-dependence augmentations §4 of
@@ -84,30 +82,21 @@ func (m Model) GenerateMarkovModulatedCtx(ctx context.Context, n int, chain *arm
 }
 
 // transformCtx applies the Eq. 13 marginal map to a standardized
-// Gaussian series, drawing the mapping table from the options' pool
-// when one is set (the table depends only on the model parameters and
-// the resolution, never the data, so pooling cannot change the output).
+// Gaussian series through the Gaussian-axis table, drawn from the
+// options' pool when one is set (the table depends only on the model
+// parameters and the resolution, never the data, so pooling cannot
+// change the output; a nil pool builds it cold).
 func (m Model) transformCtx(ctx context.Context, x []float64, opts GenOptions) ([]float64, error) {
 	if opts.TableSize < 2 {
 		return nil, fmt.Errorf("core: table size must be ≥ 2, got %d", opts.TableSize)
 	}
-	var tab *dist.QuantileTable
-	var err error
-	if opts.Pool != nil {
-		tab, err = opts.Pool.QuantileTable(ctx, m.MuGamma, m.SigmaGamma, m.TailSlope, opts.TableSize)
-	} else {
-		var gp *dist.GammaPareto
-		if gp, err = m.Marginal(); err != nil {
-			return nil, err
-		}
-		tab, err = gp.QuantileTable(opts.TableSize)
-	}
+	tab, err := opts.Pool.NormalTable(ctx, m.MuGamma, m.SigmaGamma, m.TailSlope, opts.TableSize)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]float64, len(x))
 	for i, v := range x {
-		out[i] = tab.Value(specfn.NormCDF(v))
+		out[i] = tab.Value(v)
 	}
 	return out, nil
 }

@@ -85,6 +85,19 @@ func TestConstructorValidation(t *testing.T) {
 	if _, err := GammaFromMoments(0, 1); err == nil {
 		t.Error("GammaFromMoments zero mean should fail")
 	}
+	// Moments whose shape or rate leaves the range the incomplete gamma
+	// function converges on, or overflows, are refused; a 1% CoV is not.
+	for _, m := range [][2]float64{{1000, 9.99}, {math.Inf(1), 1}, {1, math.Inf(1)}, {1e-200, 1e200}, {1e200, 1e-200}, {1, 1e-160}} {
+		if g, err := GammaFromMoments(m[0], m[1]); err == nil {
+			t.Errorf("GammaFromMoments(%v, %v) accepted shape %v, rate %v", m[0], m[1], g.Shape, g.Rate)
+		}
+	}
+	if _, err := GammaFromMoments(1000, 10); err != nil {
+		t.Errorf("GammaFromMoments(1000, 10): %v", err)
+	}
+	if _, err := NewGammaParetoFromParams(GammaParetoParams{MuGamma: 1, SigmaGamma: 1, TailSlope: math.Inf(1)}); err == nil {
+		t.Error("NewGammaPareto infinite tail slope should fail")
+	}
 }
 
 func TestQuantileCDFRoundTrip(t *testing.T) {

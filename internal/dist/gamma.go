@@ -26,14 +26,25 @@ func NewGamma(shape, rate float64) (Gamma, error) {
 	return Gamma{Shape: shape, Rate: rate}, nil
 }
 
+// maxMomentShape is the largest shape GammaFromMoments builds, a
+// coefficient of variation of 1%: specfn.GammaP's series and continued
+// fraction converge within their iteration cap up to about this shape
+// and drift beyond it (P(a, a) reads 0.4988 at a = 3·10⁴ and 0.44 at
+// 10⁵, for about 0.5).
+const maxMomentShape = 1e4
+
 // GammaFromMoments builds the Gamma distribution matching a given mean and
 // standard deviation, the fit used throughout the paper: s = (μ/σ)²,
-// λ = μ/σ².
+// λ = μ/σ². The shape must come out in (0, 10⁴] and the rate finite.
 func GammaFromMoments(mean, sd float64) (Gamma, error) {
 	if !(mean > 0) || !(sd > 0) {
 		return Gamma{}, fmt.Errorf("dist: gamma moments require mean, sd > 0, got (%v, %v)", mean, sd)
 	}
-	return Gamma{Shape: (mean / sd) * (mean / sd), Rate: mean / (sd * sd)}, nil
+	g := Gamma{Shape: (mean / sd) * (mean / sd), Rate: mean / (sd * sd)}
+	if !(g.Shape > 0 && g.Shape <= maxMomentShape && g.Rate > 0 && g.Rate <= math.MaxFloat64) {
+		return Gamma{}, fmt.Errorf("dist: gamma moments (%v, %v) give shape %v and rate %v; want a shape in (0, %g] (σ/μ ≥ 1%%) and a finite rate", mean, sd, g.Shape, g.Rate, float64(maxMomentShape))
+	}
+	return g, nil
 }
 
 func (d Gamma) Name() string { return "gamma" }

@@ -328,12 +328,12 @@ func DaviesHarteEigenCtx(ctx context.Context, n int, h float64) (*Pair, error) {
 		return nil, errs.Cancelled(ctx)
 	}
 	// First row of the circulant: γ_0..γ_{M/2}, γ_{M/2−1}..γ_1.
-	half := padLen(n)
+	m := DaviesHarteLen(n)
+	half := m / 2
 	rho, err := FGNACF(h, half)
 	if err != nil {
 		return nil, err
 	}
-	m := 2 * half
 	row := make([]complex128, m)
 	for k := 0; k <= half; k++ {
 		row[k] = complex(rho[k], 0)

@@ -39,6 +39,17 @@ type Pair struct {
 // smallest one ≥ n.
 func padLen(n int) int { return 1 << bits.Len(uint(n-1)) }
 
+// DaviesHarteLen is the transform length M of an n-point Davies–Harte
+// draw, a circulant of twice the padded length. The setup
+// DaviesHarteEigenCtx builds for (n, H) depends on n only through it,
+// and it is that setup's Len.
+func DaviesHarteLen(n int) int { return 2 * padLen(n) }
+
+// PaxsonLen is the transform length M of an n-point Paxson draw, the
+// padded length and at least 2. The setup PaxsonSpectrumCtx builds for
+// (n, H) depends on n only through it, and it is that setup's Len.
+func PaxsonLen(n int) int { return max(2, padLen(n)) }
+
 // Len is the length M of the spectrum buffer DrawCtx fills: twice the
 // padded length for Davies–Harte, the padded length for Paxson.
 func (p Pair) Len() int { return len(p.amp) }

@@ -92,7 +92,7 @@ func PaxsonSpectrumCtx(ctx context.Context, n int, h float64) (*Pair, error) {
 	if ctx.Err() != nil {
 		return nil, errs.Cancelled(ctx)
 	}
-	m := max(2, padLen(n))
+	m := PaxsonLen(n)
 	half := m / 2
 	amp := make([]float64, m)
 	for j := 1; j <= half; j++ {

@@ -1,5 +1,5 @@
 // Package genpool is the cross-request generation cache: a
-// concurrency-safe, byte-bounded pool for the four parameter-keyed
+// concurrency-safe, byte-bounded pool for the parameter-keyed
 // precomputations of the §4 generator, shared across requests, streams
 // and batch workers.
 //
@@ -9,15 +9,18 @@
 //     index only, so one cached 171k-point entry serves every shorter
 //     request with the same H, and longer requests extend the cached
 //     entry instead of recomputing it.
-//   - Davies–Harte and Paxson setups (fgn.Pair), keyed by (H, n): the
+//   - Davies–Harte and Paxson setups (fgn.Pair), keyed by (H, M): the
 //     amplitudes of the engine's one seeded draw and the radix-2 plan
-//     of its transform, 2M points for Davies–Harte and M for Paxson, M
-//     the smallest power of two ≥ n. The padding rule lives in fgn, so
-//     two lengths that pad alike hold equal entries under two keys.
-//   - Eq. 13 Gaussian→Gamma/Pareto quantile tables, keyed by
-//     (μ_Γ, σ_Γ, m_T, size).
+//     of its transform of M points, 2·padLen(n) for Davies–Harte and
+//     padLen(n) for Paxson, padLen(n) the smallest power of two ≥ n.
+//     fgn owns the padding rule (fgn.DaviesHarteLen, fgn.PaxsonLen), so
+//     every n that pads alike shares one entry.
+//   - Eq. 13 Gaussian→Gamma/Pareto mapping tables, keyed by
+//     (μ_Γ, σ_Γ, m_T, size): the Gaussian-axis table every stream and
+//     batch transform reads (dist.NormalTable), and the probability-axis
+//     one (dist.QuantileTable) under a key kind of its own.
 //
-// All four are seed-independent, so serving them from cache cannot
+// All of them are seed-independent, so serving them from cache cannot
 // change generated output: the warm paths in internal/fgn and
 // internal/dist are bitwise-identical to their cold counterparts, an
 // invariant pinned by this package's tests (DESIGN §10).
@@ -55,14 +58,15 @@ import (
 // marginal tables.
 const DefaultMaxBytes = 256 << 20
 
-// kind discriminates the four cacheable precomputation families.
+// kind discriminates the cacheable precomputation families.
 type kind uint8
 
 const (
 	kindHosking kind = iota + 1
 	kindDHEigen
-	kindTable
+	kindQuantileTable
 	kindPaxsonSpec
+	kindNormalTable
 )
 
 // key identifies one cached item. Float parameters are stored as
@@ -71,7 +75,7 @@ const (
 type key struct {
 	kind       kind
 	p0, p1, p2 uint64 // parameter bits (H, or μ_Γ/σ_Γ/m_T)
-	n          int    // length/size; 0 for Hosking (prefix-reused)
+	n          int    // transform length or table size; 0 for Hosking (prefix-reused)
 }
 
 // entry is one cache slot. ready is closed once val/err are final;
@@ -329,42 +333,62 @@ func (p *Pool) resize(scope *obs.Scope, e *entry, bytes int64) {
 // DaviesHarteEigen returns the Davies–Harte setup for (h, n) — the
 // pair draw's amplitudes over the circulant eigenvalues and the plan of
 // its radix-2 synthesis FFT (fgn.DaviesHarteEigenCtx) — computing it at
-// most once per key. The entry is charged for both. The value is shared
-// and read-only.
+// most once per (h, fgn.DaviesHarteLen(n)), so every n that pads alike
+// shares it. The entry is charged for both. The value is shared and
+// read-only.
 func (p *Pool) DaviesHarteEigen(ctx context.Context, h float64, n int) (*fgn.Pair, error) {
-	return lookup(ctx, p, key{kind: kindDHEigen, p0: math.Float64bits(h), n: n}, func() (*fgn.Pair, error) {
+	return lookup(ctx, p, key{kind: kindDHEigen, p0: math.Float64bits(h), n: fgn.DaviesHarteLen(n)}, func() (*fgn.Pair, error) {
 		return fgn.DaviesHarteEigenCtx(ctx, n, h)
 	})
 }
 
 // PaxsonSpectrum returns the Paxson setup for (h, n) — the pair draw's
 // amplitudes over the sampled spectrum and the plan of its inverse FFT
-// (fgn.PaxsonSpectrumCtx) — computing it at most once per key. The
+// (fgn.PaxsonSpectrumCtx) — computing it at most once per
+// (h, fgn.PaxsonLen(n)), so every n that pads alike shares it. The
 // entry is charged for both. The value is shared and read-only.
 func (p *Pool) PaxsonSpectrum(ctx context.Context, h float64, n int) (*fgn.Pair, error) {
-	return lookup(ctx, p, key{kind: kindPaxsonSpec, p0: math.Float64bits(h), n: n}, func() (*fgn.Pair, error) {
+	return lookup(ctx, p, key{kind: kindPaxsonSpec, p0: math.Float64bits(h), n: fgn.PaxsonLen(n)}, func() (*fgn.Pair, error) {
 		return fgn.PaxsonSpectrumCtx(ctx, n, h)
 	})
 }
 
-// QuantileTable returns the Eq. 13 marginal mapping table for the
-// hybrid Gamma/Pareto distribution with the given parameters and
-// resolution, computing it at most once per key. The table is shared
-// and read-only.
+// NormalTable returns the Eq. 13 mapping table on the Gaussian axis
+// (dist.GammaPareto.NormalTable) for the hybrid Gamma/Pareto
+// distribution with the given parameters and size, computing it at
+// most once per key. Streams and batch generation transform through
+// it. The table is shared and read-only.
+func (p *Pool) NormalTable(ctx context.Context, muGamma, sigmaGamma, tailSlope float64, size int) (*dist.NormalTable, error) {
+	return marginalTable(ctx, p, kindNormalTable, muGamma, sigmaGamma, tailSlope, size, (*dist.GammaPareto).NormalTable)
+}
+
+// QuantileTable returns the probability-axis mapping table
+// (dist.GammaPareto.QuantileTable) for the same parameters, computing it
+// at most once per key, under a key kind of its own. No program caller
+// remains, since Eq. 13 reads NormalTable; it stays for the benchmark's
+// transform probe, which compiles against it. The table is shared and
+// read-only.
 func (p *Pool) QuantileTable(ctx context.Context, muGamma, sigmaGamma, tailSlope float64, size int) (*dist.QuantileTable, error) {
+	return marginalTable(ctx, p, kindQuantileTable, muGamma, sigmaGamma, tailSlope, size, (*dist.GammaPareto).QuantileTable)
+}
+
+// marginalTable is the lookup of a table of size points built from the
+// hybrid marginal with the given parameters.
+func marginalTable[T interface{ Bytes() int64 }](ctx context.Context, p *Pool, kd kind, muGamma, sigmaGamma, tailSlope float64, size int, build func(*dist.GammaPareto, int) (T, error)) (T, error) {
 	k := key{
-		kind: kindTable,
+		kind: kd,
 		p0:   math.Float64bits(muGamma),
 		p1:   math.Float64bits(sigmaGamma),
 		p2:   math.Float64bits(tailSlope),
 		n:    size,
 	}
-	return lookup(ctx, p, k, func() (*dist.QuantileTable, error) {
+	return lookup(ctx, p, k, func() (T, error) {
 		gp, err := dist.NewGammaParetoFromParams(dist.GammaParetoParams{MuGamma: muGamma, SigmaGamma: sigmaGamma, TailSlope: tailSlope})
 		if err != nil {
-			return nil, err
+			var zero T
+			return zero, err
 		}
-		return gp.QuantileTable(size)
+		return build(gp, size)
 	})
 }
 

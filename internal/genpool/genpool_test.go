@@ -166,8 +166,8 @@ func TestHoskingCancelledExtensionThenShorter(t *testing.T) {
 
 // TestPaxsonSpectrumPool pins the pooled-spectrum contract: the cached
 // setup draws the pool-free computation's bits, repeats are pure hits,
-// and every requested length is its own key (fgn pads it to the
-// transform length, so 4,095 and 4,096 points hold equal setups).
+// and lengths that pad to one transform length share one entry (4,095
+// and 4,096 points both draw from the 4,096-point setup).
 func TestPaxsonSpectrumPool(t *testing.T) {
 	ctx := context.Background()
 	cold, err := fgn.PaxsonSpectrumCtx(ctx, 4096, 0.8)
@@ -190,15 +190,19 @@ func TestPaxsonSpectrumPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := p.Stats(); st.Misses != 2 || st.Entries != 2 {
-		t.Fatalf("odd length should be its own entry: %+v", st)
+	if st := p.Stats(); st.Hits != 2 || st.Misses != 1 || st.Entries != 1 {
+		t.Fatalf("odd length should hit the 4,096-point entry: %+v", st)
 	}
-	bitwiseEqual(t, "odd-length spectrum", drawPaxson(t, warm, 4095), drawPaxson(t, odd, 4095))
+	coldOdd, err := fgn.PaxsonSpectrumCtx(ctx, 4095, 0.8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bitwiseEqual(t, "odd-length spectrum", drawPaxson(t, coldOdd, 4095), drawPaxson(t, odd, 4095))
 	// A different H is a different identity.
 	if _, err := p.PaxsonSpectrum(ctx, 0.9, 4096); err != nil {
 		t.Fatal(err)
 	}
-	if st := p.Stats(); st.Entries != 3 {
+	if st := p.Stats(); st.Entries != 2 {
 		t.Fatalf("distinct H should add an entry: %+v", st)
 	}
 	// The nil pool computes cold with identical bits.
@@ -208,6 +212,51 @@ func TestPaxsonSpectrumPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	bitwiseEqual(t, "nil-pool spectrum", drawPaxson(t, cold, 4096), drawPaxson(t, direct, 4096))
+}
+
+// TestDaviesHarteEigenPool: Davies–Harte setups are keyed by transform
+// length too, so 1,000 points draw from the 1,024-point entry, with the
+// bits of a cold 1,000-point setup, and the n < 1 error still reaches
+// the caller.
+func TestDaviesHarteEigenPool(t *testing.T) {
+	ctx := context.Background()
+	p := genpool.New(0)
+	if _, err := p.DaviesHarteEigen(ctx, 0.8, 1024); err != nil {
+		t.Fatal(err)
+	}
+	warm, err := p.DaviesHarteEigen(ctx, 0.8, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := p.Stats(); st.Hits != 1 || st.Misses != 1 || st.Entries != 1 {
+		t.Fatalf("1,000 points should hit the 1,024-point entry: %+v", st)
+	}
+	cold, err := fgn.DaviesHarteEigenCtx(ctx, 1000, 0.8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bitwiseEqual(t, "1,000-point draw", drawDaviesHarte(t, cold, 1000), drawDaviesHarte(t, warm, 1000))
+	for _, n := range []int{0, -1} {
+		if _, err := p.DaviesHarteEigen(ctx, 0.8, n); err == nil {
+			t.Errorf("Davies–Harte n=%d: no error", n)
+		}
+		if _, err := p.PaxsonSpectrum(ctx, 0.8, n); err == nil {
+			t.Errorf("Paxson n=%d: no error", n)
+		}
+	}
+	if st := p.Stats(); st.Entries != 1 {
+		t.Fatalf("a refused length left an entry: %+v", st)
+	}
+}
+
+// drawDaviesHarte is an n-point batch draw from eig at a fixed seed.
+func drawDaviesHarte(t *testing.T, eig *fgn.Pair, n int) []float64 {
+	t.Helper()
+	x, err := fgn.DaviesHarteFromEigenCtx(context.Background(), n, eig, rand.New(rand.NewPCG(3, 4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return x
 }
 
 // drawPaxson is an n-point batch draw from spec at a fixed seed.

@@ -254,7 +254,8 @@ func TestTraceBadRequests(t *testing.T) {
 	// An unknown format is refused before the source opens: no Hosking
 	// schedule is extended (an O(n²) job at n = 4,000,000) and no
 	// Davies–Harte entry is cached for a new H, so the pool is untouched.
-	// The client gives up long before such a job would finish.
+	// The client gives up long before such a job would finish. A table
+	// over the cap is refused before any table is built.
 	pool := genpool.New(0)
 	ts = newTestServer(t, Config{Pool: pool})
 	client := &http.Client{Timeout: 10 * time.Second}
@@ -263,6 +264,7 @@ func TestTraceBadRequests(t *testing.T) {
 		"format=xml&hurst=0.73",
 		"model=farima:hurst=0.73&format=xml",
 		"model=farima&format=xml&n=4000000",
+		"table=100001",
 	} {
 		before := pool.Stats()
 		wantBadRequest(t, client, ts.URL+"/v1/trace?"+q)

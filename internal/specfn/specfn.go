@@ -28,6 +28,11 @@ const (
 	gammaItMax  = 500
 	gammaFPBig  = 1e300
 	gammaFPTiny = 1e-300
+	// gammaPInvTail bounds GammaPInv's deep tails: p below it, or
+	// above 1 − gammaPInvTail.
+	gammaPInvTail = 1e-9
+	// smallestNormal is the smallest normal float64, 2^−1022.
+	smallestNormal = 0x1p-1022
 )
 
 // GammaP returns the regularized lower incomplete gamma function
@@ -106,7 +111,9 @@ func gammaContFracQ(a, x float64) float64 {
 
 // GammaPInv returns x such that P(a, x) = p, for a > 0 and p in [0, 1).
 // It uses the initial guess of Abramowitz & Stegun 26.2.22/26.4.17 followed
-// by Halley iterations on P, as in Numerical Recipes §6.2.1.
+// by Halley iterations on P, as in Numerical Recipes §6.2.1, except in
+// the deep tails, where those lose the root (below). A p or a result
+// below the smallest normal float64 reads 0.
 func GammaPInv(a, p float64) float64 {
 	if a <= 0 || p < 0 || p >= 1 || math.IsNaN(a) || math.IsNaN(p) {
 		//vbrlint:ignore floateq p is compared against the exact unit-interval boundary, a representable constant
@@ -115,10 +122,20 @@ func GammaPInv(a, p float64) float64 {
 		}
 		return math.NaN()
 	}
-	//vbrlint:ignore floateq p is compared against the exact unit-interval boundary, a representable constant
-	if p == 0 {
+	// A p, or a quantile, below the smallest normal float64 reads 0: the
+	// density there underflows, and so does the iteration.
+	if p < smallestNormal {
 		return 0
 	}
+	// In the deep tails the guess for a > 1 lands far from the root, on
+	// the mirrored side of the median, too far for the Halley steps. The
+	// lower tail has its own iteration. In the upper one P − p cancels to
+	// nothing, so the steps solve Q(a, x) = 1 − p instead, from the
+	// Wilson–Hilferty guess, with the density in one exponent.
+	if a > 1 && p < gammaPInvTail {
+		return gammaPInvLower(a, p)
+	}
+	upper := p > 1-gammaPInvTail
 
 	gln := LnGamma(a)
 	a1 := a - 1
@@ -141,7 +158,12 @@ func GammaPInv(a, p float64) float64 {
 		if p < 0.5 {
 			x = -x
 		}
-		x = math.Max(1e-3, a*math.Pow(1-1/(9*a)-x/(3*math.Sqrt(a)), 3))
+		if upper {
+			wh := 1 - 1/(9*a) + x/(3*math.Sqrt(a))
+			x = a * wh * wh * wh
+		} else {
+			x = math.Max(1e-3, a*math.Pow(1-1/(9*a)-x/(3*math.Sqrt(a)), 3))
+		}
 	} else {
 		t := 1 - a*(0.253+a*0.12)
 		if p < t {
@@ -155,9 +177,14 @@ func GammaPInv(a, p float64) float64 {
 		if x <= 0 {
 			return 0
 		}
-		err := GammaP(a, x) - p
+		var err float64
+		if upper {
+			err = 1 - p - GammaQ(a, x)
+		} else {
+			err = GammaP(a, x) - p
+		}
 		var t float64
-		if a > 1 {
+		if a > 1 && !upper {
 			t = afac * math.Exp(-(x-a1)+a1*(math.Log(x)-lna1))
 		} else {
 			t = math.Exp(-x + a1*math.Log(x) - gln)
@@ -173,7 +200,36 @@ func GammaPInv(a, p float64) float64 {
 			break
 		}
 	}
+	if x < smallestNormal {
+		return 0
+	}
 	return x
+}
+
+// gammaPInvLower solves P(a, x) = p deep in the lower tail (a > 1,
+// p < gammaPInvTail) by Newton's method on ln P as a function of
+// u = ln x, which neither underflows nor cancels there. With
+// P = x^a·e^(−x)·S(x)/Γ(a+1) and S(x) = Σ_k x^k/((a+1)…(a+k)), the slope
+// is d ln P/du = a/S. ln P is concave in u, and the start
+// (p·Γ(a+1))^(1/a) lies below the root because e^(−x)·S(x) ≤ 1, so the
+// iterates rise to the root without overshooting it.
+func gammaPInvLower(a, p float64) float64 {
+	lp, lg := math.Log(p), LnGamma(a+1)
+	u := (lp + lg) / a
+	for j := 0; j < 64; j++ {
+		x := math.Exp(u)
+		sum, term := 1.0, 1.0
+		for k := 1; k <= gammaItMax && term >= sum*gammaEps; k++ {
+			term *= x / (a + float64(k))
+			sum += term
+		}
+		step := (a*u - x - lg + math.Log(sum) - lp) * sum / a
+		u -= step
+		if math.Abs(step) < gammaEps {
+			break
+		}
+	}
+	return math.Exp(u)
 }
 
 // Erf returns the error function erf(x); Erfc its complement. Delegation

@@ -120,6 +120,44 @@ func TestGammaPInvRoundTrip(t *testing.T) {
 	}
 }
 
+// TestGammaPInvDeepTails: within 1e-9 of 0 or 1 the quantile still
+// inverts P (Q near 1) and rises with p, from a shape just above 1 to
+// 10⁴. Before the tails had their own starts, p = 1e-15 at a = 1.169
+// inverted to a point with P ≈ 3e-14, p = 1e-20 to one above the
+// median, p = 1e-300 to NaN, and p = 1 − 1.5e-14 at a = 7.1 to a point
+// below the quantile of p = 1 − 1e-4.
+func TestGammaPInvDeepTails(t *testing.T) {
+	for _, a := range []float64{0.5, 1.0000001, 1.169, 7.1, 19.7, 711, 1e4} {
+		prev := 0.0
+		for e := -307.0; e <= -9.25; e += 0.25 {
+			p := math.Pow(10, e)
+			x := GammaPInv(a, p)
+			if !(x >= prev) {
+				t.Fatalf("a=%v: GammaPInv(%v) = %v, below %v at a smaller p", a, p, x, prev)
+			}
+			prev = x
+			if x > 0 && !almostEqual(GammaP(a, x), p, 1e-10) {
+				t.Errorf("a=%v: GammaP(GammaPInv(%v) = %v) = %v", a, p, x, GammaP(a, x))
+			}
+		}
+		prev = GammaPInv(a, 1-1e-4)
+		for e := -9.25; e >= -16; e -= 0.25 {
+			q := math.Pow(10, e)
+			x := GammaPInv(a, 1-q)
+			if !(x >= prev) {
+				t.Fatalf("a=%v: GammaPInv(1 − %v) = %v, below %v at a smaller p", a, q, x, prev)
+			}
+			prev = x
+			if want := 1 - (1 - q); !almostEqual(GammaQ(a, x), want, 1e-9) {
+				t.Errorf("a=%v: GammaQ(GammaPInv(1 − %v) = %v) = %v, want %v", a, q, x, GammaQ(a, x), want)
+			}
+		}
+	}
+	if got := GammaPInv(2, 1e-320); got != 0 {
+		t.Errorf("GammaPInv(2, 1e-320) = %v, want 0 (p below the smallest normal)", got)
+	}
+}
+
 func TestGammaPInvEdges(t *testing.T) {
 	if got := GammaPInv(2, 0); got != 0 {
 		t.Errorf("GammaPInv(2, 0) = %v, want 0", got)

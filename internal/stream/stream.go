@@ -44,7 +44,6 @@ import (
 	"vbr/internal/fgn"
 	"vbr/internal/genpool"
 	"vbr/internal/obs"
-	"vbr/internal/specfn"
 )
 
 // gaussStreamSalt is the PCG stream selector of the batch generator's
@@ -81,8 +80,8 @@ type Config struct {
 	// ≥ BlockSize + Overlap; the stitched output depends on S and the
 	// overlap only.
 	Overlap int
-	// TableSize is the marginal mapping table resolution (default
-	// 10000, the paper's choice).
+	// TableSize is the number of points of the Eq. 13 mapping table
+	// (default 10000, the paper's choice; at most MaxTableSize).
 	TableSize int
 	// Seed drives all randomness; equal configs yield equal streams.
 	Seed uint64
@@ -97,6 +96,13 @@ type Config struct {
 	// stream alone.
 	Pool *genpool.Pool
 }
+
+// MaxTableSize caps Config.TableSize: the largest table the
+// tail-fidelity study sweeps. A table costs one Gamma/Pareto quantile
+// and 8 bytes per point (about 0.2 s at this size on a 2-vCPU host),
+// built before the first frame with no context check, so a request's
+// table= is bounded before anything is built.
+const MaxTableSize = 100_000
 
 // withDefaults fills the zero-valued tuning knobs and clamps the block
 // to the stream, before the overlap default is taken from it: a block
@@ -131,8 +137,8 @@ func (c Config) Validate() error {
 	if c.Overlap < 0 || (stitched && c.Overlap >= c.BlockSize) {
 		return fmt.Errorf("stream: overlap must be in [0, block size), got %d with block %d", c.Overlap, c.BlockSize)
 	}
-	if c.TableSize < 2 {
-		return fmt.Errorf("stream: table size must be ≥ 2, got %d", c.TableSize)
+	if c.TableSize < 2 || c.TableSize > MaxTableSize {
+		return fmt.Errorf("stream: table size must be in [2, %d], got %d", MaxTableSize, c.TableSize)
 	}
 	if err := c.Backend.Validate(); err != nil {
 		return fmt.Errorf("stream: %w", err)
@@ -167,7 +173,7 @@ type Stream struct {
 	cfg      Config
 	resolved backend.Backend // concrete engine after Auto resolution
 	gauss    gaussian
-	tab      *dist.QuantileTable
+	tab      *dist.NormalTable
 	gbuf     []float64 // backend block, transformed in place
 	mon      *Monitor
 	pos      int
@@ -209,7 +215,7 @@ func OpenCtx(ctx context.Context, cfg Config) (*Stream, error) {
 		return nil, err
 	}
 	// A nil pool computes cold, so this single call covers both modes.
-	tab, err := cfg.Pool.QuantileTable(ctx, cfg.Model.MuGamma, cfg.Model.SigmaGamma, cfg.Model.TailSlope, cfg.TableSize)
+	tab, err := cfg.Pool.NormalTable(ctx, cfg.Model.MuGamma, cfg.Model.SigmaGamma, cfg.Model.TailSlope, cfg.TableSize)
 	if err != nil {
 		return nil, err
 	}
@@ -281,7 +287,7 @@ func (s *Stream) Next(ctx context.Context) ([]float64, error) {
 	}
 	out := s.gbuf[:n]
 	for i, v := range out {
-		out[i] = s.tab.Value(specfn.NormCDF(v))
+		out[i] = s.tab.Value(v)
 	}
 	s.mon.Add(out...)
 	s.pos += n
