@@ -297,8 +297,8 @@ func BenchmarkPaxson10k(b *testing.B) {
 }
 
 // Paper-scale cold generation under the Auto policy: the full §4
-// pipeline (fGn → marginal transform) for the paper's 171,000-frame,
-// 2-hour trace, no pool. Auto resolves to Paxson at this length; the
+// pipeline (Gaussian stage → marginal transform) for the paper's
+// 171,000-frame, 2-hour trace, no pool. Auto resolves to Paxson at this length; the
 // acceptance bar is under a second per trace — against the 10 hours
 // the paper reports for its 1994 Hosking run.
 func BenchmarkPaxson171k(b *testing.B) {

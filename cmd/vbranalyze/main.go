@@ -77,7 +77,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 		fig12  = fs.Bool("fig12", false, "Fig 12: R/S pox diagram")
 		scn    = fs.Bool("scenes", false, "scene detection and scene-level model (§4.2 extension)")
 
-		calibrate = fs.Bool("calibrate", false, "run the estimator calibration battery on synthesized known-H fGn (ignores -in/-frames)")
+		calibrate = fs.Bool("calibrate", false, "run the estimator calibration battery on synthesized known-H fARIMA(0,d,0) noise (ignores -in/-frames)")
 		calSeeds  = fs.Int("calibrate-seeds", 32, "calibration: realizations per (H, n) cell")
 		calHs     = fs.String("calibrate-hurst", "", "calibration: comma-separated true-H grid (default 0.6,0.7,0.8,0.9)")
 		calNs     = fs.String("calibrate-frames", "", "calibration: comma-separated series lengths (default 4096,16384,65536)")

@@ -86,9 +86,9 @@ func TestPaperScaleStatistics(t *testing.T) {
 	// LRD asymptote: scenes make consecutive frames nearly equal
 	// (lag-1 autocorrelation ≈ 0.94), which suppresses the small-τ
 	// modified Allan variance that the inverse-variance-weighted fit
-	// emphasizes, so the raw slope sits well above the fGn band. The
-	// estimator itself is validated against known-H fGn by the
-	// committed calibration battery (internal/lrd/calibration_test.go)
+	// emphasizes, so the raw slope sits well above the LRD band. The
+	// estimator itself is validated against known-H fARIMA(0,d,0) noise
+	// by the committed calibration battery (internal/lrd/calibration_test.go)
 	// and against the model's generator output by the stream tests;
 	// here we pin the documented crossover reading so a change in the
 	// synthetic trace or the fit convention is caught deliberately.

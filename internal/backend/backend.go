@@ -7,20 +7,24 @@
 // separate parsing and separate failure paths; this package replaced
 // both, and their aliases are gone.
 //
-// Four engines are selectable:
+// Every engine draws one process, the paper's fARIMA(0, d, 0) with
+// d = H − 1/2, so the choice trades exactness and cost, never the
+// model. Four choices are selectable:
 //
 //   - Hosking: the paper's exact conditional recursion, evaluated in
 //     closed form in O(n log² n) — the reference every other engine is
 //     validated against.
 //   - DaviesHarte: exact-in-distribution O(n log n) circulant
-//     embedding.
-//   - Paxson: approximate O(n log n) spectral synthesis (Paxson 1997),
-//     the fastest engine; statistically indistinguishable from exact
-//     fGn for traffic-modeling purposes but not exact.
+//     embedding of the fARIMA autocorrelation.
+//   - Paxson: approximate O(n log n) spectral synthesis (Paxson 1997)
+//     from the fARIMA spectral density, the fastest engine; its
+//     correlations fall short of the model's by the variance of a
+//     chunk's mean (DESIGN §15).
 //   - Auto: a selection policy, not an engine — it resolves to Hosking
 //     for short batch runs (exactness is free when n is small) and to
 //     Paxson for long or streamed traces (bounded memory at any length
-//     when streamed).
+//     when streamed), so it switches from exact to approximate
+//     fARIMA(0, d, 0).
 //
 // The zero value is Hosking, so a zero GenOptions or stream Config
 // selects the exact recursion; the integer values of Hosking and
@@ -42,11 +46,12 @@ const (
 	// its Levinson–Durbin coefficients taken in closed form: O(n log² n)
 	// time, the reference engine.
 	Hosking Backend = iota
-	// DaviesHarte is the exact circulant-embedding FGN sampler:
+	// DaviesHarte is the exact circulant-embedding fARIMA sampler:
 	// O(n log n) time, O(n) memory for the embedding of at most 4n
 	// points (twice n rounded up to a power of two).
 	DaviesHarte
-	// Paxson is the FFT-approximate fGn synthesis of Paxson (1997):
+	// Paxson is the FFT-approximate synthesis of Paxson (1997) from the
+	// fARIMA spectral density:
 	// O(n log n), the fastest engine; the spectrum is sampled rather
 	// than embedded, so the output is approximate (see DESIGN §15).
 	Paxson

@@ -17,15 +17,17 @@ import (
 	"vbr/internal/runner"
 )
 
-// This file implements the estimator calibration battery (ROADMAP item
-// 4): synthesize fractional Gaussian noise with *known* Hurst parameter
-// at several lengths, run every primary Ĥ estimator on each seeded
+// This file implements the estimator calibration battery: synthesize
+// the model's Gaussian process, fARIMA(0, d, 0), with *known* Hurst
+// parameter at several lengths, run every primary Ĥ estimator on each seeded
 // realization, and reduce the results to a bias/variance table. The
 // committed form of that table (internal/lrd/calibration_table.go,
 // regenerated by `make calibrate`) is what lets lrd.EstimateAll and the
 // streaming monitor attach bias-corrected error bars to every Ĥ they
 // report, turning cross-estimator agreement checks and drift alarms
-// into statistical tests instead of magic-constant comparisons.
+// into statistical tests instead of magic-constant comparisons. The
+// bars are applied to model output and traces, so the battery draws
+// the process every engine draws.
 
 // CalibrationConfig parameterizes a battery run.
 type CalibrationConfig struct {
@@ -85,8 +87,8 @@ type CalibrationResult struct {
 }
 
 // Calibrate runs the battery: for every (H, n) grid point it
-// synthesizes cfg.Seeds independent fGn realizations (Davies–Harte,
-// exact in distribution, O(n log n)) and runs the five primary
+// synthesizes cfg.Seeds independent fARIMA(0, d, 0) realizations
+// (Davies–Harte, exact in distribution, O(n log n)) and runs the five primary
 // estimators under their canonical settings on each. Realizations fan
 // out across workers; the reduction is deterministic in item order, so
 // equal configs yield bitwise-equal tables regardless of parallelism.
@@ -126,7 +128,7 @@ func Calibrate(ctx context.Context, cfg CalibrationConfig) (*CalibrationResult, 
 		rng := rand.New(rand.NewPCG(core.BatchSeed(cfg.BaseSeed, i), 0x11a5a))
 		xs, err := fgn.DaviesHarteCtx(ctx, n, h, rng)
 		if err != nil {
-			return out, fmt.Errorf("synthesize fGn: %w", err)
+			return out, fmt.Errorf("synthesize fARIMA: %w", err)
 		}
 		for ei, name := range lrd.EstimatorNames {
 			est, err := lrd.EstimateBy(name, xs)

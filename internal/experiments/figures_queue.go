@@ -215,7 +215,10 @@ func (s *Suite) Fig16Ctx(ctx context.Context) (*Fig16Result, error) {
 	}
 	n := len(s.Trace.Frames)
 	// The default backend is the paper's generator, exact Hosking, at
-	// every scale.
+	// every scale. Every engine draws fARIMA(0, d, 0), and so does the
+	// synthetic trace's backbone, so model and trace share their
+	// Gaussian process; they differ in the trace's scene structure and
+	// story arc, which the four-parameter model does not describe.
 	genOpts := core.DefaultGenOptions()
 	genOpts.Seed = 4242
 

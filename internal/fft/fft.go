@@ -7,13 +7,13 @@
 // Inputs whose length is not a power of two are handled by Bluestein's
 // chirp-z algorithm so that exact-length transforms of arbitrary series
 // (the periodogram and autocorrelation of the paper's 171,000 frames)
-// are available without padding artifacts. The fGn engines synthesize
-// at power-of-two lengths and never take that path.
+// are available without padding artifacts. The generators' spectral
+// engines synthesize at power-of-two lengths and never take that path.
 //
 // Every transform runs through a Plan: the length- and direction-only
 // work (twiddles, the Bluestein chirp and the FFT of its filter) is done
 // once at NewPlan, so callers that transform many vectors of one length
-// — the spectral fGn engines run one per pair draw, and genpool caches
+// — the spectral engines run one per pair draw, and genpool caches
 // their plans — pay for it once. The one-shot functions (Forward,
 // Inverse, ForwardReal, Periodogram, Autocorrelation) build a plan per
 // call.

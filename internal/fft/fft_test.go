@@ -12,7 +12,7 @@ import (
 // transform, radix2 and bluestein are the unplanned FFT the package ran
 // before Plan existed, kept verbatim as the bitwise oracle: every
 // planned transform must reproduce their output bit for bit, which is
-// what keeps the seeded fGn goldens of the generators above stable.
+// what keeps the seeded goldens of the generators above stable.
 func transform(x []complex128, inverse bool) {
 	n := len(x)
 	if n <= 1 {

@@ -1,23 +1,25 @@
-// Package fgn generates long-range dependent Gaussian processes.
+// Package fgn generates long-range dependent Gaussian processes. Every
+// engine draws the paper's source model, fractional ARIMA(0, d, 0)
+// noise with d = H - 1/2 (Eq. 6, FarimaACF); the package name is
+// historical.
 //
-// The primary generator is Hosking's exact algorithm for fractional
-// ARIMA(0, d, 0) noise, Eqs. 6–12 of the paper (after Hosking 1984):
-// each point is drawn from the true conditional distribution given the
-// entire past. Run as written, the Levinson–Durbin recursion costs
-// O(n²) time, which the paper quotes as "10 hours for 171,000 points"
-// on a 1994 workstation. For fARIMA(0, d, 0) its coefficients have a
-// closed form (Hosking 1981) that makes the conditional mean a causal
-// convolution, so the package evaluates it online in O(n log² n) —
-// about 0.1 s for 171,000 points — with the same draws in the same
-// order (HoskingCoeffs, HoskingStream).
+// Hosking's algorithm, Eqs. 6–12 of the paper (after Hosking 1984),
+// draws it exactly: each point is drawn from the true conditional distribution
+// given the entire past. Run as written, the Levinson–Durbin recursion
+// costs O(n²) time, which the paper quotes as "10 hours for 171,000
+// points" on a 1994 workstation. For fARIMA(0, d, 0) its coefficients
+// have a closed form (Hosking 1981) that makes the conditional mean a
+// causal convolution, so the package evaluates it online in
+// O(n log² n) — about 0.1 s for 171,000 points — with the same draws in
+// the same order (HoskingCoeffs, HoskingStream).
 //
-// As the repository's speed ablation the package also implements the
-// Davies–Harte circulant-embedding generator for fractional Gaussian
-// noise, which is exact in distribution as well but runs in O(n log n),
-// and Paxson's approximate spectral synthesis. Both have one seeded
-// draw, Pair: two independent series from one radix-2 transform at a
-// power-of-two length. A batch trace is the first n points of one
-// half; the stitched streams use both halves as chunks.
+// Two spectral engines draw the same process in O(n log n): the
+// Davies–Harte circulant embedding of FarimaACF, exact in distribution,
+// and Paxson's approximate synthesis from the fARIMA spectral density.
+// Both have one seeded draw, Pair: two independent series from one
+// radix-2 transform at a power-of-two length. A batch trace is the
+// first n points of one half; the stitched streams use both halves as
+// chunks.
 package fgn
 
 import (
@@ -58,28 +60,6 @@ func FarimaACF(h float64, maxLag int) ([]float64, error) {
 	for k := 1; k <= maxLag; k++ {
 		kf := float64(k)
 		rho[k] = rho[k-1] * (kf - 1 + d) / (kf - d)
-	}
-	return rho, nil
-}
-
-// FGNACF returns the autocovariance-derived autocorrelation of fractional
-// Gaussian noise with Hurst parameter H:
-//
-//	ρ_k = ½(|k+1|^{2H} − 2|k|^{2H} + |k−1|^{2H}).
-//
-//vbrlint:ignore ctxcheck bounded O(maxLag) arithmetic recurrence with no blocking calls
-func FGNACF(h float64, maxLag int) ([]float64, error) {
-	if !validHurst(h) {
-		return nil, fmt.Errorf("fgn: Hurst parameter must be in (0,1), got %v", h)
-	}
-	if maxLag < 0 {
-		return nil, fmt.Errorf("fgn: maxLag must be ≥ 0, got %d", maxLag)
-	}
-	rho := make([]float64, maxLag+1)
-	h2 := 2 * h
-	for k := 0; k <= maxLag; k++ {
-		kf := float64(k)
-		rho[k] = 0.5 * (math.Pow(kf+1, h2) - 2*math.Pow(kf, h2) + math.Pow(math.Abs(kf-1), h2))
 	}
 	return rho, nil
 }
@@ -289,15 +269,14 @@ func finite(xs ...float64) bool {
 }
 
 // DaviesHarteCtx generates n points of zero-mean, unit-variance
-// fractional Gaussian noise with Hurst parameter H by circulant
-// embedding: the autocovariance sequence is embedded in a circulant
-// matrix of power-of-two size M ≥ 2n whose eigenvalues (the FFT of the
-// first row) are provably non-negative for FGN, giving an exact
-// O(n log n) sampler. Cancellation is checked between the pipeline
-// stages (ACF build, eigenvalue FFT, pair draw). It is the composition
-// of the two halves below: the
-// seed-independent setup (cacheable across requests, keyed by (H, n))
-// and the seed-dependent draw.
+// fractional ARIMA(0, d, 0) noise with d = H - 1/2, the process
+// HoskingCtx draws, by circulant embedding: FarimaACF is embedded in a
+// circulant matrix of power-of-two size M ≥ 2n whose eigenvalues (the
+// FFT of the first row) are non-negative, giving an exact O(n log n)
+// sampler. Cancellation is checked between the pipeline stages (ACF
+// build, eigenvalue FFT, pair draw). It is the composition of the two
+// halves below: the seed-independent setup (cacheable across requests,
+// keyed by (H, n)) and the seed-dependent draw.
 func DaviesHarteCtx(ctx context.Context, n int, h float64, rng *rand.Rand) ([]float64, error) {
 	scope := obs.From(ctx)
 	defer scope.Span("fgn.daviesharte")()
@@ -309,11 +288,11 @@ func DaviesHarteCtx(ctx context.Context, n int, h float64, rng *rand.Rand) ([]fl
 }
 
 // DaviesHarteEigenCtx computes the seed-independent half of the
-// circulant embedding for (H, n): the FGN autocovariance at lags
-// 0..M/2 embedded in a circulant of M = 2·padLen(n) points, exact for
-// the first M/2 + 1 ≥ n points, and its eigenvalues λ_k (the FFT of
-// the first row, through the plan the draw uses), verified
-// non-negative and clamped at numerical zero. It keeps only the pair
+// circulant embedding for (H, n): FarimaACF at lags 0..M/2 embedded
+// in a circulant of M = 2·padLen(n) points, exact for the first
+// M/2 + 1 ≥ n points, and its eigenvalues λ_k (the FFT of the first
+// row, through the plan the draw uses), verified non-negative and
+// clamped at numerical zero. It keeps only the pair
 // draw's amplitudes, a_k = √(λ_k/M), and the plan. The result depends
 // only on (H, n), so it is the natural unit of cross-request caching —
 // one value serves every seed.
@@ -330,7 +309,7 @@ func DaviesHarteEigenCtx(ctx context.Context, n int, h float64) (*Pair, error) {
 	// First row of the circulant: γ_0..γ_{M/2}, γ_{M/2−1}..γ_1.
 	m := DaviesHarteLen(n)
 	half := m / 2
-	rho, err := FGNACF(h, half)
+	rho, err := FarimaACF(h, half)
 	if err != nil {
 		return nil, err
 	}

@@ -66,26 +66,6 @@ func TestFarimaACFHalfIsWhite(t *testing.T) {
 	}
 }
 
-func TestFGNACFProperties(t *testing.T) {
-	rho, err := FGNACF(0.8, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	approx(t, "rho0", rho[0], 1, 1e-15)
-	// ρ_1 = 2^{2H-1} - 1.
-	approx(t, "rho1", rho[1], math.Pow(2, 0.6)-1, 1e-12)
-	// Hyperbolic tail ~ H(2H-1)k^{2H-2}.
-	k := 1000.0
-	want := 0.8 * 0.6 * math.Pow(k-1, -0.4) // evaluate near k
-	approx(t, "tail", rho[999], want, 0.01*want)
-
-	// Anti-persistent case H < 0.5 has negative correlations.
-	rhoA, _ := FGNACF(0.3, 5)
-	if rhoA[1] >= 0 {
-		t.Errorf("H=0.3 should give negative lag-1 correlation, got %v", rhoA[1])
-	}
-}
-
 func TestACFValidation(t *testing.T) {
 	ctx := context.Background()
 	if _, err := FarimaACF(0, 5); err == nil {
@@ -96,9 +76,6 @@ func TestACFValidation(t *testing.T) {
 	}
 	if _, err := FarimaACF(0.8, -1); err == nil {
 		t.Error("negative lag should fail")
-	}
-	if _, err := FGNACF(2, 5); err == nil {
-		t.Error("H=2 should fail")
 	}
 	if _, err := HoskingCtx(ctx, 0, 0.8, nil); err == nil {
 		t.Error("n=0 should fail")
@@ -181,7 +158,7 @@ func TestDaviesHarteEmpiricalACFMatchesTarget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := FGNACF(0.8, 50)
+	want, _ := FarimaACF(0.8, 50)
 	for _, k := range []int{1, 2, 5, 10, 25, 50} {
 		if math.Abs(r[k]-want[k]) > 0.08 {
 			t.Errorf("lag %d: empirical %v, target %v", k, r[k], want[k])

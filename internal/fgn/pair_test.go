@@ -54,11 +54,19 @@ func pairCov(amp, cs, sn []float64, scale float64, j int) (cov, cross float64) {
 	return scale * c.value(), scale * x.value()
 }
 
+// farimaDensity is the spectral density of unit-variance
+// fARIMA(0, d, 0) noise with d = h − 1/2 at frequency λ ∈ (0, π], up to
+// the constant the samplers normalize away: |2·sin(λ/2)|^(−2d).
+func farimaDensity(lambda, h float64) float64 {
+	return math.Pow(math.Abs(2*math.Sin(lambda/2)), 1-2*h)
+}
+
 // TestDaviesHartePairOracle: the pair draw's amplitudes imply exactly
-// the fGn autocovariance in each half, Σ_k a_k²·cos(2πjk/M) = ρ_j for
-// every lag j ≤ M/2 (every lag a draw of n ≤ M/2 points uses), and no
-// Re×Im cross-covariance, at power-of-two lengths and at lengths padded
-// to one (n = 1, 3, 1,000, 5,120). The O(M²) checks at M ≥ 16,384 are
+// the fARIMA(0, d, 0) autocorrelation (FarimaACF) in each half,
+// Σ_k a_k²·cos(2πjk/M) = ρ_j for every lag j ≤ M/2 (every lag a draw
+// of n ≤ M/2 points uses), and no Re×Im cross-covariance, at
+// power-of-two lengths and at lengths padded to one (n = 1, 3, 1,000,
+// 5,120). The O(M²) checks at M ≥ 16,384 are
 // left to the full run: -short is the race-detector tier, where they
 // take tens of seconds and race nothing.
 func TestDaviesHartePairOracle(t *testing.T) {
@@ -78,7 +86,7 @@ func TestDaviesHartePairOracle(t *testing.T) {
 		if eig.Len() != m || eig.n != m/2 {
 			t.Fatalf("H=%v n=%d: %d amplitudes for %d points, want %d for %d", c.h, c.n, eig.Len(), eig.n, m, m/2)
 		}
-		rho, err := FGNACF(c.h, m/2)
+		rho, err := FarimaACF(c.h, m/2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +94,7 @@ func TestDaviesHartePairOracle(t *testing.T) {
 		for j := 0; j <= m/2; j++ {
 			cov, cross := pairCov(eig.amp, cs, sn, 1, j)
 			if d := math.Abs(cov - rho[j]); d > 1e-12 {
-				t.Fatalf("H=%v n=%d lag %d: pair covariance %v, fGn %v (|Δ| = %.3g)", c.h, c.n, j, cov, rho[j], d)
+				t.Fatalf("H=%v n=%d lag %d: pair covariance %v, fARIMA %v (|Δ| = %.3g)", c.h, c.n, j, cov, rho[j], d)
 			}
 			if math.Abs(cross) > 1e-15 {
 				t.Fatalf("H=%v n=%d lag %d: Re×Im cross-covariance %.3g", c.h, c.n, j, cross)
@@ -98,10 +106,10 @@ func TestDaviesHartePairOracle(t *testing.T) {
 // TestPaxsonPairOracle: the pair draw's amplitudes are Paxson's sampled
 // spectrum, normalized to unit variance: at every lag j < M,
 // (1/M²)·Σ_k a_k²·cos(2πjk/M) equals (2·Σ_{0<i<M/2} p_i·cos(2πij/M) +
-// p_{M/2}·cos(πj)) / (2·Σ_{0<i<M/2} p_i + p_{M/2}), with p_i the fGn
-// spectral density at 2πi/M, which is 1 at lag 0; and there is no Re×Im
-// cross-covariance. The lengths are the Davies–Harte oracle's, and as
-// there -short skips M ≥ 8,192.
+// p_{M/2}·cos(πj)) / (2·Σ_{0<i<M/2} p_i + p_{M/2}), with p_i the
+// fARIMA(0, d, 0) spectral density at 2πi/M (farimaDensity), which is
+// 1 at lag 0; and there is no Re×Im cross-covariance. The lengths are
+// the Davies–Harte oracle's, and as there -short skips M ≥ 8,192.
 func TestPaxsonPairOracle(t *testing.T) {
 	ctx := context.Background()
 	for _, c := range []struct {
@@ -124,7 +132,7 @@ func TestPaxsonPairOracle(t *testing.T) {
 		half := m / 2
 		p := make([]float64, half+1)
 		for i := 1; i <= half; i++ {
-			p[i] = FGNSpectralDensity(2*math.Pi*float64(i)/float64(m), c.h)
+			p[i] = farimaDensity(2*math.Pi*float64(i)/float64(m), c.h)
 		}
 		cs, sn := trig(m)
 		// sampled is the sampled spectrum's covariance at lag j before
@@ -211,8 +219,8 @@ func samplePairs(t *testing.T, pr Pair, n, pairs int) pairMoments {
 // TestPairMonteCarlo: over 200 pairs at the streams' default synthesis
 // length, each half's variance, lag-1 and lag-10 autocovariance, and
 // the Re/Im correlation, sit within five standard errors of the
-// engine's exact values: fGn's for Davies–Harte, the single draw's for
-// Paxson, and zero correlation for both.
+// engine's exact values: FarimaACF for Davies–Harte, the single draw's
+// for Paxson, and zero correlation for both.
 func TestPairMonteCarlo(t *testing.T) {
 	ctx := context.Background()
 	const s, h, pairs = 8192, 0.8, 200
@@ -220,7 +228,7 @@ func TestPairMonteCarlo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rho, err := FGNACF(h, 10)
+	rho, err := FarimaACF(h, 10)
 	if err != nil {
 		t.Fatal(err)
 	}

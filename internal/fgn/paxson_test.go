@@ -85,9 +85,9 @@ func TestPaxsonFidelity(t *testing.T) {
 				h, bar.H, bar.CI95, vt.H)
 		}
 
-		// Whittle under the exact FGN spectral model: true H inside the
-		// asymptotic 95% CI.
-		wh, err := lrd.WhittleFGN(x)
+		// Whittle under the fARIMA(0, d, 0) spectral model, the process
+		// the sampler draws: true H inside the asymptotic 95% CI.
+		wh, err := lrd.Whittle(x)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,20 +126,20 @@ func TestPaxsonGolden(t *testing.T) {
 			t.Fatalf("x[%d] = %v, oracle %v (|Δ| = %.3g)", i, x[i], want[i], d)
 		}
 	}
-	if got, want := math.Float64bits(x[0]), uint64(0x3fff4facaa8f0b7e); got != want {
+	if got, want := math.Float64bits(x[0]), uint64(0x3ffe24bcd1c36b89); got != want {
 		t.Errorf("x[0] bits = %#x, want %#x", got, want)
 	}
-	if got, want := math.Float64bits(x[n-1]), uint64(0x3ff882f14099c2af); got != want {
+	if got, want := math.Float64bits(x[n-1]), uint64(0x3ff71c7c9806080c); got != want {
 		t.Errorf("x[%d] bits = %#x, want %#x", n-1, got, want)
 	}
-	if got, want := fnvHash(x), uint64(0x7dea23beeb9d7183); got != want {
+	if got, want := fnvHash(x), uint64(0xac58342881e10f91); got != want {
 		t.Errorf("series hash = %#x, want golden %#x", got, want)
 	}
 }
 
 // paxsonOracle is the tolerance oracle for a Paxson batch draw of n
-// points, n a power of two: the spectral density sampled at the n
-// Fourier frequencies, normalized to unit variance, drawn as
+// points, n a power of two: the fARIMA spectral density
+// (farimaDensity) sampled at the n Fourier frequencies, normalized to unit variance, drawn as
 // a_k·(N₁ + iN₂) from rng in entry order, and synthesized by the plain
 // inverse DFT x_t = (1/n)·Σ_k a_k·(N₁·cos(2πtk/n) − N₂·sin(2πtk/n)).
 func paxsonOracle(n int, h float64, rng *rand.Rand) []float64 {
@@ -147,7 +147,7 @@ func paxsonOracle(n int, h float64, rng *rand.Rand) []float64 {
 	p := make([]float64, half+1)
 	var total neumaier
 	for i := 1; i <= half; i++ {
-		p[i] = FGNSpectralDensity(2*math.Pi*float64(i)/float64(n), h)
+		p[i] = farimaDensity(2*math.Pi*float64(i)/float64(n), h)
 		if i < half {
 			total.add(2 * p[i])
 		} else {

@@ -6,7 +6,7 @@ import (
 )
 
 // ctxScopePkgs are the long-running generation/simulation packages
-// whose exported loop-bearing entry points must be cancellable: fGn
+// whose exported loop-bearing entry points must be cancellable: LRD
 // generation runs seconds at multi-million-point lengths, the queueing
 // sweeps run minutes at paper scale,
 // and PR 1's checkpoint/resume layer only works if cancellation can

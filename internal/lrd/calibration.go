@@ -22,7 +22,7 @@ import (
 // CalibrationCell is one (estimator, H, n) cell of the battery output.
 type CalibrationCell struct {
 	Estimator string  // canonical estimator name (EstimatorNames)
-	H         float64 // true Hurst parameter of the synthesized fGn
+	H         float64 // true Hurst parameter of the synthesized series
 	N         int     // series length
 	Bias      float64 // mean(Ĥ) − H across seeds
 	Std       float64 // sample standard deviation of Ĥ across seeds

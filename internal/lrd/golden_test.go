@@ -12,8 +12,10 @@ type goldenBar struct {
 }
 
 // goldenEstimates pins EstimateAll's complete output on a fixed-seed
-// Davies–Harte fGn series (testSeries seed derivation, n = 16384,
-// aggM = 64) to exact Float64bits. Any change to an estimator's
+// Davies–Harte fARIMA(0, d, 0) series (testSeries seed derivation,
+// n = 16384, aggM = 64) to exact Float64bits. The input is held to
+// FarimaACF by fgn's pair oracle and its one-process test, and the bars
+// by TestCommittedCalibrationTable. Any change to an estimator's
 // numerics, the fit ranges, the calibration table, or the generator's
 // sampling order shows up here as a bit-level diff — deliberate changes
 // regenerate the constants, silent drift fails the build. The suite
@@ -27,64 +29,64 @@ var goldenEstimates = []struct {
 	{
 		h: 0.6,
 		fields: map[string]uint64{
-			"VarianceTime": 0x3fe24812e3a9a068, // 0.5712980696234924
-			"RS":           0x3fe4100cb4fcaaa6, // 0.6269591841604167
-			"RSAggregated": 0x3fe50a1a44b88e3d, // 0.6574832288938023
-			"RSSweepMin":   0x3fe3da8658388c41, // 0.6204253886284122
-			"RSSweepMax":   0x3fe4225d34f35261, // 0.6291948351086597
-			"Whittle":      0x3fe2b985fbedbf9f, // 0.5851468964083216
+			"VarianceTime": 0x3fe238a7c0614225, // 0.5694159276409364
+			"RS":           0x3fe3f225b841321a, // 0.6233090018009222
+			"RSAggregated": 0x3fe5087eb980844d, // 0.657286989506369
+			"RSSweepMin":   0x3fe3bc384bff2351, // 0.6167260631856185
+			"RSSweepMax":   0x3fe403c463e87619, // 0.6254598571137563
+			"Whittle":      0x3fe2b74c6d93b0e7, // 0.5848753109144383
 			"WhittleCI95":  0x3fb87e58dfa2bccb, // 0.09567790469985764
-			"Periodogram":  0x3fe3c73ab45266f0, // 0.6180699846183568
-			"MAVAR":        0x3fe2439c2465f137, // 0.5707531653311325
+			"Periodogram":  0x3fe3c25fa396bf8b, // 0.6174772448630262
+			"MAVAR":        0x3fe2ef69b26089d6, // 0.5917252048423574
 		},
 		bars: []goldenBar{
-			{"variance-time", 0x3fe24812e3a9a068, 0x3fe2c0b4d95fb999, 0x3fb02bc9b4ae2ef6}, // raw 0.5712980696234924, H 0.5860237355789649 ± 0.06316815053122213
-			{"rs", 0x3fe4100cb4fcaaa6, 0x3fe360a776fab306, 0x3fa229e14f32d333},            // raw 0.6269591841604167, H 0.6055486034216251 ± 0.03547576991824144
-			{"periodogram", 0x3fe3c73ab45266f0, 0x3fe3928d75fad795, 0x3fa931ce867df867},   // raw 0.6180699846183568, H 0.6116397194189057 ± 0.04920812026738091
-			{"whittle", 0x3fe3ed5989c59b44, 0x3fe308e538e8782f, 0x3f89475e4f4e1bb1},       // raw 0.6227233591897421, H 0.5948358642087949 ± 0.012343155665588275
-			{"mavar", 0x3fe2439c2465f137, 0x3fe3183e729ac4ca, 0x3f903c1276c1298f},         // raw 0.5707531653311325, H 0.5967094648714462 ± 0.015854156969263008
+			{"variance-time", 0x3fe238a7c0614225, 0x3fe2c0bd51609bbe, 0x3fb02cb95e48b4cd}, // raw 0.5694159276409364, H 0.5860277738000759 ± 0.0631824355302399
+			{"rs", 0x3fe3f225b841321a, 0x3fe35ab9eca13986, 0x3fa20e5e885cb362},            // raw 0.6233090018009222, H 0.6048249837565869 ± 0.035265878816381116
+			{"periodogram", 0x3fe3c25fa396bf8b, 0x3fe392f05e1f9dcc, 0x3fa939b662c9991d},   // raw 0.6174772448630262, H 0.6116868818616523 ± 0.04926843601133355
+			{"whittle", 0x3fe332525f607801, 0x3fe32a8b3a14d794, 0x3f889e3ffa74762c},       // raw 0.5998927939251645, H 0.5989433416750551 ± 0.012020587759759747
+			{"mavar", 0x3fe2ef69b26089d6, 0x3fe335a8fdac044a, 0x3f95f837bc97d43b},         // raw 0.5917252048423574, H 0.6003003077058875 ± 0.021454687963302837
 		},
 	},
 	{
 		h: 0.8,
 		fields: map[string]uint64{
-			"VarianceTime": 0x3fe8a47f64f6a664, // 0.7700802776282214
-			"RS":           0x3fe85e43b390dfe1, // 0.7615068919321822
-			"RSAggregated": 0x3fe83d9c578ebfb3, // 0.7575208387479421
-			"RSSweepMin":   0x3fe8515762aabbe6, // 0.7599293639267415
-			"RSSweepMax":   0x3fe8784303dff5ab, // 0.7646803928070559
-			"Whittle":      0x3feb05bb9259ee46, // 0.8444497927116081
+			"VarianceTime": 0x3fe88f7780e4152f, // 0.7675130383874257
+			"RS":           0x3fe83cc5f3da447a, // 0.7574186098810423
+			"RSAggregated": 0x3fe83d1ec9dec5d3, // 0.7574609701898062
+			"RSSweepMin":   0x3fe82d53aa697f61, // 0.7555330589639021
+			"RSSweepMax":   0x3fe85062076b1f2d, // 0.7598123688594335
+			"Whittle":      0x3feb01b13684a944, // 0.8439565720375772
 			"WhittleCI95":  0x3fb87e58dfa2bccb, // 0.09567790469985764
-			"Periodogram":  0x3fea6e8e1b3fcbb0, // 0.8259954960070583
-			"MAVAR":        0x3fe8ce85f316b57e, // 0.7752103565050417
+			"Periodogram":  0x3fea65741df867b6, // 0.824884470496946
+			"MAVAR":        0x3fe95e0692b3ad51, // 0.7927277436514634
 		},
 		bars: []goldenBar{
-			{"variance-time", 0x3fe8a47f64f6a664, 0x3fe9747ac503bd3a, 0x3fb07b95bbe5c4c8}, // raw 0.7700802776282214, H 0.7954686973516012 ± 0.06438575589506279
-			{"rs", 0x3fe85e43b390dfe1, 0x3fe8b9ab2a9814a8, 0x3fa28caa13dd08ce},            // raw 0.7615068919321822, H 0.7726646263041816 ± 0.03622943394158683
-			{"periodogram", 0x3fea6e8e1b3fcbb0, 0x3fea4e25b7948311, 0x3fa569cc30b3dc4e},   // raw 0.8259954960070583, H 0.8220394692944827 ± 0.0418227967692749
-			{"whittle", 0x3feb1f5cca9678c6, 0x3fe8e7d3824ad730, 0x3f86d4b087bed115},       // raw 0.8475784260552011, H 0.7782990975162871 ± 0.01114786066305177
-			{"mavar", 0x3fe8ce85f316b57e, 0x3fe97d5d6740e422, 0x3f93a63e9e72f322},         // raw 0.7752103565050417, H 0.7965533272428085 ± 0.019188860341034737
+			{"variance-time", 0x3fe88f7780e4152f, 0x3fe971aa67c91bfc, 0x3fb08caa7995955c}, // raw 0.7675130383874257, H 0.7951252009451077 ± 0.06464639156691504
+			{"rs", 0x3fe83cc5f3da447a, 0x3fe8b4cd83737d37, 0x3fa2e904a29c389b},            // raw 0.7574186098810423, H 0.7720706527142401 ± 0.036934037065394075
+			{"periodogram", 0x3fea65741df867b6, 0x3fea4f04f8d87539, 0x3fa56f71d799c083},   // raw 0.824884470496946, H 0.8221459255470683 ± 0.04186588055461107
+			{"whittle", 0x3fe9352dde5b027f, 0x3fe93377da6fb731, 0x3f8871b0922a4995},       // raw 0.7877415984040254, H 0.7875327364288066 ± 0.011935595951659642
+			{"mavar", 0x3fe95e0692b3ad51, 0x3fe9b586a8794787, 0x3f9acc1e35e0094b},         // raw 0.7927277436514634, H 0.8034089365485081 ± 0.0261692734129693
 		},
 	},
 	{
 		h: 0.9,
 		fields: map[string]uint64{
-			"VarianceTime": 0x3fe958e05b8c3fcb, // 0.7920991695445933
-			"RS":           0x3feb067ee98a0d7b, // 0.8445429383577187
-			"RSAggregated": 0x3fe99b599a0d3224, // 0.8002136238879456
-			"RSSweepMin":   0x3feaea008e4c831e, // 0.8410647181773105
-			"RSSweepMax":   0x3feb25f9cdc20e85, // 0.8483857172690966
+			"VarianceTime": 0x3fe948ad20c93ff9, // 0.7901216163972996
+			"RS":           0x3feaf451b21ae26d, // 0.8423241118062613
+			"RSAggregated": 0x3fe99b3b0953df6c, // 0.8001990492038948
+			"RSSweepMin":   0x3fead95a23e33101, // 0.8390322400023537
+			"RSSweepMax":   0x3feb174d4aa40408, // 0.8465944726777943
 			"Whittle":      0x3feff7ced91025f4, // 0.9989999999535812
 			"WhittleCI95":  0x3fb87e58dfa2bccb, // 0.09567790469985764
-			"Periodogram":  0x3fec03be44026100, // 0.8754569366747376
-			"MAVAR":        0x3febce85c9caa6b4, // 0.8689602795831974
+			"Periodogram":  0x3febf9821f3a556c, // 0.8742075548094994
+			"MAVAR":        0x3febdecd0285da3e, // 0.8709473656916271
 		},
 		bars: []goldenBar{
-			{"variance-time", 0x3fe958e05b8c3fcb, 0x3fea3b6406da86aa, 0x3fb026040ca5dad7}, // raw 0.7920991695445933, H 0.8197498449191774 ± 0.06308007534776593
-			{"rs", 0x3feb067ee98a0d7b, 0x3fec266cd9a83bb8, 0x3fa318b75cc94732},            // raw 0.8445429383577187, H 0.8796905757061415 ± 0.03729794509548724
-			{"periodogram", 0x3fec03be44026100, 0x3febc96d953b6efa, 0x3fa47a986673912b},   // raw 0.8754569366747376, H 0.868338386029307 ± 0.03999782801273207
-			{"whittle", 0x3fef529b072d4dd0, 0x3fecd1f9304b925f, 0x3f86b704ef351cb9},       // raw 0.9788336887526672, H 0.9006315177217167 ± 0.011091269063980712
-			{"mavar", 0x3febce85c9caa6b4, 0x3fec62a01372d7ab, 0x3f90c4c54246e036},         // raw 0.8689602795831974, H 0.8870392207961592 ± 0.016375620050638605
+			{"variance-time", 0x3fe948ad20c93ff9, 0x3fea3da6918b12c2, 0x3fb03552382b2f3a}, // raw 0.7901216163972996, H 0.8200257151261996 ± 0.06331361647897618
+			{"rs", 0x3feaf451b21ae26d, 0x3fec28651a225284, 0x3fa34f3d3d537302},            // raw 0.8423241118062613, H 0.8799310217314802 ± 0.037713922248917356
+			{"periodogram", 0x3febf9821f3a556c, 0x3febc9df992a39ab, 0x3fa48046da363122},   // raw 0.8742075548094994, H 0.8683927527907164 ± 0.04004117406575093
+			{"whittle", 0x3fecc4202ff8091c, 0x3fecc0b3ab12a289, 0x3f86fb6a7fb17091},       // raw 0.8989411293880809, H 0.8985231724992256 ± 0.01122172548473824
+			{"mavar", 0x3febdecd0285da3e, 0x3fec32a2429d0450, 0x3f95aaa9ffe7cccf},         // raw 0.8709473656916271, H 0.8811808873216567 ± 0.02115884422705677
 		},
 	},
 }

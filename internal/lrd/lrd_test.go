@@ -9,7 +9,7 @@ import (
 	"vbr/internal/fgn"
 )
 
-// fgnSeries caches test series so the expensive generators run once.
+// testSeries caches test series so the expensive generators run once.
 var seriesCache = map[float64][]float64{}
 
 func testSeries(t testing.TB, h float64, n int) []float64 {
@@ -301,12 +301,15 @@ func TestWhittleLadder(t *testing.T) {
 }
 
 func TestWhittleStabilizedOnPureFGN(t *testing.T) {
-	// On exactly self-similar input the ladder is flat, so the
-	// stabilized estimate should match the plain Whittle estimate and
-	// the truth. One series' Ĥ spreads with a standard deviation near
-	// 0.03 at this length, so the bound applies to the mean over
-	// whittleSeeds series (PCG(s, 99), s = 1..whittleSeeds); the CI
-	// check stays on the fixed series.
+	// On long-range dependent input with no short-range part the
+	// stabilized estimate should stay near the truth. On these
+	// fARIMA(0, d, 0) series it reads 0.866 on average where plain
+	// Whittle reads 0.800: aggregation moves fARIMA toward fGn, which
+	// the ladder's fARIMA model reads high (one ladder climbs from 0.80
+	// at m = 1 to 0.90 near m = 50), so the bound is loose. One series'
+	// Ĥ spreads with a standard deviation near 0.03 at this length, so
+	// the bound applies to the mean over whittleSeeds series (PCG(s, 99),
+	// s = 1..whittleSeeds); the CI check stays on the fixed series.
 	const whittleSeeds = 32
 	ctx := context.Background()
 	res, err := WhittleStabilized(testSeries(t, 0.8, 60000), false)

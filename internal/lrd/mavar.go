@@ -66,12 +66,14 @@ const (
 	// defaultMavarFitLo is the default smallest fitted τ. τ = 1 is
 	// excluded because the MAVAR transfer constant has not settled there
 	// (the phase-averaging window is a single sample, making the point an
-	// AVAR value, not a MAVAR one). τ ≥ 2 stays in the fit: the small
-	// octaves carry a mild transition bias (≈ −0.02 Ĥ, corrected by the
-	// committed calibration table) but thousands of windows, and that
-	// averaging is what keeps MAVAR's sample std below variance–time's
-	// even on 4k-frame series — see calibration_table.go.
-	defaultMavarFitLo = 2
+	// AVAR value, not a MAVAR one), and τ = 2 because its transition
+	// bias pulls Ĥ down by about 0.02: on fARIMA(0, d, 0) input at
+	// n = 65,536 the bias reads −0.032 to −0.034 with τ ≥ 2 and about
+	// −0.01 with τ ≥ 4. τ = 4 stays in the fit: its thousands of windows
+	// keep MAVAR's sample std below variance–time's even on 4k-frame
+	// series, which fitting from τ = 8 loses at H = 0.7, n = 4,096 —
+	// see calibration_table.go.
+	defaultMavarFitLo = 4
 )
 
 // mavarSubs is the number of strides per window block: windows
@@ -400,7 +402,7 @@ type MAVARResult struct {
 }
 
 // Result snapshots the accumulated state into a MAVARResult, fitting
-// over τ ∈ [fitLo, fitHi] (0, 0 selects the default range: τ ≥ 8,
+// over τ ∈ [fitLo, fitHi] (0, 0 selects the default range: τ ≥ 4,
 // unbounded above). It fails with an error matching
 // errs.ErrInvalidSeries while fewer than two octaves are usable.
 func (o *OnlineMAVAR) Result(fitLo, fitHi int) (*MAVARResult, error) {

@@ -113,8 +113,8 @@ func (o *seqMAVAR) online() *OnlineMAVAR {
 // completes the same windows (exactly mavarWindows), τ = 1 and τ = 2
 // sum in the same order and stay bit-identical, and the other octaves'
 // ModVar and the fitted Ĥ move only by rounding. The inputs are unit
-// fGn and its video-scale map, whose large phase values make rounding
-// in the block sums largest.
+// fARIMA(0, d, 0) noise and its video-scale map, whose large phase
+// values make rounding in the block sums largest.
 func TestOnlineMAVARMatchesOracle(t *testing.T) {
 	const (
 		modVarTol = 1e-11 // relative

@@ -1,12 +1,9 @@
 package lrd
 
 import (
-	"context"
 	"math"
 	"math/rand/v2"
 	"testing"
-
-	"vbr/internal/fgn"
 )
 
 func TestFGNSpectrumShape(t *testing.T) {
@@ -35,15 +32,10 @@ func TestFGNSpectrumShape(t *testing.T) {
 }
 
 func TestWhittleFGNRecoversH(t *testing.T) {
-	ctx := context.Background()
 	// On FGN input (its own model) the estimator should be tight and the
 	// CI should cover the truth.
 	for _, h := range []float64{0.6, 0.8} {
-		rng := rand.New(rand.NewPCG(uint64(h*100), 5))
-		xs, err := fgn.DaviesHarteCtx(ctx, 20000, h, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
+		xs := exactFGN(20000, h, rand.New(rand.NewPCG(uint64(h*100), 5)))
 		res, err := WhittleFGN(xs)
 		if err != nil {
 			t.Fatal(err)
@@ -55,12 +47,7 @@ func TestWhittleFGNRecoversH(t *testing.T) {
 }
 
 func TestWhittleFGNvsFarimaAgreeOnSelfSimilarInput(t *testing.T) {
-	ctx := context.Background()
-	rng := rand.New(rand.NewPCG(7, 8))
-	xs, err := fgn.DaviesHarteCtx(ctx, 20000, 0.8, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
+	xs := exactFGN(20000, 0.8, rand.New(rand.NewPCG(7, 8)))
 	a, err := Whittle(xs)
 	if err != nil {
 		t.Fatal(err)

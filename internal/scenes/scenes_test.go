@@ -132,44 +132,68 @@ func TestMatchStats(t *testing.T) {
 	}
 }
 
+// TestDetectOnSyntheticMovie scores the detector end to end against the
+// generator's ground truth: the synthetic movie has known scene
+// boundaries, and the detector should recover a solid fraction of the
+// larger cuts without drowning in false positives. (Small
+// adjacent-level cuts are genuinely undetectable — two scenes at nearly
+// equal complexity produce no level shift.) One movie's recall spreads
+// too widely for one seed to gate it, so the bounds apply to the means
+// over synth seeds 1..movieSeeds. With 240-frame mean scenes and a
+// 3 s match window, chance matches carry part of the score, so the same
+// cuts are also scored against the truth cuts shifted by 480 frames,
+// which no level shift follows: that baseline reads precision 0.50 and
+// recall 0.15, and the real means must beat it, so a detector blind to
+// the scenes fails.
 func TestDetectOnSyntheticMovie(t *testing.T) {
 	ctx := context.Background()
-	// End-to-end against the generator's ground truth: the synthetic
-	// movie has known scene boundaries; the detector should recover a
-	// solid fraction of the larger cuts without drowning in false
-	// positives. (Small adjacent-level cuts are genuinely undetectable —
-	// two scenes at nearly equal complexity produce no level shift.)
-	cfg := synth.DefaultConfig()
-	cfg.Frames = 20000
-	cfg.SlicesPerFrame = 0
-	cfg.MeanSceneFrames = 240
-	// Dialogue scenes alternate camera shots every few seconds — real
-	// level shifts the detector rightly reports but the ground-truth cut
-	// list does not contain; exclude them from the precision evaluation.
-	cfg.DialogueProb = 0
-	z, truth, err := synth.ActivityProcess(ctx, cfg)
-	if err != nil {
-		t.Fatal(err)
+	const movieSeeds, shift = 32, 480
+	var p, r, pShift, rShift float64
+	for seed := uint64(1); seed <= movieSeeds; seed++ {
+		cfg := synth.DefaultConfig()
+		cfg.Seed = seed
+		cfg.Frames = 20000
+		cfg.SlicesPerFrame = 0
+		cfg.MeanSceneFrames = 240
+		// Dialogue scenes alternate camera shots every few seconds —
+		// real level shifts the detector rightly reports but the
+		// ground-truth cut list does not contain; exclude them from the
+		// precision evaluation.
+		cfg.DialogueProb = 0
+		z, truth, err := synth.ActivityProcess(ctx, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames, err := synth.MarginalMap(z, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var truthCuts, shifted []int
+		for _, sc := range truth[1:] {
+			truthCuts = append(truthCuts, sc.Start)
+			if sc.Start+shift < cfg.Frames {
+				shifted = append(shifted, sc.Start+shift)
+			}
+		}
+		dcfg := DefaultConfig()
+		cuts, err := Cuts(frames, dcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps, rs := MatchStats(cuts, truthCuts, dcfg.Window)
+		p += ps / movieSeeds
+		r += rs / movieSeeds
+		ps, rs = MatchStats(cuts, shifted, dcfg.Window)
+		pShift += ps / movieSeeds
+		rShift += rs / movieSeeds
 	}
-	frames, err := synth.MarginalMap(z, cfg)
-	if err != nil {
-		t.Fatal(err)
+	t.Logf("means over %d movies: precision %.3f, recall %.3f; against truth shifted %d frames %.3f, %.3f",
+		movieSeeds, p, r, shift, pShift, rShift)
+	if p < 0.7 || p <= pShift {
+		t.Errorf("mean precision %.3f, want ≥ 0.7 and above the shifted baseline %.3f", p, pShift)
 	}
-	var truthCuts []int
-	for _, sc := range truth[1:] {
-		truthCuts = append(truthCuts, sc.Start)
-	}
-	dcfg := DefaultConfig()
-	cuts, err := Cuts(frames, dcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, r := MatchStats(cuts, truthCuts, dcfg.Window)
-	if p < 0.7 {
-		t.Errorf("precision %v too low (%d detected, %d true)", p, len(cuts), len(truthCuts))
-	}
-	if r < 0.2 {
-		t.Errorf("recall %v too low (%d detected, %d true)", r, len(cuts), len(truthCuts))
+	if r < 0.2 || r <= rShift {
+		t.Errorf("mean recall %.3f, want ≥ 0.2 and above the shifted baseline %.3f", r, rShift)
 	}
 }
 

@@ -255,7 +255,8 @@ func TestTraceBadRequests(t *testing.T) {
 	// schedule is extended (an O(n²) job at n = 4,000,000) and no
 	// Davies–Harte entry is cached for a new H, so the pool is untouched.
 	// The client gives up long before such a job would finish. A table
-	// over the cap is refused before any table is built.
+	// over the cap is refused before any table is built, and a cascade
+	// deeper than the cap before its 2^depth-frame block is allocated.
 	pool := genpool.New(0)
 	ts = newTestServer(t, Config{Pool: pool})
 	client := &http.Client{Timeout: 10 * time.Second}
@@ -265,6 +266,7 @@ func TestTraceBadRequests(t *testing.T) {
 		"model=farima:hurst=0.73&format=xml",
 		"model=farima&format=xml&n=4000000",
 		"table=100001",
+		"model=cascade:depth=21",
 	} {
 		before := pool.Stats()
 		wantBadRequest(t, client, ts.URL+"/v1/trace?"+q)

@@ -28,7 +28,7 @@ func init() {
 // splits every interval's mass into fractions (W, 1-W) with
 // W ~ Beta(β,β). Conservation is exact at every stage — the block's
 // total mass never changes — while the multiplicative splitting builds
-// the burstiness-at-all-timescales that a monofractal fGN increment
+// the burstiness-at-all-timescales that a monofractal LRD Gaussian
 // process cannot show below its aggregation knee. Successive blocks
 // are independent, each driven by its own derived sub-seed, so the
 // stream is unbounded and reproducible under Reset.
@@ -44,14 +44,20 @@ type cascadeSource struct {
 	off   int
 }
 
+// maxCascadeDepth bounds the macro-block, which the source allocates
+// and fills before its first frame, so one request's cost: 2^20 frames
+// is 8 MiB and about 0.1 s on a 2-vCPU host, and each level doubles
+// both (2^24 is 128 MiB and over a second).
+const maxCascadeDepth = 20
+
 func newCascade(user Params, seed uint64) (Source, error) {
 	p, err := Params(registry["cascade"].Defaults).merged(user)
 	if err != nil {
 		return nil, err
 	}
 	depth := int(p["depth"])
-	if depth < 1 || depth > 24 {
-		return nil, fmt.Errorf("source: cascade depth must be in [1,24], got %d", depth)
+	if depth < 1 || depth > maxCascadeDepth {
+		return nil, fmt.Errorf("source: cascade depth must be in [1,%d], got %d", maxCascadeDepth, depth)
 	}
 	if !(p["mean"] > 0) {
 		return nil, fmt.Errorf("source: cascade mean must be positive, got %v", p["mean"])

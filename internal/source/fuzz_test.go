@@ -31,7 +31,7 @@ func FuzzCascade(f *testing.F) {
 			// garbage frames.
 			return
 		}
-		if depth < 1 || depth > 24 || !(mean > 0) || !(beta > 0) ||
+		if depth < 1 || depth > maxCascadeDepth || !(mean > 0) || !(beta > 0) ||
 			math.IsInf(mean, 0) || math.IsInf(beta, 0) {
 			t.Fatalf("builder accepted invalid params depth=%d mean=%v beta=%v", depth, mean, beta)
 		}

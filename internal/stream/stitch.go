@@ -12,8 +12,8 @@ import (
 	"vbr/internal/fgn"
 )
 
-// stitch streams fractional Gaussian noise in O(chunk) memory by
-// drawing independent fGn chunks of S points and crossfading
+// stitch streams fARIMA(0, d, 0) noise in O(chunk) memory by drawing
+// independent chunks of S points and crossfading
 // consecutive chunks over L overlapping points. Davies–Harte and
 // Paxson share every line of the seam logic and differ only in the
 // amplitudes and plan of their pair draw (fgn.Pair).

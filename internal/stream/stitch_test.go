@@ -45,7 +45,9 @@ func fnv1a(xs []float64) uint64 {
 // draws, and two seams per 20,000-frame stream, one seam inside a pair
 // and one across pairs. It pins the Gaussian stage (the stitch output
 // before Eq. 13) apart from the served frames, so a change to the
-// marginal map alone re-pins only the second hash.
+// marginal map alone re-pins only the second hash. The chunks are pair
+// draws, whose amplitudes fgn's pair oracles hold to FarimaACF and to
+// the fARIMA spectral density.
 // The constants were captured once from this code and change only
 // deliberately, with the change that alters the stream bits; vbrd and
 // the fleet serve these same bytes, so regenerating them is a wire
@@ -55,8 +57,8 @@ func TestChunkedStreamGolden(t *testing.T) {
 		b           backend.Backend
 		gauss, want uint64
 	}{
-		{backend.DaviesHarte, 0xd06988226bb8957a, 0xc4759b495caee5b3},
-		{backend.Paxson, 0x47bdfd98e6f317f1, 0x289dbc64b3738b9d},
+		{backend.DaviesHarte, 0xfc9e79aa37ddbd4e, 0x7232ae368636a407},
+		{backend.Paxson, 0x3ed647f7a46c5c51, 0x23afe99cd08f8965},
 	} {
 		cfg := Config{Model: paperModel(), N: 20_000, Seed: 1994, Backend: c.b}
 		if got := fnv1a(collectGauss(t, cfg)); got != c.gauss {

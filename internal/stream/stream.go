@@ -4,7 +4,9 @@
 // one at a time under bounded memory, which is what a long-running
 // serving daemon or an in-loop simulation consumer needs.
 //
-// Three Gaussian backends feed the Eq. 13 marginal transform:
+// Three Gaussian backends feed the Eq. 13 marginal transform. All
+// three draw the paper's fARIMA(0, d, 0) process; they differ in
+// exactness and cost:
 //
 //   - Hosking: the paper's exact recursion in its O(n log² n) closed
 //     form, advanced block by block (fgn.HoskingStream). The
@@ -12,14 +14,16 @@
 //     with the same seed; the generator's own O(n) state (one float64
 //     per frame plus a transform buffer) is inherent to exactness, but
 //     no extra O(n) output buffering is added.
-//   - DaviesHarte: independent circulant-embedding chunks of S points
+//   - DaviesHarte: independent exact chunks of S points, each a
+//     circulant embedding of the fARIMA autocorrelation
 //     (S the next power of two ≥ block + overlap), two per O(S log S)
 //     pair draw, joined by power-preserving overlap stitching, giving
 //     true O(chunk) memory for arbitrarily long traces at the cost of
 //     an approximate correlation structure across chunk seams.
 //   - Paxson: the same overlap-stitched chunking over independent
-//     FFT-approximate spectral-synthesis chunks — the fastest backend,
-//     approximate both within chunks and across seams.
+//     FFT-approximate chunks synthesized from the fARIMA spectral
+//     density — the fastest backend, approximate both within chunks
+//     and across seams.
 //
 // The Auto policy resolves to Paxson for streams (bounded memory at any
 // length); selection is shared with the batch path via internal/backend.

@@ -9,9 +9,10 @@
 // every statistical property the paper measures is present by
 // construction:
 //
-//  1. A fractional Gaussian noise process with Hurst parameter H provides
-//     the long-range dependent activity backbone (clustering of scene
-//     complexity across all time scales).
+//  1. A fractional ARIMA(0, d, 0) process with d = H − 1/2, the model's
+//     own Gaussian process (§4), provides the long-range dependent
+//     activity backbone (clustering of scene complexity across all time
+//     scales).
 //  2. The backbone is held approximately constant within scenes whose
 //     durations are lognormally distributed, giving the "practically
 //     constant level" short-range behaviour §4.2 describes; a fraction of
@@ -77,7 +78,8 @@ type Config struct {
 	SliceJitter float64 // within-frame slice size jitter in [0,1)
 	TableSize   int     // quantile-table resolution for the marginal map
 
-	// Backend selects the fGn engine behind the activity backbone.
+	// Backend selects the engine behind the activity backbone; every
+	// engine draws fARIMA(0, d, 0).
 	// DefaultConfig picks Davies–Harte (exact and fast at movie length);
 	// the zero value is Hosking, the exact reference (O(n log² n)). Auto defers
 	// to the batch policy: exact below the cutoff, Paxson above.
@@ -165,8 +167,8 @@ type Scene struct {
 	Dialogue bool
 }
 
-// Generate builds the synthetic VBR trace. The context reaches the fGn
-// backbone, so an exact Hosking run at paper scale stays cancellable.
+// Generate builds the synthetic VBR trace. The context reaches the
+// Gaussian backbone, so an exact Hosking run at paper scale stays cancellable.
 func Generate(ctx context.Context, cfg Config) (*trace.Trace, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -198,7 +200,7 @@ func Generate(ctx context.Context, cfg Config) (*trace.Trace, error) {
 // (backbone + scene structure + story arc + effects) and the scene list.
 // It is exported separately so the codec package can drive procedural
 // frame rendering from the same process. Cancellation is checked by the
-// fGn backbone generator, the only stage that is not linear in n.
+// backbone generator, the only stage that is not linear in n.
 func ActivityProcess(ctx context.Context, cfg Config) ([]float64, []Scene, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, nil, err

@@ -93,7 +93,7 @@ type MovieEffect = synth.Effect
 func DefaultMovieConfig() MovieConfig { return synth.DefaultConfig() }
 
 // GenerateMovie synthesizes the empirical-substitute VBR trace; the
-// context reaches the activity backbone's fGn generator.
+// context reaches the activity backbone's Gaussian generator.
 func GenerateMovie(ctx context.Context, cfg MovieConfig) (*Trace, error) {
 	return synth.Generate(ctx, cfg)
 }
@@ -120,15 +120,16 @@ func FitCtx(ctx context.Context, frames []float64, opts FitOptions) (Model, erro
 // optional Pool that shares precomputations across calls.
 type GenOptions = core.GenOptions
 
-// Backend selects the fGn Gaussian engine behind every generation
-// path — batch, streaming and the synthetic movie backbone:
+// Backend selects the Gaussian engine behind every generation path —
+// batch, streaming and the synthetic movie backbone. Every engine
+// draws the paper's fARIMA(0,d,0) process:
 //
 //   - BackendHosking: the paper's exact recursion, in its O(n log² n)
 //     closed form; the reference engine.
 //   - BackendDaviesHarte: exact circulant embedding, O(n log n).
-//   - BackendPaxson: FFT spectral approximation (Paxson 1997),
-//     O(n log n) with the smallest constants; approximate but passes
-//     the committed fidelity battery.
+//   - BackendPaxson: FFT spectral approximation (Paxson 1997) from the
+//     fARIMA(0,d,0) density, O(n log n) with the smallest constants;
+//     approximate but passes the committed fidelity battery.
 //   - BackendAuto: policy choice — exact for short batch runs, Paxson
 //     for long or streamed ones.
 type Backend = backend.Backend
