@@ -7,7 +7,9 @@
 //
 // The Fig. 14 study (the slowest) is interruptible: with -checkpoint
 // set, Ctrl-C saves the completed and partial curves and -resume
-// continues the sweep where it stopped.
+// continues the sweep where it stopped, printing what an uninterrupted
+// run prints. The checkpoint records the trace it was computed from,
+// and a resume on any other trace or granularity is refused.
 //
 // Examples:
 //
@@ -27,6 +29,9 @@ package main
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"flag"
 	"fmt"
@@ -268,15 +273,21 @@ func zooAggregator(spec string, frames int, seed uint64) (queue.Aggregator, erro
 }
 
 // runFig14 drives the checkpointable Q–C sweep: progress is loaded from
-// and flushed to ckptPath around the (possibly interrupted) run.
+// and flushed to ckptPath around the (possibly interrupted) run. A
+// resume refuses a checkpoint written for another trace or granularity.
 func runFig14(ctx context.Context, suite *experiments.Suite, ckptPath string, resume bool, stdout, stderr io.Writer) error {
 	var progress *checkpoint.SearchState
+	var meta map[string]string
 	if ckptPath != "" {
 		progress = &checkpoint.SearchState{}
+		meta = fig14Meta(suite)
 		if resume {
 			rec, err := checkpoint.LoadSearch(ckptPath)
 			if err != nil {
 				return fmt.Errorf("loading checkpoint: %w", err)
+			}
+			if err := rec.CheckMeta(meta); err != nil {
+				return fmt.Errorf("resuming from %s: %w", ckptPath, err)
 			}
 			progress = rec.State
 			done := 0
@@ -292,10 +303,7 @@ func runFig14(ctx context.Context, suite *experiments.Suite, ckptPath string, re
 	r, err := suite.Fig14Ctx(ctx, progress)
 	if err != nil {
 		if progress != nil && len(progress.Curves) > 0 && errors.Is(err, errs.ErrCancelled) {
-			rec := &checkpoint.SearchRecord{
-				Meta:  map[string]string{"frames": fmt.Sprint(len(suite.Trace.Frames))},
-				State: progress,
-			}
+			rec := &checkpoint.SearchRecord{Meta: meta, State: progress}
 			if serr := checkpoint.SaveSearch(ckptPath, rec); serr != nil {
 				return errors.Join(err, fmt.Errorf("saving checkpoint: %w", serr))
 			}
@@ -310,6 +318,27 @@ func runFig14(ctx context.Context, suite *experiments.Suite, ckptPath string, re
 	}
 	fmt.Fprintln(stdout, r.Format())
 	return nil
+}
+
+// fig14Meta records what a Fig. 14 sweep's curves depend on: the
+// trace's length, the granularity, and a SHA-256 of the series the
+// sweep simulates — the frame rate and frame sizes, plus the slice
+// count and slice sizes at slice granularity. The digest covers every
+// way of choosing the trace (-in, -frames, -seed, -backend).
+func fig14Meta(s *experiments.Suite) map[string]string {
+	tr := s.Trace
+	h := sha256.New() // writes to a hash never fail
+	binary.Write(h, binary.LittleEndian, tr.FrameRate)
+	binary.Write(h, binary.LittleEndian, tr.Frames)
+	if s.UseSlices {
+		binary.Write(h, binary.LittleEndian, int64(tr.SlicesPerFrame))
+		binary.Write(h, binary.LittleEndian, tr.Slices)
+	}
+	return map[string]string{
+		"frames": fmt.Sprint(len(tr.Frames)),
+		"slices": fmt.Sprint(s.UseSlices),
+		"trace":  hex.EncodeToString(h.Sum(nil)),
+	}
 }
 
 // loadOrGenerate reads a binary trace when a path is given, otherwise

@@ -39,18 +39,15 @@ func readMetrics(t *testing.T, path string) metricsSnapshot {
 }
 
 // TestCLIObsGenProgressAndMetrics is the acceptance run for the
-// generator: a checkpointed Hosking generation with -progress and
-// -metrics-json must emit progress lines and a snapshot with nonzero
-// point, snapshot, and span metrics.
+// generator: a Hosking generation with -progress and -metrics-json must
+// emit progress lines and a snapshot with nonzero point and span
+// metrics.
 func TestCLIObsGenProgressAndMetrics(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI smoke tests skipped in -short mode")
 	}
-	dir := t.TempDir()
-	metrics := filepath.Join(dir, "m.json")
-	ckpt := filepath.Join(dir, "gen.ckpt")
+	metrics := filepath.Join(t.TempDir(), "m.json")
 	out := runCmd(t, "vbrgen", "-n", "8000", "-backend", "hosking", "-seed", "42",
-		"-checkpoint", ckpt, "-checkpoint-every", "2000",
 		"-progress", "-metrics-json", metrics)
 	// The final event always clears the rate limiter, so the 100% line is
 	// deterministic even on a fast machine.
@@ -62,17 +59,10 @@ func TestCLIObsGenProgressAndMetrics(t *testing.T) {
 	if got := snap.Counters["fgn.hosking.points"]; got != 8000 {
 		t.Errorf("fgn.hosking.points = %d, want 8000", got)
 	}
-	if got := snap.Counters["checkpoint.snapshots"]; got < 1 {
-		t.Errorf("checkpoint.snapshots = %d, want ≥ 1 with -checkpoint-every 2000", got)
-	}
 	for _, h := range []string{"proc.run.seconds", "fgn.hosking.seconds"} {
 		if snap.Histograms[h].Count != 1 {
 			t.Errorf("histogram %s count = %d, want 1", h, snap.Histograms[h].Count)
 		}
-	}
-	// A run that completed consumed its periodic checkpoints.
-	if _, err := os.Stat(ckpt); !errors.Is(err, os.ErrNotExist) {
-		t.Errorf("completed run left its checkpoint behind: %v", err)
 	}
 }
 

@@ -11,6 +11,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"vbr/internal/checkpoint"
+	"vbr/internal/errs"
 )
 
 // The command binaries are built once into a shared temp dir and then
@@ -189,9 +192,7 @@ func TestCLIExitCodes(t *testing.T) {
 		{"vbrgen", []string{"-no-such-flag"}, 2, "flag provided but not defined"},
 		{"vbrgen", []string{"-backend", "bogus"}, 2, "names no engine"},
 		{"vbrgen", []string{"-generator", "hosking"}, 2, "flag provided but not defined: -generator"},
-		{"vbrgen", []string{"-resume"}, 2, "-resume requires -checkpoint"},
-		{"vbrgen", []string{"-checkpoint", "x.ckpt"}, 2, "-checkpoint requires"},
-		{"vbrgen", []string{"-backend", "paxson", "-checkpoint", "x.ckpt"}, 2, "-checkpoint requires -backend hosking"},
+		{"vbrgen", []string{"-checkpoint", "x.ckpt"}, 2, "flag provided but not defined: -checkpoint"},
 		{"vbrsim", []string{"-frames", "2000"}, 2, "no simulation selected"},
 		{"vbrsim", []string{"-frames", "2000", "-faults"}, 2, "-faults applies to -point"},
 		{"vbrsim", []string{"-backend", "fourier", "-point"}, 2, "names no engine"},
@@ -351,74 +352,44 @@ func TestCLIZooSim(t *testing.T) {
 	}
 }
 
-// TestCLIInterruptResume is the end-to-end resilience check: a Hosking
-// generation is interrupted with SIGINT, must save a checkpoint and exit
-// 130, and the resumed run must produce output bitwise-identical to an
-// uninterrupted one.
-func TestCLIInterruptResume(t *testing.T) {
+// TestCLIGenInterrupt pins that vbrgen honours SIGINT: three million
+// Hosking points keep the generation busy for several seconds (about
+// 4 s on a 2-vCPU x86-64 host; -slices 0 skips the per-slice trace,
+// which would take gigabytes at this length), so a signal one second in
+// must end the run with exit 130 and leave no output file behind.
+func TestCLIGenInterrupt(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI smoke tests skipped in -short mode")
 	}
-	dir := t.TempDir()
-	ckpt := filepath.Join(dir, "gen.ckpt")
-	resumed := filepath.Join(dir, "resumed.bin")
-	straight := filepath.Join(dir, "straight.bin")
-	gen := filepath.Join(binaries(t), "vbrgen")
-	// Three million points keep the Hosking stage busy for several
-	// seconds (about 4 s on a 2-vCPU x86-64 host); -slices 0 skips the
-	// per-slice trace, which would take gigabytes at this length.
-	args := []string{"-n", "3000000", "-backend", "hosking", "-seed", "42", "-slices", "0", "-checkpoint", ckpt}
-
-	// Start the long run and interrupt it mid-generation.
-	cmd := exec.Command(gen, append(args, "-o", resumed)...)
+	out := filepath.Join(t.TempDir(), "gen.bin")
+	cmd := exec.Command(filepath.Join(binaries(t), "vbrgen"),
+		"-n", "3000000", "-backend", "hosking", "-seed", "42", "-slices", "0", "-o", out)
 	var buf strings.Builder
 	cmd.Stdout = &buf
 	cmd.Stderr = &buf
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	// Give it time to get into the generation, then interrupt. The run
-	// must still be going when the signal lands: 3M Hosking points take
-	// several seconds.
 	time.Sleep(1 * time.Second)
 	if err := cmd.Process.Signal(os.Interrupt); err != nil {
 		t.Fatal(err)
 	}
-	err := cmd.Wait()
+	done := make(chan error, 1)
+	go func() { done <- cmd.Wait() }()
+	var err error
+	select {
+	case err = <-done:
+	case <-time.After(5 * time.Second):
+		cmd.Process.Kill()
+		<-done
+		t.Fatalf("vbrgen still running 5 s after SIGINT\n%s", buf.String())
+	}
 	var ee *exec.ExitError
-	if !errors.As(err, &ee) {
-		t.Fatalf("interrupted run: expected exit error, got %v\n%s", err, buf.String())
+	if !errors.As(err, &ee) || ee.ExitCode() != 130 {
+		t.Fatalf("interrupted vbrgen: %v, want exit 130\n%s", err, buf.String())
 	}
-	if code := ee.ExitCode(); code != 130 {
-		t.Fatalf("interrupted run: exit %d, want 130\n%s", code, buf.String())
-	}
-	if !strings.Contains(buf.String(), "state saved to") {
-		t.Fatalf("interrupted run did not report a checkpoint:\n%s", buf.String())
-	}
-	if fi, err := os.Stat(ckpt); err != nil || fi.Size() == 0 {
-		t.Fatalf("checkpoint not written: %v", err)
-	}
-
-	// Resume to completion, then compare with an uninterrupted run.
-	out := runCmd(t, "vbrgen", append(args, "-resume", "-o", resumed)...)
-	if !strings.Contains(out, "generated 3000000 frames") {
-		t.Fatalf("resumed run did not finish:\n%s", out)
-	}
-	if _, err := os.Stat(ckpt); !errors.Is(err, os.ErrNotExist) {
-		t.Errorf("consumed checkpoint was not removed: %v", err)
-	}
-	runCmd(t, "vbrgen", "-n", "3000000", "-backend", "hosking", "-seed", "42", "-slices", "0", "-o", straight)
-
-	got, err := os.ReadFile(resumed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := os.ReadFile(straight)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("resumed output differs from uninterrupted run (%d vs %d bytes)", len(got), len(want))
+	if _, err := os.Stat(out); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("interrupted run left an output file: %v", err)
 	}
 }
 
@@ -464,7 +435,8 @@ func TestCLITraceInterrupt(t *testing.T) {
 
 // TestCLIFig14CheckpointResume exercises the search-state checkpoint of
 // the Fig 14 sweep through the binary: interrupt, verify the checkpoint,
-// resume, and check the sweep completes.
+// resume, and require the resumed sweep to print exactly what a straight
+// run prints.
 func TestCLIFig14CheckpointResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI smoke tests skipped in -short mode")
@@ -495,8 +467,45 @@ func TestCLIFig14CheckpointResume(t *testing.T) {
 		t.Fatalf("fig14 checkpoint not written after interrupt: %v\n%s", serr, buf.String())
 	}
 
-	out := runCmd(t, "vbrsim", "-frames", "120000", "-fig14", "-checkpoint", ckpt, "-resume")
-	if !strings.Contains(out, "resuming Fig 14 from") || !strings.Contains(out, "Figure 14") {
-		t.Fatalf("resumed fig14 sweep incomplete:\n%s", out)
+	resume := exec.Command(sim, "-frames", "120000", "-fig14", "-checkpoint", ckpt, "-resume")
+	var stderr strings.Builder
+	resume.Stderr = &stderr
+	got, err := resume.Output()
+	if err != nil || !strings.Contains(stderr.String(), "resuming Fig 14 from") {
+		t.Fatalf("resumed fig14 sweep: %v\n%s%s", err, got, stderr.String())
+	}
+	want, err := exec.Command(sim, "-frames", "120000", "-fig14").Output()
+	if err != nil {
+		t.Fatalf("straight fig14 sweep: %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("resumed sweep printed\n%s\nwhere a straight run prints\n%s", got, want)
+	}
+}
+
+// TestCLIFig14ResumeRefusesOtherTrace pins that a Fig 14 resume checks
+// what the saved curves were computed from: a checkpoint recorded for
+// another trace of the same length and granularity fails with
+// ErrCheckpointMismatch (exit 1) naming the trace, and stays on disk.
+func TestCLIFig14ResumeRefusesOtherTrace(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI smoke tests skipped in -short mode")
+	}
+	ckpt := filepath.Join(t.TempDir(), "f14.ckpt")
+	st := &checkpoint.SearchState{}
+	st.Set("N=1/Pl=0", false, []float64{0.0005}, []float64{1e6})
+	rec := &checkpoint.SearchRecord{
+		Meta:  map[string]string{"frames": "6000", "slices": "false", "trace": strings.Repeat("0", 64)},
+		State: st,
+	}
+	if err := checkpoint.SaveSearch(ckpt, rec); err != nil {
+		t.Fatal(err)
+	}
+	code, out := runCmdExit(t, "vbrsim", "-frames", "6000", "-fig14", "-checkpoint", ckpt, "-resume")
+	if code != 1 || !strings.Contains(out, errs.ErrCheckpointMismatch.Error()) || !strings.Contains(out, "trace=") {
+		t.Fatalf("resume from another trace's checkpoint: exit %d, want 1 and a trace mismatch\n%s", code, out)
+	}
+	if _, err := os.Stat(ckpt); err != nil {
+		t.Errorf("refused checkpoint was removed: %v", err)
 	}
 }

@@ -1,21 +1,22 @@
-// Package checkpoint persists interrupted long-running jobs — the exact
-// Hosking generation and the Fig. 14 capacity-search grids — to a
-// versioned binary format, so a cancelled vbrgen/vbrsim run resumes
-// where it stopped instead of restarting. Files are written atomically
-// (temp file + rename) so an interrupt during the flush never leaves a
-// half-written checkpoint behind.
+// Package checkpoint persists interrupted Fig. 14 capacity-search
+// sweeps to a versioned binary format, so a cancelled vbrsim -fig14 run
+// resumes where it stopped instead of re-searching finished curves.
+// Files are written atomically (temp file + rename) so an interrupt
+// during the flush never leaves a half-written checkpoint behind.
 //
 // Format: an 8-byte magic "VBRCKPT\x00", a little-endian uint16 format
 // version, a uint16 record kind, then the kind-specific payload.
 // Integers are uvarint-coded, floats are IEEE-754 bit patterns, strings
-// and slices are length-prefixed. A generation record holds n, H, the
-// position K, the K points drawn so far and the random-source state;
-// the generator rebuilds the rest of its state from the points.
+// and slices are length-prefixed. A search record holds the run's
+// metadata and, per curve, its key, whether it finished and the points
+// found so far. Kind 1, an interrupted Hosking generation, is no longer
+// written or read: exact generation takes seconds, and rerunning it
+// with the same seed reproduces it bit for bit.
 //
 // Files come from outside the program, so loading trusts nothing: a
 // length field only bounds how much is read, never how much is
-// allocated ahead of the data, and a generation record is validated as
-// a resume point before it is returned.
+// allocated ahead of the data, and a record is returned only if it
+// decodes whole.
 package checkpoint
 
 import (
@@ -25,21 +26,19 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"sort"
 	"syscall"
 
 	"vbr/internal/errs"
-	"vbr/internal/fgn"
 )
 
 // Version is the current checkpoint format version. Loaders reject any
-// other version with errs.ErrCheckpointVersion. Version 1 files held
-// the Levinson–Durbin recursion state of the O(n²) Hosking generator;
-// version 2 holds only the drawn points. The version is per file, not
-// per kind, so version-1 capacity-search files are refused as well.
+// other version with errs.ErrCheckpointVersion. Version-1 generation
+// files held the Levinson–Durbin recursion state of the O(n²) Hosking
+// generator; the version is per file, not per kind, so version-1
+// capacity-search files are refused as well.
 const Version = 2
 
 var magic = [8]byte{'V', 'B', 'R', 'C', 'K', 'P', 'T', 0}
@@ -47,35 +46,12 @@ var magic = [8]byte{'V', 'B', 'R', 'C', 'K', 'P', 'T', 0}
 // Kind tags the payload type of a checkpoint file.
 type Kind uint16
 
-const (
-	// KindHosking is an interrupted Hosking fARIMA generation.
-	KindHosking Kind = 1
-	// KindSearch is a partially completed capacity-search grid.
-	KindSearch Kind = 2
-)
-
-// String names the kind for error messages.
-func (k Kind) String() string {
-	switch k {
-	case KindHosking:
-		return "hosking-generation"
-	case KindSearch:
-		return "capacity-search"
-	}
-	return fmt.Sprintf("kind(%d)", uint16(k))
-}
+// KindSearch is a partially completed capacity-search grid.
+const KindSearch Kind = 2
 
 // maxCount bounds every length field read from disk, so a corrupt or
 // hostile file cannot trigger a giant allocation.
 const maxCount = 1 << 28
-
-// HoskingRecord is a checkpointed generation job: the generator snapshot
-// plus the job metadata (seed, model parameters, output options) the CLI
-// uses to verify that a resume matches the original invocation.
-type HoskingRecord struct {
-	Meta  map[string]string
-	State *fgn.HoskingState
-}
 
 // CurveProgress is the resume state of one capacity-search curve,
 // identified by a caller-chosen key (e.g. "N=5/Pl=1e-4"). X/Y hold the
@@ -122,81 +98,6 @@ type SearchRecord struct {
 	State *SearchState
 }
 
-// SaveHosking atomically writes a generation checkpoint to path.
-func SaveHosking(path string, rec *HoskingRecord) error {
-	if rec == nil || rec.State == nil {
-		return fmt.Errorf("checkpoint: nil hosking record")
-	}
-	return atomicWrite(path, func(w *bufio.Writer) error {
-		writeHeader(w, KindHosking)
-		writeMeta(w, rec.Meta)
-		st := rec.State
-		writeUvarint(w, uint64(st.N))
-		writeFloat(w, st.H)
-		writeUvarint(w, uint64(st.K))
-		writeFloats(w, st.X)
-		writeBytes(w, st.RNG)
-		return nil
-	})
-}
-
-// LoadHosking reads a generation checkpoint from path. The record is
-// returned only if its state is one a generation could have stopped
-// in (fgn.HoskingState.Validate) with the state of a math/rand/v2 PCG,
-// the source every checkpointed generation draws from; anything else
-// is an error matching errs.ErrCheckpointCorrupt.
-func LoadHosking(path string) (*HoskingRecord, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return readHosking(bufio.NewReader(f), path)
-}
-
-// readHosking decodes and validates a generation record; path names
-// the source in errors.
-func readHosking(r *bufio.Reader, path string) (*HoskingRecord, error) {
-	if err := readHeader(r, KindHosking); err != nil {
-		return nil, err
-	}
-	rec := &HoskingRecord{State: &fgn.HoskingState{}}
-	st := rec.State
-	var err error
-	if rec.Meta, err = readMeta(r); err != nil {
-		return nil, corrupt(path, err)
-	}
-	var n, k uint64
-	if n, err = readUvarint(r); err == nil {
-		if n > maxCount {
-			return nil, corrupt(path, fmt.Errorf("implausible n=%d", n))
-		}
-		st.N = int(n)
-		st.H, err = readFloat(r)
-	}
-	if err == nil {
-		if k, err = readUvarint(r); err == nil && k > maxCount {
-			err = fmt.Errorf("implausible K=%d", k)
-		}
-		st.K = int(k)
-	}
-	if err == nil {
-		st.X, err = readFloats(r)
-	}
-	if err == nil {
-		st.RNG, err = readBytes(r)
-	}
-	if err != nil {
-		return nil, corrupt(path, err)
-	}
-	// A throwaway source: it is never drawn from, only checked to accept
-	// the saved bytes.
-	if err := st.Validate(new(rand.PCG)); err != nil {
-		return nil, fmt.Errorf("checkpoint: %s: %w", path, err)
-	}
-	return rec, nil
-}
-
 // SaveSearch atomically writes a capacity-search checkpoint to path.
 func SaveSearch(path string, rec *SearchRecord) error {
 	if rec == nil || rec.State == nil {
@@ -227,19 +128,24 @@ func LoadSearch(path string) (*SearchRecord, error) {
 		return nil, err
 	}
 	defer f.Close()
-	r := bufio.NewReader(f)
+	return readSearch(bufio.NewReader(f), path)
+}
+
+// readSearch decodes a search record; path names the source in errors.
+func readSearch(r *bufio.Reader, path string) (*SearchRecord, error) {
 	if err := readHeader(r, KindSearch); err != nil {
 		return nil, err
 	}
 	rec := &SearchRecord{State: &SearchState{}}
+	var err error
 	if rec.Meta, err = readMeta(r); err != nil {
 		return nil, corrupt(path, err)
 	}
-	n, err := readUvarint(r)
-	if err != nil || n > maxCount {
+	n, err := readCount(r, "curve")
+	if err != nil {
 		return nil, corrupt(path, err)
 	}
-	for i := uint64(0); i < n; i++ {
+	for range n {
 		var c CurveProgress
 		if c.Key, err = readString(r); err != nil {
 			return nil, corrupt(path, err)
@@ -261,6 +167,31 @@ func LoadSearch(path string) (*SearchRecord, error) {
 		rec.State.Curves = append(rec.State.Curves, c)
 	}
 	return rec, nil
+}
+
+// CheckMeta compares the metadata the record was written with against
+// want, the current run's. A key whose values differ, or that only one
+// side has, fails with errs.ErrCheckpointMismatch; the error names the
+// first such key in sorted order, so the same pair always reports the
+// same key.
+func (rec *SearchRecord) CheckMeta(want map[string]string) error {
+	keys := make([]string, 0, len(want)+len(rec.Meta))
+	for k := range want {
+		keys = append(keys, k)
+	}
+	for k := range rec.Meta {
+		if _, ok := want[k]; !ok {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		if rec.Meta[k] != want[k] {
+			return fmt.Errorf("checkpoint: written with %s=%q, this run has %s=%q: %w",
+				k, rec.Meta[k], k, want[k], errs.ErrCheckpointMismatch)
+		}
+	}
+	return nil
 }
 
 // ------------------------------------------------------------------
@@ -342,7 +273,7 @@ func readHeader(r *bufio.Reader, want Kind) error {
 		why := ""
 		if ver == 1 {
 			why = " (version 1 held the Levinson recursion state of the O(n²) Hosking generator, " +
-				"which the closed-form generator cannot resume; capacity-search files of version 1 " +
+				"which no build resumes; capacity-search files of version 1 " +
 				"are refused too: rerun the job without -resume)"
 		}
 		return fmt.Errorf("checkpoint: file is version %d, this build reads %d%s: %w",
@@ -352,8 +283,13 @@ func readHeader(r *bufio.Reader, want Kind) error {
 		return fmt.Errorf("checkpoint: reading kind: %w: %w", errs.ErrCheckpointCorrupt, err)
 	}
 	if Kind(kind) != want {
-		return fmt.Errorf("checkpoint: file holds a %v record, want %v: %w",
-			Kind(kind), want, errs.ErrCheckpointMismatch)
+		why := ""
+		if kind == 1 {
+			why = " (kind 1 held an interrupted Hosking generation; generation checkpoints are gone: " +
+				"rerunning vbrgen with the same seed reproduces the run bit for bit)"
+		}
+		return fmt.Errorf("checkpoint: file holds record kind %d, want %d%s: %w",
+			kind, want, why, errs.ErrCheckpointMismatch)
 	}
 	return nil
 }
@@ -372,12 +308,12 @@ func writeMeta(w *bufio.Writer, meta map[string]string) {
 }
 
 func readMeta(r *bufio.Reader) (map[string]string, error) {
-	n, err := readUvarint(r)
-	if err != nil || n > maxCount {
-		return nil, fmt.Errorf("checkpoint: meta count: %w", errOr(err))
+	n, err := readCount(r, "meta")
+	if err != nil {
+		return nil, err
 	}
 	meta := make(map[string]string, min(n, 64))
-	for i := uint64(0); i < n; i++ {
+	for range n {
 		k, err := readString(r)
 		if err != nil {
 			return nil, err
@@ -391,14 +327,22 @@ func readMeta(r *bufio.Reader) (map[string]string, error) {
 	return meta, nil
 }
 
+// readCount reads a length field of what, refusing one above maxCount.
+func readCount(r *bufio.Reader, what string) (uint64, error) {
+	n, err := binary.ReadUvarint(r)
+	if err != nil {
+		return 0, fmt.Errorf("reading %s count: %w", what, err)
+	}
+	if n > maxCount {
+		return 0, fmt.Errorf("implausible %s count %d", what, n)
+	}
+	return n, nil
+}
+
 func writeUvarint(w *bufio.Writer, v uint64) {
 	var buf [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(buf[:], v)
 	w.Write(buf[:n])
-}
-
-func readUvarint(r *bufio.Reader) (uint64, error) {
-	return binary.ReadUvarint(r)
 }
 
 func writeFloat(w *bufio.Writer, f float64) {
@@ -421,15 +365,9 @@ func writeFloats(w *bufio.Writer, xs []float64) {
 }
 
 func readFloats(r *bufio.Reader) ([]float64, error) {
-	n, err := readUvarint(r)
-	if err != nil {
+	n, err := readCount(r, "float")
+	if err != nil || n == 0 {
 		return nil, err
-	}
-	if n > maxCount {
-		return nil, fmt.Errorf("implausible float count %d", n)
-	}
-	if n == 0 {
-		return nil, nil
 	}
 	// Grown as values arrive, so a count the data does not back
 	// allocates nothing beyond the data.
@@ -444,48 +382,29 @@ func readFloats(r *bufio.Reader) ([]float64, error) {
 	return xs, nil
 }
 
-func writeBytes(w *bufio.Writer, b []byte) {
-	writeUvarint(w, uint64(len(b)))
-	w.Write(b)
-}
-
-func readBytes(r *bufio.Reader) ([]byte, error) {
-	n, err := readUvarint(r)
-	if err != nil {
-		return nil, err
-	}
-	if n > maxCount {
-		return nil, fmt.Errorf("implausible byte count %d", n)
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	b, err := io.ReadAll(io.LimitReader(r, int64(n)))
-	if err == nil && uint64(len(b)) < n {
-		err = io.ErrUnexpectedEOF
-	}
-	return b, err
-}
-
 func writeString(w *bufio.Writer, s string) {
 	writeUvarint(w, uint64(len(s)))
 	w.WriteString(s)
 }
 
 func readString(r *bufio.Reader) (string, error) {
-	b, err := readBytes(r)
-	return string(b), err
+	n, err := readCount(r, "byte")
+	if err != nil || n == 0 {
+		return "", err
+	}
+	// Grown as bytes arrive, like readFloats.
+	b := make([]byte, 0, min(n, 1<<12))
+	for range n {
+		c, err := r.ReadByte()
+		if err != nil {
+			return "", err
+		}
+		b = append(b, c)
+	}
+	return string(b), nil
 }
 
 // corrupt wraps a decoding failure with the corruption sentinel.
 func corrupt(path string, err error) error {
-	return fmt.Errorf("checkpoint: %s: %w: %w", path, errs.ErrCheckpointCorrupt, errOr(err))
-}
-
-// errOr returns err or a generic truncation error when err is nil.
-func errOr(err error) error {
-	if err == nil {
-		return io.ErrUnexpectedEOF
-	}
-	return err
+	return fmt.Errorf("checkpoint: %s: %w: %w", path, errs.ErrCheckpointCorrupt, err)
 }

@@ -40,9 +40,6 @@ func (m Model) GenerateBatch(ctx context.Context, k, n int, opts GenOptions) ([]
 	if opts.Pool == nil {
 		opts.Pool = genpool.New(0)
 	}
-	// Snapshots are a solo-run facility; a batch has no single recursion
-	// to checkpoint.
-	opts.SnapshotEvery, opts.Snapshot = 0, nil
 
 	scope := obs.From(ctx)
 	defer scope.Span("core.batch")()

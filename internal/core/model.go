@@ -165,14 +165,6 @@ type GenOptions struct {
 	// the slow LRD sampling convergence discussed in §4.2.
 	Standardize bool
 	Seed        uint64
-	// SnapshotEvery, when positive together with a non-nil Snapshot,
-	// makes GenerateResumable persist a generation checkpoint after each
-	// block of this many generated points, bounding the work lost to a
-	// crash (not just a signal). Ignored by the other generators.
-	SnapshotEvery int
-	// Snapshot receives the periodic checkpoints; see
-	// fgn.HoskingCheckpointed for the exact semantics.
-	Snapshot fgn.SnapshotFunc
 	// Pool, when non-nil, serves the seed-independent precomputations —
 	// Hosking coefficients, Davies–Harte eigenvalues and Paxson
 	// spectra with their FFT plans, and Eq. 13 mapping tables — from a
@@ -295,41 +287,6 @@ func (m Model) gaussianCtx(ctx context.Context, n int, opts GenOptions) ([]float
 		fgn.Standardize(x)
 	}
 	return x, nil
-}
-
-// GenerateResumable is the checkpointable variant of GenerateCtx,
-// restricted to the Hosking backend, the paper's generator and the one
-// whose state is a prefix of its own output. On cancellation it
-// returns a nil series together with a snapshot of the generation that,
-// passed back as resume in a later call with the same n and options,
-// continues the computation and yields a series bitwise-identical to an
-// uninterrupted run. On completion the returned state is nil.
-//
-// Standardization and the Eq. 13 transform run only after the Gaussian
-// stage completes, so they need no state of their own.
-func (m Model) GenerateResumable(ctx context.Context, n int, opts GenOptions, resume *fgn.HoskingState) ([]float64, *fgn.HoskingState, error) {
-	if err := m.Validate(); err != nil {
-		return nil, nil, err
-	}
-	if opts.Backend != backend.Hosking {
-		return nil, nil, fmt.Errorf("core: checkpoint/resume requires the Hosking generator")
-	}
-	if n < 1 {
-		return nil, nil, fmt.Errorf("core: length must be ≥ 1, got %d", n)
-	}
-	// Same derivation as gaussianCtx, so an uninterrupted resumable run
-	// matches GenerateCtx exactly. Periodic snapshots observe the generator
-	// without consuming randomness, so they cannot perturb the output.
-	src := rand.NewPCG(opts.Seed, 0x6a55)
-	x, st, err := fgn.HoskingCheckpointed(ctx, n, m.Hurst, src, resume, opts.SnapshotEvery, opts.Snapshot)
-	if err != nil {
-		return nil, st, err
-	}
-	if opts.Standardize {
-		fgn.Standardize(x)
-	}
-	out, err := m.transformCtx(ctx, x, opts)
-	return out, nil, err
 }
 
 // effectiveMoments returns the mean and standard deviation of the full

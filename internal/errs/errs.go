@@ -41,8 +41,10 @@ var (
 	// validation (bad magic, truncated payload, inconsistent state).
 	ErrCheckpointCorrupt = errors.New("corrupt checkpoint")
 
-	// ErrCheckpointMismatch reports a checkpoint whose recorded job
-	// parameters disagree with the requested run (different n, H, seed).
+	// ErrCheckpointMismatch reports a checkpoint that belongs to another
+	// job: a Fig. 14 search recorded for a different trace, length or
+	// granularity, or a record of another kind (such as a retired
+	// Hosking generation checkpoint).
 	ErrCheckpointMismatch = errors.New("checkpoint does not match run parameters")
 
 	// ErrTargetUnreachable reports a capacity search whose loss target

@@ -158,8 +158,7 @@ func HoskingFromCoeffs(ctx context.Context, n int, c *HoskingCoeffs, rng *rand.R
 	if c == nil || rng == nil {
 		return nil, fmt.Errorf("fgn: generation needs coefficients and a random source")
 	}
-	x, _, err := hoskingRun(ctx, n, c, rng, nil, nil, 0, nil)
-	return x, err
+	return hoskingRun(ctx, n, c, rng)
 }
 
 // NewHoskingStreamWithCoeffs prepares an incremental generation of n

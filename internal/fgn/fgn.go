@@ -24,8 +24,6 @@ package fgn
 
 import (
 	"context"
-	"encoding"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand/v2"
@@ -80,192 +78,37 @@ func HoskingCtx(ctx context.Context, n int, h float64, rng *rand.Rand) ([]float6
 	return HoskingFromCoeffs(ctx, n, c, rng)
 }
 
-// MarshalableSource is a random source whose internal state can be
-// captured and restored byte-exactly, as *math/rand/v2.PCG can. It is
-// what makes an interrupted generation resumable with bitwise-identical
-// output.
-type MarshalableSource interface {
-	rand.Source
-	encoding.BinaryMarshaler
-	encoding.BinaryUnmarshaler
-}
-
-// HoskingState is a snapshot of a generation stopped before point K:
-// the prefix X[0..K-1] and the random-source position. With (N, H) it
-// resumes the run — the generator rebuilds its state from X — with
-// output bitwise identical to an uninterrupted run.
-type HoskingState struct {
-	N   int
-	H   float64
-	K   int       // next point to generate, 0 ≤ K ≤ N
-	X   []float64 // generated prefix, length K
-	RNG []byte    // marshaled MarshalableSource state
-}
-
-// Validate reports whether a generation could have stopped in st: a
-// valid H, 0 ≤ K ≤ N, K finite points, and random-source bytes that src
-// accepts, restoring it. Failures match errs.ErrCheckpointCorrupt.
-func (st *HoskingState) Validate(src MarshalableSource) error {
-	if !validHurst(st.H) || st.N < 1 || st.K < 0 || st.K > st.N || len(st.X) != st.K {
-		return fmt.Errorf("fgn: snapshot state inconsistent (N=%d, H=%v, K=%d, |X|=%d): %w",
-			st.N, st.H, st.K, len(st.X), errs.ErrCheckpointCorrupt)
-	}
-	if !finite(st.X...) {
-		return fmt.Errorf("fgn: snapshot prefix holds a non-finite point: %w", errs.ErrCheckpointCorrupt)
-	}
-	if len(st.RNG) == 0 {
-		return fmt.Errorf("fgn: snapshot carries no random-source state: %w", errs.ErrCheckpointCorrupt)
-	}
-	if err := src.UnmarshalBinary(st.RNG); err != nil {
-		return fmt.Errorf("fgn: restoring random source: %w: %w", errs.ErrCheckpointCorrupt, err)
-	}
-	return nil
-}
-
-// SnapshotFunc persists a periodic recursion snapshot. A non-nil error
-// aborts the generation: a run that believes it is checkpointed but
-// cannot actually write checkpoints should fail loudly, not complete
-// unprotected.
-type SnapshotFunc func(*HoskingState) error
-
-// HoskingCheckpointed generates like HoskingCtx but from a marshalable
-// random source, so an interrupted run can be checkpointed and resumed.
-// When resume is nil a fresh generation starts from src's current state;
-// otherwise src is restored from the snapshot and the generation
-// continues at point resume.K. On cancellation it returns a non-nil
-// *HoskingState alongside an error matching errs.ErrCancelled; on
-// success the state is nil and x holds all n points.
-//
-// When save is non-nil and every is positive, a snapshot is also taken
-// and handed to save after each block of every points, so a crashed
-// (not just signalled) run loses at most one block of work. Snapshots
-// are taken between points, before the next point consumes randomness,
-// which keeps resumed output bitwise identical.
-func HoskingCheckpointed(ctx context.Context, n int, h float64, src MarshalableSource, resume *HoskingState, every int, save SnapshotFunc) ([]float64, *HoskingState, error) {
-	if src == nil {
-		return nil, nil, fmt.Errorf("fgn: resumable generation needs a marshalable source")
-	}
-	c, err := NewHoskingCoeffs(h)
-	if err != nil {
-		return nil, nil, err
-	}
-	return hoskingRun(ctx, n, c, rand.New(src), src, resume, every, save)
-}
-
 // progressEvery is the point stride at which a Hosking generation
 // reports progress and flushes its point counter.
 const progressEvery = 4096
 
 // hoskingRun is the loop behind every batch generator: it extends c to
-// n points and advances a HoskingStream from mark to mark — progress
-// every progressEvery points and, when save is set and every is
-// positive, a snapshot every `every` points — so the per-point loop
-// carries no side work. src may be nil (no checkpointing); resume may
-// be nil (a fresh start from src's current position).
-func hoskingRun(ctx context.Context, n int, c *HoskingCoeffs, rng *rand.Rand, src MarshalableSource, resume *HoskingState, every int, save SnapshotFunc) ([]float64, *HoskingState, error) {
-	if resume != nil {
-		if err := validateState(resume, n, c.h, src); err != nil {
-			return nil, nil, err
-		}
-	}
-	// Cancelled before its first point, a run stops where it started.
-	unstarted := func() *HoskingState {
-		if src == nil || resume != nil {
-			return resume
-		}
-		return snapshot(n, c.h, nil, src)
-	}
+// n points and advances a HoskingStream from progress mark to progress
+// mark, so the per-point loop carries no side work. Marks count from
+// the first conditioned point, point 1 (X_0 is drawn with it).
+func hoskingRun(ctx context.Context, n int, c *HoskingCoeffs, rng *rand.Rand) ([]float64, error) {
 	if err := c.EnsureCtx(ctx, n); err != nil {
-		if errors.Is(err, errs.ErrCancelled) {
-			return nil, unstarted(), err
-		}
-		return nil, nil, err
+		return nil, err
 	}
 	s, err := NewHoskingStreamWithCoeffs(n, c, rng)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	scope := obs.From(ctx)
 	defer scope.Span("fgn.hosking")()
 	x := make([]float64, n)
-	if resume != nil {
-		if err := s.replay(ctx, resume.X); err != nil {
-			return nil, unstarted(), err
-		}
-		copy(x, resume.X)
-	}
-
-	// Marks count from the first conditioned point: point 1 on a fresh
-	// start (X_0 is drawn with it), point K on a resume. flushed is the
-	// position up to which fgn.hosking.points has been counted.
-	flushed, k0 := s.k, max(s.k, 1)
-	nextProg, nextSnap := k0+progressEvery, n
-	if save != nil && every > 0 {
-		nextSnap = k0 + every
-	}
-	for {
-		err := s.advance(ctx, x[s.k:min(nextProg, nextSnap, n)])
-		k := s.k
+	for mark, counted := 1+progressEvery, 0; ; mark += progressEvery {
+		err := s.advance(ctx, x[s.k:min(mark, n)])
+		scope.Count("fgn.hosking.points", int64(s.k-counted))
+		counted = s.k
 		if err != nil {
-			scope.Count("fgn.hosking.points", int64(k-flushed))
-			var st *HoskingState
-			if src != nil {
-				st = snapshot(n, c.h, x[:k], src)
-				scope.Count("checkpoint.snapshots", 1)
-			}
-			return nil, st, err
+			return nil, err
 		}
-		if k == n {
-			break
-		}
-		if k == nextProg {
-			scope.Count("fgn.hosking.points", int64(k-flushed))
-			flushed = k
-			scope.Progress("fgn.hosking", int64(k), int64(n))
-			nextProg += progressEvery
-		}
-		if k == nextSnap {
-			st := snapshot(n, c.h, x[:k], src)
-			scope.Count("checkpoint.snapshots", 1)
-			if err := save(st); err != nil {
-				return nil, st, fmt.Errorf("fgn: saving periodic snapshot at point %d of %d: %w", k, n, err)
-			}
-			nextSnap += every
+		scope.Progress("fgn.hosking", int64(s.k), int64(n))
+		if s.k == n {
+			return x, nil
 		}
 	}
-	scope.Count("fgn.hosking.points", int64(n-flushed))
-	scope.Progress("fgn.hosking", int64(n), int64(n))
-	return x, nil, nil
-}
-
-// snapshot copies the prefix x of an n-point run into a snapshot.
-func snapshot(n int, h float64, x []float64, src MarshalableSource) *HoskingState {
-	st := &HoskingState{N: n, H: h, K: len(x), X: append([]float64(nil), x...)}
-	if b, err := src.MarshalBinary(); err == nil {
-		st.RNG = b
-	}
-	return st
-}
-
-// validateState checks a resume snapshot against the requested run and
-// restores src from it.
-func validateState(st *HoskingState, n int, h float64, src MarshalableSource) error {
-	//vbrlint:ignore floateq resuming a checkpoint requires bitwise-identical H, not approximate equality
-	if st.N != n || st.H != h {
-		return fmt.Errorf("fgn: snapshot is for n=%d H=%v, run wants n=%d H=%v: %w",
-			st.N, st.H, n, h, errs.ErrCheckpointMismatch)
-	}
-	return st.Validate(src)
-}
-
-// finite reports whether no value is NaN or ±Inf.
-func finite(xs ...float64) bool {
-	for _, x := range xs {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return false
-		}
-	}
-	return true
 }
 
 // DaviesHarteCtx generates n points of zero-mean, unit-variance

@@ -54,8 +54,8 @@ func (s *HoskingStream) Next(ctx context.Context, dst []float64) (int, error) {
 // points into out; X_0 ~ N(0, 1) needs no conditioning. m_k is A_k times
 // what finished tree blocks added to zc[k] plus the direct sum over the
 // current base block. Cancellation is checked before each conditioned
-// point and leaves the stream there, so a later call (or a snapshot)
-// continues exactly at that point.
+// point and leaves the stream there, so a later call continues exactly
+// at that point.
 //
 //vbrlint:hotpath
 func (s *HoskingStream) advance(ctx context.Context, out []float64) error {
@@ -103,24 +103,4 @@ func (s *HoskingStream) relax(e int) {
 	}
 	lv := s.levels[bits.TrailingZeros(uint(sz))-bits.TrailingZeros(baseBlock)]
 	lv.convolve(s.work[:sz], s.zc[e-sz:e], s.zc[e:min(e+sz, s.n)])
-}
-
-// replay rebuilds a stream stopped before point len(x) from the points
-// it drew, with the original run's z values and tree steps in its
-// order, so the resumed stream continues with its bits. Cancellation
-// is checked once per base block.
-func (s *HoskingStream) replay(ctx context.Context, x []float64) error {
-	for base := 0; base < len(x); base += baseBlock {
-		if ctx.Err() != nil {
-			return interruptedErr(ctx, "Hosking resume", base, s.n)
-		}
-		if base > 0 {
-			s.relax(base)
-		}
-		for k := base; k < min(base+baseBlock, len(x)); k++ {
-			s.zc[k] = s.fac[k].weight * x[k]
-		}
-	}
-	s.k = len(x)
-	return nil
 }

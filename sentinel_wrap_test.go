@@ -26,7 +26,6 @@ var cmdWrappers = []struct {
 	wrap   func(error) error
 }{
 	{"vbrexperiments", func(err error) error { return fmt.Errorf("Figure 14: %w", err) }},
-	{"vbrgen", func(err error) error { return fmt.Errorf("loading checkpoint: %w", err) }},
 	{"vbrsim", func(err error) error { return fmt.Errorf("fig14 sweep: %w", err) }},
 	{"vbranalyze", func(err error) error { return fmt.Errorf("reading trace: %w", err) }},
 	{"vbrtrace", func(err error) error { return fmt.Errorf("writing trace: %w", err) }},
