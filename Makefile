@@ -41,12 +41,12 @@ race:
 
 # Short fuzzing pass over the parser/decoder fuzz targets, the Ĥ
 # estimator robustness targets, both spectral fGn samplers, the
-# scenario-zoo cascade invariants,
-# the stitched streams' block/overlap geometry, the queue's zero-loss
-# dual against the simulator, the NDJSON float encoder against strconv,
-# the Eq. 13 Gaussian-axis table's range and order, and the Fig. 14
-# search-checkpoint loader against hostile files; one target per
-# invocation as go test requires.
+# scenario-zoo cascade invariants, every stream engine over its length
+# and drain buffer, vbrd's /v1/trace over raw query strings, the
+# queue's zero-loss dual against the simulator, the NDJSON float
+# encoder against strconv, the Eq. 13 Gaussian-axis table's range and
+# order, and the Fig. 14 search-checkpoint loader against hostile
+# files; one target per invocation as go test requires.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzDecodeSymbols -fuzztime=$(FUZZTIME) ./internal/codec/
 	$(GO) test -fuzz=FuzzDecodeFrame -fuzztime=$(FUZZTIME) ./internal/codec/
@@ -60,6 +60,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzPaxson -fuzztime=$(FUZZTIME) ./internal/fgn/
 	$(GO) test -fuzz=FuzzDaviesHarte -fuzztime=$(FUZZTIME) ./internal/fgn/
 	$(GO) test -fuzz=FuzzStreamGeometry -fuzztime=$(FUZZTIME) ./internal/stream/
+	$(GO) test -fuzz=FuzzTraceQuery -fuzztime=$(FUZZTIME) ./internal/server/
 	$(GO) test -fuzz=FuzzZeroLoss -fuzztime=$(FUZZTIME) ./internal/queue/
 	$(GO) test -fuzz=FuzzAppendShortest -fuzztime=$(FUZZTIME) ./internal/ftoa/
 	$(GO) test -fuzz=FuzzNormalTable -fuzztime=$(FUZZTIME) ./internal/dist/

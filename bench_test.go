@@ -259,7 +259,8 @@ func BenchmarkFig17_ErrorProcess(b *testing.B) {
 // ---------------------------------------------------------------------
 // Ablation benchmarks (DESIGN.md §5).
 
-// Hosking's exact O(n²) generator vs the O(n log n) circulant embedding.
+// Hosking's exact generator, O(n log² n) in its closed form, vs the
+// O(n log n) circulant embedding.
 func BenchmarkAblation_Hosking10k(b *testing.B) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewPCG(1, 1))
@@ -786,7 +787,7 @@ func BenchmarkSourceNext(b *testing.B) {
 	for _, name := range SourceModels() {
 		spec := name
 		if name == "farima" {
-			spec = "farima:n=8192,block=2048"
+			spec = "farima:n=8192"
 		}
 		b.Run(name, func(b *testing.B) {
 			src, err := NewSource(spec, 1)

@@ -6,8 +6,9 @@
 //
 //	GET  /v1/trace     stream a synthetic trace (chunked NDJSON or
 //	                   raw little-endian float64; parameters n, mean,
-//	                   std, tail, hurst, seed, backend, block, overlap,
-//	                   format)
+//	                   std, tail, hurst, seed, backend, format, or
+//	                   model, n, seed, format for a zoo model; any
+//	                   other parameter is refused with 400)
 //	POST /v1/simulate  enqueue an async queueing-simulation job
 //	GET  /v1/jobs/{id} poll a job
 //	GET  /healthz      liveness + job-queue depth

@@ -36,8 +36,8 @@ type ExtMixResult struct {
 // frame-structured sources. Every member shares the 24 fps clock.
 func (s *Suite) extMixSpecs() []string {
 	return []string{
-		"farima:n=8192,block=2048*3+onoff:fps=24,rate=2e6,peak=12e6*2",
-		"farima:n=8192,block=2048*3+gop*2",
+		"farima:n=8192*3+onoff:fps=24,rate=2e6,peak=12e6*2",
+		"farima:n=8192*3+gop*2",
 	}
 }
 

@@ -108,27 +108,14 @@ func (p *Proxy) unavailable(w http.ResponseWriter, scope *obs.Scope, err error) 
 	writeProxyError(w, http.StatusServiceUnavailable, err)
 }
 
-// requestModel resolves a request's model parameters against
-// server.PaperDefault, as the workers do, so the proxy and the workers
-// agree on a request's cache identity; malformed values are tolerated
-// (the worker will reject them with its own 400 — the proxy only needs
-// a routing key).
-func (p *Proxy) requestModel(get func(string) string) core.Model {
-	m := server.PaperDefault
-	for _, f := range []struct {
-		name string
-		dst  *float64
-	}{
-		{"mean", &m.MuGamma},
-		{"std", &m.SigmaGamma},
-		{"tail", &m.TailSlope},
-		{"hurst", &m.Hurst},
-	} {
-		if v := get(f.name); v != "" {
-			if x, err := strconv.ParseFloat(v, 64); err == nil {
-				*f.dst = x
-			}
-		}
+// routingModel is the model a request is routed by: the one the workers
+// will serve, resolved by server.ParseModel so the proxy and the
+// workers agree on its cache identity, or PaperDefault when it does
+// not parse. Such a request still reaches a worker, which refuses it
+// with its own 400.
+func routingModel(m core.Model, err error) core.Model {
+	if err != nil {
+		return server.PaperDefault
 	}
 	return m
 }
@@ -163,7 +150,7 @@ func (p *Proxy) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if spec := strings.TrimSpace(strings.ReplaceAll(q.Get("model"), " ", "+")); spec != "" {
 		key = SpecKey(spec)
 	} else {
-		key = TraceKey(p.requestModel(q.Get), q.Get("backend"))
+		key = TraceKey(routingModel(server.ParseModel(q.Get)), q.Get("backend"))
 	}
 	cands := p.sup.Candidates(key)
 	if len(cands) == 0 {
@@ -326,8 +313,9 @@ func (p *Proxy) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		writeProxyError(w, http.StatusBadRequest, fmt.Errorf("fleet: reading simulate body: %w", err))
 		return
 	}
-	// Best-effort key extraction; an undecodable body routes by the
-	// default key and earns the worker's own 400.
+	// Only the model fields are decoded, not an uploaded trace. An
+	// undecodable body routes by the default key and earns the worker's
+	// own 400.
 	var mp struct {
 		Mean  float64 `json:"mean"`
 		Std   float64 `json:"std"`
@@ -335,14 +323,7 @@ func (p *Proxy) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		Hurst float64 `json:"hurst"`
 	}
 	_ = json.Unmarshal(body, &mp)
-	m := p.requestModel(func(name string) string {
-		v := map[string]float64{"mean": mp.Mean, "std": mp.Std, "tail": mp.Tail, "hurst": mp.Hurst}[name]
-		//vbrlint:ignore floateq a field omitted from the JSON body decodes to exactly 0; the exact compare detects "not set"
-		if v == 0 {
-			return ""
-		}
-		return strconv.FormatFloat(v, 'g', -1, 64)
-	})
+	m := routingModel(server.SimRequest{Mean: mp.Mean, Std: mp.Std, Tail: mp.Tail, Hurst: mp.Hurst}.Model())
 
 	cands := p.sup.Candidates(ModelKey(m))
 	if len(cands) == 0 {

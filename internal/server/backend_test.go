@@ -30,7 +30,7 @@ func TestTraceBackendEcho(t *testing.T) {
 		{"auto", "paxson", backend.Paxson}, // streams always resolve Auto to Paxson
 	}
 	for _, c := range cases {
-		url := ts.URL + "/v1/trace?n=2000&seed=3&block=256"
+		url := ts.URL + "/v1/trace?n=2000&seed=3"
 		if c.param != "" {
 			url += "&backend=" + c.param
 		}
@@ -46,7 +46,7 @@ func TestTraceBackendEcho(t *testing.T) {
 			t.Errorf("backend=%q: %s = %q, want %q", c.param, BackendHeader, got, c.wantEcho)
 		}
 		want := wantFrames(t, stream.Config{
-			Model: PaperDefault, N: 2000, BlockSize: 256, Seed: 3, Backend: c.backend,
+			Model: PaperDefault, N: 2000, Seed: 3, Backend: c.backend,
 		})
 		sc := bufio.NewScanner(resp.Body)
 		var got []float64

@@ -198,9 +198,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, h)
 }
 
-// parseModel reads μΓ/σΓ/m_T/H overrides from query parameters on top
-// of PaperDefault.
-func (s *Server) parseModel(get func(string) string) (core.Model, error) {
+// ParseModel applies a request's μ_Γ/σ_Γ/m_T/H overrides, the
+// parameters mean, std, tail and hurst as get reads them ("" for
+// unset), to PaperDefault and validates the result. It is the one
+// reading of a request's model: /v1/trace queries, /v1/simulate bodies
+// (SimRequest.Model) and the fleet proxy's routing all go through it.
+func ParseModel(get func(string) string) (core.Model, error) {
 	m := PaperDefault
 	for _, p := range []struct {
 		name string

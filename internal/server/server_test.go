@@ -3,7 +3,6 @@ package server
 import (
 	"bufio"
 	"bytes"
-	"cmp"
 	"context"
 	"encoding/binary"
 	"encoding/json"
@@ -53,7 +52,7 @@ func wantFrames(t *testing.T, cfg stream.Config) []float64 {
 
 func TestTraceNDJSON(t *testing.T) {
 	ts := newTestServer(t, Config{})
-	resp, err := http.Get(ts.URL + "/v1/trace?n=2000&seed=3&backend=hosking&block=256")
+	resp, err := http.Get(ts.URL + "/v1/trace?n=2000&seed=3&backend=hosking")
 	if err != nil {
 		t.Fatalf("GET: %v", err)
 	}
@@ -68,7 +67,7 @@ func TestTraceNDJSON(t *testing.T) {
 		t.Errorf("X-Vbr-Frames %q", got)
 	}
 	want := wantFrames(t, stream.Config{
-		Model: PaperDefault, N: 2000, BlockSize: 256, Seed: 3, Backend: backend.Hosking,
+		Model: PaperDefault, N: 2000, Seed: 3, Backend: backend.Hosking,
 	})
 	sc := bufio.NewScanner(resp.Body)
 	var got []float64
@@ -95,69 +94,64 @@ func TestTraceNDJSON(t *testing.T) {
 
 // TestTraceNDJSONBytes pins the served NDJSON body byte for byte to
 // strconv's shortest 'g' form of the library's frames, one per line:
-// the bytes fleet failover resumes at an offset into. Block sizes 1,
-// the default and n, over about 90 KB of body, put frame boundaries at
-// many offsets of the 32 KiB write buffer.
+// the bytes fleet failover resumes at an offset into. About 90 KB of
+// body in 4,096-frame blocks puts frame boundaries at many offsets of
+// the 32 KiB write buffer.
 func TestTraceNDJSONBytes(t *testing.T) {
 	const n, seed = 5000, 21
 	ts := newTestServer(t, Config{})
 	for _, src := range []string{"backend=hosking", "backend=davies-harte", "backend=paxson", "model=gop", "model=farima"} {
-		for _, block := range []int{1, 0, n} {
-			query := fmt.Sprintf("%s&n=%d&seed=%d", src, n, seed)
-			if block > 0 {
-				query += fmt.Sprintf("&block=%d", block)
-			}
-			t.Run(query, func(t *testing.T) {
-				var lib stream.BlockSource
-				if spec, ok := strings.CutPrefix(src, "model="); ok {
-					zs, err := source.New(spec, seed)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if lib, err = source.Blocks(zs, n, cmp.Or(block, 4096)); err != nil {
-						t.Fatal(err)
-					}
-				} else {
-					b, err := backend.Parse(strings.TrimPrefix(src, "backend="))
-					if err != nil {
-						t.Fatal(err)
-					}
-					if lib, err = stream.OpenCtx(context.Background(), stream.Config{Model: PaperDefault, N: n, BlockSize: block, Seed: seed, Backend: b}); err != nil {
-						t.Fatal(err)
-					}
-				}
-				frames, err := stream.Collect(context.Background(), lib)
+		query := fmt.Sprintf("%s&n=%d&seed=%d", src, n, seed)
+		t.Run(query, func(t *testing.T) {
+			var lib stream.BlockSource
+			if spec, ok := strings.CutPrefix(src, "model="); ok {
+				zs, err := source.New(spec, seed)
 				if err != nil {
 					t.Fatal(err)
 				}
-				var want []byte
-				for _, f := range frames {
-					want = append(strconv.AppendFloat(want, f, 'g', -1, 64), '\n')
+				if lib, err = source.Blocks(zs, n); err != nil {
+					t.Fatal(err)
 				}
+			} else {
+				b, err := backend.Parse(strings.TrimPrefix(src, "backend="))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if lib, err = stream.OpenCtx(context.Background(), stream.Config{Model: PaperDefault, N: n, Seed: seed, Backend: b}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			frames, err := stream.Collect(context.Background(), lib)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []byte
+			for _, f := range frames {
+				want = append(strconv.AppendFloat(want, f, 'g', -1, 64), '\n')
+			}
 
-				resp, err := http.Get(ts.URL + "/v1/trace?" + query)
-				if err != nil {
-					t.Fatalf("GET: %v", err)
+			resp, err := http.Get(ts.URL + "/v1/trace?" + query)
+			if err != nil {
+				t.Fatalf("GET: %v", err)
+			}
+			defer resp.Body.Close()
+			got, err := io.ReadAll(resp.Body)
+			if err != nil {
+				t.Fatalf("reading body: %v", err)
+			}
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("status %d: %s", resp.StatusCode, got)
+			}
+			if !bytes.Equal(got, want) {
+				i := 0
+				for i < min(len(got), len(want)) && got[i] == want[i] {
+					i++
 				}
-				defer resp.Body.Close()
-				got, err := io.ReadAll(resp.Body)
-				if err != nil {
-					t.Fatalf("reading body: %v", err)
-				}
-				if resp.StatusCode != http.StatusOK {
-					t.Fatalf("status %d: %s", resp.StatusCode, got)
-				}
-				if !bytes.Equal(got, want) {
-					i := 0
-					for i < min(len(got), len(want)) && got[i] == want[i] {
-						i++
-					}
-					line := bytes.Count(want[:i], []byte{'\n'})
-					t.Fatalf("body (%d bytes) departs from the library's bytes (%d) at byte %d, frame %d (%v)",
-						len(got), len(want), i, line, frames[min(line, len(frames)-1)])
-				}
-			})
-		}
+				line := bytes.Count(want[:i], []byte{'\n'})
+				t.Fatalf("body (%d bytes) departs from the library's bytes (%d) at byte %d, frame %d (%v)",
+					len(got), len(want), i, line, frames[min(line, len(frames)-1)])
+			}
+		})
 	}
 }
 
@@ -252,11 +246,11 @@ func TestTraceBadRequests(t *testing.T) {
 	}
 
 	// An unknown format is refused before the source opens: no Hosking
-	// schedule is extended (an O(n²) job at n = 4,000,000) and no
+	// coefficients are extended (seconds of work at n = 4,000,000) and no
 	// Davies–Harte entry is cached for a new H, so the pool is untouched.
-	// The client gives up long before such a job would finish. A table
-	// over the cap is refused before any table is built, and a cascade
-	// deeper than the cap before its 2^depth-frame block is allocated.
+	// A parameter the path does not read, such as table=, is refused by
+	// name before anything is built, and a cascade deeper than the cap
+	// before its 2^depth-frame block is allocated.
 	pool := genpool.New(0)
 	ts = newTestServer(t, Config{Pool: pool})
 	client := &http.Client{Timeout: 10 * time.Second}
@@ -273,6 +267,44 @@ func TestTraceBadRequests(t *testing.T) {
 		if after := pool.Stats(); after != before {
 			t.Errorf("?%s: pool stats %+v, were %+v", q, after, before)
 		}
+	}
+}
+
+// TestTraceUnknownParameters: a parameter the request's path does not
+// read gets a 400 that names it, on the §4 stream and on a zoo model
+// alike, so a typo or a retired tuning knob cannot be served silently.
+func TestTraceUnknownParameters(t *testing.T) {
+	ts := newTestServer(t, Config{})
+	for _, c := range []struct{ query, name string }{
+		{"n=1000&block=1", "block"},
+		{"hurts=0.9", "hurts"},
+		{"n=100&overlap=25&table=100", "overlap"},
+		{"model=gop&n=100&block=4", "block"},
+		{"model=gop&n=100&backend=paxson", "backend"},
+		{"model=gop&n=100&hurst=0.7", "hurst"},
+	} {
+		resp, err := http.Get(ts.URL + "/v1/trace?" + c.query)
+		if err != nil {
+			t.Fatalf("GET ?%s: %v", c.query, err)
+		}
+		var body apiError
+		err = json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("?%s: undecodable error body: %v", c.query, err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body.Error, strconv.Quote(c.name)) {
+			t.Errorf("?%s: status %d, error %q; want 400 naming %q", c.query, resp.StatusCode, body.Error, c.name)
+		}
+	}
+	// Every parameter the stream path reads is still accepted.
+	resp, err := http.Get(ts.URL + "/v1/trace?n=10&seed=1&backend=paxson&mean=27791&std=6254&tail=12&hurst=0.8&format=bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("all stream parameters: status %d, want 200", resp.StatusCode)
 	}
 }
 
@@ -294,40 +326,6 @@ func wantBadRequest(t *testing.T, client *http.Client, url string) {
 	}
 	if body.Error == "" {
 		t.Errorf("%s: empty error message", url)
-	}
-}
-
-// TestTraceBlockClampedToN: a block longer than the trace is clamped
-// to n, on the classic stream and on a zoo model alike, so the request
-// is served from n-frame buffers exactly as if block=n had been sent.
-func TestTraceBlockClampedToN(t *testing.T) {
-	ts := newTestServer(t, Config{MaxFrames: 10_000})
-	for _, c := range []struct{ query, clamped string }{
-		{"n=100&block=200000000&seed=4", "n=100&block=100&seed=4"},
-		{"model=gop&n=100&block=200000000&seed=4", "model=gop&n=100&block=100&seed=4"},
-	} {
-		get := func(q string) []byte {
-			resp, err := http.Get(ts.URL + "/v1/trace?format=bin&" + q)
-			if err != nil {
-				t.Fatalf("GET ?%s: %v", q, err)
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("?%s: status %d", q, resp.StatusCode)
-			}
-			raw, err := io.ReadAll(resp.Body)
-			if err != nil {
-				t.Fatalf("?%s: reading body: %v", q, err)
-			}
-			return raw
-		}
-		got, want := get(c.query), get(c.clamped)
-		if len(got) != 100*8 {
-			t.Errorf("?%s: body %d bytes, want 800", c.query, len(got))
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("?%s: body differs from ?%s", c.query, c.clamped)
-		}
 	}
 }
 
@@ -512,7 +510,7 @@ func TestHealthz(t *testing.T) {
 func TestTraceClientDisconnect(t *testing.T) {
 	ts := newTestServer(t, Config{})
 	ctx, cancel := context.WithCancel(context.Background())
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/v1/trace?n=500000&block=1024", nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/v1/trace?n=500000", nil)
 	if err != nil {
 		t.Fatalf("NewRequest: %v", err)
 	}

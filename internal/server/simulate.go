@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"vbr/internal/backend"
+	"vbr/internal/core"
 	"vbr/internal/obs"
 	"vbr/internal/queue"
 	"vbr/internal/runner"
@@ -205,18 +206,25 @@ func (s *Server) validateSim(req SimRequest) error {
 	return nil
 }
 
-// simStreamConfig maps a SimRequest's generation half onto a stream
-// Config.
-func (s *Server) simStreamConfig(req SimRequest) (stream.Config, error) {
-	get := func(name string) string {
-		v := map[string]float64{"mean": req.Mean, "std": req.Std, "tail": req.Tail, "hurst": req.Hurst}[name]
+// Model resolves the body's model fields through ParseModel. A field
+// omitted from the JSON decodes to exactly 0 and keeps PaperDefault's
+// value; any other is read as its shortest round-trip decimal form, so
+// the model is the one the equivalent query would give.
+func (r SimRequest) Model() (core.Model, error) {
+	return ParseModel(func(name string) string {
+		v := map[string]float64{"mean": r.Mean, "std": r.Std, "tail": r.Tail, "hurst": r.Hurst}[name]
 		//vbrlint:ignore floateq a field omitted from the JSON body decodes to exactly 0; the exact compare detects "not set"
 		if v == 0 {
 			return ""
 		}
-		return fmt.Sprintf("%g", v)
-	}
-	model, err := s.parseModel(get)
+		return strconv.FormatFloat(v, 'g', -1, 64)
+	})
+}
+
+// simStreamConfig maps a SimRequest's generation half onto a stream
+// Config.
+func (s *Server) simStreamConfig(req SimRequest) (stream.Config, error) {
+	model, err := req.Model()
 	if err != nil {
 		return stream.Config{}, err
 	}

@@ -1,11 +1,15 @@
 package server
 
 import (
+	"cmp"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"net/http"
+	"net/url"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -44,57 +48,12 @@ func parseFloat(s string) (float64, error) {
 	return f, nil
 }
 
-// parseStreamConfig maps /v1/trace query parameters onto a stream
-// Config. Unset parameters fall back to the server defaults; n defaults
-// to the paper's 2-hour trace length (§2: 171,000 frames).
-func (s *Server) parseStreamConfig(get func(string) string) (stream.Config, error) {
-	model, err := s.parseModel(get)
-	if err != nil {
-		return stream.Config{}, err
-	}
-	cfg := stream.Config{Model: model, N: 171_000, Backend: DefaultBackend, Pool: s.cfg.Pool}
-	for _, p := range []struct {
-		name string
-		dst  *int
-	}{
-		{"n", &cfg.N},
-		{"block", &cfg.BlockSize},
-		{"overlap", &cfg.Overlap},
-		{"table", &cfg.TableSize},
-	} {
-		if v := get(p.name); v != "" {
-			i, err := strconv.Atoi(v)
-			if err != nil {
-				return stream.Config{}, fmt.Errorf("server: parameter %s: %w", p.name, err)
-			}
-			*p.dst = i
-		}
-	}
-	if v := get("seed"); v != "" {
-		seed, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			return stream.Config{}, fmt.Errorf("server: parameter seed: %w", err)
-		}
-		cfg.Seed = seed
-	}
-	if v := get("backend"); v != "" {
-		b, err := backend.Parse(v)
-		if err != nil {
-			return stream.Config{}, err
-		}
-		cfg.Backend = b
-	}
-	if cfg.N > s.cfg.MaxFrames {
-		return stream.Config{}, fmt.Errorf("server: n=%d exceeds the per-request cap of %d frames", cfg.N, s.cfg.MaxFrames)
-	}
-	return cfg, nil
-}
-
 // probeSource is what the trace writer loop needs: block-by-block
 // frames plus a final online-validation probe. The classic fARIMA
 // stream and the scenario-zoo block adapter both satisfy it.
 type probeSource interface {
 	stream.BlockSource
+	Len() int
 	Probe() stream.Probe
 }
 
@@ -132,46 +91,103 @@ const maxNDJSONFrame = 25
 // same routing key the workers' own default produces.
 const DefaultBackend = backend.DaviesHarte
 
-// parseZooSource maps /v1/trace query parameters onto a scenario-zoo
-// source when model= names one. Query decoding turns "+" into a
-// space, so spaces in the spec are read back as the mix separator —
-// model=farima*3+onoff works without percent-encoding.
-func (s *Server) parseZooSource(get func(string) string, spec string) (*source.BlockAdapter, int, uint64, error) {
-	n, block := 171_000, 4096
-	for _, p := range []struct {
-		name string
-		dst  *int
-	}{
-		{"n", &n},
-		{"block", &block},
-	} {
-		if v := get(p.name); v != "" {
-			i, err := strconv.Atoi(v)
-			if err != nil {
-				return nil, 0, 0, fmt.Errorf("server: parameter %s: %w", p.name, err)
-			}
-			*p.dst = i
+// streamReads and zooReads list the parameters each /v1/trace path
+// reads: the §4 stream's and a scenario-zoo model's. Anything else is
+// refused by name, so a typo such as hurts=0.95 cannot be served
+// silently at the default H.
+var (
+	streamReads = []string{"n", "seed", "backend", "mean", "std", "tail", "hurst", "format"}
+	zooReads    = []string{"model", "n", "seed", "format"}
+)
+
+// checkReads refuses a query that names a parameter outside reads,
+// naming the first such parameter in sorted order.
+func checkReads(q url.Values, reads []string) error {
+	var unread []string
+	for name := range q {
+		if !slices.Contains(reads, name) {
+			unread = append(unread, name)
 		}
 	}
-	var seed uint64
-	if v := get("seed"); v != "" {
-		var err error
+	if len(unread) == 0 {
+		return nil
+	}
+	slices.Sort(unread)
+	return fmt.Errorf("server: unknown parameter %q (this path reads %s)", unread[0], strings.Join(reads, ", "))
+}
+
+// openTrace checks a /v1/trace query and opens the source it names: a
+// scenario-zoo model when model= is set, the §4 fARIMA stream
+// otherwise, n frames of it (default: the paper's 2-hour trace, §2:
+// 171,000 frames) in the returned wire format. The trace is a function
+// of its model, n, seed and (for the stream) backend; a parameter the
+// path does not read is refused by name. Every check runs before
+// anything is opened: opening can fill a genpool entry or extend
+// Hosking coefficients, and a request that is refused anyway must not
+// cost that. On success the headers that identify the trace are set
+// on h.
+func (s *Server) openTrace(ctx context.Context, q url.Values, h http.Header) (src probeSource, format string, err error) {
+	format = cmp.Or(q.Get("format"), formatNDJSON)
+	if format != formatNDJSON && format != formatBinary {
+		return nil, "", fmt.Errorf("server: unknown format %q (want %s or %s)", format, formatNDJSON, formatBinary)
+	}
+	// Query decoding turns "+" into a space, so spaces in the spec are
+	// read back as the mix separator: model=farima*3+onoff works
+	// without percent-encoding.
+	spec := strings.TrimSpace(strings.ReplaceAll(q.Get("model"), " ", "+"))
+	reads := streamReads
+	if spec != "" {
+		reads = zooReads
+	}
+	if err := checkReads(q, reads); err != nil {
+		return nil, "", err
+	}
+	n, seed := 171_000, uint64(0)
+	if v := q.Get("n"); v != "" {
+		if n, err = strconv.Atoi(v); err != nil {
+			return nil, "", fmt.Errorf("server: parameter n: %w", err)
+		}
+	}
+	if v := q.Get("seed"); v != "" {
 		if seed, err = strconv.ParseUint(v, 10, 64); err != nil {
-			return nil, 0, 0, fmt.Errorf("server: parameter seed: %w", err)
+			return nil, "", fmt.Errorf("server: parameter seed: %w", err)
 		}
 	}
 	if n > s.cfg.MaxFrames {
-		return nil, 0, 0, fmt.Errorf("server: n=%d exceeds the per-request cap of %d frames", n, s.cfg.MaxFrames)
+		return nil, "", fmt.Errorf("server: n=%d exceeds the per-request cap of %d frames", n, s.cfg.MaxFrames)
 	}
-	src, err := source.New(spec, seed)
-	if err != nil {
-		return nil, 0, 0, err
+	if spec != "" {
+		zs, err := source.New(spec, seed)
+		if err != nil {
+			return nil, "", err
+		}
+		if src, err = source.Blocks(zs, n); err != nil {
+			return nil, "", err
+		}
+		h.Set(ModelHeader, spec)
+	} else {
+		model, err := ParseModel(q.Get)
+		if err != nil {
+			return nil, "", err
+		}
+		b := DefaultBackend
+		if v := q.Get("backend"); v != "" {
+			if b, err = backend.Parse(v); err != nil {
+				return nil, "", err
+			}
+		}
+		st, err := stream.OpenCtx(ctx, stream.Config{Model: model, N: n, Seed: seed, Backend: b, Pool: s.cfg.Pool})
+		if err != nil {
+			return nil, "", err
+		}
+		// Echo the concrete engine, not the request: for ?backend=auto
+		// the client learns what the policy actually picked.
+		h.Set(BackendHeader, st.Backend().String())
+		src = st
 	}
-	ad, err := source.Blocks(src, n, block)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	return ad, n, seed, nil
+	h.Set("X-Vbr-Frames", strconv.Itoa(n))
+	h.Set("X-Vbr-Seed", strconv.FormatUint(seed, 10))
+	return src, format, nil
 }
 
 // handleTrace streams a synthetic trace as chunked NDJSON (default) or
@@ -189,58 +205,18 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	scope.Count("server.trace.requests", 1)
 	defer scope.Span("server.trace")()
 
-	q := r.URL.Query()
-	// Check the format before opening the source: opening can fill a
-	// genpool entry or extend Hosking coefficients, and a request that is
-	// refused anyway must not cost that.
-	format := q.Get("format")
-	if format == "" {
-		format = formatNDJSON
-	}
-	if format != formatNDJSON && format != formatBinary {
+	src, format, err := s.openTrace(ctx, r.URL.Query(), w.Header())
+	if err != nil {
 		scope.Count("server.trace.badrequest", 1)
-		writeError(w, http.StatusBadRequest, fmt.Errorf("server: unknown format %q (want %s or %s)", format, formatNDJSON, formatBinary))
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	var (
-		src  probeSource
-		n    int
-		seed uint64
-	)
-	if spec := strings.TrimSpace(strings.ReplaceAll(q.Get("model"), " ", "+")); spec != "" {
-		ad, zn, zseed, err := s.parseZooSource(q.Get, spec)
-		if err != nil {
-			scope.Count("server.trace.badrequest", 1)
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		src, n, seed = ad, zn, zseed
-		w.Header().Set(ModelHeader, spec)
-	} else {
-		cfg, err := s.parseStreamConfig(q.Get)
-		if err != nil {
-			scope.Count("server.trace.badrequest", 1)
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		st, err := stream.OpenCtx(ctx, cfg)
-		if err != nil {
-			scope.Count("server.trace.badrequest", 1)
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		src, n, seed = st, cfg.N, cfg.Seed
-		// Echo the concrete engine, not the request: for ?backend=auto
-		// the client learns what the policy actually picked.
-		w.Header().Set(BackendHeader, st.Backend().String())
-	}
+	n := src.Len()
 	if format == formatBinary {
 		w.Header().Set("Content-Type", "application/octet-stream")
 	} else {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 	}
-	w.Header().Set("X-Vbr-Frames", strconv.Itoa(n))
-	w.Header().Set("X-Vbr-Seed", strconv.FormatUint(seed, 10))
 	// The stream validates itself online; once the last block is out the
 	// final monitor probe travels back as HTTP trailers (headers are long
 	// gone by then). Ĥ is the calibrated MAVAR estimate with its 95%

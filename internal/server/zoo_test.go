@@ -35,7 +35,7 @@ func readNDJSON(t *testing.T, body io.Reader) []float64 {
 // body against the registry run directly with the same seed.
 func TestTraceZooModel(t *testing.T) {
 	ts := newTestServer(t, Config{})
-	resp, err := http.Get(ts.URL + "/v1/trace?model=gop&n=512&seed=9&block=128")
+	resp, err := http.Get(ts.URL + "/v1/trace?model=gop&n=512&seed=9")
 	if err != nil {
 		t.Fatalf("GET: %v", err)
 	}
@@ -58,7 +58,7 @@ func TestTraceZooModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ad, err := source.Blocks(src, 512, 128)
+	ad, err := source.Blocks(src, 512)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,21 +23,17 @@ type BlockAdapter struct {
 }
 
 // Blocks adapts src to a BlockSource producing n frames in blocks of
-// block frames, clamped to n as stream.Config clamps its BlockSize.
-// The adapter owns the read position; callers should Reset the source
+// at most stream.BlockLen frames, the native stream's buffer. The
+// adapter owns the read position; callers should Reset the source
 // before (not during) adaptation.
-func Blocks(src Source, n, block int) (*BlockAdapter, error) {
+func Blocks(src Source, n int) (*BlockAdapter, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("source: block adapter needs n ≥ 1, got %d", n)
 	}
-	if block < 1 {
-		return nil, fmt.Errorf("source: block adapter needs block ≥ 1, got %d", block)
-	}
-	block = min(block, n)
 	return &BlockAdapter{
 		src: src,
 		n:   n,
-		buf: make([]float64, block),
+		buf: make([]float64, min(stream.BlockLen, n)),
 		mon: stream.NewMonitor(n),
 	}, nil
 }
@@ -65,10 +61,7 @@ func (a *BlockAdapter) Next(ctx context.Context) ([]float64, error) {
 	if ctx.Err() != nil {
 		return nil, errs.Cancelled(ctx)
 	}
-	want := len(a.buf)
-	if rest := a.n - a.pos; rest < want {
-		want = rest
-	}
+	want := min(len(a.buf), a.n-a.pos)
 	out := a.buf[:want]
 	for i := range out {
 		v, err := a.src.Next(ctx)

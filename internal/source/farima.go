@@ -22,7 +22,6 @@ func init() {
 			"tail":  12,    // m_T Pareto tail slope
 			"hurst": 0.8,   // H
 			"n":     171000,
-			"block": 4096,
 			"fps":   24,
 		},
 		New: newFarima,
@@ -52,12 +51,8 @@ func newFarima(user Params, seed uint64) (Source, error) {
 		return nil, err
 	}
 	n := int(p["n"])
-	block := int(p["block"])
 	if n < 1 {
 		return nil, fmt.Errorf("source: farima horizon n must be ≥ 1, got %d", n)
-	}
-	if block < 1 {
-		return nil, fmt.Errorf("source: farima block must be ≥ 1, got %d", block)
 	}
 	if !(p["fps"] > 0) {
 		return nil, fmt.Errorf("source: farima fps must be positive, got %v", p["fps"])
@@ -69,9 +64,8 @@ func newFarima(user Params, seed uint64) (Source, error) {
 			TailSlope:  p["tail"],
 			Hurst:      p["hurst"],
 		},
-		N:         n,
-		BlockSize: block,
-		Backend:   backend.DaviesHarte,
+		N:       n,
+		Backend: backend.DaviesHarte,
 	}
 	if err := cfg.Model.Validate(); err != nil {
 		return nil, err

@@ -21,6 +21,8 @@ import (
 	"math"
 	"sort"
 	"strings"
+
+	"vbr/internal/core"
 )
 
 // Source is a per-frame byte supplier: one traffic model instance.
@@ -65,16 +67,11 @@ func (m Meta) MeanBps() float64 { return m.MeanBytes * 8 * m.FrameRate }
 // PeakBps is the peak envelope in bits per second (0 when unbounded).
 func (m Meta) PeakBps() float64 { return m.PeakBytes * 8 * m.FrameRate }
 
-// SubSeed derives the i-th child seed from a base seed by a splitmix64
-// step — the same derivation the batch engine uses — so multi-member
+// SubSeed derives the i-th child seed from a base seed by the batch
+// engine's splitmix64 step, core.BatchSeed, so multi-member
 // populations (mix members, multiplexer combos) get decorrelated yet
 // reproducible randomness from one user-facing seed.
-func SubSeed(base uint64, i int) uint64 {
-	z := base + uint64(i+1)*0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
+func SubSeed(base uint64, i int) uint64 { return core.BatchSeed(base, i) }
 
 // Params carries a model's numeric parameters by name. Builders merge
 // user params over their registered defaults; a key the model does not

@@ -355,18 +355,17 @@ func TestOnOffEnvelope(t *testing.T) {
 func TestFarimaMatchesStream(t *testing.T) {
 	ctx := context.Background()
 	const n = 8192
-	src, err := New("farima:n=8192,block=1024", 21)
+	src, err := New("farima:n=8192", 21)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := collect(t, src, n)
 
 	st, err := stream.OpenCtx(ctx, stream.Config{
-		Model:     core.Model{MuGamma: 27791, SigmaGamma: 6254, TailSlope: 12, Hurst: 0.8},
-		N:         n,
-		BlockSize: 1024,
-		Backend:   backend.DaviesHarte,
-		Seed:      SubSeed(21, 0),
+		Model:   core.Model{MuGamma: 27791, SigmaGamma: 6254, TailSlope: 12, Hurst: 0.8},
+		N:       n,
+		Backend: backend.DaviesHarte,
+		Seed:    SubSeed(21, 0),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -389,8 +388,8 @@ func TestBlocksAdapter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n, block = 10_000, 1024
-	ad, err := Blocks(src, n, block)
+	const n = 10_000
+	ad, err := Blocks(src, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,8 +405,8 @@ func TestBlocksAdapter(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(blk) > block {
-			t.Fatalf("block of %d frames, want ≤ %d", len(blk), block)
+		if len(blk) > stream.BlockLen {
+			t.Fatalf("block of %d frames, want ≤ %d", len(blk), stream.BlockLen)
 		}
 		total += len(blk)
 	}
@@ -425,9 +424,9 @@ func TestBlocksAdapter(t *testing.T) {
 		t.Errorf("Probe().Mean = %v, want > 0", p.Mean)
 	}
 
-	// A block longer than the trace is clamped to it.
+	// A trace shorter than a block gets a buffer of its own length.
 	src.Reset(13)
-	short, err := Blocks(src, 100, 200_000_000)
+	short, err := Blocks(src, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,7 +436,7 @@ func TestBlocksAdapter(t *testing.T) {
 
 	// Cancellation surfaces as errs.ErrCancelled.
 	src.Reset(13)
-	ad2, err := Blocks(src, n, block)
+	ad2, err := Blocks(src, n)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,9 +27,11 @@ import (
 // mis-weighted crossfade moves the seam offsets; a mis-scaled
 // amplitude moves every offset; Re and Im halves that are not
 // independent inflate the variance where one pair's halves meet. The
-// dense geometry puts a seam every 24 frames, where the Davies–Harte
-// halves of one pair correlate most. The KS check pools seeds so that
-// the Eq. 13 path stays exercised at the old 0.02 bound.
+// dense geometry, a stitch built directly with 32-point chunks
+// overlapping by 8, puts a seam every 24 frames, where the Davies–Harte
+// halves of one pair correlate most. The KS check maps the first seeds
+// through the stream's Eq. 13 table and pools them, at the old 0.02
+// bound.
 func TestDaviesHarteStreamMarginal(t *testing.T) { checkStitchedMarginal(t, backend.DaviesHarte) }
 
 func TestPaxsonStreamMarginal(t *testing.T) { checkStitchedMarginal(t, backend.Paxson) }
@@ -42,11 +44,15 @@ func checkStitchedMarginal(t *testing.T, b backend.Backend) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, g := range []struct{ n, block, overlap int }{
-		{1 << 16, 4096, 1024}, // the default: S = 8,192, stride 7,168
-		{1 << 14, 24, 8},      // dense seams: S = 32, stride 24
+	tab, err := pool.NormalTable(context.Background(), m.MuGamma, m.SigmaGamma, m.TailSlope, tableSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []struct{ n, size, overlap int }{
+		{1 << 16, 8192, 1024}, // every stream of 4,096 frames or more: stride 7,168
+		{1 << 14, 32, 8},      // dense seams: stride 24
 	} {
-		stride := synthLen(g.block, g.overlap) - g.overlap
+		stride := g.size - g.overlap
 		t.Run(fmt.Sprintf("stride=%d", stride), func(t *testing.T) {
 			if testing.Short() && stride > 24 {
 				// -short is the race-detector tier; this single-goroutine
@@ -54,16 +60,16 @@ func checkStitchedMarginal(t *testing.T, b backend.Backend) {
 				t.Skip("default stride runs in the full tier only")
 			}
 			ctx := context.Background()
-			cfg := Config{Model: m, N: g.n, BlockSize: g.block, Overlap: g.overlap, Backend: b, Pool: pool}
+			cfg := Config{Model: m, N: g.n, Backend: b, Pool: pool}
 			var off, offSq []float64 // per offset: Σ and Σ² over seeds of the seed's mean x²
 			var all, allSq float64   // the same for the seed's mean x² over every frame
 			sum, cnt := make([]float64, stride), make([]float64, stride)
-			buf := make([]float64, g.block)
+			buf := make([]float64, BlockLen)
 			off, offSq = make([]float64, stride), make([]float64, stride)
 			var pooled []float64
 			for seed := uint64(1); seed <= seeds; seed++ {
 				cfg.Seed = seed
-				s, err := OpenCtx(ctx, cfg)
+				st, err := newStitch(ctx, cfg, b, g.size, g.overlap)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -71,7 +77,7 @@ func checkStitchedMarginal(t *testing.T, b backend.Backend) {
 				clear(cnt)
 				var tot float64
 				for f := 0; f < g.n; {
-					k, err := s.gauss.Next(ctx, buf)
+					k, err := st.Next(ctx, buf)
 					if err != nil {
 						t.Fatalf("seed %d frame %d: %v", seed, f, err)
 					}
@@ -80,6 +86,9 @@ func checkStitchedMarginal(t *testing.T, b backend.Backend) {
 						cnt[f%stride]++
 						tot += x * x
 						f++
+						if seed <= ksSeeds {
+							pooled = append(pooled, tab.Value(x))
+						}
 					}
 				}
 				for o := range sum {
@@ -90,9 +99,6 @@ func checkStitchedMarginal(t *testing.T, b backend.Backend) {
 				v := tot / float64(g.n)
 				all += v
 				allSq += v * v
-				if seed <= ksSeeds {
-					pooled = append(pooled, collect(t, cfg)...)
-				}
 			}
 			worst := 0.0 // the largest |variance − 1| in standard errors
 			within5SE := func(what string, s1, s2 float64) {

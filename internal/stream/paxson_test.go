@@ -20,7 +20,7 @@ func TestPaxsonBlockAdapterVsBatch(t *testing.T) {
 	ctx := context.Background()
 	const n = 1 << 16
 	m := paperModel()
-	frames := collect(t, Config{Model: m, N: n, BlockSize: 4096, Overlap: 1024, Seed: 5, Backend: backend.Paxson})
+	frames := collect(t, Config{Model: m, N: n, Seed: 5, Backend: backend.Paxson})
 	ws, err := lrd.Whittle(frames)
 	if err != nil {
 		t.Fatalf("Whittle(stream): %v", err)
@@ -46,7 +46,7 @@ func TestPaxsonBlockAdapterVsBatch(t *testing.T) {
 // TestPaxsonShortFinalBlock: N not a multiple of the block size must
 // still drain exactly N valid frames.
 func TestPaxsonShortFinalBlock(t *testing.T) {
-	cfg := Config{Model: paperModel(), N: 10_000, BlockSize: 4096, Overlap: 512, Seed: 2, Backend: backend.Paxson}
+	cfg := Config{Model: paperModel(), N: 10_000, Seed: 2, Backend: backend.Paxson}
 	frames := collect(t, cfg)
 	for i, f := range frames {
 		if math.IsNaN(f) || f < 0 {
@@ -87,7 +87,7 @@ func TestStreamAutoResolvesToPaxson(t *testing.T) {
 // up once, at open, so one cached value serves every stream of the
 // same H and chunk length).
 func TestPaxsonStreamPooledBitwise(t *testing.T) {
-	cfg := Config{Model: paperModel(), N: 1 << 14, BlockSize: 2048, Overlap: 512, Seed: 9, Backend: backend.Paxson}
+	cfg := Config{Model: paperModel(), N: 1 << 14, Seed: 9, Backend: backend.Paxson}
 	cold := collect(t, cfg)
 	pooled := cfg
 	pooled.Pool = genpool.New(0)
@@ -107,9 +107,9 @@ func TestPaxsonStreamPooledBitwise(t *testing.T) {
 }
 
 // TestPaxsonStreamDeterministic: same config, same bits.
-// FuzzStreamGeometry pins that the block size does not change them.
+// FuzzStreamGeometry pins that the drain buffer does not change them.
 func TestPaxsonStreamDeterministic(t *testing.T) {
-	cfg := Config{Model: paperModel(), N: 8192, BlockSize: 1024, Overlap: 256, Seed: 21, Backend: backend.Paxson}
+	cfg := Config{Model: paperModel(), N: 8192, Seed: 21, Backend: backend.Paxson}
 	a := collect(t, cfg)
 	b := collect(t, cfg)
 	for i := range a {
@@ -123,7 +123,7 @@ func TestPaxsonStreamDeterministic(t *testing.T) {
 // stream with the same seed draw from disjoint PCG stream salts; their
 // Gaussian stages must not be correlated copies of each other.
 func TestPaxsonStreamIndependentOfDH(t *testing.T) {
-	base := Config{Model: paperModel(), N: 4096, BlockSize: 1024, Overlap: 256, Seed: 3}
+	base := Config{Model: paperModel(), N: 4096, Seed: 3}
 	px := base
 	px.Backend = backend.Paxson
 	dh := base
@@ -145,7 +145,7 @@ func TestPaxsonStreamIndependentOfDH(t *testing.T) {
 // stitched Paxson backend holds only chunk-sized state.
 func TestPaxsonStreamBoundedMemory(t *testing.T) {
 	ctx := context.Background()
-	s, err := OpenCtx(ctx, Config{Model: paperModel(), N: 200_000, BlockSize: 2048, Overlap: 512, Seed: 1, Backend: backend.Paxson})
+	s, err := OpenCtx(ctx, Config{Model: paperModel(), N: 200_000, Seed: 1, Backend: backend.Paxson})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ import (
 func TestStreamPooledBitwise(t *testing.T) {
 	base := Config{
 		Model: core.Model{MuGamma: 27791, SigmaGamma: 6254, TailSlope: 12, Hurst: 0.8},
-		N:     6000, BlockSize: 512, Seed: 31,
+		N:     6000, Seed: 31,
 	}
 	ctx := context.Background()
 	for _, bk := range []backend.Backend{backend.Hosking, backend.DaviesHarte} {
@@ -68,9 +68,9 @@ func TestChunkedStreamZeroAlloc(t *testing.T) {
 	}
 	ctx := context.Background()
 	pool := genpool.New(0)
-	const block, runs = 1024, 40
+	const runs = 40
 	for _, b := range []backend.Backend{backend.DaviesHarte, backend.Paxson} {
-		cfg := Config{Model: paperModel(), N: (runs + 4) * block, BlockSize: block, Seed: 5, Backend: b, Pool: pool}
+		cfg := Config{Model: paperModel(), N: (runs + 4) * BlockLen, Seed: 5, Backend: b, Pool: pool}
 		warm, err := OpenCtx(ctx, cfg) // fills the pool
 		if err != nil {
 			t.Fatal(err)
@@ -109,7 +109,7 @@ func TestChunkedStreamsShareEngine(t *testing.T) {
 	ctx := context.Background()
 	const workers = 6
 	for _, b := range []backend.Backend{backend.DaviesHarte, backend.Paxson} {
-		cfg := Config{Model: paperModel(), N: 5000, BlockSize: 1000, Seed: 17, Backend: b}
+		cfg := Config{Model: paperModel(), N: 5000, Seed: 17, Backend: b}
 		want := collect(t, cfg)
 		cfg.Pool = genpool.New(0)
 		got := make([][]float64, workers)

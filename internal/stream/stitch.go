@@ -8,6 +8,7 @@ import (
 	"math/bits"
 	"math/rand/v2"
 
+	"vbr/internal/backend"
 	"vbr/internal/errs"
 	"vbr/internal/fgn"
 )
@@ -18,8 +19,7 @@ import (
 // Paxson share every line of the seam logic and differ only in the
 // amplitudes and plan of their pair draw (fgn.Pair).
 //
-// S = synthLen(B, L) is the next power of two ≥ block + overlap, and
-// chunk c covers absolute frames [c·(S−L), (c+1)·(S−L)+L): its first L
+// Chunk c covers absolute frames [c·(S−L), (c+1)·(S−L)+L): its first L
 // points are blended with the last L of chunk c−1, the next S−2L are
 // emitted as-is, and its last L become the carry for chunk c+1, so each
 // chunk contributes S−L new frames. Chunks 2p and 2p+1 are the Re and
@@ -31,9 +31,9 @@ import (
 // so cos²+sin² = 1 keeps the mix of two independent N(0,1) samples
 // exactly N(0,1): the marginal is preserved everywhere, and only the
 // autocorrelation across a seam is approximate (each chunk is
-// internally one backend draw). The block size only sizes the caller's
-// buffer: Next serves any number of frames out of the current chunk,
-// so the output does not depend on it.
+// internally one backend draw). Next serves any number of frames out
+// of the current chunk, so the output does not depend on the caller's
+// buffer.
 type stitch struct {
 	n       int
 	size    int // S, the chunk synthesis length
@@ -58,62 +58,57 @@ type stitch struct {
 	pos   int // frames emitted
 }
 
-// synthLen is the length a chunk of block+overlap points is drawn at:
-// the next power of two, so both engines' pair FFTs (2·synthLen
-// points for Davies–Harte, synthLen for Paxson) run radix-2 rather
-// than through Bluestein's two inner transforms of twice the size.
-func synthLen(block, overlap int) int {
-	return 1 << bits.Len(uint(block+overlap-1))
+// geometry returns the chunk synthesis length S and overlap L of a
+// stitched stream of n frames. From 4,096 frames on, chunks are 8,192
+// points overlapping by 1,024 (a 7,168-frame stride). A shorter stream
+// takes L = ⌊n/4⌋ and one chunk at the next power of two ≥ n + L, so
+// S − L ≥ n and it never blends. S is a power of two so both engines'
+// pair FFTs (2S points for Davies–Harte, S for Paxson) run radix-2
+// rather than through Bluestein's two inner transforms of twice the
+// size.
+func geometry(n int) (size, overlap int) {
+	m := min(n, 4096)
+	overlap = m / 4
+	return 1 << bits.Len(uint(m+overlap-1)), overlap
 }
 
-// newStitch allocates the stream's spectrum and carry buffers and
-// computes the crossfade weights once, so serving a chunk allocates
-// nothing and blending calls no trigonometry.
-func newStitch(cfg Config, name string, salt uint64, pair fgn.Pair) *stitch {
+// newStitch builds the chunked stream of cfg on engine b (Davies–Harte
+// or Paxson) with chunks of size points overlapping by overlap. Every
+// chunk has the same synthesis length, so one pair draw — the
+// Davies–Harte eigenvalues or the Paxson spectrum, with its FFT plan —
+// looked up once here, from the pool when there is one, serves all
+// chunks of this stream and every other stream with the same
+// (H, synthesis length). The two engines draw their pairs from
+// disjoint PCG salts, so streams of the same seed stay independent.
+// The spectrum and carry buffers and the crossfade weights are sized
+// once, so serving a chunk allocates nothing and blending calls no
+// trigonometry.
+func newStitch(ctx context.Context, cfg Config, b backend.Backend, size, overlap int) (*stitch, error) {
+	lookup, salt := cfg.Pool.DaviesHarteEigen, uint64(dhStreamSalt)
+	if b == backend.Paxson {
+		lookup, salt = cfg.Pool.PaxsonSpectrum, paxsonStreamSalt
+	}
+	pair, err := lookup(ctx, cfg.Model.Hurst, size)
+	if err != nil {
+		return nil, err
+	}
 	src := rand.NewPCG(cfg.Seed, salt)
 	d := &stitch{
-		n: cfg.N, size: synthLen(cfg.BlockSize, cfg.Overlap), overlap: cfg.Overlap,
-		name: name, pair: pair,
+		n: cfg.N, size: size, overlap: overlap,
+		name: b.String(), pair: *pair,
 		seed: cfg.Seed, salt: salt, src: src, rng: rand.New(src),
 		work:  make([]complex128, pair.Len()),
-		carry: make([]float64, cfg.Overlap),
-		cos:   make([]float64, cfg.Overlap),
-		sin:   make([]float64, cfg.Overlap),
+		carry: make([]float64, overlap),
+		cos:   make([]float64, overlap),
+		sin:   make([]float64, overlap),
 		chunk: -1,
 	}
-	d.off = d.size - d.overlap // the first Next draws pair 0
+	d.off = size - overlap // the first Next draws pair 0
 	for j := range d.cos {
-		theta := (float64(j) + 0.5) / float64(cfg.Overlap) * (math.Pi / 2)
+		theta := (float64(j) + 0.5) / float64(overlap) * (math.Pi / 2)
 		d.cos[j], d.sin[j] = math.Cos(theta), math.Sin(theta)
 	}
-	return d
-}
-
-// newDHStitch builds the Davies–Harte chunked backend: exact circulant
-// embedding within chunks. Every chunk has the same synthesis length,
-// so one pair draw — looked up once here, from the pool when there is
-// one — serves all chunks of this stream and every other stream with
-// the same (H, synthesis length).
-func newDHStitch(ctx context.Context, cfg Config) (*stitch, error) {
-	eig, err := cfg.Pool.DaviesHarteEigen(ctx, cfg.Model.Hurst, synthLen(cfg.BlockSize, cfg.Overlap))
-	if err != nil {
-		return nil, err
-	}
-	return newStitch(cfg, "davies-harte", dhStreamSalt, *eig), nil
-}
-
-// newPaxsonStitch builds the Paxson chunked backend: FFT-approximate
-// spectral synthesis within chunks, the fastest engine. The
-// (H, synthesis length)-keyed spectrum and its pair draw are looked up
-// once, the same way the Davies–Harte eigenvalues are. Pairs draw from
-// their own PCG streams under paxsonStreamSalt, so a Paxson stream and
-// a Davies–Harte stream of the same seed stay independent.
-func newPaxsonStitch(ctx context.Context, cfg Config) (*stitch, error) {
-	spec, err := cfg.Pool.PaxsonSpectrum(ctx, cfg.Model.Hurst, synthLen(cfg.BlockSize, cfg.Overlap))
-	if err != nil {
-		return nil, err
-	}
-	return newStitch(cfg, "paxson", paxsonStreamSalt, *spec), nil
+	return d, nil
 }
 
 // Next implements the gaussian contract: it fills dst (the final call

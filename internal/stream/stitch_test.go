@@ -12,17 +12,26 @@ import (
 	"vbr/internal/backend"
 )
 
-// TestSynthLen pins the chunk synthesis-length rule: the next power of
-// two at or above block+overlap.
+// TestSynthLen pins the chunk synthesis length S, and the overlap L,
+// that each stream length gets: 8,192-point chunks overlapping by 1,024
+// frames from 4,096 frames on, and below that one chunk at the next
+// power of two ≥ N + ⌊N/4⌋ with L = ⌊N/4⌋, long enough that the stream
+// never blends.
 func TestSynthLen(t *testing.T) {
-	for _, c := range []struct{ block, overlap, want int }{
-		{4096, 1024, 8192},
-		{3072, 1024, 4096},
-		{2048, 512, 4096},
-		{1, 0, 1},
+	for _, c := range []struct{ n, size, overlap int }{
+		{1, 1, 0},
+		{100, 128, 25},
+		{3072, 4096, 768},
+		{4095, 8192, 1023},
+		{4096, 8192, 1024},
+		{1 << 20, 8192, 1024},
 	} {
-		if got := synthLen(c.block, c.overlap); got != c.want {
-			t.Errorf("synthLen(%d, %d) = %d, want %d", c.block, c.overlap, got, c.want)
+		size, overlap := geometry(c.n)
+		if size != c.size || overlap != c.overlap {
+			t.Errorf("geometry(%d) = (%d, %d), want (%d, %d)", c.n, size, overlap, c.size, c.overlap)
+		}
+		if c.n < 4096 && size-overlap < c.n {
+			t.Errorf("geometry(%d): stride %d < N, so the stream blends", c.n, size-overlap)
 		}
 	}
 }
@@ -40,10 +49,10 @@ func fnv1a(xs []float64) uint64 {
 }
 
 // TestChunkedStreamGolden pins the stitched streams' output bits at the
-// default geometry (4,096-frame blocks, 1,024-frame overlap, 8,192-point
-// chunks, a 7,168-frame chunk stride): three chunks, from two pair
-// draws, and two seams per 20,000-frame stream, one seam inside a pair
-// and one across pairs. It pins the Gaussian stage (the stitch output
+// geometry of every stream of 4,096 frames or more (8,192-point chunks,
+// a 1,024-frame overlap, a 7,168-frame chunk stride): three chunks,
+// from two pair draws, and two seams per 20,000-frame stream, one seam
+// inside a pair and one across pairs. It pins the Gaussian stage (the stitch output
 // before Eq. 13) apart from the served frames, so a change to the
 // marginal map alone re-pins only the second hash. The chunks are pair
 // draws, whose amplitudes fgn's pair oracles hold to FarimaACF and to
@@ -61,7 +70,7 @@ func TestChunkedStreamGolden(t *testing.T) {
 		{backend.Paxson, 0x3ed647f7a46c5c51, 0x23afe99cd08f8965},
 	} {
 		cfg := Config{Model: paperModel(), N: 20_000, Seed: 1994, Backend: c.b}
-		if got := fnv1a(collectGauss(t, cfg)); got != c.gauss {
+		if got := fnv1a(collectGauss(t, cfg, BlockLen)); got != c.gauss {
 			t.Errorf("%v: Gaussian-stage hash %#x, want %#x", c.b, got, c.gauss)
 		}
 		if got := fnv1a(collect(t, cfg)); got != c.want {
@@ -70,9 +79,10 @@ func TestChunkedStreamGolden(t *testing.T) {
 	}
 }
 
-// collectGauss drains the Gaussian stage of a stream opened for cfg:
-// the backend's blocks before the marginal map.
-func collectGauss(t *testing.T, cfg Config) []float64 {
+// collectGauss drains the Gaussian stage of a stream opened for cfg,
+// the backend's output before the marginal map, through a buffer of
+// bufLen points.
+func collectGauss(t *testing.T, cfg Config, bufLen int) []float64 {
 	t.Helper()
 	ctx := context.Background()
 	s, err := OpenCtx(ctx, cfg)
@@ -80,7 +90,7 @@ func collectGauss(t *testing.T, cfg Config) []float64 {
 		t.Fatalf("Open: %v", err)
 	}
 	var out []float64
-	buf := make([]float64, s.cfg.BlockSize)
+	buf := make([]float64, bufLen)
 	for {
 		k, err := s.gauss.Next(ctx, buf)
 		if errors.Is(err, io.EOF) {
@@ -97,22 +107,21 @@ func collectGauss(t *testing.T, cfg Config) []float64 {
 	return out
 }
 
-// TestBlockClampedToN: a block longer than the stream is clamped to N
-// before anything is sized from it, so a hostile block size allocates
-// nothing extra, and the overlap default follows the clamped block.
+// TestBlockClampedToN: a stream shorter than BlockLen sizes its buffer
+// to N, so a short request allocates nothing extra, and a stitched one
+// draws one chunk of the next power of two ≥ N + ⌊N/4⌋.
 func TestBlockClampedToN(t *testing.T) {
 	ctx := context.Background()
 	for _, b := range []backend.Backend{backend.Hosking, backend.DaviesHarte, backend.Paxson} {
-		s, err := OpenCtx(ctx, Config{Model: paperModel(), N: 100, BlockSize: 200_000_000, Seed: 1, Backend: b})
+		s, err := OpenCtx(ctx, Config{Model: paperModel(), N: 100, Seed: 1, Backend: b})
 		if err != nil {
 			t.Fatalf("%v: %v", b, err)
 		}
-		if s.cfg.BlockSize != 100 || s.cfg.Overlap != 25 || len(s.gbuf) != 100 {
-			t.Errorf("%v: block %d, overlap %d, buffer %d; want block 100, overlap 25, buffer 100",
-				b, s.cfg.BlockSize, s.cfg.Overlap, len(s.gbuf))
+		if len(s.gbuf) != 100 {
+			t.Errorf("%v: buffer %d, want 100", b, len(s.gbuf))
 		}
-		if st, ok := s.gauss.(*stitch); ok && st.size != 128 {
-			t.Errorf("%v: chunk of %d points, want 128", b, st.size)
+		if st, ok := s.gauss.(*stitch); ok && (st.size != 128 || st.overlap != 25) {
+			t.Errorf("%v: chunk of %d points overlapping by %d, want 128 and 25", b, st.size, st.overlap)
 		}
 		blk, err := s.Next(ctx)
 		if err != nil || len(blk) != 100 {
@@ -124,83 +133,60 @@ func TestBlockClampedToN(t *testing.T) {
 	}
 }
 
-// FuzzStreamGeometry drives the stitched backends over arbitrary
-// block and overlap sizes: OpenCtx rejects exactly the invalid
-// geometries, every accepted stream drains exactly n finite,
-// non-negative frames in blocks no longer than n, and the block is
-// only a buffering choice: re-opened with block = S − L, the chunk
-// stride, and the same explicit overlap L, the stream emits the same
-// bits. A zero overlap cannot be requested explicitly (0 selects the
-// default), so those geometries skip the re-open.
+// FuzzStreamGeometry drives every engine over arbitrary lengths:
+// OpenCtx rejects exactly N < 1, every accepted stream drains exactly
+// N finite, non-negative frames in blocks of at most BlockLen, and the
+// buffer is only a buffer: the Gaussian stage drained through drain
+// points at a time gives the bits it gives through BlockLen.
 func FuzzStreamGeometry(f *testing.F) {
-	f.Add(1000, 0, 0, false)
-	f.Add(100, 1, 50_000_000, false)
-	f.Add(100, 200_000_000, 0, true)
-	f.Add(1, 1, 0, true)
-	f.Add(8192, 4096, 1024, false)
-	f.Add(5000, 3, 2, true)
-	f.Add(-4, 0, 0, true)
-	f.Fuzz(func(t *testing.T, n, block, overlap int, paxson bool) {
-		n %= 1<<13 + 1 // n ≤ 2¹³ keeps every chunk draw small
-		b := backend.DaviesHarte
-		if paxson {
-			b = backend.Paxson
-		}
-		eff := block
-		if eff == 0 {
-			eff = 4096
-		}
-		eff = min(eff, n)
-		valid := n >= 1 && eff >= 1 && (overlap == 0 || overlap > 0 && overlap < eff)
+	f.Add(1000, 1, uint8(0))
+	f.Add(100, 7, uint8(1))
+	f.Add(1, 1, uint8(2))
+	f.Add(4095, 4096, uint8(0))
+	f.Add(4096, 1000, uint8(1))
+	f.Add(8192, 7168, uint8(0))
+	f.Add(-4, 5, uint8(1))
+	f.Fuzz(func(t *testing.T, n, drain int, engine uint8) {
+		n %= 1<<13 + 1 // n ≤ 2¹³ keeps every draw small and still crosses a seam
+		drain = 1 + int(uint(drain)%(2*BlockLen))
+		b := []backend.Backend{backend.DaviesHarte, backend.Paxson, backend.Hosking}[engine%3]
+		cfg := Config{Model: paperModel(), N: n, Seed: 7, Backend: b}
 
 		ctx := context.Background()
-		s, err := OpenCtx(ctx, Config{Model: paperModel(), N: n, BlockSize: block, Overlap: overlap, Seed: 7, Backend: b})
+		s, err := OpenCtx(ctx, cfg)
 		if err != nil {
-			if valid {
-				t.Fatalf("%v n=%d block=%d overlap=%d: rejected a valid geometry: %v", b, n, block, overlap, err)
+			if n >= 1 {
+				t.Fatalf("%v n=%d: rejected a valid length: %v", b, n, err)
 			}
 			return
 		}
-		if !valid {
-			t.Fatalf("%v n=%d block=%d overlap=%d: accepted an invalid geometry", b, n, block, overlap)
+		if n < 1 {
+			t.Fatalf("%v n=%d: accepted an invalid length", b, n)
 		}
-		var out []float64
+		got := 0
 		for {
 			blk, err := s.Next(ctx)
 			if errors.Is(err, io.EOF) {
 				break
 			}
 			if err != nil {
-				t.Fatalf("%v n=%d block=%d overlap=%d: Next: %v", b, n, block, overlap, err)
+				t.Fatalf("%v n=%d: Next: %v", b, n, err)
 			}
-			if len(blk) > n {
-				t.Fatalf("%v n=%d block=%d overlap=%d: block of %d frames", b, n, block, overlap, len(blk))
+			if len(blk) > BlockLen {
+				t.Fatalf("%v n=%d: block of %d frames", b, n, len(blk))
 			}
 			for i, v := range blk {
 				if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-					t.Fatalf("%v n=%d block=%d overlap=%d: frame %d = %v", b, n, block, overlap, len(out)+i, v)
+					t.Fatalf("%v n=%d: frame %d = %v", b, n, got+i, v)
 				}
 			}
-			out = append(out, blk...)
+			got += len(blk)
 		}
-		if len(out) != n {
-			t.Fatalf("%v n=%d block=%d overlap=%d: drained %d frames", b, n, block, overlap, len(out))
+		if got != n {
+			t.Fatalf("%v n=%d: drained %d frames", b, n, got)
 		}
-		l := s.cfg.Overlap
-		if l == 0 {
-			return
-		}
-		stride := synthLen(s.cfg.BlockSize, l) - l
-		r, err := OpenCtx(ctx, Config{Model: paperModel(), N: n, BlockSize: stride, Overlap: l, Seed: 7, Backend: b})
-		if err != nil {
-			t.Fatalf("%v n=%d block=%d overlap=%d: re-open with block %d: %v", b, n, block, overlap, stride, err)
-		}
-		again, err := Collect(ctx, r)
-		if err != nil {
-			t.Fatalf("%v n=%d block=%d overlap=%d: re-opened stream: %v", b, n, block, overlap, err)
-		}
-		if len(again) != n || fnv1a(again) != fnv1a(out) {
-			t.Fatalf("%v n=%d block=%d overlap=%d: block %d changed the output", b, n, block, overlap, stride)
+		if fnv1a(collectGauss(t, cfg, drain)) != fnv1a(collectGauss(t, cfg, BlockLen)) {
+			t.Fatalf("%v n=%d: a %d-point buffer changed the Gaussian stage", b, n, drain)
 		}
 	})
 }

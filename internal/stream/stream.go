@@ -16,7 +16,7 @@
 //     no extra O(n) output buffering is added.
 //   - DaviesHarte: independent exact chunks of S points, each a
 //     circulant embedding of the fARIMA autocorrelation
-//     (S the next power of two ≥ block + overlap), two per O(S log S)
+//     (S = 8,192 from 4,096 frames on; see geometry), two per O(S log S)
 //     pair draw, joined by power-preserving overlap stitching, giving
 //     true O(chunk) memory for arbitrarily long traces at the cost of
 //     an approximate correlation structure across chunk seams.
@@ -66,27 +66,15 @@ const dhStreamSalt = 0xd41e5
 // streams of the same seed.
 const paxsonStreamSalt = 0x9ac50
 
-// Config parameterizes a stream. The zero values of BlockSize, Overlap
-// and TableSize select defaults; Model, N and (for reproducibility)
-// Seed are the caller's.
+// Config parameterizes a stream. The served frames are a function of
+// Model, N, Seed and Backend alone: the chunk geometry, the output
+// block and the Eq. 13 table are properties of the stream, not
+// settings.
 type Config struct {
 	// Model is the four-parameter (μ_Γ, σ_Γ, m_T, H) source model.
 	Model core.Model
 	// N is the total number of frames the stream will produce.
 	N int
-	// BlockSize is the number of frames per block (default 4096). It
-	// is clamped to N, so no block is longer than the stream.
-	BlockSize int
-	// Overlap is the stitch length in frames for the chunked backends
-	// (Davies–Harte, Paxson; default BlockSize/4 of the clamped block,
-	// ignored by the Hosking backend). It must stay below BlockSize.
-	// Block and overlap fix the chunk length S, the next power of two
-	// ≥ BlockSize + Overlap; the stitched output depends on S and the
-	// overlap only.
-	Overlap int
-	// TableSize is the number of points of the Eq. 13 mapping table
-	// (default 10000, the paper's choice; at most MaxTableSize).
-	TableSize int
 	// Seed drives all randomness; equal configs yield equal streams.
 	Seed uint64
 	// Backend selects the Gaussian engine.
@@ -101,48 +89,22 @@ type Config struct {
 	Pool *genpool.Pool
 }
 
-// MaxTableSize caps Config.TableSize: the largest table the
-// tail-fidelity study sweeps. A table costs one Gamma/Pareto quantile
-// and 8 bytes per point (about 0.2 s at this size on a 2-vCPU host),
-// built before the first frame with no context check, so a request's
-// table= is bounded before anything is built.
-const MaxTableSize = 100_000
+// BlockLen is the most frames one Next returns: the length of the
+// stream's reused buffer (N, when the stream is shorter). It is a
+// buffer size only; the frames do not depend on it.
+const BlockLen = 4096
 
-// withDefaults fills the zero-valued tuning knobs and clamps the block
-// to the stream, before the overlap default is taken from it: a block
-// longer than N would only size buffers and chunk FFTs for frames the
-// stream never emits.
-func (c Config) withDefaults() Config {
-	if c.BlockSize == 0 {
-		c.BlockSize = 4096
-	}
-	c.BlockSize = min(c.BlockSize, c.N)
-	if c.Overlap == 0 {
-		c.Overlap = c.BlockSize / 4
-	}
-	if c.TableSize == 0 {
-		c.TableSize = 10000
-	}
-	return c
-}
+// tableSize is the number of nodes of the Eq. 13 mapping table, the
+// paper's 10,000.
+const tableSize = 10000
 
-// Validate checks the (defaulted) configuration.
+// Validate checks the configuration.
 func (c Config) Validate() error {
 	if err := c.Model.Validate(); err != nil {
 		return err
 	}
 	if c.N < 1 {
 		return fmt.Errorf("stream: N must be ≥ 1, got %d", c.N)
-	}
-	if c.BlockSize < 1 {
-		return fmt.Errorf("stream: block size must be ≥ 1, got %d", c.BlockSize)
-	}
-	stitched := c.Backend.Resolve(c.N, true) != backend.Hosking
-	if c.Overlap < 0 || (stitched && c.Overlap >= c.BlockSize) {
-		return fmt.Errorf("stream: overlap must be in [0, block size), got %d with block %d", c.Overlap, c.BlockSize)
-	}
-	if c.TableSize < 2 || c.TableSize > MaxTableSize {
-		return fmt.Errorf("stream: table size must be in [2, %d], got %d", MaxTableSize, c.TableSize)
 	}
 	if err := c.Backend.Validate(); err != nil {
 		return fmt.Errorf("stream: %w", err)
@@ -172,7 +134,7 @@ type gaussian interface {
 
 // Stream is a BlockSource producing model traffic: a Gaussian backend
 // block, the Eq. 13 Gamma/Pareto transform applied in place, and the
-// online Monitor updated — all in O(BlockSize) working memory.
+// online Monitor updated — all in O(BlockLen) working memory.
 type Stream struct {
 	cfg      Config
 	resolved backend.Backend // concrete engine after Auto resolution
@@ -210,7 +172,6 @@ const (
 // pooled) coefficients to cfg.N, the dominant cost on a cold cache —
 // and its obs scope receives the pool's hit/miss counters.
 func OpenCtx(ctx context.Context, cfg Config) (*Stream, error) {
-	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -219,14 +180,14 @@ func OpenCtx(ctx context.Context, cfg Config) (*Stream, error) {
 		return nil, err
 	}
 	// A nil pool computes cold, so this single call covers both modes.
-	tab, err := cfg.Pool.NormalTable(ctx, cfg.Model.MuGamma, cfg.Model.SigmaGamma, cfg.Model.TailSlope, cfg.TableSize)
+	tab, err := cfg.Pool.NormalTable(ctx, cfg.Model.MuGamma, cfg.Model.SigmaGamma, cfg.Model.TailSlope, tableSize)
 	if err != nil {
 		return nil, err
 	}
 	s := &Stream{
 		cfg:  cfg,
 		tab:  tab,
-		gbuf: make([]float64, cfg.BlockSize),
+		gbuf: make([]float64, min(BlockLen, cfg.N)),
 		mon:  NewMonitor(cfg.N),
 	}
 	if mu := gp.Mean(); !math.IsInf(mu, 0) && mu > 0 {
@@ -250,12 +211,9 @@ func OpenCtx(ctx context.Context, cfg Config) (*Stream, error) {
 		if s.gauss, err = fgn.NewHoskingStreamWithCoeffs(cfg.N, c, rng); err != nil {
 			return nil, err
 		}
-	case backend.DaviesHarte:
-		if s.gauss, err = newDHStitch(ctx, cfg); err != nil {
-			return nil, err
-		}
-	case backend.Paxson:
-		if s.gauss, err = newPaxsonStitch(ctx, cfg); err != nil {
+	case backend.DaviesHarte, backend.Paxson:
+		size, overlap := geometry(cfg.N)
+		if s.gauss, err = newStitch(ctx, cfg, s.resolved, size, overlap); err != nil {
 			return nil, err
 		}
 	}

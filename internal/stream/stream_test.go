@@ -45,10 +45,10 @@ func collect(t *testing.T, cfg Config) []float64 {
 // contract for the exact backend: streaming must not change a single
 // bit relative to the batch generator. Standardize is off because it is
 // a whole-series operation by definition; the streamed pipeline is
-// otherwise the full Gaussian→Eq. 13 path.
+// otherwise the full Gaussian→Eq. 13 path, served in three blocks.
 func TestHoskingStreamBitwiseMatchesBatch(t *testing.T) {
 	ctx := context.Background()
-	const n, seed = 3000, 7
+	const n, seed = 10_000, 7
 	m := paperModel()
 	batch, err := m.GenerateCtx(ctx, n, core.GenOptions{
 		Backend: backend.Hosking, TableSize: 10000, Standardize: false, Seed: seed,
@@ -56,7 +56,7 @@ func TestHoskingStreamBitwiseMatchesBatch(t *testing.T) {
 	if err != nil {
 		t.Fatalf("batch Generate: %v", err)
 	}
-	streamed := collect(t, Config{Model: m, N: n, BlockSize: 256, Seed: seed, Backend: backend.Hosking})
+	streamed := collect(t, Config{Model: m, N: n, Seed: seed, Backend: backend.Hosking})
 	for i := range batch {
 		if math.Float64bits(batch[i]) != math.Float64bits(streamed[i]) {
 			t.Fatalf("frame %d differs: batch %v stream %v", i, batch[i], streamed[i])
@@ -64,17 +64,17 @@ func TestHoskingStreamBitwiseMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestHoskingStreamBlockSizeInvariance: the block size is a transport
-// detail and must not alter the series.
+// TestHoskingStreamBlockSizeInvariance: the buffer the Hosking
+// Gaussian stage is drained through is a transport detail and must not
+// alter the series.
 func TestHoskingStreamBlockSizeInvariance(t *testing.T) {
-	const n, seed = 1200, 3
-	m := paperModel()
-	ref := collect(t, Config{Model: m, N: n, BlockSize: n, Seed: seed, Backend: backend.Hosking})
-	for _, bs := range []int{1, 97, 256, 5000} {
-		got := collect(t, Config{Model: m, N: n, BlockSize: bs, Seed: seed, Backend: backend.Hosking})
+	cfg := Config{Model: paperModel(), N: 1200, Seed: 3, Backend: backend.Hosking}
+	ref := collectGauss(t, cfg, BlockLen)
+	for _, bs := range []int{1, 97, 256, 1200, 5000} {
+		got := collectGauss(t, cfg, bs)
 		for i := range ref {
 			if math.Float64bits(ref[i]) != math.Float64bits(got[i]) {
-				t.Fatalf("block size %d: frame %d differs (%v vs %v)", bs, i, got[i], ref[i])
+				t.Fatalf("buffer of %d: point %d differs (%v vs %v)", bs, i, got[i], ref[i])
 			}
 		}
 	}
@@ -92,7 +92,7 @@ func TestDaviesHarteStreamHurst(t *testing.T) {
 	ctx := context.Background()
 	const n = 1 << 16
 	m := paperModel()
-	frames := collect(t, Config{Model: m, N: n, BlockSize: 4096, Overlap: 1024, Seed: 5, Backend: backend.DaviesHarte})
+	frames := collect(t, Config{Model: m, N: n, Seed: 5, Backend: backend.DaviesHarte})
 	ws, err := lrd.Whittle(frames)
 	if err != nil {
 		t.Fatalf("Whittle(stream): %v", err)
@@ -120,7 +120,7 @@ func TestDaviesHarteStreamHurst(t *testing.T) {
 // TestDaviesHarteShortFinalBlock: N not a multiple of the block size
 // must still drain exactly N frames.
 func TestDaviesHarteShortFinalBlock(t *testing.T) {
-	cfg := Config{Model: paperModel(), N: 10_000, BlockSize: 4096, Overlap: 512, Seed: 2, Backend: backend.DaviesHarte}
+	cfg := Config{Model: paperModel(), N: 10_000, Seed: 2, Backend: backend.DaviesHarte}
 	frames := collect(t, cfg)
 	for i, f := range frames {
 		if math.IsNaN(f) || f < 0 {
@@ -138,8 +138,8 @@ func TestDaviesHarteBoundedMemory(t *testing.T) {
 		t.Skip("memory profile in -short mode")
 	}
 	ctx := context.Background()
-	const n, block = 400_000, 2048
-	s, err := OpenCtx(ctx, Config{Model: paperModel(), N: n, BlockSize: block, Overlap: 512, Seed: 9, Backend: backend.DaviesHarte})
+	const n = 400_000
+	s, err := OpenCtx(ctx, Config{Model: paperModel(), N: n, Seed: 9, Backend: backend.DaviesHarte})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -194,7 +194,7 @@ func TestDaviesHarteBoundedMemory(t *testing.T) {
 func TestStreamCancellation(t *testing.T) {
 	ctx := context.Background()
 	for _, b := range []backend.Backend{backend.Hosking, backend.DaviesHarte, backend.Paxson} {
-		s, err := OpenCtx(ctx, Config{Model: paperModel(), N: 50_000, BlockSize: 1024, Seed: 1, Backend: b})
+		s, err := OpenCtx(ctx, Config{Model: paperModel(), N: 50_000, Seed: 1, Backend: b})
 		if err != nil {
 			t.Fatalf("%v: Open: %v", b, err)
 		}
@@ -215,7 +215,7 @@ func TestStreamCancellation(t *testing.T) {
 func TestStreamProbeTracksMoments(t *testing.T) {
 	ctx := context.Background()
 	m := paperModel()
-	s, err := OpenCtx(ctx, Config{Model: m, N: 1 << 16, BlockSize: 4096, Seed: 13, Backend: backend.DaviesHarte})
+	s, err := OpenCtx(ctx, Config{Model: m, N: 1 << 16, Seed: 13, Backend: backend.DaviesHarte})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -353,13 +353,6 @@ func TestConfigValidate(t *testing.T) {
 		mut  func(*Config)
 	}{
 		{"zero N", func(c *Config) { c.N = 0 }},
-		{"negative overlap", func(c *Config) { c.Overlap = -1 }},
-		{"overlap ≥ block (DH)", func(c *Config) { c.Backend = backend.DaviesHarte; c.BlockSize = 64; c.Overlap = 64 }},
-		{"overlap ≥ block (Paxson)", func(c *Config) { c.Backend = backend.Paxson; c.BlockSize = 64; c.Overlap = 64 }},
-		{"overlap ≥ block (Auto)", func(c *Config) { c.Backend = backend.Auto; c.BlockSize = 64; c.Overlap = 64 }},
-		{"overlap ≥ block of 1 (DH)", func(c *Config) { c.Backend = backend.DaviesHarte; c.BlockSize = 1; c.Overlap = 50_000_000 }},
-		{"tiny table", func(c *Config) { c.TableSize = 1 }},
-		{"table over the cap", func(c *Config) { c.TableSize = MaxTableSize + 1 }},
 		{"bad backend", func(c *Config) { c.Backend = backend.Backend(99) }},
 		{"bad model", func(c *Config) { c.Model.Hurst = 1.5 }},
 	}

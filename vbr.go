@@ -449,8 +449,9 @@ func GenerateFaults(seed uint64, n int, cfg FaultConfig) (*FaultSchedule, error)
 }
 
 // StreamConfig parameterizes incremental block-based trace generation:
-// the model, total length, block size, Davies–Harte overlap, seed and
-// backend. Zero tuning fields select defaults.
+// the model, total length, seed and backend, of which the frames are a
+// function, and an optional generation cache. The chunk geometry, the
+// block and the Eq. 13 table are fixed by the stream, not set here.
 type StreamConfig = stream.Config
 
 // BlockSource produces consecutive frame-size blocks under bounded
@@ -522,9 +523,10 @@ func NewSourcePopulation(spec string, seed uint64) ([]Source, error) {
 // online Hurst/mean probe attached.
 type SourceBlockAdapter = source.BlockAdapter
 
-// SourceBlocks adapts src to n frames of block-sized output.
-func SourceBlocks(src Source, n, block int) (*SourceBlockAdapter, error) {
-	return source.Blocks(src, n, block)
+// SourceBlocks adapts src to a BlockSource of n frames, served in
+// blocks of at most 4,096 frames, the buffer a Stream uses.
+func SourceBlocks(src Source, n int) (*SourceBlockAdapter, error) {
+	return source.Blocks(src, n)
 }
 
 // SourceSubSeed derives the seed of population member i from a base

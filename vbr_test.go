@@ -153,7 +153,7 @@ func TestPublicAPISimulate(t *testing.T) {
 func TestPublicAPIStream(t *testing.T) {
 	ctx := context.Background()
 	model := Model{MuGamma: 27791, SigmaGamma: 6254, TailSlope: 12, Hurst: 0.8}
-	s, err := OpenStreamCtx(ctx, StreamConfig{Model: model, N: 2000, BlockSize: 512, Seed: 7, Backend: BackendHosking})
+	s, err := OpenStreamCtx(ctx, StreamConfig{Model: model, N: 2000, Seed: 7, Backend: BackendHosking})
 	if err != nil {
 		t.Fatal(err)
 	}
