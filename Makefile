@@ -45,8 +45,8 @@ race:
 # and drain buffer, vbrd's /v1/trace over raw query strings, the
 # queue's zero-loss dual against the simulator, the NDJSON float
 # encoder against strconv, the Eq. 13 Gaussian-axis table's range and
-# order, and the Fig. 14 search-checkpoint loader against hostile
-# files; one target per invocation as go test requires.
+# order, and vbrd's /v1/simulate over raw request bodies; one target
+# per invocation as go test requires.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzDecodeSymbols -fuzztime=$(FUZZTIME) ./internal/codec/
 	$(GO) test -fuzz=FuzzDecodeFrame -fuzztime=$(FUZZTIME) ./internal/codec/
@@ -64,7 +64,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzZeroLoss -fuzztime=$(FUZZTIME) ./internal/queue/
 	$(GO) test -fuzz=FuzzAppendShortest -fuzztime=$(FUZZTIME) ./internal/ftoa/
 	$(GO) test -fuzz=FuzzNormalTable -fuzztime=$(FUZZTIME) ./internal/dist/
-	$(GO) test -fuzz=FuzzLoadSearch -fuzztime=$(FUZZTIME) ./internal/checkpoint/
+	$(GO) test -fuzz=FuzzSimulateBody -fuzztime=$(FUZZTIME) ./internal/server/
 
 # Regenerate the committed estimator calibration table: run the full
 # bias/variance battery (known-H fGn × lengths × 32 seeds, base seed

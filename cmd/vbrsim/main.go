@@ -5,17 +5,14 @@
 // a single operating point — optionally under a deterministic schedule of
 // server faults.
 //
-// The Fig. 14 study (the slowest) is interruptible: with -checkpoint
-// set, Ctrl-C saves the completed and partial curves and -resume
-// continues the sweep where it stopped, printing what an uninterrupted
-// run prints. The checkpoint records the trace it was computed from,
-// and a resume on any other trace or granularity is refused.
+// Every study is a pure function of its flags: Ctrl-C ends a run with
+// exit 130, and running the same command again prints what an
+// uninterrupted run prints. The slowest, the Fig. 14 sweep, takes
+// seconds at the paper's 171,000 frames and minutes with -slices.
 //
 // Examples:
 //
 //	vbrsim -frames 30000 -fig14
-//	vbrsim -frames 30000 -fig14 -checkpoint f14.ckpt            # Ctrl-C safe
-//	vbrsim -frames 30000 -fig14 -checkpoint f14.ckpt -resume
 //	vbrsim -frames 171000 -fig15 -slices
 //	vbrsim -in trace.bin -point -n 5 -capacity 20e6 -tmax 2ms
 //	vbrsim -in trace.bin -point -faults -fault-gap 800 -fault-outage 0.3
@@ -29,9 +26,6 @@ package main
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"errors"
 	"flag"
 	"fmt"
@@ -41,7 +35,6 @@ import (
 	"time"
 
 	"vbr/internal/backend"
-	"vbr/internal/checkpoint"
 	"vbr/internal/cli"
 	"vbr/internal/errs"
 	"vbr/internal/experiments"
@@ -75,9 +68,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 		capacity = fs.Float64("capacity", 6e6, "channel capacity, bits/s (-point)")
 		tmax     = fs.Duration("tmax", 2*time.Millisecond, "max buffer delay Q/(N·C) (-point)")
 
-		ckptPath = fs.String("checkpoint", "", "checkpoint file for the Fig 14 sweep (saved on interrupt)")
-		resume   = fs.Bool("resume", false, "continue an interrupted Fig 14 sweep from -checkpoint")
-
 		faults      = fs.Bool("faults", false, "inject a deterministic server fault schedule (-point)")
 		faultSeed   = fs.Uint64("fault-seed", 1, "fault schedule seed")
 		faultGap    = fs.Float64("fault-gap", 2000, "mean clean intervals between fault episodes")
@@ -94,12 +84,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 		return err
 	}
 	defer cli.FinishObs(finish, &retErr)
-	if *ckptPath != "" && !*fig14 {
-		return cli.Usagef("-checkpoint applies to the -fig14 sweep")
-	}
-	if *resume && *ckptPath == "" {
-		return cli.Usagef("-resume requires -checkpoint")
-	}
 	if *faults && !*point {
 		return cli.Usagef("-faults applies to -point simulations")
 	}
@@ -139,9 +123,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (retErr e
 	any := false
 	if *fig14 {
 		any = true
-		if err := runFig14(ctx, suite, *ckptPath, *resume, stdout, stderr); err != nil {
+		r, err := suite.Fig14Ctx(ctx, nil)
+		if err != nil {
 			return err
 		}
+		fmt.Fprintln(stdout, r.Format())
 	}
 	if *fig15 {
 		any = true
@@ -270,75 +256,6 @@ func zooAggregator(spec string, frames int, seed uint64) (queue.Aggregator, erro
 		return nil, err
 	}
 	return queue.NewSourceMuxFromConfig(queue.SourceMuxConfig{Sources: srcs, Frames: frames, Seed: seed})
-}
-
-// runFig14 drives the checkpointable Q–C sweep: progress is loaded from
-// and flushed to ckptPath around the (possibly interrupted) run. A
-// resume refuses a checkpoint written for another trace or granularity.
-func runFig14(ctx context.Context, suite *experiments.Suite, ckptPath string, resume bool, stdout, stderr io.Writer) error {
-	var progress *checkpoint.SearchState
-	var meta map[string]string
-	if ckptPath != "" {
-		progress = &checkpoint.SearchState{}
-		meta = fig14Meta(suite)
-		if resume {
-			rec, err := checkpoint.LoadSearch(ckptPath)
-			if err != nil {
-				return fmt.Errorf("loading checkpoint: %w", err)
-			}
-			if err := rec.CheckMeta(meta); err != nil {
-				return fmt.Errorf("resuming from %s: %w", ckptPath, err)
-			}
-			progress = rec.State
-			done := 0
-			for _, c := range progress.Curves {
-				if c.Done {
-					done++
-				}
-			}
-			fmt.Fprintf(stderr, "resuming Fig 14 from %s: %d curves complete, %d in progress\n",
-				ckptPath, done, len(progress.Curves)-done)
-		}
-	}
-	r, err := suite.Fig14Ctx(ctx, progress)
-	if err != nil {
-		if progress != nil && len(progress.Curves) > 0 && errors.Is(err, errs.ErrCancelled) {
-			rec := &checkpoint.SearchRecord{Meta: meta, State: progress}
-			if serr := checkpoint.SaveSearch(ckptPath, rec); serr != nil {
-				return errors.Join(err, fmt.Errorf("saving checkpoint: %w", serr))
-			}
-			fmt.Fprintf(stderr, "interrupted; Fig 14 progress saved to %s (continue with -resume)\n", ckptPath)
-		}
-		return err
-	}
-	if resume && ckptPath != "" {
-		if rmErr := os.Remove(ckptPath); rmErr != nil && !errors.Is(rmErr, os.ErrNotExist) {
-			fmt.Fprintf(stderr, "warning: could not remove consumed checkpoint %s: %v\n", ckptPath, rmErr)
-		}
-	}
-	fmt.Fprintln(stdout, r.Format())
-	return nil
-}
-
-// fig14Meta records what a Fig. 14 sweep's curves depend on: the
-// trace's length, the granularity, and a SHA-256 of the series the
-// sweep simulates — the frame rate and frame sizes, plus the slice
-// count and slice sizes at slice granularity. The digest covers every
-// way of choosing the trace (-in, -frames, -seed, -backend).
-func fig14Meta(s *experiments.Suite) map[string]string {
-	tr := s.Trace
-	h := sha256.New() // writes to a hash never fail
-	binary.Write(h, binary.LittleEndian, tr.FrameRate)
-	binary.Write(h, binary.LittleEndian, tr.Frames)
-	if s.UseSlices {
-		binary.Write(h, binary.LittleEndian, int64(tr.SlicesPerFrame))
-		binary.Write(h, binary.LittleEndian, tr.Slices)
-	}
-	return map[string]string{
-		"frames": fmt.Sprint(len(tr.Frames)),
-		"slices": fmt.Sprint(s.UseSlices),
-		"trace":  hex.EncodeToString(h.Sum(nil)),
-	}
 }
 
 // loadOrGenerate reads a binary trace when a path is given, otherwise

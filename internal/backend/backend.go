@@ -115,15 +115,14 @@ func (b Backend) Resolve(n int, streaming bool) Backend {
 	return Hosking
 }
 
-// Parse maps the CLI/API spelling to a Backend. It accepts the
-// canonical String forms plus the historical aliases ("daviesharte",
-// "dh"); anything else fails with an error wrapping
-// errs.ErrUnknownBackend.
+// Parse maps the CLI/API spelling to a Backend. It accepts exactly the
+// String forms, one name per engine; anything else fails with an error
+// wrapping errs.ErrUnknownBackend.
 func Parse(s string) (Backend, error) {
 	switch s {
 	case "hosking":
 		return Hosking, nil
-	case "davies-harte", "daviesharte", "dh":
+	case "davies-harte":
 		return DaviesHarte, nil
 	case "paxson":
 		return Paxson, nil

@@ -21,28 +21,12 @@ func TestParseStringRoundTrip(t *testing.T) {
 	}
 }
 
-// TestParseAliases pins the historical spellings that must keep
-// working after the enum unification.
+// TestParseAliases pins one spelling per engine: the retired aliases
+// of Davies–Harte ("daviesharte", "dh") fail like any unknown name.
 func TestParseAliases(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Backend
-	}{
-		{"hosking", Hosking},
-		{"davies-harte", DaviesHarte},
-		{"daviesharte", DaviesHarte},
-		{"dh", DaviesHarte},
-		{"paxson", Paxson},
-		{"auto", Auto},
-	}
-	for _, c := range cases {
-		got, err := Parse(c.in)
-		if err != nil {
-			t.Errorf("Parse(%q): %v", c.in, err)
-			continue
-		}
-		if got != c.want {
-			t.Errorf("Parse(%q) = %v, want %v", c.in, got, c.want)
+	for _, in := range []string{"daviesharte", "dh"} {
+		if b, err := Parse(in); !errors.Is(err, errs.ErrUnknownBackend) {
+			t.Errorf("Parse(%q) = %v, %v; want ErrUnknownBackend", in, b, err)
 		}
 	}
 }

@@ -1,8 +1,8 @@
 // Package cli provides the shared process scaffolding of the command
 // binaries: a signal-aware context, error-to-exit-code mapping, and a
 // typed usage error. Commands are written as run(ctx, args, stdout,
-// stderr) error functions so deferred cleanup (file flushes, checkpoint
-// writes) always executes — os.Exit is called exactly once, in Main,
+// stderr) error functions so deferred cleanup (file flushes and
+// closes) always executes — os.Exit is called exactly once, in Main,
 // after every defer has run.
 package cli
 
@@ -61,7 +61,7 @@ func ExitCode(err error) int {
 // Main runs a command body under a context that cancels on SIGINT or
 // SIGTERM, prints a non-nil error to stderr with the command prefix, and
 // returns the exit code for os.Exit. The first signal cancels the
-// context so the body can checkpoint and unwind. The handler stays
+// context so the body can unwind. The handler stays
 // installed until Main returns, so later signals are absorbed instead
 // of killing the process: vbrfleet's workers share its process group,
 // so a terminal Ctrl-C reaches every worker before vbrfleet's drain

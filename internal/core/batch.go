@@ -2,21 +2,22 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"vbr/internal/errs"
 	"vbr/internal/genpool"
 	"vbr/internal/obs"
+	"vbr/internal/runner"
 )
 
 // GenerateBatch produces k independent realizations of the model, each
-// n frames, fanning the work over min(GOMAXPROCS, k) workers. The
-// traces are independently seeded by a deterministic derivation from
-// opts.Seed (splitmix64 over the trace index), so the result depends
-// only on (model, k, n, opts) — never on scheduling — and trace i of a
-// batch equals a solo GenerateCtx call with the derived seed.
+// n frames, fanning the work over min(GOMAXPROCS, k) workers of
+// runner.Run. The traces are independently seeded by a deterministic
+// derivation from opts.Seed (splitmix64 over the trace index), so the
+// result depends only on (model, k, n, opts) — never on scheduling —
+// and trace i of a batch equals a solo GenerateCtx call with the
+// derived seed.
 //
 // The workers share one generation pool: the Hosking coefficients (or
 // the Davies–Harte eigenvalue vector) and the Eq. 13
@@ -26,7 +27,8 @@ import (
 // otherwise a private pool spans just this batch.
 //
 // The first failure cancels the remaining work; the error identifies
-// the trace ("core: batch trace %d: ...") and wraps the cause.
+// the trace ("core: batch trace %d: ...") and wraps the cause. A trace
+// that panics fails the same way, as a *runner.PanicError.
 func (m Model) GenerateBatch(ctx context.Context, k, n int, opts GenOptions) ([][]float64, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
@@ -43,57 +45,41 @@ func (m Model) GenerateBatch(ctx context.Context, k, n int, opts GenOptions) ([]
 
 	scope := obs.From(ctx)
 	defer scope.Span("core.batch")()
-
-	workers := runtime.GOMAXPROCS(0)
-	if workers > k {
-		workers = k
-	}
 	bctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-
-	out := make([][]float64, k)
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	var once sync.Once
-	var firstErr error
-	fail := func(err error) {
-		once.Do(func() {
-			firstErr = err
-			cancel()
-		})
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				o := opts
-				o.Seed = BatchSeed(opts.Seed, i)
-				tr, err := m.GenerateCtx(bctx, n, o)
-				if err != nil {
-					fail(fmt.Errorf("core: batch trace %d: %w", i, err))
-					return
-				}
-				out[i] = tr
-				scope.Count("core.batch.traces", 1)
+	results := runner.Run(bctx, k, runner.Options{
+		Label: func(i int) string { return fmt.Sprintf("core: batch trace %d", i) },
+	}, func(ctx context.Context, i int) ([]float64, error) {
+		failed := true
+		defer func() {
+			if failed {
+				cancel() // the first failure, a panic included, stops the batch
 			}
 		}()
-	}
-feed:
-	for i := 0; i < k; i++ {
-		select {
-		case idx <- i:
-		case <-bctx.Done():
-			break feed
+		o := opts
+		o.Seed = BatchSeed(opts.Seed, i)
+		tr, err := m.GenerateCtx(ctx, n, o)
+		if err != nil {
+			return nil, err
+		}
+		failed = false
+		scope.Count("core.batch.traces", 1)
+		return tr, nil
+	})
+	failures := runner.Errors(results)
+	for _, err := range failures {
+		// A trace cut short by another's failure reports a cancellation;
+		// the failure that caused it is the error to return.
+		if !errors.Is(err, errs.ErrCancelled) {
+			return nil, err
 		}
 	}
-	close(idx)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	if len(failures) > 0 {
+		return nil, failures[0]
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, errs.Cancelled(ctx)
+	out := make([][]float64, k)
+	for i, r := range results {
+		out[i] = r.Value
 	}
 	return out, nil
 }

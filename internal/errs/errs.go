@@ -33,20 +33,6 @@ var (
 	// pairwise spacing cannot be placed on the trace circle (§5.1).
 	ErrInfeasibleLags = errors.New("infeasible lag placement")
 
-	// ErrCheckpointVersion reports a checkpoint written by an
-	// incompatible format version.
-	ErrCheckpointVersion = errors.New("unsupported checkpoint version")
-
-	// ErrCheckpointCorrupt reports a checkpoint that fails structural
-	// validation (bad magic, truncated payload, inconsistent state).
-	ErrCheckpointCorrupt = errors.New("corrupt checkpoint")
-
-	// ErrCheckpointMismatch reports a checkpoint that belongs to another
-	// job: a Fig. 14 search recorded for a different trace, length or
-	// granularity, or a record of another kind (such as a retired
-	// Hosking generation checkpoint).
-	ErrCheckpointMismatch = errors.New("checkpoint does not match run parameters")
-
 	// ErrTargetUnreachable reports a capacity search whose loss target
 	// is still violated at the top of the bracket.
 	ErrTargetUnreachable = errors.New("loss target unreachable within capacity bracket")

@@ -41,9 +41,6 @@ func TestWrappedSentinelsSurviveFmtErrorf(t *testing.T) {
 		{"model", ErrInvalidModel},
 		{"workload", ErrInvalidWorkload},
 		{"lags", ErrInfeasibleLags},
-		{"ckpt-version", ErrCheckpointVersion},
-		{"ckpt-corrupt", ErrCheckpointCorrupt},
-		{"ckpt-mismatch", ErrCheckpointMismatch},
 		{"target", ErrTargetUnreachable},
 		{"combos", ErrAllCombosFailed},
 	}

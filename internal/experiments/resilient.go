@@ -4,35 +4,33 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 
-	"vbr/internal/checkpoint"
 	"vbr/internal/errs"
 	"vbr/internal/queue"
 	"vbr/internal/runner"
 )
 
 // This file is the resilient driver for the Fig. 14 study — the most
-// expensive computation in the repository (dozens of bisection searches,
+// expensive computation in the repository (dozens of capacity searches,
 // each running six multiplexer simulations per probe). The curves are
-// independent, so they run on a panic-safe parallel worker pool; a curve
-// that fails is excluded and reported rather than aborting the study;
-// and progress is recorded per curve into a checkpoint.SearchState so an
-// interrupted run resumes where it stopped instead of re-searching
-// completed (N, target) combinations.
+// independent, so they run on a panic-safe parallel worker pool, and a
+// curve that fails is excluded and reported rather than aborting the
+// study. Every curve is a pure function of the trace, the lag seed and
+// the granularity, so an interrupted sweep is recovered by running it
+// again.
 
-// fig14Key names a curve inside a search checkpoint, e.g. "N=5/Pl=1e-04".
+// fig14Key names a curve in error reports, e.g. "N=5/Pl=1e-04".
 func fig14Key(n int, target queue.LossTarget) string {
 	return fmt.Sprintf("N=%d/%s", n, target)
 }
 
 // Fig14Ctx sweeps buffer delay against required capacity for every (N,
 // target) combination of the paper. The curves run in parallel on a
-// panic-safe worker pool. progress may be nil (no checkpointing). On
-// cancellation the error matches errs.ErrCancelled and progress holds
-// every finished — and every partially finished — curve; passing the
-// same state back resumes them.
-func (s *Suite) Fig14Ctx(ctx context.Context, progress *checkpoint.SearchState) (*Fig14Result, error) {
+// panic-safe worker pool. On cancellation the error matches
+// errs.ErrCancelled. The second argument is ignored: it is kept because
+// the separately built benchmark module (_perfbench) passes nil there,
+// and it goes when that module's calls are renamed.
+func (s *Suite) Fig14Ctx(ctx context.Context, _ any) (*Fig14Result, error) {
 	defer span(ctx, "fig14")()
 	type job struct {
 		n      int
@@ -51,37 +49,6 @@ func (s *Suite) Fig14Ctx(ctx context.Context, progress *checkpoint.SearchState) 
 		}
 	}
 
-	var mu sync.Mutex // guards progress across workers
-	resumeFor := func(key string) []queue.QCPoint {
-		if progress == nil {
-			return nil
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		c := progress.Find(key)
-		if c == nil {
-			return nil
-		}
-		pts := make([]queue.QCPoint, len(c.X))
-		for i := range c.X {
-			pts[i] = queue.QCPoint{TmaxSec: c.X[i], PerSourceBps: c.Y[i]}
-		}
-		return pts
-	}
-	record := func(key string, done bool, pts []queue.QCPoint) {
-		if progress == nil {
-			return
-		}
-		xs := make([]float64, len(pts))
-		ys := make([]float64, len(pts))
-		for i, p := range pts {
-			xs[i], ys[i] = p.TmaxSec, p.PerSourceBps
-		}
-		mu.Lock()
-		progress.Set(key, done, xs, ys)
-		mu.Unlock()
-	}
-
 	results := runner.Run(ctx, len(jobs), runner.Options{
 		Label: func(i int) string { return fig14Key(jobs[i].n, jobs[i].target) },
 	}, func(ctx context.Context, i int) (Fig14Curve, error) {
@@ -92,9 +59,7 @@ func (s *Suite) Fig14Ctx(ctx context.Context, progress *checkpoint.SearchState) 
 			Target:    j.target,
 			TmaxGrid:  s.tmaxGrid(),
 			UseSlices: s.UseSlices,
-			Resume:    resumeFor(key),
 		})
-		record(key, err == nil, points)
 		if err != nil {
 			return Fig14Curve{}, fmt.Errorf("experiments: Fig14 %s: %w", key, err)
 		}

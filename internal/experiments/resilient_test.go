@@ -5,66 +5,43 @@ import (
 	"errors"
 	"testing"
 
-	"vbr/internal/checkpoint"
 	"vbr/internal/errs"
 )
 
-func TestFig14CtxMatchesFig14AndCheckpoints(t *testing.T) {
+// TestFig14CtxRerunIsIdentical pins what makes an interrupted sweep
+// recoverable by running it again: a second sweep over the same suite
+// returns every curve, point and knee bit for bit.
+func TestFig14CtxRerunIsIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("capacity searches are slow")
 	}
 	ctx := context.Background()
 	s := quickSuite(t)
-	plain, err := s.Fig14Ctx(ctx, nil)
+	first, err := s.Fig14Ctx(ctx, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plain.CurveErrors) != 0 {
-		t.Fatalf("healthy run reported curve errors: %v", plain.CurveErrors)
+	if len(first.CurveErrors) != 0 {
+		t.Fatalf("healthy run reported curve errors: %v", first.CurveErrors)
 	}
-
-	// A run with a progress state fills one curve entry per (N, target).
-	progress := &checkpoint.SearchState{}
-	withCkpt, err := s.Fig14Ctx(context.Background(), progress)
+	if want := len(s.qcNs()) * len(s.qcTargets()); len(first.Curves) != want {
+		t.Fatalf("%d curves, want one per (N, target): %d", len(first.Curves), want)
+	}
+	rerun, err := s.Fig14Ctx(ctx, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := len(s.qcNs()) * len(s.qcTargets())
-	if len(progress.Curves) != want {
-		t.Fatalf("progress has %d curves, want %d", len(progress.Curves), want)
+	if len(rerun.Curves) != len(first.Curves) || len(rerun.CurveErrors) != 0 {
+		t.Fatalf("rerun made %d curves (%d errors), the first run %d", len(rerun.Curves), len(rerun.CurveErrors), len(first.Curves))
 	}
-	for _, c := range progress.Curves {
-		if !c.Done || len(c.X) == 0 {
-			t.Fatalf("curve %q not completed in progress state: done=%v points=%d", c.Key, c.Done, len(c.X))
-		}
-	}
-	if len(withCkpt.Curves) != len(plain.Curves) {
-		t.Fatalf("curve counts differ: %d vs %d", len(withCkpt.Curves), len(plain.Curves))
-	}
-	// Same deterministic inputs → identical curves, with or without
-	// checkpointing.
-	for i := range plain.Curves {
-		a, b := plain.Curves[i], withCkpt.Curves[i]
-		if a.N != b.N || a.Target != b.Target || len(a.Points) != len(b.Points) {
-			t.Fatalf("curve %d shape differs", i)
+	for i, a := range first.Curves {
+		b := rerun.Curves[i]
+		if a.N != b.N || a.Target != b.Target || a.Knee != b.Knee || len(a.Points) != len(b.Points) {
+			t.Fatalf("curve %d differs: N=%d %s knee %+v, rerun N=%d %s knee %+v", i, a.N, a.Target, a.Knee, b.N, b.Target, b.Knee)
 		}
 		for j := range a.Points {
 			if a.Points[j] != b.Points[j] {
 				t.Fatalf("curve %d point %d differs: %+v vs %+v", i, j, a.Points[j], b.Points[j])
-			}
-		}
-	}
-
-	// Resuming from a fully populated state recomputes nothing and still
-	// returns the identical result (every point is served from Resume).
-	resumed, err := s.Fig14Ctx(context.Background(), progress)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range plain.Curves {
-		for j := range plain.Curves[i].Points {
-			if resumed.Curves[i].Points[j] != plain.Curves[i].Points[j] {
-				t.Fatalf("resumed curve %d point %d differs", i, j)
 			}
 		}
 	}

@@ -128,9 +128,10 @@ func TestProxyTraceRoutesConsistently(t *testing.T) {
 }
 
 // TestProxyTraceBackendRouting pins the backend half of the routing
-// key: alias spellings of one engine stick to one worker (its spectrum
-// cache stays hot), and the proxy still round-trips the body intact
-// with a backend parameter present.
+// key: a request with no backend and one naming the default engine,
+// davies-harte, stick to one worker (its spectrum cache stays hot), and
+// the proxy still round-trips the body intact with a backend parameter
+// present.
 func TestProxyTraceBackendRouting(t *testing.T) {
 	const frames = 20
 	payload := ndjsonPayload(frames)
@@ -144,18 +145,18 @@ func TestProxyTraceBackendRouting(t *testing.T) {
 	front := httptest.NewServer(NewProxy(sup, ProxyConfig{}).Handler())
 	defer front.Close()
 
-	for _, alias := range []string{"davies-harte", "daviesharte", "dh"} {
-		resp, err := http.Get(front.URL + "/v1/trace?n=20&seed=1&backend=" + alias)
+	for _, query := range []string{"", "&backend=davies-harte", "&backend=davies-harte"} {
+		resp, err := http.Get(front.URL + "/v1/trace?n=20&seed=1" + query)
 		if err != nil {
 			t.Fatal(err)
 		}
 		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("backend=%s: HTTP %d", alias, resp.StatusCode)
+			t.Fatalf("%q: HTTP %d", query, resp.StatusCode)
 		}
 		if !bytes.Equal(body, payload) {
-			t.Fatalf("backend=%s: proxied body differs from backend payload", alias)
+			t.Fatalf("%q: proxied body differs from backend payload", query)
 		}
 	}
 	busy := 0
@@ -163,12 +164,12 @@ func TestProxyTraceBackendRouting(t *testing.T) {
 		if n := hits[i].Load(); n > 0 {
 			busy++
 			if n != 3 {
-				t.Fatalf("worker %d served %d of 3 alias requests", i, n)
+				t.Fatalf("worker %d served %d of 3 davies-harte requests", i, n)
 			}
 		}
 	}
 	if busy != 1 {
-		t.Fatalf("alias spellings spread across %d workers, want 1", busy)
+		t.Fatalf("davies-harte requests spread across %d workers, want 1", busy)
 	}
 }
 

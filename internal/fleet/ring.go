@@ -1,11 +1,11 @@
 package fleet
 
 import (
+	"cmp"
 	"encoding/binary"
 	"math"
 	"sort"
 
-	"vbr/internal/backend"
 	"vbr/internal/core"
 	"vbr/internal/server"
 )
@@ -93,21 +93,13 @@ func ModelKey(m core.Model) uint64 {
 func SpecKey(spec string) uint64 { return fnv1a([]byte(spec)) }
 
 // TraceKey hashes a classic trace request's full cache identity: the
-// model quadruple plus the Gaussian backend. The backend string is
-// canonicalized through backend.Parse, so every alias spelling
-// ("dh", "daviesharte", "davies-harte") lands on the same worker, and
-// an empty parameter hashes as the workers' own default engine. An
-// unparseable spelling hashes verbatim — the worker will answer 400,
-// and which worker says so does not matter.
+// model quadruple plus the Gaussian backend. Each engine has one
+// spelling, so the parameter hashes as given, and an empty one as the
+// workers' own default engine. A spelling that names no engine hashes
+// like any other — the worker will answer 400, and which worker says so
+// does not matter.
 func TraceKey(m core.Model, backendParam string) uint64 {
-	canon := server.DefaultBackend.String()
-	if backendParam != "" {
-		if b, err := backend.Parse(backendParam); err == nil {
-			canon = b.String()
-		} else {
-			canon = backendParam
-		}
-	}
+	canon := cmp.Or(backendParam, server.DefaultBackend.String())
 	var buf [32]byte
 	binary.LittleEndian.PutUint64(buf[0:8], math.Float64bits(m.MuGamma))
 	binary.LittleEndian.PutUint64(buf[8:16], math.Float64bits(m.SigmaGamma))

@@ -86,17 +86,11 @@ func TestTraceKeyIdentity(t *testing.T) {
 		seen[k] = e
 	}
 
-	// Alias spellings are one identity — they select the same engine, so
-	// they must land on the same worker.
-	for _, alias := range []string{"dh", "daviesharte", "davies-harte"} {
-		if TraceKey(base, alias) != TraceKey(base, "davies-harte") {
-			t.Errorf("alias %q does not share davies-harte's key", alias)
-		}
-	}
-
-	// An absent parameter hashes as the workers' default engine.
-	if TraceKey(base, "") != TraceKey(base, server.DefaultBackend.String()) {
-		t.Error("empty backend does not share the default engine's key")
+	// An absent parameter selects the workers' default engine,
+	// davies-harte, so the two requests share one identity and must
+	// land on the same worker.
+	if TraceKey(base, "") != TraceKey(base, server.DefaultBackend.String()) || server.DefaultBackend.String() != "davies-harte" {
+		t.Error("empty backend does not share davies-harte's key")
 	}
 
 	// The model half still matters with a backend attached.

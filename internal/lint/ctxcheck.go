@@ -8,9 +8,8 @@ import (
 // ctxScopePkgs are the long-running generation/simulation packages
 // whose exported loop-bearing entry points must be cancellable: LRD
 // generation runs seconds at multi-million-point lengths, the queueing
-// sweeps run minutes at paper scale, and both an interrupt's exit 130
-// and the Fig. 14 sweep's checkpoint only work if cancellation can
-// reach every loop.
+// sweeps run minutes at paper scale, and an interrupt's prompt exit 130
+// only works if cancellation can reach every loop.
 var ctxScopePkgs = map[string]bool{
 	"vbr/internal/fgn":         true,
 	"vbr/internal/core":        true,

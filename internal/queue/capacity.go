@@ -167,17 +167,12 @@ type QCCurveConfig struct {
 	Target    LossTarget
 	TmaxGrid  []float64 // buffer delays to evaluate (seconds)
 	UseSlices bool      // simulate at slice granularity (the paper's choice)
-	// Resume supplies points from an earlier, interrupted sweep: grid
-	// entries whose T_max exactly matches a resume point are reused
-	// instead of re-searched. Points not on the grid are ignored.
-	Resume []QCPoint
 }
 
 // QCCurveCtx computes a Fig. 14 curve: for each T_max, the minimum
 // capacity per source achieving the loss target. On a cancelled context
 // it returns the points completed so far together with an error
-// matching errs.ErrCancelled, so the caller can checkpoint the partial
-// curve and finish it in a later run via Resume.
+// matching errs.ErrCancelled.
 func QCCurveCtx(ctx context.Context, cfg QCCurveConfig) ([]QCPoint, error) {
 	if cfg.Mux == nil {
 		return nil, fmt.Errorf("queue: nil multiplexer")
@@ -185,19 +180,10 @@ func QCCurveCtx(ctx context.Context, cfg QCCurveConfig) ([]QCPoint, error) {
 	if len(cfg.TmaxGrid) == 0 {
 		return nil, fmt.Errorf("queue: empty T_max grid")
 	}
-	resumed := make(map[float64]float64, len(cfg.Resume))
-	for _, p := range cfg.Resume {
-		resumed[p.TmaxSec] = p.PerSourceBps
-	}
 	n := float64(cfg.Mux.NSources())
 	scope := obs.From(ctx)
 	points := make([]QCPoint, 0, len(cfg.TmaxGrid))
 	for _, tmax := range cfg.TmaxGrid {
-		if bps, ok := resumed[tmax]; ok {
-			points = append(points, QCPoint{TmaxSec: tmax, PerSourceBps: bps})
-			scope.Progress("queue.qccurve", int64(len(points)), int64(len(cfg.TmaxGrid)))
-			continue
-		}
 		if ctx.Err() != nil {
 			return points, fmt.Errorf("queue: Q-C sweep interrupted at T_max=%v: %w", tmax, errs.Cancelled(ctx))
 		}

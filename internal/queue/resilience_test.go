@@ -329,7 +329,7 @@ func TestFaultValidation(t *testing.T) {
 	}
 }
 
-// --- capacity search: resume, cancellation, unreachable targets ---
+// --- capacity search: cancellation, unreachable targets ---
 
 func TestMinCapacityTargetUnreachable(t *testing.T) {
 	ctx := context.Background()
@@ -337,41 +337,6 @@ func TestMinCapacityTargetUnreachable(t *testing.T) {
 	_, err := MinCapacityCtx(ctx, loss, 1e6, 1e7, LossTarget{Pl: 1e-3})
 	if !errors.Is(err, errs.ErrTargetUnreachable) {
 		t.Fatalf("got %v, want ErrTargetUnreachable", err)
-	}
-}
-
-func TestQCCurveResumeSkipsCompletedPoints(t *testing.T) {
-	ctx := context.Background()
-	tr := testTrace(t, 2000)
-	m, err := NewMuxFromConfig(MuxConfig{Trace: tr, N: 2, MinLagFrames: 100, Seed: 19})
-	if err != nil {
-		t.Fatal(err)
-	}
-	grid := []float64{0.002, 0.01, 0.05}
-	cfg := QCCurveConfig{Mux: m, Target: LossTarget{Pl: 1e-3}, TmaxGrid: grid}
-	full, err := QCCurveCtx(ctx, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Resume with the first two points marked done, the first one with a
-	// sentinel value that a real search could never produce: if the value
-	// survives, the point was genuinely skipped rather than recomputed.
-	cfg.Resume = []QCPoint{{TmaxSec: 0.002, PerSourceBps: -1}, {TmaxSec: 0.01, PerSourceBps: full[1].PerSourceBps}}
-	resumed, err := QCCurveCtx(ctx, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resumed) != 3 {
-		t.Fatalf("resumed curve has %d points", len(resumed))
-	}
-	if resumed[0].PerSourceBps != -1 {
-		t.Errorf("resume point recomputed: %v", resumed[0].PerSourceBps)
-	}
-	if resumed[1].PerSourceBps != full[1].PerSourceBps {
-		t.Errorf("resume point altered: %v vs %v", resumed[1].PerSourceBps, full[1].PerSourceBps)
-	}
-	if resumed[2].PerSourceBps != full[2].PerSourceBps {
-		t.Errorf("fresh point differs from full run: %v vs %v", resumed[2].PerSourceBps, full[2].PerSourceBps)
 	}
 }
 
@@ -383,28 +348,17 @@ func TestQCCurveCtxReturnsPartialOnCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	// All three points supplied via Resume still complete under a
-	// cancelled context — no search work is needed.
+	// A cancelled context stops the sweep before its first search: the
+	// error matches ErrCancelled and no point is returned.
 	pts, err := QCCurveCtx(ctx, QCCurveConfig{
 		Mux: m, Target: LossTarget{Pl: 1e-3},
 		TmaxGrid: []float64{0.002, 0.01},
-		Resume:   []QCPoint{{TmaxSec: 0.002, PerSourceBps: 5}, {TmaxSec: 0.01, PerSourceBps: 4}},
-	})
-	if err != nil || len(pts) != 2 {
-		t.Fatalf("fully-resumed sweep under cancelled ctx: pts=%d err=%v", len(pts), err)
-	}
-	// With one fresh point required, the sweep stops there and returns
-	// the resumed prefix.
-	pts, err = QCCurveCtx(ctx, QCCurveConfig{
-		Mux: m, Target: LossTarget{Pl: 1e-3},
-		TmaxGrid: []float64{0.002, 0.01},
-		Resume:   []QCPoint{{TmaxSec: 0.002, PerSourceBps: 5}},
 	})
 	if !errors.Is(err, errs.ErrCancelled) {
 		t.Fatalf("got %v, want ErrCancelled", err)
 	}
-	if len(pts) != 1 || pts[0].PerSourceBps != 5 {
-		t.Fatalf("partial points %v, want the one resumed point", pts)
+	if len(pts) != 0 {
+		t.Fatalf("partial points %v, want none", pts)
 	}
 }
 

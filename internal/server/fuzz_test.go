@@ -3,9 +3,11 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"testing"
 
 	"vbr/internal/genpool"
@@ -72,6 +74,55 @@ func FuzzTraceQuery(f *testing.F) {
 			if _, err := strconv.ParseFloat(string(l), 64); err != nil {
 				t.Fatalf("?%s: line %d: %v", query, i, err)
 			}
+		}
+	})
+}
+
+// FuzzSimulateBody posts arbitrary bodies to /v1/simulate on a server
+// capped at 2,048 frames, with one simulation worker and a four-job
+// queue: every answer is 202, 400 or 503, never a 500 or a panic, and
+// a 202's Location names a job that GET /v1/jobs/{id} finds.
+func FuzzSimulateBody(f *testing.F) {
+	for _, body := range []string{
+		`{"n":100,"capacity_bps":6e6,"buffer_bytes":250000,"seed":4}`,
+		`{"n":2048,"capacity_bps":1e6,"backend":"hosking","hurst":0.55,"tail":1.5}`,
+		`{"frames":[100,900,100,900],"capacity_bps":40000,"buffer_bytes":100,"interval_s":0.1}`,
+		`{"n":2049,"capacity_bps":1e6}`,
+		`{"n":100,"capacity_bps":6e6,"hurts":0.9}`,
+		`{"n":100,"capacity_bps":6e6} {"n":1}`,
+		`{"n":100,"capacity_bps":6e6}garbage`,
+		`{"n":100,"capacity_bps":6e6,"backend":"dh"}`,
+		`{"n":-1,"capacity_bps":1e6}`,
+		`{"capacity_bps":-5}`,
+		`{nope`,
+		`null`,
+		``,
+	} {
+		f.Add(body)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	f.Cleanup(cancel) // the job worker exits with the server's lifetime
+	h := New(ctx, Config{MaxFrames: 2048, SimWorkers: 1, JobQueueDepth: 4, Pool: genpool.New(16 << 20)}).Handler()
+	f.Fuzz(func(t *testing.T, body string) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/simulate", strings.NewReader(body)))
+		switch rec.Code {
+		case http.StatusBadRequest, http.StatusServiceUnavailable:
+			return
+		case http.StatusAccepted:
+		default:
+			t.Fatalf("%q: status %d: %s", body, rec.Code, rec.Body)
+		}
+		loc := rec.Header().Get("Location")
+		id, ok := strings.CutPrefix(loc, "/v1/jobs/")
+		if !ok {
+			t.Fatalf("%q: 202 with Location %q", body, loc)
+		}
+		poll := httptest.NewRecorder()
+		h.ServeHTTP(poll, httptest.NewRequest(http.MethodGet, loc, nil))
+		var v JobView
+		if err := json.Unmarshal(poll.Body.Bytes(), &v); poll.Code != http.StatusOK || err != nil || v.ID != id {
+			t.Fatalf("%q: GET %s: status %d, %+v (%v)", body, loc, poll.Code, v, err)
 		}
 	})
 }

@@ -474,6 +474,49 @@ func TestSimulateBadRequests(t *testing.T) {
 	}
 }
 
+// TestSimulateRefusesUnreadInput pins that a body holds exactly one
+// SimRequest: a field the request does not declare (the typo "hurts",
+// which would otherwise simulate at the default H) and data after the
+// object each get a 400 naming them, and no job is created.
+func TestSimulateRefusesUnreadInput(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	s := New(ctx, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	const valid = `{"n":5000,"capacity_bps":6e6,"buffer_bytes":250000,"seed":4`
+	for _, c := range []struct{ body, msg string }{
+		{valid + `,"hurts":0.9}`, `unknown field \"hurts\"`},
+		{valid + `} {"n":1}`, "trailing data after the JSON object"},
+		{valid + `}garbage`, "trailing data after the JSON object"},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/simulate", "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), c.msg) {
+			t.Errorf("%s: status %d %s, want 400 naming %s", c.body, resp.StatusCode, msg, c.msg)
+		}
+	}
+	if st := s.jobs.stats(); st != (jobStats{}) {
+		t.Fatalf("refused bodies created jobs: %+v", st)
+	}
+	// Whitespace after the object is not data: the body is accepted, as
+	// the first job.
+	resp, err := http.Post(ts.URL+"/v1/simulate", "application/json", strings.NewReader(valid+"}\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v JobView
+	err = json.NewDecoder(resp.Body).Decode(&v)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted || err != nil || v.ID != "job-000001" {
+		t.Fatalf("valid body: status %d, job %q (%v), want 202 and job-000001", resp.StatusCode, v.ID, err)
+	}
+}
+
 func TestJobNotFound(t *testing.T) {
 	ts := newTestServer(t, Config{})
 	resp, err := http.Get(ts.URL + "/v1/jobs/job-999999")

@@ -3,7 +3,9 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -242,6 +244,27 @@ func (s *Server) simStreamConfig(req SimRequest) (stream.Config, error) {
 	return cfg, nil
 }
 
+// decodeSimRequest reads a body that holds exactly one SimRequest
+// object. It refuses, by name, a field SimRequest does not declare, so a
+// misspelt "hurts" is not simulated at the default H, and it refuses
+// anything but white space after the object.
+func decodeSimRequest(body io.Reader) (SimRequest, error) {
+	var req SimRequest
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return SimRequest{}, fmt.Errorf("server: decoding simulate request: %w", err)
+	}
+	switch tok, err := dec.Token(); {
+	case errors.Is(err, io.EOF):
+		return req, nil
+	case err != nil:
+		return SimRequest{}, fmt.Errorf("server: decoding simulate request: trailing data after the JSON object: %w", err)
+	default:
+		return SimRequest{}, fmt.Errorf("server: decoding simulate request: trailing data after the JSON object: %v", tok)
+	}
+}
+
 // handleSimulate accepts an async §5 simulation job and returns 202
 // with its id and status URL. The work itself runs on the server's
 // worker pool under the server lifetime context — the job survives this
@@ -250,11 +273,10 @@ func (s *Server) simStreamConfig(req SimRequest) (stream.Config, error) {
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	scope := obs.From(r.Context())
 	scope.Count("server.simulate.requests", 1)
-	var req SimRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20))
-	if err := dec.Decode(&req); err != nil {
+	req, err := decodeSimRequest(http.MaxBytesReader(w, r.Body, 64<<20))
+	if err != nil {
 		scope.Count("server.simulate.badrequest", 1)
-		writeError(w, http.StatusBadRequest, fmt.Errorf("server: decoding simulate request: %w", err))
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	if err := s.validateSim(req); err != nil {

@@ -40,9 +40,6 @@ func TestSentinelsSurviveCmdWrapping(t *testing.T) {
 		errs.ErrInvalidWorkload,
 		errs.ErrInfeasibleLags,
 		errs.ErrInvalidSeries,
-		errs.ErrCheckpointVersion,
-		errs.ErrCheckpointCorrupt,
-		errs.ErrCheckpointMismatch,
 	}
 	for _, w := range cmdWrappers {
 		for _, sentinel := range sentinels {

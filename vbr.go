@@ -275,9 +275,7 @@ type QCPoint = queue.QCPoint
 type QCCurveConfig = queue.QCCurveConfig
 
 // QCCurveCtx computes a Fig. 14 curve under a context: cancellation
-// returns the completed points alongside an error matching ErrCancelled,
-// and cfg.Resume skips grid points carried over from a previous partial
-// run.
+// returns the completed points alongside an error matching ErrCancelled.
 func QCCurveCtx(ctx context.Context, cfg QCCurveConfig) ([]QCPoint, error) {
 	return queue.QCCurveCtx(ctx, cfg)
 }
@@ -416,19 +414,16 @@ func SceneCuts(frames []float64, cfg SceneConfig) ([]int, error) {
 // Sentinel errors, matchable with errors.Is. Cancellation errors also
 // match context.Canceled / context.DeadlineExceeded.
 var (
-	ErrCancelled          = errs.ErrCancelled
-	ErrInvalidTrace       = errs.ErrInvalidTrace
-	ErrInvalidModel       = errs.ErrInvalidModel
-	ErrInvalidWorkload    = errs.ErrInvalidWorkload
-	ErrInfeasibleLags     = errs.ErrInfeasibleLags
-	ErrCheckpointVersion  = errs.ErrCheckpointVersion
-	ErrCheckpointCorrupt  = errs.ErrCheckpointCorrupt
-	ErrCheckpointMismatch = errs.ErrCheckpointMismatch
-	ErrTargetUnreachable  = errs.ErrTargetUnreachable
-	ErrAllCombosFailed    = errs.ErrAllCombosFailed
-	ErrInvalidSeries      = errs.ErrInvalidSeries
-	ErrUnknownModel       = errs.ErrUnknownModel
-	ErrUnknownBackend     = errs.ErrUnknownBackend
+	ErrCancelled         = errs.ErrCancelled
+	ErrInvalidTrace      = errs.ErrInvalidTrace
+	ErrInvalidModel      = errs.ErrInvalidModel
+	ErrInvalidWorkload   = errs.ErrInvalidWorkload
+	ErrInfeasibleLags    = errs.ErrInfeasibleLags
+	ErrTargetUnreachable = errs.ErrTargetUnreachable
+	ErrAllCombosFailed   = errs.ErrAllCombosFailed
+	ErrInvalidSeries     = errs.ErrInvalidSeries
+	ErrUnknownModel      = errs.ErrUnknownModel
+	ErrUnknownBackend    = errs.ErrUnknownBackend
 )
 
 // FaultEpisode is one capacity-degradation or outage episode of a
